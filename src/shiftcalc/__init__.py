@@ -79,6 +79,8 @@ from .corr import (
 )
 from .aligned import (
     AlignedShiftData,
+    AlignmentReport,
+    alignment_report,
     alignment_residuals,
     build_from_se,
     compose_shifts,

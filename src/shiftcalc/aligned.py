@@ -12,7 +12,7 @@ and it is *aligned* when the two triple-tensor coherence equations hold:
     (Psi_Y (x) 1_Y)(1_N (x) Phi_M)(Phi_N (x) 1_M) = 1_Y (x) Psi_Y
 
 Equivalently, Psi_X and Psi_Y are 2-arrows from the composite arrows to the
-tensor-power arrows.  ``verify_aligned`` evaluates both formulations and
+tensor-power arrows.  ``alignment_report`` evaluates both formulations and
 insists they agree, so each implementation checks the other.
 """
 
@@ -129,22 +129,55 @@ def two_arrow_residuals(d: AlignedShiftData) -> tuple[float, float]:
     return rx, ry
 
 
-def verify_aligned(d: AlignedShiftData, tol: float = DEFAULT_TOL) -> bool:
-    """Check both coherence equations within ``tol``.
+@dataclass(frozen=True)
+class AlignmentReport:
+    """An alignment verdict with the (X side, Y side) defects of the
+    triple-tensor equations; both are None when the shift is not concrete."""
+
+    concrete: bool
+    aligned: Optional[bool] = None
+    residuals: Optional[tuple[float, float]] = None
+
+
+def alignment_report(d: AlignedShiftData, tol: float = DEFAULT_TOL) -> AlignmentReport:
+    """Check concreteness, then both coherence equations, within ``tol``.
 
     Evaluates the triple-tensor equations and, redundantly, the 2-arrow
     squares; a verdict is only returned when the two formulations agree, so
     either implementation catches a defect in the other.
     """
     if not verify_concrete_shift(d, tol):
-        raise ContractError("verify_aligned requires a verified concrete shift")
-    direct = bool(max(alignment_residuals(d)) <= tol)
-    via_two_arrows = bool(max(two_arrow_residuals(d)) <= tol)
-    if direct != via_two_arrows:
+        return AlignmentReport(False)
+    residuals = alignment_residuals(d)
+    aligned = bool(max(residuals) <= tol)
+    if aligned != bool(max(two_arrow_residuals(d)) <= tol):
         raise ShiftcalcError(
             "internal consistency failure: the two alignment formulations disagree"
         )
-    return direct
+    return AlignmentReport(True, aligned, residuals)
+
+
+def verify_aligned(d: AlignedShiftData, tol: float = DEFAULT_TOL) -> bool:
+    """Whether a concrete shift is aligned within ``tol``; see :func:`alignment_report`."""
+    report = alignment_report(d, tol)
+    if not report.concrete:
+        raise ContractError("verify_aligned requires a verified concrete shift")
+    return report.aligned
+
+
+def structure_endpoints(w: SEWitness) -> dict:
+    """Source and target of each structure map of the shift induced by ``w``,
+    keyed like the unitary arguments of :func:`build_from_se`."""
+    x = object_pair(w.a)
+    y = object_pair(w.b)
+    m_corr = from_matrix(w.r, x.algebra_index, y.algebra_index)
+    n_corr = from_matrix(w.s, y.algebra_index, x.algebra_index)
+    return {
+        "phi_m": (tensor(x.x, m_corr), tensor(m_corr, y.x)),
+        "phi_n": (tensor(y.x, n_corr), tensor(n_corr, x.x)),
+        "psi_x": (tensor(m_corr, n_corr), power_correspondence(x, w.lag)),
+        "psi_y": (tensor(n_corr, m_corr), power_correspondence(y, w.lag)),
+    }
 
 
 def build_from_se(
@@ -165,27 +198,18 @@ def build_from_se(
     """
     if not verify_se(w):
         raise ContractError("build_from_se requires a verified witness")
+    given = {"phi_m": phi_m, "phi_n": phi_n, "psi_x": psi_x, "psi_y": psi_y}
+    maps = {
+        name: canonical_identification(src, tgt) if given[name] is None else given[name]
+        for name, (src, tgt) in structure_endpoints(w).items()
+    }
     x_obj = object_pair(w.a)
     y_obj = object_pair(w.b)
     m_corr = from_matrix(w.r, x_obj.algebra_index, y_obj.algebra_index)
     n_corr = from_matrix(w.s, y_obj.algebra_index, x_obj.algebra_index)
-
-    if phi_m is None:
-        phi_m = canonical_identification(tensor(x_obj.x, m_corr), tensor(m_corr, y_obj.x))
-    if phi_n is None:
-        phi_n = canonical_identification(tensor(y_obj.x, n_corr), tensor(n_corr, x_obj.x))
-    if psi_x is None:
-        psi_x = canonical_identification(
-            tensor(m_corr, n_corr), power_correspondence(x_obj, w.lag)
-        )
-    if psi_y is None:
-        psi_y = canonical_identification(
-            tensor(n_corr, m_corr), power_correspondence(y_obj, w.lag)
-        )
-
-    m_arrow = OneArrow(y_obj, x_obj, m_corr, phi_m)
-    n_arrow = OneArrow(x_obj, y_obj, n_corr, phi_n)
-    return AlignedShiftData(x_obj, y_obj, m_arrow, n_arrow, psi_x, psi_y, w.lag)
+    m_arrow = OneArrow(y_obj, x_obj, m_corr, maps["phi_m"])
+    n_arrow = OneArrow(x_obj, y_obj, n_corr, maps["phi_n"])
+    return AlignedShiftData(x_obj, y_obj, m_arrow, n_arrow, maps["psi_x"], maps["psi_y"], w.lag)
 
 
 def trivial_shift(a) -> AlignedShiftData:

@@ -14,17 +14,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
 
 from . import jsonio
-from .aligned import (
-    build_from_se,
-    verify_aligned,
-    verify_concrete_shift,
-    alignment_residuals,
-)
+from .aligned import alignment_report, build_from_se, structure_endpoints
 from .corr import from_matrix, tensor, two_arrow_residual
 from .errors import ShiftcalcError
 from .exact import IntMatrix
@@ -171,62 +167,38 @@ def _cmd_corr_check_two_arrow(run: _Run, args) -> int:
 
 def _cmd_aligned_verify(run: _Run, args) -> int:
     shift = jsonio.shift_from_json(jsonio.load_json(run.track(args.data)))
-    concrete = verify_concrete_shift(shift, run.tol)
-    if not concrete:
+    report = alignment_report(shift, run.tol)
+    if not report.concrete:
         run.note("not a concrete shift: some structure map is not unitary")
         return run.emit({"concrete": False, "aligned": None}, EXIT_REFUTED)
-    aligned = verify_aligned(shift, run.tol)
-    rx, ry = alignment_residuals(shift)
+    rx, ry = report.residuals
     verdict = {
         "concrete": True,
-        "aligned": aligned,
+        "aligned": report.aligned,
         "residuals": {"x": float(rx), "y": float(ry)},
     }
-    return run.emit(verdict, EXIT_OK if aligned else EXIT_REFUTED)
+    return run.emit(verdict, EXIT_OK if report.aligned else EXIT_REFUTED)
 
 
 def _cmd_aligned_from_se(run: _Run, args) -> int:
     witness = jsonio.witness_from_json(jsonio.load_json(run.track(args.witness)))
     overrides = {}
-    shift = build_from_se(witness)
-    for name, path in (
-        ("phi_m", args.phi_m),
-        ("phi_n", args.phi_n),
-        ("psi_x", args.psi_x),
-        ("psi_y", args.psi_y),
-    ):
+    for name, (src, tgt) in structure_endpoints(witness).items():
+        path = getattr(args, name)
         if path is not None:
-            overrides[name] = jsonio.load_json(run.track(path))
-    if overrides:
-        kwargs = {}
-        if "phi_m" in overrides:
-            kwargs["phi_m"] = jsonio.block_unitary_from_json(
-                overrides["phi_m"], shift.m_arrow.phi.source, shift.m_arrow.phi.target
-            )
-        if "phi_n" in overrides:
-            kwargs["phi_n"] = jsonio.block_unitary_from_json(
-                overrides["phi_n"], shift.n_arrow.phi.source, shift.n_arrow.phi.target
-            )
-        if "psi_x" in overrides:
-            kwargs["psi_x"] = jsonio.block_unitary_from_json(
-                overrides["psi_x"], shift.psi_x.source, shift.psi_x.target
-            )
-        if "psi_y" in overrides:
-            kwargs["psi_y"] = jsonio.block_unitary_from_json(
-                overrides["psi_y"], shift.psi_y.source, shift.psi_y.target
-            )
-        shift = build_from_se(witness, **kwargs)
+            doc = jsonio.load_json(run.track(path))
+            overrides[name] = jsonio.block_unitary_from_json(doc, src, tgt)
+    shift = build_from_se(witness, **overrides)
     bundle = jsonio.shift_to_json(shift)
-    concrete = verify_concrete_shift(shift, run.tol)
-    aligned = verify_aligned(shift, run.tol) if concrete else None
-    verdict = {"concrete": concrete, "aligned": aligned}
+    report = alignment_report(shift, run.tol)
+    verdict = {"concrete": report.concrete, "aligned": report.aligned}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(jsonio.dump_json(bundle))
         verdict["out"] = args.out
     else:
         verdict["shift"] = bundle
-    return run.emit(verdict, EXIT_OK if concrete else EXIT_REFUTED)
+    return run.emit(verdict, EXIT_OK if report.concrete else EXIT_REFUTED)
 
 
 def _cmd_homotopy_from_se(run: _Run, args) -> int:
@@ -351,14 +323,16 @@ def _command_name(args) -> str:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.tol is not None:
-        tol = args.tol
-    else:
+    tol = args.tol
+    if tol is None:
         try:
             tol = float(os.environ.get(DEFAULT_TOL_ENV, "1e-9"))
         except ValueError:
             print(f"shiftcalc: invalid {DEFAULT_TOL_ENV}", file=sys.stderr)
             return EXIT_USAGE
+    if not (math.isfinite(tol) and tol >= 0):
+        print(f"shiftcalc: the tolerance must be finite and nonnegative, got {tol}", file=sys.stderr)
+        return EXIT_USAGE
     if args.jobs < 1:
         print("shiftcalc: --jobs must be at least 1", file=sys.stderr)
         return EXIT_USAGE

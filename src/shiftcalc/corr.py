@@ -9,10 +9,11 @@ per block.
 
 Tensor products are taken over composable edge paths.  Basis vectors of any
 iterated tensor product are flat edge paths, ordered inside each block by the
-path's (node, alpha) itinerary; the order depends only on the path and never
-on the bracketing, which makes every associativity isomorphism the identity
-permutation.  All the coherence bookkeeping in this module rests on that one
-convention.
+path's (node, alpha) itinerary.  That order is derived from the sequence of
+atomic factors, never stored, and never depends on the bracketing, so every
+associativity isomorphism is the identity permutation and equality compares
+factor sequences.  All the coherence bookkeeping in this module rests on
+that one convention.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .exact import identity as int_identity
 #: An edge (source label, alpha, target label); basis vectors are edge paths.
 Edge = tuple
 Path = tuple
-#: Sort key of a path inside its block: ((target position, alpha), ...) per edge.
-Key = tuple
 
 DEFAULT_TOL = 1e-9
 
@@ -38,18 +37,19 @@ DEFAULT_TOL = 1e-9
 class GraphCorrespondence:
     """The edge bimodule of an integer matrix, or a tensor product of such.
 
-    Immutable.  ``dims`` records the block dimensions; ``block_basis`` gives
-    the ordered edge-path basis of each block.
+    Immutable.  ``dims`` records the block dimensions, ``factors`` the atomic
+    (left labels, right labels, matrix) triples multiplied together, and
+    ``ends[i]`` the right index at which each path out of i ends, in basis order.
     """
 
-    __slots__ = ("left_index", "right_index", "dims", "_basis", "_keys")
+    __slots__ = ("left_index", "right_index", "dims", "factors", "ends")
 
-    def __init__(self, left_index, right_index, dims: IntMatrix, basis, keys):
+    def __init__(self, left_index, right_index, dims: IntMatrix, factors, ends):
         self.left_index = tuple(left_index)
         self.right_index = tuple(right_index)
         self.dims = dims
-        self._basis = basis
-        self._keys = keys
+        self.factors = factors
+        self.ends = ends
 
     # -- structure ---------------------------------------------------------
 
@@ -57,10 +57,17 @@ class GraphCorrespondence:
         return self.dims[i, j]
 
     def block_basis(self, i: int, j: int) -> tuple[Path, ...]:
-        return self._basis.get((i, j), ())
-
-    def block_keys(self, i: int, j: int) -> tuple[Key, ...]:
-        return self._keys.get((i, j), ())
+        """Basis paths of block (i, j): the paths out of i, each factor's
+        row taken in (target, alpha) order, that end at j."""
+        paths = [((), i)]
+        for left, right, r in self.factors:
+            paths = [
+                (p + ((left[u], alpha, right[w]),), w)
+                for p, u in paths
+                for w in range(r.cols)
+                for alpha in range(r[u, w])
+            ]
+        return tuple(p for p, end in paths if end == j)
 
     def blocks(self):
         """(i, j) pairs of nonempty blocks, row-major."""
@@ -78,7 +85,7 @@ class GraphCorrespondence:
         """All basis paths, blocks in row-major order."""
         out = []
         for ij in self.blocks():
-            out.extend(self._basis[ij])
+            out.extend(self.block_basis(*ij))
         return tuple(out)
 
     def same_shape(self, other: "GraphCorrespondence") -> bool:
@@ -91,7 +98,7 @@ class GraphCorrespondence:
     def __eq__(self, other):
         if not isinstance(other, GraphCorrespondence):
             return NotImplemented
-        return self.same_shape(other) and self._basis == other._basis
+        return self.same_shape(other) and self.factors == other.factors
 
     def __repr__(self):
         return (
@@ -113,51 +120,35 @@ def from_matrix(r: IntMatrix, v: Optional[Sequence] = None, w: Optional[Sequence
     w = tuple(w) if w is not None else tuple(range(r.cols))
     if len(v) != r.rows or len(w) != r.cols:
         raise ShapeError("index label lists must match the matrix shape")
-    basis = {}
-    keys = {}
-    for i, vi in enumerate(v):
-        for j, wj in enumerate(w):
-            d = r[i, j]
-            if d > 0:
-                basis[(i, j)] = tuple(((vi, alpha, wj),) for alpha in range(d))
-                keys[(i, j)] = tuple(((j, alpha),) for alpha in range(d))
-    return GraphCorrespondence(v, w, r, basis, keys)
+    ends = tuple(np.repeat(np.arange(r.cols), r.row(i)) for i in range(r.rows))
+    return GraphCorrespondence(v, w, r, ((v, w, r),), ends)
 
 
 def tensor(x: GraphCorrespondence, y: GraphCorrespondence) -> GraphCorrespondence:
     """Interior tensor product over the shared middle index set.
 
     Block (v, w) is spanned by the composable path pairs, flattened and
-    sorted by their (node, alpha) itinerary; its dimension is the (v, w)
+    ordered by their (node, alpha) itinerary: each path of X out of v, in
+    order, followed by its continuations in Y.  Its dimension is the (v, w)
     entry of the product of the two dims matrices.
     """
     if x.right_index != y.left_index:
         raise ShapeError("tensor factors must share their middle index set")
-    dims = mat_mul(x.dims, y.dims)
-    basis = {}
-    keys = {}
-    nu = len(x.right_index)
-    for i in range(len(x.left_index)):
-        for j in range(len(y.right_index)):
-            if dims[i, j] == 0:
-                continue
-            items = []
-            for u in range(nu):
-                xb = x.block_basis(i, u)
-                if not xb:
-                    continue
-                yb = y.block_basis(u, j)
-                if not yb:
-                    continue
-                xk = x.block_keys(i, u)
-                yk = y.block_keys(u, j)
-                for p, kp in zip(xb, xk):
-                    for q, kq in zip(yb, yk):
-                        items.append((kp + kq, p + q))
-            items.sort(key=lambda kv: kv[0])
-            keys[(i, j)] = tuple(k for k, _ in items)
-            basis[(i, j)] = tuple(p for _, p in items)
-    return GraphCorrespondence(x.left_index, y.right_index, dims, basis, keys)
+    ends = tuple(
+        np.concatenate([y.ends[u] for u in row]) if row.size else row for row in x.ends
+    )
+    return GraphCorrespondence(
+        x.left_index, y.right_index, mat_mul(x.dims, y.dims), x.factors + y.factors, ends
+    )
+
+
+def _pair_positions(row_ends: np.ndarray, col: np.ndarray, u: int) -> np.ndarray:
+    """Positions, p-major, in block (i, j) of X (x) Y of the pairs p (x) q with
+    p in block (i, u) of X and q in block (u, j) of Y.  ``row_ends`` is
+    ``X.ends[i]`` and ``col`` column j of Y's dims; earlier paths p come first."""
+    counts = col[row_ends]
+    starts = np.cumsum(counts) - counts
+    return (starts[row_ends == u][:, None] + np.arange(col[u])).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -274,26 +265,17 @@ def tensor_unitaries(u1: BlockUnitary, u2: BlockUnitary) -> BlockUnitary:
         raise ShapeError("tensor factors must share their middle index set")
     src = tensor(x, y)
     tgt = tensor(xp, yp)
+    y_dims = np.array(y.dims.entries)
     blocks = {}
     for (i, j) in src.blocks():
         d = src.block_dim(i, j)
         out = np.zeros((d, d), dtype=complex)
-        pos_src = {k: idx for idx, k in enumerate(src.block_keys(i, j))}
-        pos_tgt = {k: idx for idx, k in enumerate(tgt.block_keys(i, j))}
         for u in range(len(x.right_index)):
             if x.block_dim(i, u) == 0 or y.block_dim(u, j) == 0:
                 continue
             kron = np.kron(u1.block(i, u), u2.block(u, j))
-            src_pos = [
-                pos_src[kp + kq]
-                for kp in x.block_keys(i, u)
-                for kq in y.block_keys(u, j)
-            ]
-            tgt_pos = [
-                pos_tgt[kp + kq]
-                for kp in xp.block_keys(i, u)
-                for kq in yp.block_keys(u, j)
-            ]
+            src_pos = _pair_positions(x.ends[i], y_dims[:, j], u)
+            tgt_pos = _pair_positions(xp.ends[i], y_dims[:, j], u)
             out[np.ix_(tgt_pos, src_pos)] = kron
         blocks[(i, j)] = out
     return BlockUnitary(src, tgt, blocks)
@@ -302,14 +284,10 @@ def tensor_unitaries(u1: BlockUnitary, u2: BlockUnitary) -> BlockUnitary:
 def canonical_assoc(x: GraphCorrespondence, y: GraphCorrespondence, z: GraphCorrespondence) -> BlockUnitary:
     """Associativity isomorphism ((x . y) . z) -> (x . (y . z)).
 
-    With path bases sorted by itinerary the two sides coincide vector for
-    vector, so this is always the identity permutation.
+    Both bracketings have the same factor sequence, hence the same derived
+    path basis, so this is always the identity permutation.
     """
-    left = tensor(tensor(x, y), z)
-    right = tensor(x, tensor(y, z))
-    if left != right:
-        raise AssertionError("path bases of the two bracketings diverged")
-    return canonical_identification(left, right)
+    return canonical_identification(tensor(tensor(x, y), z), tensor(x, tensor(y, z)))
 
 
 def random_block_unitary(

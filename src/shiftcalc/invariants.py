@@ -22,12 +22,10 @@ from .exact import (
     char_poly,
     identity,
     is_essential,
-    mat_pow,
     mat_sub,
     poly,
     poly_eval_matrix,
     poly_strip_t,
-    rank,
     smith_normal_form,
 )
 
@@ -41,7 +39,10 @@ class DimensionInvariants:
 
     ``nonzero_char_poly`` is the characteristic polynomial with every factor
     of t removed; ``bowen_franks`` is the canonical invariant-factor list of
-    coker(I - A); ``eventual_rank`` is the rank of A^n for n the matrix size.
+    coker(I - A); ``eventual_rank`` is the rank of A^n for n the matrix size,
+    which counts the nonzero eigenvalues with multiplicity and so is the
+    degree of ``nonzero_char_poly``.  Being derived from that polynomial, it
+    and ``det_away_from_zero`` are never the only separating invariant.
     """
 
     nonzero_char_poly: IntPolynomial
@@ -92,9 +93,8 @@ def compute_invariants(a: IntMatrix) -> DimensionInvariants:
         raise DomainError("invariants are defined for essential matrices")
     stripped, _ = poly_strip_t(char_poly(a))
     bf = cokernel_invariant_factors(mat_sub(identity(a.rows), a))
-    ev_rank = rank(mat_pow(a, a.rows))
     det_away = (-1) ** stripped.degree * stripped.constant_term()
-    return DimensionInvariants(stripped, bf, ev_rank, det_away)
+    return DimensionInvariants(stripped, bf, stripped.degree, det_away)
 
 
 def compare(a: IntMatrix, b: IntMatrix) -> ComparisonVerdict:

@@ -134,10 +134,17 @@ def _complex_matrix_from_json(doc, d: int, where: str) -> np.ndarray:
         _require(isinstance(row, list) and len(row) == d, f"{where}: row {i} must have {d} entries")
         for j, pair in enumerate(row):
             _require(
-                isinstance(pair, list) and len(pair) == 2,
-                f"{where}: entry ({i}, {j}) must be an [re, im] pair",
+                isinstance(pair, list)
+                and len(pair) == 2
+                and type(pair[0]) in (int, float)
+                and type(pair[1]) in (int, float),
+                f"{where}: entry ({i}, {j}) must be an [re, im] pair of numbers",
             )
-            out[i, j] = complex(pair[0], pair[1])
+            try:
+                out[i, j] = complex(pair[0], pair[1])
+            except OverflowError:
+                raise ParseError(f"{where}: entry ({i}, {j}) is too large") from None
+    _require(np.isfinite(out).all(), f"{where}: entries must be finite")
     return out
 
 

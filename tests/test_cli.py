@@ -300,3 +300,91 @@ class TestDeterminism:
         monkeypatch.setenv("SHIFTCALC_TOL", "1e-6")
         code, report, _ = run(capsys, ["--tol", "1e-12", "invariants", "--a", files["two"]])
         assert report["tolerances"]["tol"] == 1e-12
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize(
+        "entry", [["re", 0.0], [0.0, None], [float("nan"), 0.0], [0.0, float("inf")], [10**400, 0]]
+    )
+    def test_bad_block_entry_is_data_error(self, capsys, tmp_path, golden_witness, entry):
+        doc = shift_to_json(build_from_se(golden_witness))
+        key = sorted(doc["psi_x"]["blocks"])[0]
+        doc["psi_x"]["blocks"][key][0][0] = entry
+        data = write(tmp_path / "bad.json", doc)
+        code, report, err = run(capsys, ["aligned", "verify", "--data", data])
+        assert code == 65
+        assert report is None
+        assert f"block '{key}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_bad_tol_flag_is_usage_error(self, files, capsys, tol):
+        code, report, err = run(capsys, [f"--tol={tol}", "invariants", "--a", files["two"]])
+        assert code == 64
+        assert report is None
+        assert "tolerance" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-9", "inf", "1e400"])
+    def test_bad_tol_env_is_usage_error(self, files, capsys, monkeypatch, tol):
+        monkeypatch.setenv("SHIFTCALC_TOL", tol)
+        code, report, err = run(capsys, ["invariants", "--a", files["two"]])
+        assert code == 64
+        assert report is None
+        assert "tolerance" in err and "Traceback" not in err
+
+    def test_zero_tol_is_accepted(self, files, capsys):
+        code, report, _ = run(capsys, ["--tol", "0", "invariants", "--a", files["two"]])
+        assert code == 0
+        assert report["tolerances"]["tol"] == 0.0
+
+
+class TestEachVerdictOnce:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import shiftcalc.aligned
+        import shiftcalc.cli
+
+        counts = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("unitarity_defect", "alignment_residuals", "two_arrow_residuals"):
+            counted(shiftcalc.aligned, name)
+        counted(shiftcalc.cli, "build_from_se")
+        return counts
+
+    def test_aligned_verify(self, counts, capsys, tmp_path, golden_witness):
+        data = write(tmp_path / "shift.json", shift_to_json(build_from_se(golden_witness)))
+        code, report, _ = run(capsys, ["aligned", "verify", "--data", data])
+        assert code == 0
+        assert report["verdict"]["aligned"] is True
+        assert counts == {"unitarity_defect": 4, "alignment_residuals": 1, "two_arrow_residuals": 1}
+
+    def test_aligned_from_se_with_overrides(self, counts, capsys, tmp_path, golden_witness):
+        from shiftcalc.jsonio import block_unitary_to_json
+
+        shift = build_from_se(golden_witness)
+        witness_path = write(tmp_path / "w.json", witness_to_json(golden_witness))
+        phi_path = write(tmp_path / "phi_m.json", block_unitary_to_json(shift.m_arrow.phi))
+        psi_path = write(tmp_path / "psi_y.json", block_unitary_to_json(shift.psi_y))
+        code, report, _ = run(
+            capsys,
+            ["aligned", "from-se", "--witness", witness_path,
+             "--phi-m", phi_path, "--psi-y", psi_path, "--out", str(tmp_path / "out.json")],
+        )
+        assert code == 0
+        assert report["verdict"]["aligned"] is True
+        assert sorted(report["inputs"]) == sorted([witness_path, phi_path, psi_path])
+        assert counts == {
+            "build_from_se": 1,
+            "unitarity_defect": 4,
+            "alignment_residuals": 1,
+            "two_arrow_residuals": 1,
+        }

@@ -1,7 +1,10 @@
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftcalc import (
     DomainError,
@@ -47,6 +50,85 @@ def count_composable_paths(r, s):
             if u1 == u2:
                 counts[(v, w)] = counts.get((v, w), 0) + 1
     return counts
+
+
+def itinerary_blocks(mats):
+    """Independent oracle for the basis of X(M1) (x) ... (x) X(Mk): extend
+    every edge path by every composable edge, group the paths by block and
+    sort each block by the ((target, alpha), ...) itinerary of its paths."""
+    def edges(m):
+        return [(v, a, w) for v in range(m.rows) for w in range(m.cols) for a in range(m[v, w])]
+
+    paths = [(e,) for e in edges(mats[0])]
+    for m in mats[1:]:
+        paths = [p + (e,) for p in paths for e in edges(m) if e[0] == p[-1][2]]
+    blocks = {}
+    for p in paths:
+        blocks.setdefault((p[0][0], p[-1][2]), []).append(p)
+    for block in blocks.values():
+        block.sort(key=lambda p: tuple((w, a) for _, a, w in p))
+    return blocks
+
+
+def fold(corrs, right):
+    """Tensor product of ``corrs``, bracketed to the right or to the left."""
+    if right:
+        return reduce(lambda acc, c: tensor(c, acc), reversed(corrs))
+    return reduce(tensor, corrs)
+
+
+def factor_chains(min_factors=1):
+    """Composable sequences of up to four matrices, 1-3 nodes wide, entries 0..2."""
+    matrix = lambda r, c: st.lists(
+        st.lists(st.integers(0, 2), min_size=c, max_size=c), min_size=r, max_size=r
+    ).map(from_rows)
+    return (
+        st.integers(min_factors, 4)
+        .flatmap(lambda k: st.lists(st.integers(1, 3), min_size=k + 1, max_size=k + 1))
+        .flatmap(lambda n: st.tuples(*(matrix(r, c) for r, c in zip(n, n[1:]))))
+    )
+
+
+class TestDerivedBases:
+    @given(factor_chains(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_block_basis_is_the_sorted_itinerary_order(self, mats, right):
+        t = fold([from_matrix(m) for m in mats], right)
+        oracle = itinerary_blocks(mats)
+        for i in range(mats[0].rows):
+            for j in range(mats[-1].cols):
+                assert t.block_basis(i, j) == tuple(oracle.get((i, j), ()))
+
+    @given(factor_chains(2), st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_tensor_unitaries_places_each_pair_at_the_oracle_index(self, mats, split, right, seed):
+        k = min(split, len(mats) - 1)
+        rng = np.random.default_rng(seed)
+        x = fold([from_matrix(m) for m in mats[:k]], right)
+        y = fold([from_matrix(m) for m in mats[k:]], right)
+        # Targets are the atomic correspondences of the same dims, so their
+        # basis order differs from the sources' whenever a side has several
+        # factors.
+        u = random_block_unitary(x, rng, from_matrix(x.dims))
+        v = random_block_unitary(y, rng, from_matrix(y.dims))
+        w = tensor_unitaries(u, v)
+        src_x, src_y = itinerary_blocks(mats[:k]), itinerary_blocks(mats[k:])
+        tgt_x, tgt_y = itinerary_blocks([x.dims]), itinerary_blocks([y.dims])
+        src, tgt = itinerary_blocks(mats), itinerary_blocks([x.dims, y.dims])
+        for (i, j), block in w.blocks.items():
+            expected = np.zeros_like(block)
+            for mid in range(x.dims.cols):
+                pairs = [
+                    (tgt[(i, j)].index(p2 + q2), src[(i, j)].index(p + q),
+                     u.block(i, mid)[a2, a] * v.block(mid, j)[b2, b])
+                    for a, p in enumerate(src_x.get((i, mid), ()))
+                    for b, q in enumerate(src_y.get((mid, j), ()))
+                    for a2, p2 in enumerate(tgt_x.get((i, mid), ()))
+                    for b2, q2 in enumerate(tgt_y.get((mid, j), ()))
+                ]
+                for row, col, value in pairs:
+                    expected[row, col] = value
+            assert np.allclose(block, expected, rtol=0, atol=1e-12)
 
 
 class TestFromMatrix:

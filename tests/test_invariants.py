@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftcalc import (
     DomainError,
@@ -9,8 +11,11 @@ from shiftcalc import (
     compute_invariants,
     from_rows,
     fold_chain,
+    is_essential,
+    mat_pow,
     poly,
     random_sse_chain,
+    rank,
     transpose,
 )
 from shiftcalc.invariants import ONE_MINUS_T, ONE_MINUS_T_SQUARED, ONE_PLUS_T
@@ -44,6 +49,17 @@ class TestComputeInvariants:
             inv = compute_invariants(a)
             assert inv.eventual_rank == inv.nonzero_char_poly.degree
             assert inv.nonzero_char_poly.constant_term() != 0
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        ).map(from_rows).filter(is_essential)
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_eventual_rank_matches_rank_of_the_nth_power(self, a):
+        assert compute_invariants(a).eventual_rank == rank(mat_pow(a, a.rows))
 
     def test_relabeling_invariance(self):
         rng = random.Random(21)
