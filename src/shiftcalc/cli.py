@@ -339,10 +339,9 @@ def main(argv=None) -> int:
     run = _Run(_command_name(args), tol, args.verbose)
     try:
         return args.fn(run, args)
-    except FileNotFoundError as exc:
-        print(f"shiftcalc: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ShiftcalcError as exc:
+    except (OSError, UnicodeDecodeError, ShiftcalcError) as exc:
+        # A missing, unreadable or undecodable input is bad data, not a
+        # refutation: exit 65 with one line on stderr.
         print(f"shiftcalc: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -3,7 +3,8 @@
 Everything in this module is pure Python integer arithmetic: no floats, no
 overflow.  It supplies the engine for the rest of the package -- matrix
 products and powers for witness verification, Smith normal form for cokernel
-invariants, fraction-free characteristic polynomials and ranks.
+invariants, the division-free (Berkowitz) characteristic polynomial and the
+fraction-free (Bareiss) rank.
 
 All values are immutable; every function returns fresh objects and is safe to
 call concurrently.
@@ -135,12 +136,6 @@ def mat_pow(a: IntMatrix, m: int) -> IntMatrix:
         base = mat_mul(base, base) if m > 1 else base
         m >>= 1
     return result
-
-
-def trace(a: IntMatrix) -> int:
-    if not a.is_square:
-        raise ShapeError("trace requires a square matrix")
-    return sum(a[i, i] for i in range(a.rows))
 
 
 def is_essential(a: IntMatrix) -> bool:
@@ -360,25 +355,30 @@ def poly_eval_matrix(p: IntPolynomial, a: IntMatrix) -> IntMatrix:
 
 
 def char_poly(a: IntMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(tI - A), computed fraction-free.
-
-    Uses the trace-recurrence scheme whose intermediate divisions are exact
-    over the integers, so no rational arithmetic is needed.
+    """Characteristic polynomial det(tI - A), by Berkowitz's division-free
+    algorithm: bordering the leading r-by-r block A_r with row R, column C and
+    corner a_rr multiplies its coefficients (highest degree first) by the
+    lower-triangular Toeplitz matrix with first column
+    [1, -a_rr, -R C, -R A_r C, ..., -R A_r^(r-1) C].
     """
     if not a.is_square:
         raise ShapeError("characteristic polynomial requires a square matrix")
-    n = a.rows
-    coeffs_high = [1]  # coefficient of t^n
-    m = zeros(n, n)
-    ck = 1
-    for k in range(1, n + 1):
-        m = mat_add(mat_mul(a, m), mat_scale(ck, identity(n)))
-        s = trace(mat_mul(a, m))
-        if s % k != 0:
-            raise AssertionError("exact division failed in char_poly")
-        ck = -(s // k)
-        coeffs_high.append(ck)
-    return poly(reversed(coeffs_high))
+    rows = a.entries
+    coeffs = [1]
+    for r in range(a.rows):
+        block = [row[:r] for row in rows[:r]]
+        bottom = rows[r][:r]
+        v = [row[r] for row in rows[:r]]
+        column = [1, -rows[r][r]]
+        for k in range(r):
+            if k:
+                v = [sum(map(operator.mul, row, v)) for row in block]
+            column.append(-sum(map(operator.mul, bottom, v)))
+        coeffs = [
+            sum(column[i - j] * coeffs[j] for j in range(min(i, r) + 1))
+            for i in range(r + 2)
+        ]
+    return poly(reversed(coeffs))
 
 
 def rank(a: IntMatrix) -> int:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .aligned import AlignedShiftData, build_from_se
 from .corr import (
@@ -75,6 +74,8 @@ def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> Unitary
         raise DomainError("need at least two samples")
     if u0.source != u1.source or u0.target != u1.target:
         raise ShapeError("endpoints must share source and target correspondences")
+    # Imported on first use: it is slow to load, and the exact layer never needs it.
+    import scipy.linalg
 
     rotations = {}
     generator = {}

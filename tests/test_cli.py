@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -337,6 +340,22 @@ class TestBadInputs:
         assert code == 0
         assert report["tolerances"]["tol"] == 0.0
 
+    @pytest.mark.parametrize("command", [["invariants", "--a"], ["aligned", "verify", "--data"]])
+    @pytest.mark.parametrize("kind", ["directory", "under a file", "not utf-8"])
+    def test_unreadable_input_is_data_error(self, files, capsys, tmp_path, command, kind):
+        if kind == "directory":
+            path = str(tmp_path)
+        elif kind == "under a file":
+            path = files["two"] + "/a.json"
+        else:
+            path = tmp_path / "latin1.json"
+            path.write_bytes(b'{"rows": "\xe9"}')
+        code, report, err = run(capsys, [*command, str(path)])
+        assert code == 65
+        assert report is None
+        assert err.startswith("shiftcalc: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestEachVerdictOnce:
     @pytest.fixture
@@ -388,3 +407,20 @@ class TestEachVerdictOnce:
             "alignment_residuals": 1,
             "two_arrow_residuals": 1,
         }
+
+
+def test_importing_the_cli_leaves_scipy_linalg_and_sympy_unloaded():
+    # Only connect_unitaries uses scipy.linalg, so the exact-layer commands
+    # must not pay for loading it; sympy is a test-only oracle.
+    import shiftcalc
+
+    src = os.path.dirname(os.path.dirname(shiftcalc.__file__))
+    code = "import sys, shiftcalc.cli; print({'scipy.linalg', 'sympy'} & set(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "set()\n"

@@ -32,11 +32,30 @@ def schoolbook(a, b):
     return from_rows(out)
 
 
-square_matrices = st.integers(1, 4).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
-    )
-).map(from_rows)
+def squares(max_n, bound):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-bound, bound), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ).map(from_rows)
+
+
+square_matrices = squares(4, 9)
+
+
+def faddeev_leverrier(a):
+    """Oracle: the trace recurrence M_k = A M_(k-1) + c_(k-1) I with
+    c_k = -tr(A M_k) / k, whose divisions are exact over the integers."""
+    n = a.rows
+    coeffs = [1]  # highest degree first
+    am = from_rows([[0] * n for _ in range(n)])
+    for k in range(1, n + 1):
+        m = [[x + (coeffs[-1] if i == j else 0) for j, x in enumerate(r)] for i, r in enumerate(am.entries)]
+        am = mat_mul(a, from_rows(m))
+        s = sum(am[i, i] for i in range(n))
+        assert s % k == 0
+        coeffs.append(-(s // k))
+    return poly(reversed(coeffs))
 
 
 class TestMatMul:
@@ -183,6 +202,21 @@ class TestCharPoly:
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
             char_poly(from_rows([[1, 2]]))
+
+    @given(squares(12, 50))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sympy(self, a):
+        import sympy  # test-only oracle; the package never imports it
+
+        expected = sympy.Matrix(a.to_lists()).charpoly().all_coeffs()
+        assert char_poly(a) == poly(int(c) for c in reversed(expected))
+
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    def test_matches_trace_recurrence_on_large_essential_matrices(self, n):
+        rng = random.Random(n)
+        a = from_rows([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
+        assert is_essential(a)
+        assert char_poly(a) == faddeev_leverrier(a)
 
 
 class TestStripAndRank:
