@@ -13,6 +13,7 @@ Exit codes: 0 verified / found / inconclusive, 1 refuted / not found,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -242,7 +243,9 @@ def _cmd_selftest(run: _Run, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="shiftcalc", description=__doc__)
     parser.add_argument("--verbose", action="store_true", help="human-readable notes and timing on stderr")
     parser.add_argument("--tol", type=float, default=None, help="numerical tolerance (default from SHIFTCALC_TOL or 1e-9)")

@@ -218,20 +218,13 @@ def canonical_identification(src: GraphCorrespondence, tgt: GraphCorrespondence)
 
 
 def unitarity_defect(u: BlockUnitary) -> float:
-    """Largest blockwise deviation of U*U and UU* from the identity."""
+    """Largest blockwise deviation of U*U and UU* from the identity.  Blocks are
+    square, so both deviations are max |sigma_i^2 - 1|: one ``eigvalsh`` of U*U - I."""
     worst = 0.0
     for m in u.blocks.values():
-        eye = np.eye(m.shape[0])
-        worst = max(
-            worst,
-            np.linalg.norm(m.conj().T @ m - eye, ord=2),
-            np.linalg.norm(m @ m.conj().T - eye, ord=2),
-        )
+        gram = m.conj().T @ m - np.eye(m.shape[0])
+        worst = max(worst, np.abs(np.linalg.eigvalsh(gram)).max())
     return worst
-
-
-def is_unitary(u: BlockUnitary, tol: float = DEFAULT_TOL) -> bool:
-    return bool(unitarity_defect(u) <= tol)
 
 
 def unitary_distance(u1: BlockUnitary, u2: BlockUnitary) -> float:

@@ -11,6 +11,10 @@ rebuilt on load, so only atomic (edge) correspondences travel through files.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+
 import numpy as np
 
 from .aligned import AlignedShiftData
@@ -67,12 +71,7 @@ def matrix_from_json(doc) -> IntMatrix:
 
 def parse_matrix_file(path: str) -> IntMatrix:
     """Load a matrix JSON file, reporting position information on bad JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    doc = load_json(path)
     try:
         return matrix_from_json(doc)
     except ParseError as exc:
@@ -124,28 +123,40 @@ def witness_from_json(doc) -> SEWitness:
 
 
 def _complex_matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    return np.ascontiguousarray(m, dtype=complex).view(np.float64).reshape(*m.shape, 2).tolist()
+
+
+def _number_rows(o):
+    """Entries, row after row, of a list of equal-length nonempty lists of non-bool ints and floats; else None."""
+    if o and type(o[0]) is list and o[0] and type(o[0][0]) in (int, float):
+        if {*map(type, o)} <= {list} and len({*map(len, o)}) == 1:
+            values = tuple(chain.from_iterable(o))
+            if {*map(type, values)} <= {int, float}:
+                return values
+    return None
 
 
 def _complex_matrix_from_json(doc, d: int, where: str) -> np.ndarray:
     _require(isinstance(doc, list) and len(doc) == d, f"{where}: block must have {d} rows")
-    out = np.zeros((d, d), dtype=complex)
+    rows = [_number_rows(row) if isinstance(row, list) and len(row) == d else None for row in doc]
+    if all(row is not None and len(row) == 2 * d for row in rows):
+        try:
+            out = np.array(rows, dtype=np.float64).view(complex).reshape(d, d)
+            if np.isfinite(out).all():
+                return out
+        except OverflowError:
+            pass
+    # Entry by entry, so the error names the first offending entry.
     for i, row in enumerate(doc):
         _require(isinstance(row, list) and len(row) == d, f"{where}: row {i} must have {d} entries")
         for j, pair in enumerate(row):
-            _require(
-                isinstance(pair, list)
-                and len(pair) == 2
-                and type(pair[0]) in (int, float)
-                and type(pair[1]) in (int, float),
-                f"{where}: entry ({i}, {j}) must be an [re, im] pair of numbers",
-            )
+            ok = type(pair) is list and len(pair) == 2 and {*map(type, pair)} <= {int, float}
+            _require(ok, f"{where}: entry ({i}, {j}) must be an [re, im] pair of numbers")
             try:
-                out[i, j] = complex(pair[0], pair[1])
+                complex(*pair)
             except OverflowError:
                 raise ParseError(f"{where}: entry ({i}, {j}) is too large") from None
-    _require(np.isfinite(out).all(), f"{where}: entries must be finite")
-    return out
+    raise ParseError(f"{where}: entries must be finite")
 
 
 def block_unitary_to_json(u: BlockUnitary) -> dict:
@@ -294,6 +305,48 @@ def load_json(path: str) -> dict:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
 
 
+@lru_cache(maxsize=64)
+def _number_rows_format(n: int, k: int, level: int) -> str:
+    """%-format of n lists of k numbers laid out as json.dumps(indent=1) does at ``level``."""
+    outer, inner = "\n" + " " * (level + 1), "\n" + " " * (level + 2)
+    row = "[" + inner + ("," + inner).join(["%r"] * k) + outer + "]"
+    return "[" + outer + ("," + outer).join([row] * n) + "\n" + " " * level + "]"
+
+
+def _encode(o, level: int, out: list):
+    if isinstance(o, (str, int, float)) or o is None:
+        out.append(json.dumps(o))
+        return
+    if isinstance(o, dict) and all(type(key) is str for key in o):
+        items, brackets = [(encode_basestring_ascii(k) + ": ", o[k]) for k in sorted(o)], "{}"
+    elif isinstance(o, (list, tuple)):
+        values = _number_rows(o)
+        text = values and _number_rows_format(len(o), len(o[0]), level) % values
+        if text and "n" not in text:  # only nan and inf print an "n"; json spells them NaN, Infinity
+            out.append(text)
+            return
+        items, brackets = [("", x) for x in o], "[]"
+    else:
+        raise TypeError("left to the stdlib encoder")
+    sep = brackets[0] + "\n" + " " * (level + 1)
+    for prefix, x in items:
+        out.append(sep + prefix)
+        _encode(x, level + 1, out)
+        sep = "," + sep[1:]
+    out.append("\n" + " " * level + brackets[1] if items else brackets)
+
+
 def dump_json(doc) -> str:
-    """Canonical serialization: sorted keys, fixed separators, trailing newline."""
+    """Canonical serialization: sorted keys, fixed separators, trailing newline.
+
+    Byte-identical to ``json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"``,
+    which Python < 3.13 runs in pure Python when ``indent`` is set: too slow for bundles of
+    [re, im] pairs.  What ``_encode`` leaves (non-str keys, non-JSON types, cycles) goes to it.
+    """
+    out = []
+    try:
+        _encode(doc, 0, out)
+        return "".join(out) + "\n"
+    except (TypeError, RecursionError):
+        pass
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"

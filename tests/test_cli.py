@@ -205,6 +205,26 @@ class TestAlignedAndHomotopy:
         assert bundle["shift"]["lag"] == 1
 
 
+@pytest.mark.parametrize("lag", [1, 2, 3, 4])
+def test_homotopy_bundle_bytes_are_the_stdlib_rendering(capsys, tmp_path, golden_witness, lag):
+    from shiftcalc import compose_se, identity_witness
+
+    w = golden_witness
+    while w.lag < lag:
+        w = compose_se(w, identity_witness(w.b))
+    witness_path = write(tmp_path / "w.json", witness_to_json(w))
+    out_path = tmp_path / "bundle.json"
+    argv = ["homotopy", "from-se", "--witness", witness_path, "--steps", "3"]
+    for extra in ([], ["--out", str(out_path)]):
+        assert main(argv + extra) == 0
+        stdout = capsys.readouterr().out
+        # Every float survives a JSON round trip, so the reloaded document
+        # is the one the command wrote.
+        assert stdout == json.dumps(json.loads(stdout), sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    text = out_path.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
 class TestCheckTwoArrow:
     @pytest.fixture
     def arrow_files(self, tmp_path):
@@ -407,6 +427,36 @@ class TestEachVerdictOnce:
             "alignment_residuals": 1,
             "two_arrow_residuals": 1,
         }
+
+
+def test_one_process_answers_as_fresh_processes(files, capsys, monkeypatch):
+    # The parser is built once per process; usage errors and subcommands
+    # in turn must leave it as a fresh process finds it.
+    import shiftcalc
+
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.dirname(os.path.dirname(shiftcalc.__file__))
+    calls = [
+        ["invariants", "--a", files["pair"]],
+        ["--frobnicate"],
+        ["compare", "--a", files["two"], "--b", files["three"]],
+        ["corr", "tensor", "--r", files["r"]],
+        ["--tol", "1e-6", "corr", "tensor", "--r", files["r"], "--s", files["s"]],
+        ["invariants", "--a", files["pair"]],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "shiftcalc.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_importing_the_cli_leaves_scipy_linalg_and_sympy_unloaded():

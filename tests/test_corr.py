@@ -222,7 +222,30 @@ class TestAssociator:
         assert w1 == w2 == w3
 
 
+def two_svd_defect(u):
+    """The defect as max(||U*U - I||_2, ||UU* - I||_2), two SVDs per block."""
+    worst = 0.0
+    for m in u.blocks.values():
+        eye = np.eye(len(m))
+        worst = max(worst, np.linalg.norm(m.conj().T @ m - eye, 2), np.linalg.norm(m @ m.conj().T - eye, 2))
+    return worst
+
+
 class TestBlockUnitaries:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unitarity_defect_matches_the_two_svd_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        c = from_matrix(from_rows([[16, 1], [3, 7]]))
+        u = random_block_unitary(c, rng)
+        (i, j), m = list(u.blocks.items())[seed % 4]
+        d = len(m)
+        noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for block in (m, m + 1e-9 * noise, m + 1e-3 * noise, 2.5 * m, 0.5 * m, noise):
+            v = u.replace_block(i, j, block)
+            # Both compute ||U*U - I|| with rounding of order d * eps * ||U||^2.
+            scale = 8 * 16 * np.finfo(float).eps * max(1.0, np.linalg.norm(block, 2) ** 2)
+            assert abs(unitarity_defect(v) - two_svd_defect(v)) <= scale
+
     def test_compose_with_inverse_is_identity(self):
         rng = np.random.default_rng(1)
         c = from_matrix(from_rows([[2, 1], [1, 1]]))

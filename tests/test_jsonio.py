@@ -1,0 +1,148 @@
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shiftcalc import ParseError, from_matrix, from_rows, random_block_unitary
+from shiftcalc.jsonio import _complex_matrix_from_json, _complex_matrix_to_json, dump_json
+
+
+def stdlib_dump(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+numbers = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e-300, 5e-324, float("nan"), float("inf"), -float("inf")]),
+)
+cells = st.one_of(numbers, numbers, numbers, st.booleans(), st.none())
+# Lists of equal-length lists of numbers take the encoder's fast path; a
+# bool, None or non-finite cell sends its row back to the general path.
+number_rows = st.tuples(st.integers(0, 4), st.integers(0, 3)).flatmap(
+    lambda nk: st.lists(st.lists(cells, min_size=nk[1], max_size=nk[1]), min_size=nk[0], max_size=nk[0])
+)
+texts = st.text(alphabet=st.characters(codec="utf-8"), max_size=6) | st.sampled_from(
+    ["", '"', "\\", "\n\t\x00", "é", " ", "\U0001f600"]
+)
+documents = st.recursive(
+    st.one_of(st.none(), st.booleans(), numbers, texts, number_rows),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(texts, children, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestDumpJson:
+    @given(documents)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_stdlib_rendering(self, doc):
+        assert dump_json(doc) == stdlib_dump(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [[1.5, np.float64(0.1)], [2.0, 3.0]],
+            {"t": np.float64(-0.0), "k": (1, (2.5, None))},
+            [[[1.0, 2.0]], [[3.0, 4.0]]],
+            [[], []],
+            [[1, 2], [3]],
+            [[0.0] * 3] * 2,
+            {1: [1], 2: "b"},
+            {None: 0},
+            [[True, 1.0]],
+            [[float("nan"), 1.0], [1.0, 2.0]],
+        ],
+    )
+    def test_matches_the_stdlib_on_special_values(self, doc):
+        assert dump_json(doc) == stdlib_dump(doc)
+
+    @pytest.mark.parametrize("doc", [{"a": {1, 2}}, [np.int64(1)], {"a": 1, 2: "b"}, [[10**5000]]])
+    def test_unencodable_documents_raise_as_the_stdlib(self, doc):
+        with pytest.raises(Exception) as expected:
+            stdlib_dump(doc)
+        with pytest.raises(type(expected.value)) as got:
+            dump_json(doc)
+        assert str(got.value) == str(expected.value)
+
+    def test_cycles_raise_as_the_stdlib(self):
+        doc = {"a": []}
+        doc["a"].append(doc)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            dump_json(doc)
+
+
+def old_complex_matrix_to_json(m):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+
+def old_complex_matrix_from_json(doc):
+    return np.array([[complex(re, im) for re, im in row] for row in doc], dtype=complex).reshape(len(doc), len(doc))
+
+
+class TestComplexMatrices:
+    @pytest.fixture
+    def unitary(self):
+        # Blocks of dimension 3, 1, 2 and 2.
+        return random_block_unitary(from_matrix(from_rows([[3, 1], [2, 2]])), np.random.default_rng(11))
+
+    def test_writer_matches_the_per_entry_floats_on_adjoint_views(self, unitary):
+        blocks = [*unitary.blocks.values(), np.eye(2), -np.eye(3, dtype=complex)]
+        blocks += [m.conj().T for m in blocks]  # what BlockUnitary.adjoint stores
+        assert any(not m.flags.c_contiguous for m in blocks)
+        assert any(np.signbit(m.imag).any() and not m.imag.any() for m in blocks)
+        for m in blocks:
+            # repr tells -0.0 from 0.0 and prints each float exactly.
+            assert repr(_complex_matrix_to_json(m)) == repr(old_complex_matrix_to_json(m))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reader_matches_the_per_entry_complex(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 6))
+        pool = [0, -0.0, 1, -7, 2**53 + 1, 10**300 + 7, 1e-300, 5e-324, 0.1, -2.5, 1.7976931348623157e308]
+        doc = [[[pool[k] for k in rng.integers(len(pool), size=2)] for _ in range(d)] for _ in range(d)]
+        doc[0][0] = [float(x) for x in rng.standard_normal(2)]
+        out = _complex_matrix_from_json(doc, d, "block")
+        assert out.shape == (d, d) and out.dtype == complex
+        assert np.ascontiguousarray(out).tobytes() == old_complex_matrix_from_json(doc).tobytes()
+
+    def test_reader_roundtrips_the_writer(self, unitary):
+        for m in unitary.blocks.values():
+            doc = json.loads(json.dumps(_complex_matrix_to_json(m)))
+            assert np.array_equal(_complex_matrix_from_json(doc, len(m), "block"), m)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({(2, 1): ["re", 0.0]}, r"entry \(2, 1\) must be an \[re, im\] pair"),
+            ({(1, 2): [0.0, 1.0, 2.0]}, r"entry \(1, 2\) must be an \[re, im\] pair"),
+            ({(2, 0): [True, 0.0]}, r"entry \(2, 0\) must be an \[re, im\] pair"),
+            ({(1, 1): [0, 10**400]}, r"entry \(1, 1\) is too large"),
+            ({(0, 2): [float("nan"), 0.0]}, r"entries must be finite"),
+            # The entry-by-entry order: a later type error outranks an
+            # earlier non-finite entry, a bad row outranks later entries.
+            ({(0, 0): [float("inf"), 0.0], (2, 2): [None, 0.0]}, r"entry \(2, 2\) must be"),
+            ({(0, 0): [float("inf"), 0.0], (1, 0): [10**400, 0]}, r"entry \(1, 0\) is too large"),
+            ({(1, 1): [0.0, 10**400], (2, 0): ["x", 0.0]}, r"entry \(1, 1\) is too large"),
+        ],
+    )
+    def test_reader_names_the_first_offending_entry(self, bad, message):
+        doc = [[[1.0, 0.0] for _ in range(3)] for _ in range(3)]
+        for (i, j), pair in bad.items():
+            doc[i][j] = pair
+        with pytest.raises(ParseError, match=r"^block 'x': " + message):
+            _complex_matrix_from_json(doc, 3, "block 'x'")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([[[1.0, 0.0]] * 2], "block must have 2 rows"),
+            ([[[1.0, 0.0]] * 2, [[1.0, 0.0]]], r"row 1 must have 2 entries"),
+            ([[[1.0, 0.0]] * 2, "ab"], r"row 1 must have 2 entries"),
+            ([[[1.0, 0.0], (1.0, 0.0)], [[1.0, 0.0]] * 2], r"entry \(0, 1\) must be"),
+        ],
+    )
+    def test_reader_names_bad_shapes(self, doc, message):
+        with pytest.raises(ParseError, match=message):
+            _complex_matrix_from_json(doc, 2, "block 'x'")
