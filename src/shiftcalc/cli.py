@@ -226,16 +226,16 @@ def _cmd_homotopy_from_se(run: _Run, args) -> int:
 
 
 def _cmd_selftest(run: _Run, args) -> int:
-    results = run_selftest()
-    for name, ok in results:
-        run.note(f"{'PASS' if ok else 'FAIL'} {name}")
+    results = run_selftest(run.tol)
+    for name, failure in results:
+        run.note(f"PASS {name}" if failure is None else f"FAIL {name}: {failure}")
+    failed = sum(failure is not None for _, failure in results)
     verdict = {
-        "checks": [{"name": name, "ok": ok} for name, ok in results],
-        "passed": sum(1 for _, ok in results if ok),
-        "failed": sum(1 for _, ok in results if not ok),
+        "checks": [{"name": name, "ok": failure is None} for name, failure in results],
+        "passed": len(results) - failed,
+        "failed": failed,
     }
-    all_ok = all(ok for _, ok in results)
-    return run.emit(verdict, EXIT_OK if all_ok else EXIT_REFUTED)
+    return run.emit(verdict, EXIT_REFUTED if failed else EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="shiftcalc", description=__doc__)
     parser.add_argument("--verbose", action="store_true", help="human-readable notes and timing on stderr")
     parser.add_argument("--tol", type=float, default=None, help="numerical tolerance (default from SHIFTCALC_TOL or 1e-9)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker count; results are identical for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-se", help="check the four witness equations exactly")
@@ -308,7 +307,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--out")
     q.set_defaults(fn=_cmd_homotopy_from_se)
 
-    p = sub.add_parser("selftest", help="run the bundled verification battery")
+    p = sub.add_parser("selftest", help="run the acceptance properties at field sizes within --tol")
     p.set_defaults(fn=_cmd_selftest)
 
     return parser
@@ -335,9 +334,6 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     if not (math.isfinite(tol) and tol >= 0):
         print(f"shiftcalc: the tolerance must be finite and nonnegative, got {tol}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.jobs < 1:
-        print("shiftcalc: --jobs must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     run = _Run(_command_name(args), tol, args.verbose)
     try:

@@ -66,9 +66,10 @@ def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> Unitary
     """Geodesic path between two same-shaped block unitaries.
 
     Per block, H = log(U0* U1) is taken through the spectral decomposition
-    with eigenvalue arguments in (-pi, pi] (an eigenvalue at exactly -1 gets
-    +pi; this fixed branch is a representation choice, discontinuous only on
-    that measure-zero set).  Samples are taken at t = k/(steps-1).
+    with eigenvalue arguments in (-pi, pi] (an eigenvalue at -1 gets +pi, also
+    when rounding puts its computed argument within a few ulp of -pi; this
+    fixed branch is a representation choice, discontinuous only on that
+    measure-zero set).  Samples are taken at t = k/(steps-1).
     """
     if steps < 2:
         raise DomainError("need at least two samples")
@@ -83,6 +84,9 @@ def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> Unitary
         w = m0.conj().T @ u1.blocks[ij]
         t_mat, z = scipy.linalg.schur(w, output="complex")
         theta = np.angle(np.diag(t_mat))
+        # A Schur diagonal entry at -1 can carry a -0.0 or tiny negative
+        # imaginary part, which np.angle sends to -pi or just above it.
+        theta[theta <= -np.pi + 4 * np.spacing(np.pi)] = np.pi
         rotations[ij] = (z, theta)
         generator[ij] = (z * (1j * theta)) @ z.conj().T
 

@@ -185,6 +185,13 @@ def block_unitary_from_json(
     _require(isinstance(doc, dict), "block unitary document must be a JSON object")
     for field in ("left_index", "right_index", "dims", "blocks"):
         _require(field in doc, f"block unitary document is missing '{field}'")
+    for field in ("left_index", "right_index"):
+        _require(isinstance(doc[field], list), f"block unitary '{field}' must be a list")
+    _require(
+        isinstance(doc["dims"], list) and all(isinstance(row, list) for row in doc["dims"]),
+        "block unitary 'dims' must be a list of lists",
+    )
+    _require(isinstance(doc["blocks"], dict), "block unitary 'blocks' must be a JSON object")
     dims = from_rows(doc["dims"])
     _require(
         [str(x) for x in doc["left_index"]] == [str(x) for x in source.left_index]
@@ -217,6 +224,7 @@ def object_to_json(obj: ObjectPair) -> dict:
 def object_from_json(doc) -> ObjectPair:
     _require(isinstance(doc, dict) and "matrix" in doc, "object document needs a 'matrix'")
     labels = doc.get("labels")
+    _require(labels is None or isinstance(labels, list), "object 'labels' must be a list")
     return object_pair(matrix_from_json(doc["matrix"]), labels)
 
 

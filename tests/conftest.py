@@ -1,65 +1,18 @@
 """Shared generators for the test suite.
 
 Random instances are always drawn from explicitly seeded generators so every
-run is reproducible; tests state their seeds inline.
+run is reproducible; tests state their seeds inline.  The generators live in
+``shiftcalc.selftest`` beside the acceptance properties that draw from them,
+and are re-exported here for the other test modules.
 """
 
-import random
-
-import numpy as np
 import pytest
 
-from shiftcalc import (
-    IntMatrix,
-    OneArrow,
-    SEWitness,
-    canonical_identification,
-    conjugate_arrow,
-    from_matrix,
-    from_rows,
-    object_pair,
-    random_block_unitary,
-    tensor,
-)
-
-
-def random_essential(rng: random.Random, max_size: int = 3, max_entry: int = 2) -> IntMatrix:
-    """Random essential matrix: zero rows/columns are patched with a 1."""
-    n = rng.randint(1, max_size)
-    rows = [[rng.randint(0, max_entry) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        if not any(rows[i]):
-            rows[i][rng.randrange(n)] = 1
-    for j in range(n):
-        if not any(rows[i][j] for i in range(n)):
-            rows[rng.randrange(n)][j] = 1
-    return from_rows(rows)
-
-
-def arrow_from_witness(w: SEWitness, np_rng: np.random.Generator | None = None) -> OneArrow:
-    """The arrow [X(S), canonical] from (witness B, Y) <- (witness A, X).
-
-    The intertwining equation BS = SA makes the canonical identification a
-    valid intertwiner.  With a generator supplied, the arrow is conjugated by
-    a random block unitary so its intertwiner is not a permutation.
-    """
-    src = object_pair(w.a)
-    tgt = object_pair(w.b)
-    f = from_matrix(w.s, tgt.algebra_index, src.algebra_index)
-    phi = canonical_identification(tensor(tgt.x, f), tensor(f, src.x))
-    arrow = OneArrow(src, tgt, f, phi)
-    if np_rng is not None:
-        arrow = conjugate_arrow(arrow, random_block_unitary(arrow.f, np_rng))
-    return arrow
+from shiftcalc import SEWitness
+from shiftcalc.selftest import GOLDEN_WITNESS, arrow_from_witness, random_essential  # noqa: F401
 
 
 @pytest.fixture
 def golden_witness() -> SEWitness:
     """The 1x1 full shift against the 2x2 all-ones matrix, lag 1."""
-    return SEWitness(
-        from_rows([[2]]),
-        from_rows([[1, 1], [1, 1]]),
-        from_rows([[1, 1]]),
-        from_rows([[1], [1]]),
-        1,
-    )
+    return GOLDEN_WITNESS

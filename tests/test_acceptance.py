@@ -1,62 +1,32 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
-Run with ``pytest -s tests/test_acceptance.py`` to see one pass/fail line per
-criterion; a plain ``pytest`` run enforces the same assertions silently.
-Every random instance is seeded, so the suite is reproducible bit for bit.
+Each criterion is one row of ``shiftcalc.selftest.PROPERTIES``, which holds
+its seeds, its instances and its residual budgets in units of the tolerance;
+``shiftcalc selftest`` runs the same rows at field sizes.  Here every row runs
+at full size with ``TAU``, under the literal gates on its worst residual and
+its wall time.  Run with ``pytest -s tests/test_acceptance.py`` to see one
+pass/fail line per criterion; a plain ``pytest`` run enforces the same
+assertions silently.  Every random instance is seeded, so the suite is
+reproducible bit for bit.
 """
 
-import random
 import time
 
-import numpy as np
-
-from shiftcalc import (
-    AlignedShiftData,
-    SEWitness,
-    alignment_residuals,
-    build_from_se,
-    compare,
-    compose_one_arrows,
-    compose_shifts,
-    conjugate_arrow,
-    conjugate_shift,
-    failing_equation,
-    fold_chain,
-    from_matrix,
-    from_rows,
-    bowen_franks_general,
-    identity_arrow,
-    left_unitor,
-    mat_mul,
-    power_arrow,
-    random_block_unitary,
-    random_sse_chain,
-    right_unitor,
-    search_se,
-    tensor,
-    tensor_unitaries,
-    trivial_shift,
-    two_arrow_residual,
-    two_arrow_residuals,
-    unitarity_defect,
-    verify_aligned,
-    verify_homotopy,
-    verify_se,
-    homotopy_shift_equivalence_from_se,
-)
-from shiftcalc.homotopy import homotopy_failure
-from shiftcalc.invariants import ONE_MINUS_T, ONE_MINUS_T_SQUARED, ONE_PLUS_T
-from tests.conftest import arrow_from_witness, random_essential
+from shiftcalc.selftest import PROPERTIES, Outcome, recover_golden, refute_two_against_three
 
 TAU = 1e-9
 
-GOLDEN = SEWitness(
-    from_rows([[2]]),
-    from_rows([[1, 1], [1, 1]]),
-    from_rows([[1, 1]]),
-    from_rows([[1], [1]]),
-    1,
-)
+ROWS = {row.name: row for row in PROPERTIES}
+
+
+def _passed(name: str, outcome: Outcome) -> Outcome:
+    assert outcome.failure is None, f"{name}: {outcome.failure}"
+    return outcome
+
+
+def _run(name: str, size: int) -> Outcome:
+    """The named property at acceptance ``size`` and ``TAU``; it must pass."""
+    return _passed(name, ROWS[name].check(size, TAU))
 
 
 def _report(number: int, label: str):
@@ -65,18 +35,7 @@ def _report(number: int, label: str):
 
 def test_criterion_1_se_verification_exactness():
     started = time.perf_counter()
-    assert verify_se(GOLDEN)
-    for field in ("r", "s"):
-        base = getattr(GOLDEN, field)
-        for i in range(base.rows):
-            for j in range(base.cols):
-                bumped = base.to_lists()
-                bumped[i][j] += 1
-                parts = {"a": GOLDEN.a, "b": GOLDEN.b, "r": GOLDEN.r, "s": GOLDEN.s}
-                parts[field] = from_rows(bumped)
-                w = SEWitness(parts["a"], parts["b"], parts["r"], parts["s"], 1)
-                named = failing_equation(w)
-                assert named in ("A^m = RS", "B^m = SR", "BS = SA", "AR = RB")
+    _run("witness-verification", 1)
     elapsed = time.perf_counter() - started
     assert elapsed < 0.010, f"verification took {elapsed * 1000:.2f} ms"
     _report(1, "SE verification exactness")
@@ -84,218 +43,60 @@ def test_criterion_1_se_verification_exactness():
 
 def test_criterion_2_se_composition_soundness():
     started = time.perf_counter()
-    rng = random.Random(220817)
-    polys = (ONE_MINUS_T, ONE_PLUS_T, ONE_MINUS_T_SQUARED)
-    for trial in range(200):
-        base = random_essential(rng, max_size=4, max_entry=3)
-        length = rng.randint(1, 4)
-        chain = random_sse_chain(base, length, seed=rng.randrange(10**9))
-        folded = fold_chain(chain)
-        assert verify_se(folded), f"trial {trial}: folded witness failed"
-        assert folded.lag == length
-        verdict = compare(folded.a, folded.b)
-        assert not verdict.distinguished, f"trial {trial}: {verdict}"
-        for p in polys:
-            assert bowen_franks_general(folded.a, p) == bowen_franks_general(folded.b, p), (
-                f"trial {trial}: generalized Bowen-Franks disagrees for {p}"
-            )
+    _run("chain-composition", 200)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"composition suite took {elapsed:.1f} s"
     _report(2, "SE composition soundness, 200 chains")
 
 
 def test_criterion_3_invariant_separation():
-    v1 = compare(from_rows([[2]]), from_rows([[3]]))
-    assert v1.distinguished and v1.primary == "nonzero_char_poly"
-
-    three = from_rows([[3]])
-    sym = from_rows([[1, 2], [2, 1]])
-    # Golden values computed with the Smith-normal-form oracle ahead of the
-    # build: coker(I - [3]) = coker([-2]) = Z/2, and I - [[1,2],[2,1]] =
-    # [[0,-2],[-2,0]] has invariant factors (2, 2).
-    assert bowen_franks_general(three, ONE_MINUS_T) == (2,)
-    assert bowen_franks_general(sym, ONE_MINUS_T) == (2, 2)
-    v2 = compare(three, sym)
-    assert v2.distinguished and "bowen_franks" in v2.separating
+    _run("invariant-separation", 1)
     _report(3, "invariant separation")
 
 
 def test_criterion_4_tensor_dimension_oracle():
-    rng = random.Random(40404)
-    for trial in range(500):
-        rows, mid, cols = (rng.randint(1, 3) for _ in range(3))
-        r = from_rows([[rng.randint(0, 3) for _ in range(mid)] for _ in range(rows)])
-        s = from_rows([[rng.randint(0, 3) for _ in range(cols)] for _ in range(mid)])
-        t = tensor(from_matrix(r), from_matrix(s))
-        product = mat_mul(r, s)
-        assert t.dims == product, f"trial {trial}: dims mismatch"
-        entry_sum = sum(x for row in product.entries for x in row)
-        assert t.total_dim == entry_sum, f"trial {trial}: basis cardinality"
-        # Independent path enumeration, straight off the integer matrices.
-        paths = 0
-        for v in range(rows):
-            for u in range(mid):
-                for w in range(cols):
-                    paths += r[v, u] * s[u, w]
-        assert t.total_dim == paths, f"trial {trial}: path count oracle"
+    _run("tensor-dims-oracle", 500)
     _report(4, "tensor dimension oracle, 500 pairs")
 
 
-def _seeded_arrow(rng: random.Random, np_rng: np.random.Generator):
-    base = random_essential(rng, max_size=3, max_entry=2)
-    witness = random_sse_chain(base, 1, seed=rng.randrange(10**9)).steps[0]
-    return arrow_from_witness(witness, np_rng)
-
-
 def test_criterion_5_bicategory_laws():
-    rng = random.Random(50505)
-    np_rng = np.random.default_rng(50505)
-    worst = 0.0
-
-    for _ in range(100):
-        arrow = _seeded_arrow(rng, np_rng)
-
-        # Unit laws through the identity arrow's canonical unitors.
-        right = compose_one_arrows(arrow, identity_arrow(arrow.source))
-        worst = max(worst, two_arrow_residual(right_unitor(arrow.f), right, arrow))
-        left = compose_one_arrows(identity_arrow(arrow.target), arrow)
-        worst = max(worst, two_arrow_residual(left_unitor(arrow.f), left, arrow))
-
-        # 2-arrow invertibility on a conjugation-built valid 2-arrow.
-        u = random_block_unitary(arrow.f, np_rng)
-        other = conjugate_arrow(arrow, u)
-        r_fwd = two_arrow_residual(u, arrow, other)
-        r_bwd = two_arrow_residual(u.adjoint(), other, arrow)
-        assert r_fwd <= 1e-8 and r_bwd <= 1e-8
-        worst = max(worst, r_fwd, r_bwd)
-
-        # The composition-with-powers instance: phi_F intertwines
-        # [Y,1] (x) [F,phi_F] with [F,phi_F] (x) [X,1].
-        lhs = compose_one_arrows(power_arrow(arrow.target, 1), arrow)
-        rhs = compose_one_arrows(arrow, power_arrow(arrow.source, 1))
-        worst = max(worst, two_arrow_residual(arrow.phi, lhs, rhs))
-
-    # Interchange law on 100 seeded pairs of composable conjugations.
-    for _ in range(100):
-        base = random_essential(rng, max_size=3, max_entry=2)
-        chain = random_sse_chain(base, 2, seed=rng.randrange(10**9)).steps
-        f1 = arrow_from_witness(chain[0], np_rng)
-        f2 = arrow_from_witness(chain[1], np_rng)
-        u1 = random_block_unitary(f1.f, np_rng)
-        u2 = random_block_unitary(f2.f, np_rng)
-        g1 = conjugate_arrow(f1, u1)
-        g2 = conjugate_arrow(f2, u2)
-        worst = max(
-            worst,
-            two_arrow_residual(
-                tensor_unitaries(u2, u1),
-                compose_one_arrows(f2, f1),
-                compose_one_arrows(g2, g1),
-            ),
-        )
-
+    # 100 seeded arrows for the unit, invertibility and power laws, then 100
+    # seeded pairs for the interchange law.
+    worst = _run("bicategory-laws", 100).worst
     assert worst <= 1e-8, f"max residual {worst:.3e}"
     _report(5, f"bicategory laws, max residual {worst:.1e}")
 
 
 def test_criterion_6_alignment_transitivity():
-    rng = random.Random(60606)
-    np_rng = np.random.default_rng(60606)
-    worst = 0.0
-    for trial in range(50):
-        base = random_essential(rng, max_size=3, max_entry=2)
-        d0 = trivial_shift(base)
-        d1 = conjugate_shift(
-            d0,
-            random_block_unitary(d0.m_arrow.f, np_rng),
-            random_block_unitary(d0.n_arrow.f, np_rng),
-        )
-        d2 = conjugate_shift(
-            d0,
-            random_block_unitary(d0.m_arrow.f, np_rng),
-            random_block_unitary(d0.n_arrow.f, np_rng),
-        )
-        composed = compose_shifts(d1, d2)
-        assert composed.lag == 2
-        residual = max(alignment_residuals(composed))
-        assert residual <= 8e-9, f"trial {trial}: residual {residual:.3e}"
-        assert verify_aligned(composed, 8e-9)
-        worst = max(worst, residual)
+    worst = _run("alignment-transitivity", 50).worst
+    assert worst <= 8e-9, f"max residual {worst:.3e}"
     _report(6, f"alignment transitivity, max residual {worst:.1e}")
 
 
 def test_criterion_7_homotopy_end_to_end():
     started = time.perf_counter()
-    shift, hom_x, hom_y = homotopy_shift_equivalence_from_se(GOLDEN, steps=16)
-    for hom in (hom_x, hom_y):
-        assert len(hom.path.samples) == 16
-        assert verify_homotopy(hom, TAU), homotopy_failure(hom, TAU)
-        for _, sample in hom.path.samples:
-            assert unitarity_defect(sample) <= 1e-9
-        endpoint0 = two_arrow_residual(hom.h0, hom.fiber_arrow(0), hom.f_arrow)
-        endpoint1 = two_arrow_residual(hom.h1, hom.fiber_arrow(15), hom.g_arrow)
-        assert endpoint0 <= 1e-8 and endpoint1 <= 1e-8
+    worst = _run("homotopy-roundtrip", 16).worst
+    assert worst <= 1e-8, f"endpoint residual {worst:.3e}"
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"took {elapsed:.2f} s"
     _report(7, "homotopy shift equivalence end to end")
 
 
-def _phase_twist(shift: AlignedShiftData, theta: float) -> AlignedShiftData:
-    (i, j) = next(iter(shift.psi_x.blocks))
-    block = shift.psi_x.block(i, j)
-    phase = np.eye(block.shape[0], dtype=complex)
-    phase[0, 0] = np.exp(1j * theta)
-    return AlignedShiftData(
-        shift.x_obj,
-        shift.y_obj,
-        shift.m_arrow,
-        shift.n_arrow,
-        shift.psi_x.replace_block(i, j, phase @ block),
-        shift.psi_y,
-        shift.lag,
-    )
-
-
 def test_criterion_8_alignment_formulations_agree():
-    rng = random.Random(80808)
-    np_rng = np.random.default_rng(80808)
-    shifts = []
-    while len(shifts) < 100:
-        base = random_essential(rng, max_size=3, max_entry=2)
-        witness = random_sse_chain(base, 1, seed=rng.randrange(10**9)).steps[0]
-        d = build_from_se(witness)
-        shifts.append(d)
-        shifts.append(
-            conjugate_shift(
-                d,
-                random_block_unitary(d.m_arrow.f, np_rng),
-                random_block_unitary(d.n_arrow.f, np_rng),
-            )
-        )
-        shifts.append(_phase_twist(d, rng.uniform(0.3, 2.8)))
-    shifts = shifts[:100]
-
-    agreements = 0
-    for idx, d in enumerate(shifts):
-        direct = max(alignment_residuals(d))
-        via = max(two_arrow_residuals(d))
-        assert abs(direct - via) <= 1e-8, f"shift {idx}: gap {abs(direct - via):.3e}"
-        assert (direct <= TAU) == (via <= TAU), f"shift {idx}: verdicts disagree"
-        agreements += 1
-    assert agreements == 100
+    worst = _run("alignment-formulations", 100).worst
+    assert worst <= 1e-8, f"gap {worst:.3e}"
     _report(8, "alignment formulations agree on 100 shifts")
 
 
 def test_criterion_9_search_timings():
+    # The two halves of "search-recovery", timed apart.
     started = time.perf_counter()
-    found = search_se(GOLDEN.a, GOLDEN.b, 1, 1)
+    _passed("search-recovery", recover_golden(1, TAU))
     first = time.perf_counter() - started
-    assert found is not None and verify_se(found)
-    assert found.r == GOLDEN.r and found.s == GOLDEN.s
     assert first < 1.0, f"recovery took {first:.2f} s"
 
     started = time.perf_counter()
-    assert search_se(from_rows([[2]]), from_rows([[3]]), 1, 5) is None
+    _passed("search-recovery", refute_two_against_three(5, TAU))
     second = time.perf_counter() - started
     assert second < 10.0, f"refutation took {second:.2f} s"
     _report(9, "bounded search timings")

@@ -25,26 +25,10 @@ from shiftcalc import (
     verify_aligned,
     verify_concrete_shift,
 )
+from shiftcalc.selftest import phase_twist
 from tests.conftest import random_essential
 
 TOL = 1e-9
-
-
-def _misalign(shift):
-    """Phase a single basis vector of psi_x; keeps the shift concrete."""
-    (i, j) = next(iter(shift.psi_x.blocks))
-    block = shift.psi_x.block(i, j)
-    phase = np.eye(block.shape[0], dtype=complex)
-    phase[0, 0] = np.exp(0.9j)
-    return AlignedShiftData(
-        shift.x_obj,
-        shift.y_obj,
-        shift.m_arrow,
-        shift.n_arrow,
-        shift.psi_x.replace_block(i, j, phase @ block),
-        shift.psi_y,
-        shift.lag,
-    )
 
 
 class TestConcreteShift:
@@ -115,7 +99,7 @@ class TestAlignment:
         assert max(alignment_residuals(d)) == 0.0
 
     def test_phase_breaks_alignment(self, golden_witness):
-        d = _misalign(build_from_se(golden_witness))
+        d = phase_twist(build_from_se(golden_witness), 0.9)
         assert verify_concrete_shift(d)
         assert not verify_aligned(d)
 
@@ -138,8 +122,8 @@ class TestAlignment:
             u = random_block_unitary(base.m_arrow.f, rng)
             v = random_block_unitary(base.n_arrow.f, rng)
             population.append(conjugate_shift(base, u, v))
-        population.append(_misalign(base))
-        population.append(_misalign(population[1]))
+        population.append(phase_twist(base, 0.9))
+        population.append(phase_twist(population[1], 0.9))
         for d in population:
             direct = max(alignment_residuals(d))
             via = max(two_arrow_residuals(d))
@@ -247,7 +231,7 @@ class TestReverseCompose:
 
     def test_compose_requires_aligned(self, golden_witness):
         d = build_from_se(golden_witness)
-        bad = _misalign(d)
+        bad = phase_twist(d, 0.9)
         with pytest.raises(ContractError):
             compose_shifts(bad, reverse_shift(d))
 

@@ -340,6 +340,20 @@ class TestBadInputs:
         assert f"block '{key}'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "part, field, value",
+        [("x", "labels", 5), ("psi_x", "left_index", 5), ("psi_x", "right_index", 5),
+         ("psi_x", "dims", [1]), ("psi_x", "blocks", 5)],
+    )
+    def test_malformed_bundle_field_is_data_error(self, capsys, tmp_path, golden_witness, part, field, value):
+        doc = shift_to_json(build_from_se(golden_witness))
+        doc[part][field] = value
+        data = write(tmp_path / "bad.json", doc)
+        code, report, err = run(capsys, ["aligned", "verify", "--data", data])
+        assert code == 65
+        assert report is None
+        assert f"'{field}'" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
     def test_bad_tol_flag_is_usage_error(self, files, capsys, tol):
         code, report, err = run(capsys, [f"--tol={tol}", "invariants", "--a", files["two"]])
@@ -375,6 +389,64 @@ class TestBadInputs:
         assert report is None
         assert err.startswith("shiftcalc: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+SELFTEST_NAMES = [
+    "witness-verification", "chain-composition", "invariant-separation", "tensor-dims-oracle",
+    "bicategory-laws", "alignment-transitivity", "alignment-formulations", "homotopy-roundtrip",
+    "search-recovery",
+]
+
+
+class TestSelftest:
+    def test_default_run_passes_all_nine(self, capsys):
+        code, report, err = run(capsys, ["selftest"])
+        assert code == 0
+        assert report["verdict"] == {
+            "checks": [{"name": name, "ok": True} for name in SELFTEST_NAMES],
+            "passed": 9,
+            "failed": 0,
+        }
+        assert err == "".join(f"PASS {name}\n" for name in SELFTEST_NAMES)
+
+    def test_tiny_tol_fails_the_bounded_checks(self, capsys):
+        code, report, err = run(capsys, ["--tol", "1e-300", "selftest"])
+        assert code == 1
+        failed = [check["name"] for check in report["verdict"]["checks"] if not check["ok"]]
+        # The five exact checks pass, and so does the homotopy: the golden
+        # lag-1 homotopy is a constant path whose residuals are exactly 0.0.
+        assert failed == ["bicategory-laws", "alignment-transitivity", "alignment-formulations"]
+        assert "FAIL bicategory-laws: trial 0" in err and "Traceback" not in err
+
+    def test_package_error_fails_only_its_check(self, capsys, monkeypatch):
+        import shiftcalc.selftest as selftest
+        from shiftcalc import ContractError
+
+        def not_concrete(*args):
+            raise ContractError("verify_aligned requires a verified concrete shift")
+
+        monkeypatch.setattr(selftest, "verify_aligned", not_concrete)
+        monkeypatch.setattr(selftest, "PROPERTIES", selftest.PROPERTIES[4:6])
+        code, report, err = run(capsys, ["selftest"])
+        assert code == 1
+        assert [check["ok"] for check in report["verdict"]["checks"]] == [True, False]
+        assert err.splitlines()[1] == (
+            "FAIL alignment-transitivity: ContractError: verify_aligned requires a verified concrete shift"
+        )
+
+    def test_acceptance_criteria_run_the_properties(self):
+        # Each acceptance criterion names one row of the table, every row
+        # once; the report order swaps criteria 7 and 8.
+        import inspect
+        import re
+
+        from shiftcalc.selftest import PROPERTIES
+        from tests import test_acceptance
+
+        criteria = [fn for name, fn in vars(test_acceptance).items() if name.startswith("test_criterion_")]
+        named = [re.search(r'"([a-z]+(?:-[a-z]+)+)"', inspect.getsource(fn)).group(1) for fn in criteria]
+        assert [row.name for row in PROPERTIES] == SELFTEST_NAMES
+        assert sorted(named) == sorted(SELFTEST_NAMES)
 
 
 class TestEachVerdictOnce:

@@ -58,6 +58,23 @@ class TestConnectUnitaries:
         p = connect_unitaries(u0, u1, 3)
         assert abs(p.samples[1][1].block(0, 0)[0, 0] - 1j) < 1e-12
 
+    @pytest.mark.parametrize(
+        "block",
+        [np.roll(np.eye(n), 1, axis=0) for n in (2, 4, 6, 8)] + [np.diag([-1.0, -1.0, 1.0])],
+        ids=["2-cycle", "4-cycle", "6-cycle", "8-cycle", "repeated -1"],
+    )
+    def test_generator_angles_in_branch(self, block):
+        # Every eigenvalue -1 (the Schur form of the 6- and 8-cycles puts its
+        # argument at or just above -pi) gets angle +pi, none -pi.
+        c = from_matrix(from_rows([[len(block)]]))
+        u1 = BlockUnitary(c, c, {(0, 0): block})
+        p = connect_unitaries(identity_unitary(c), u1, 3)
+        angles = np.linalg.eigvalsh(-1j * p.generator[(0, 0)])
+        assert angles.min() > -np.pi + 1e-6
+        assert angles.max() <= np.pi + 1e-9
+        assert np.isclose(angles.max(), np.pi)
+        assert unitary_distance(p.samples[-1][1], u1) <= 1e-12
+
     def test_random_endpoints_reproduced(self):
         rng = np.random.default_rng(12)
         c = from_matrix(from_rows([[4]]))
