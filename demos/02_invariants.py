@@ -34,7 +34,7 @@ print("compare([2], ones):", compare(two, from_rows([[1, 1], [1, 1]])))
 # Bowen-Franks groups are cokernels presented by Smith normal form.  The
 # invariant-factor list drops 1s and keeps one trailing 0 per free summand.
 m = from_rows([[2, 4], [6, 8]])
-print("SNF of [[2,4],[6,8]]:", smith_normal_form(m).diag)
+print("SNF of [[2,4],[6,8]]:", smith_normal_form(m))
 
 # Generalized Bowen-Franks groups coker(p(A)) refine the classical one for
 # any integer polynomial with p(0) = +-1.

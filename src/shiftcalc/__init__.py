@@ -17,7 +17,6 @@ from .errors import (
 from .exact import (
     IntMatrix,
     IntPolynomial,
-    SmithDecomposition,
     char_poly,
     from_rows,
     identity,

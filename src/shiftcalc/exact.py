@@ -2,9 +2,10 @@
 
 Everything in this module is pure Python integer arithmetic: no floats, no
 overflow.  It supplies the engine for the rest of the package -- matrix
-products and powers for witness verification, Smith normal form for cokernel
-invariants, the division-free (Berkowitz) characteristic polynomial and the
-fraction-free (Bareiss) rank.
+products and powers for witness verification, the invariant factors of the
+Smith normal form for cokernel invariants (the diagonal only; the unimodular
+transforms are never built), the division-free (Berkowitz) characteristic
+polynomial and the fraction-free (Bareiss) rank.
 
 All values are immutable; every function returns fresh objects and is safe to
 call concurrently.
@@ -162,120 +163,66 @@ def is_essential(a: IntMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U * M * V = diag(d1, ..., dk) padded with zeros, with U, V unimodular.
-
-    ``diag`` holds the invariant factors: nonnegative, each dividing the
-    next, zeros trailing.
-    """
-
-    left: IntMatrix
-    diag: tuple[int, ...]
-    right: IntMatrix
-
-    def diagonal_matrix(self, rows: int, cols: int) -> IntMatrix:
-        grid = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(self.diag):
-            grid[i][i] = d
-        return from_rows(grid)
-
-
 def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
     m[i], m[j] = m[j], m[i]
 
 
-def _swap_cols(m: list[list[int]], i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(m: list[list[int]], dst: int, src: int, q: int) -> None:
-    # row dst += q * row src
-    m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
-
-
-def _add_col(m: list[list[int]], dst: int, src: int, q: int) -> None:
-    for row in m:
-        row[dst] += q * row[src]
-
-
-def _negate_row(m: list[list[int]], i: int) -> None:
-    m[i] = [-x for x in m[i]]
-
-
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form over the integers with full transform bookkeeping.
+def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors of ``m`` over the integers: the diagonal of its Smith
+    normal form, min(rows, cols) entries d1 | d2 | ..., nonnegative, zeros
+    trailing.  The chain is unique, so no transforms are kept.
 
     Pivots are chosen as the smallest-absolute-value nonzero entry of the
-    remaining block, ties broken by (row, col) position, so the run is
-    reproducible bit for bit.  The returned invariant factors are the unique
-    nonnegative chain d1 | d2 | ... with zeros trailing.
+    remaining block, ties broken by (row, col) position.
     """
     work = m.to_lists()
     r, c = m.rows, m.cols
-    u = identity(r).to_lists()
-    v = identity(c).to_lists()
     n = min(r, c)
-
     for t in range(n):
         while True:
-            # Smallest |x| != 0 in the trailing block; row-major scan keeps the
-            # first occurrence, which is the (row, col)-lexicographic tie-break.
-            pivot = None
+            # Smallest |x| != 0 in the trailing block, first in row-major
+            # order; nothing beats |x| = 1, so the scan stops there.
+            p, pi = 0, t
             for i in range(t, r):
-                for j in range(t, c):
-                    x = work[i][j]
-                    if x != 0 and (pivot is None or abs(x) < abs(work[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
-                return SmithDecomposition(from_rows(u), _read_diag(work, n), from_rows(v))
-            if pivot[0] != t:
-                _swap_rows(work, t, pivot[0])
-                _swap_rows(u, t, pivot[0])
-            if pivot[1] != t:
-                _swap_cols(work, t, pivot[1])
-                _swap_cols(v, t, pivot[1])
-            if work[t][t] < 0:
-                _negate_row(work, t)
-                _negate_row(u, t)
-
-            # Reduce the pivot row and column modulo the pivot.
-            p = work[t][t]
-            dirty = False
-            for i in range(t + 1, r):
-                if work[i][t] != 0:
-                    q = work[i][t] // p
-                    _add_row(work, i, t, -q)
-                    _add_row(u, i, t, -q)
-                    dirty = dirty or work[i][t] != 0
-            for j in range(t + 1, c):
-                if work[t][j] != 0:
-                    q = work[t][j] // p
-                    _add_col(work, j, t, -q)
-                    _add_col(v, j, t, -q)
-                    dirty = dirty or work[t][j] != 0
-            if dirty:
-                continue  # a strictly smaller remainder exists; re-select pivot
-
-            # Row and column are clear.  Enforce divisibility of the rest.
-            offender = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if work[i][j] % p != 0:
-                        offender = i
+                x = min(filter(None, map(abs, work[i][t:])), default=0)
+                if x and (not p or x < p):
+                    p, pi = x, i
+                    if p == 1:
                         break
-                if offender is not None:
-                    break
+            if not p:
+                break  # the trailing block is zero
+            _swap_rows(work, t, pi)
+            pivot_row = work[t]
+            pj = next(j for j in range(t, c) if abs(pivot_row[j]) == p)
+            if pj != t:
+                for row in work[t:]:
+                    row[t], row[pj] = row[pj], row[t]
+            if pivot_row[t] < 0:
+                pivot_row[t:] = [-x for x in pivot_row[t:]]
+
+            # Reduce column t modulo the pivot by row operations.
+            clear = True
+            for row in work[t + 1:]:
+                if row[t]:
+                    q = row[t] // p
+                    row[t:] = [x - q * y for x, y in zip(row[t:], pivot_row[t:])]
+                    clear = clear and not row[t]
+            if not clear:
+                continue  # a strictly smaller remainder exists; re-select pivot
+            # Column t is clear below the pivot, so each column operation
+            # that reduces row t changes row t alone.
+            pivot_row[t + 1:] = [x % p for x in pivot_row[t + 1:]]
+            if any(pivot_row[t + 1:]):
+                continue
+            if p == 1:
+                break
+
+            # Row and column are clear.  Enforce divisibility of the rest by
+            # adding the first offending row to row t.
+            offender = next((row for row in work[t + 1:] if any(x % p for x in row[t + 1:])), None)
             if offender is None:
                 break
-            _add_row(work, t, offender, 1)
-            _add_row(u, t, offender, 1)
-
-    return SmithDecomposition(from_rows(u), _read_diag(work, n), from_rows(v))
-
-
-def _read_diag(work: list[list[int]], n: int) -> tuple[int, ...]:
+            pivot_row[t + 1:] = offender[t + 1:]
     return tuple(work[i][i] for i in range(n))
 
 

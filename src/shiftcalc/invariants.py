@@ -78,9 +78,9 @@ class ComparisonVerdict:
 def cokernel_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """Canonical invariant factors of coker(m): drop 1s, keep a trailing 0
     per free summand."""
-    snf = smith_normal_form(m)
-    factors = [d for d in snf.diag if d != 1]
-    free = m.rows - len(snf.diag) + sum(1 for d in snf.diag if d == 0)
+    diag = smith_normal_form(m)
+    factors = [d for d in diag if d != 1]
+    free = m.rows - len(diag) + sum(1 for d in diag if d == 0)
     # Square input: rows == len(diag), so free counts exactly the zero diag
     # entries; keep the general formula for rectangular cokernels.
     torsion = [d for d in factors if d != 0]

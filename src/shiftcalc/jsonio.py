@@ -41,6 +41,11 @@ def _require(cond: bool, message: str):
         raise ParseError(message)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true`` and ``false`` parse to bools, an int subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # ---------------------------------------------------------------------------
 # Matrices
 # ---------------------------------------------------------------------------
@@ -60,12 +65,12 @@ def matrix_from_json(doc) -> IntMatrix:
     for field in ("rows", "cols", "entries"):
         _require(field in doc, f"matrix document is missing '{field}'")
     rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
-    _require(isinstance(rows, int) and isinstance(cols, int), "matrix shape must be integers")
+    _require(_is_int(rows) and _is_int(cols), "matrix shape must be integers")
     _require(isinstance(entries, list) and len(entries) == rows, "entry grid has the wrong number of rows")
     for i, row in enumerate(entries):
         _require(isinstance(row, list) and len(row) == cols, f"row {i} has the wrong length")
         for x in row:
-            _require(isinstance(x, int) and not isinstance(x, bool), f"row {i} has a non-integer entry")
+            _require(_is_int(x), f"row {i} has a non-integer entry")
     return from_rows(entries)
 
 
@@ -107,7 +112,7 @@ def witness_from_json(doc) -> SEWitness:
     _require(isinstance(doc, dict), "witness document must be a JSON object")
     for field in ("a", "b", "r", "s", "lag"):
         _require(field in doc, f"witness document is missing '{field}'")
-    _require(isinstance(doc["lag"], int), "witness lag must be an integer")
+    _require(_is_int(doc["lag"]), "witness lag must be an integer")
     return SEWitness(
         matrix_from_json(doc["a"]),
         matrix_from_json(doc["b"]),
@@ -270,7 +275,7 @@ def shift_from_json(doc) -> AlignedShiftData:
     _require(isinstance(doc, dict), "shift document must be a JSON object")
     for field in ("x", "y", "lag", "m_dims", "n_dims", "phi_m", "phi_n", "psi_x", "psi_y"):
         _require(field in doc, f"shift document is missing '{field}'")
-    _require(isinstance(doc["lag"], int) and doc["lag"] >= 1, "lag must be a positive integer")
+    _require(_is_int(doc["lag"]) and doc["lag"] >= 1, "lag must be a positive integer")
     x_obj = object_from_json(doc["x"])
     y_obj = object_from_json(doc["y"])
     m_corr = from_matrix(

@@ -354,6 +354,33 @@ class TestBadInputs:
         assert report is None
         assert f"'{field}'" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("shape", [(True, True), (True, 1), (1, True)])
+    def test_bool_matrix_shape_is_data_error(self, capsys, tmp_path, shape):
+        doc = {"rows": shape[0], "cols": shape[1], "entries": [[2]]}
+        code, report, err = run(capsys, ["invariants", "--a", write(tmp_path / "a.json", doc)])
+        assert code == 65
+        assert report is None
+        assert "matrix shape must be integers" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command", [["homotopy", "from-se", "--witness"], ["aligned", "from-se", "--witness"]]
+    )
+    def test_bool_witness_lag_is_data_error(self, capsys, tmp_path, golden_witness, command):
+        doc = witness_to_json(golden_witness)
+        doc["lag"] = True
+        code, report, err = run(capsys, [*command, write(tmp_path / "w.json", doc)])
+        assert code == 65
+        assert report is None
+        assert "witness lag must be an integer" in err and err.count("\n") == 1
+
+    def test_bool_shift_lag_is_data_error(self, capsys, tmp_path, golden_witness):
+        doc = shift_to_json(build_from_se(golden_witness))
+        doc["lag"] = True
+        code, report, err = run(capsys, ["aligned", "verify", "--data", write(tmp_path / "s.json", doc)])
+        assert code == 65
+        assert report is None
+        assert "lag must be a positive integer" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
     def test_bad_tol_flag_is_usage_error(self, files, capsys, tol):
         code, report, err = run(capsys, [f"--tol={tol}", "invariants", "--a", files["two"]])

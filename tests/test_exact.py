@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from shiftcalc import (
     DomainError,
+    IntMatrix,
     ShapeError,
     char_poly,
     from_rows,
@@ -105,6 +107,156 @@ class TestMatPow:
         assert mat_pow(a, m + n) == mat_mul(mat_pow(a, m), mat_pow(a, n))
 
 
+# ---------------------------------------------------------------------------
+# Reference Smith normal form with full transform bookkeeping.  The package
+# returns the invariant factors alone; this is the earlier transform-carrying
+# elimination, kept here so the U * M * V, unimodularity and divisibility
+# checks stay as strong as they were.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """U * M * V = diag(d1, ..., dk) padded with zeros, with U, V unimodular.
+
+    ``diag`` holds the invariant factors: nonnegative, each dividing the
+    next, zeros trailing.
+    """
+
+    left: IntMatrix
+    diag: tuple[int, ...]
+    right: IntMatrix
+
+    def diagonal_matrix(self, rows: int, cols: int) -> IntMatrix:
+        grid = [[0] * cols for _ in range(rows)]
+        for i, d in enumerate(self.diag):
+            grid[i][i] = d
+        return from_rows(grid)
+
+
+def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
+    m[i], m[j] = m[j], m[i]
+
+
+def _swap_cols(m: list[list[int]], i: int, j: int) -> None:
+    for row in m:
+        row[i], row[j] = row[j], row[i]
+
+
+def _add_row(m: list[list[int]], dst: int, src: int, q: int) -> None:
+    # row dst += q * row src
+    m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+
+
+def _add_col(m: list[list[int]], dst: int, src: int, q: int) -> None:
+    for row in m:
+        row[dst] += q * row[src]
+
+
+def _negate_row(m: list[list[int]], i: int) -> None:
+    m[i] = [-x for x in m[i]]
+
+
+def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
+    """Smith normal form over the integers with full transform bookkeeping.
+
+    Pivots are chosen as the smallest-absolute-value nonzero entry of the
+    remaining block, ties broken by (row, col) position, so the run is
+    reproducible bit for bit.  The returned invariant factors are the unique
+    nonnegative chain d1 | d2 | ... with zeros trailing.
+    """
+    work = m.to_lists()
+    r, c = m.rows, m.cols
+    u = identity(r).to_lists()
+    v = identity(c).to_lists()
+    n = min(r, c)
+
+    for t in range(n):
+        while True:
+            # Smallest |x| != 0 in the trailing block; row-major scan keeps the
+            # first occurrence, which is the (row, col)-lexicographic tie-break.
+            pivot = None
+            for i in range(t, r):
+                for j in range(t, c):
+                    x = work[i][j]
+                    if x != 0 and (pivot is None or abs(x) < abs(work[pivot[0]][pivot[1]])):
+                        pivot = (i, j)
+            if pivot is None:
+                return SmithDecomposition(from_rows(u), _read_diag(work, n), from_rows(v))
+            if pivot[0] != t:
+                _swap_rows(work, t, pivot[0])
+                _swap_rows(u, t, pivot[0])
+            if pivot[1] != t:
+                _swap_cols(work, t, pivot[1])
+                _swap_cols(v, t, pivot[1])
+            if work[t][t] < 0:
+                _negate_row(work, t)
+                _negate_row(u, t)
+
+            # Reduce the pivot row and column modulo the pivot.
+            p = work[t][t]
+            dirty = False
+            for i in range(t + 1, r):
+                if work[i][t] != 0:
+                    q = work[i][t] // p
+                    _add_row(work, i, t, -q)
+                    _add_row(u, i, t, -q)
+                    dirty = dirty or work[i][t] != 0
+            for j in range(t + 1, c):
+                if work[t][j] != 0:
+                    q = work[t][j] // p
+                    _add_col(work, j, t, -q)
+                    _add_col(v, j, t, -q)
+                    dirty = dirty or work[t][j] != 0
+            if dirty:
+                continue  # a strictly smaller remainder exists; re-select pivot
+
+            # Row and column are clear.  Enforce divisibility of the rest.
+            offender = None
+            for i in range(t + 1, r):
+                for j in range(t + 1, c):
+                    if work[i][j] % p != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            _add_row(work, t, offender, 1)
+            _add_row(u, t, offender, 1)
+
+    return SmithDecomposition(from_rows(u), _read_diag(work, n), from_rows(v))
+
+
+def _read_diag(work: list[list[int]], n: int) -> tuple[int, ...]:
+    return tuple(work[i][i] for i in range(n))
+
+
+def rectangles(max_side, bound):
+    """Matrices of 1..max_side rows and columns, some rows and columns zeroed
+    and the whole matrix scaled by 1..3, so zero rows, zero columns and
+    non-cyclic cokernels (every invariant factor divisible by the scale)
+    all turn up."""
+    def build(drawn):
+        grid, zero_rows, zero_cols, scale = drawn
+        return from_rows(
+            [[0 if i in zero_rows or j in zero_cols else scale * x for j, x in enumerate(row)]
+             for i, row in enumerate(grid)]
+        )
+
+    return st.integers(1, max_side).flatmap(
+        lambda r: st.integers(1, max_side).flatmap(
+            lambda c: st.tuples(
+                st.lists(st.lists(st.integers(-bound, bound), min_size=c, max_size=c),
+                         min_size=r, max_size=r),
+                st.sets(st.integers(0, r - 1), max_size=r // 3 + 1),
+                st.sets(st.integers(0, c - 1), max_size=c // 3 + 1),
+                st.integers(1, 3),
+            )
+        )
+    ).map(build)
+
+
 class TestSmithNormalForm:
     @pytest.mark.parametrize(
         "mat,expected",
@@ -116,10 +268,11 @@ class TestSmithNormalForm:
         ],
     )
     def test_examples(self, mat, expected):
-        assert smith_normal_form(from_rows(mat)).diag == expected
+        assert smith_normal_form(from_rows(mat)) == expected
+        assert smith_decomposition(from_rows(mat)).diag == expected
 
     def _check(self, m):
-        d = smith_normal_form(m)
+        d = smith_decomposition(m)
         assert mat_mul(mat_mul(d.left, m), d.right) == d.diagonal_matrix(m.rows, m.cols)
         nonzero = [x for x in d.diag if x != 0]
         zeros = [x for x in d.diag if x == 0]
@@ -154,7 +307,28 @@ class TestSmithNormalForm:
             perm = list(range(n))
             rng.shuffle(perm)
             shuffled = from_rows([[m[perm[i], perm[j]] for j in range(n)] for i in range(n)])
-            assert smith_normal_form(m).diag == smith_normal_form(shuffled).diag
+            assert smith_normal_form(m) == smith_normal_form(shuffled)
+
+    @given(rectangles(6, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_transform_reference(self, m):
+        assert smith_normal_form(m) == smith_decomposition(m).diag
+
+    @pytest.mark.parametrize("n", [5, 20, 40])
+    def test_matches_the_transform_reference_on_i_minus_a(self, n):
+        rng = random.Random(7 * n)
+        a = from_rows([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
+        m = mat_sub(identity(n), a)
+        assert smith_normal_form(m) == smith_decomposition(m).diag
+
+    @given(rectangles(6, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy(self, m):
+        import sympy  # test-only oracle; the package never imports it
+        from sympy.matrices.normalforms import invariant_factors
+
+        expected = invariant_factors(sympy.Matrix(m.to_lists()), domain=sympy.ZZ)
+        assert smith_normal_form(m) == tuple(int(x) for x in expected)
 
 
 def _det(m):
@@ -232,6 +406,14 @@ class TestStripAndRank:
             stripped, _ = poly_strip_t(char_poly(a))
             deg = stripped.degree if not stripped.is_zero else 0
             assert rank(mat_pow(a, n)) == deg
+
+
+    @given(rectangles(6, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_rank_matches_sympy(self, m):
+        import sympy  # test-only oracle; the package never imports it
+
+        assert rank(m) == sympy.Matrix(m.to_lists()).rank()
 
 
 class TestEssential:

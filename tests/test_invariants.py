@@ -1,12 +1,14 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftcalc import (
     DomainError,
     bowen_franks_general,
+    char_poly,
     compare,
     compute_invariants,
     from_rows,
@@ -83,6 +85,48 @@ class TestComputeInvariants:
     def test_requires_essential(self):
         with pytest.raises(DomainError):
             compute_invariants(from_rows([[0, 0], [1, 1]]))
+
+
+def essentials(max_n):
+    """Essential matrices up to max_n x max_n, entries 0..1 or 0..3; the 0..1
+    draws often have det(I - A) = 0."""
+    return st.tuples(st.integers(1, max_n), st.sampled_from([1, 3])).flatmap(
+        lambda nb: st.lists(
+            st.lists(st.integers(0, nb[1]), min_size=nb[0], max_size=nb[0]),
+            min_size=nb[0], max_size=nb[0],
+        )
+    ).map(from_rows).filter(is_essential)
+
+
+class TestBowenFranksOrder:
+    """|coker(I - A)| = |det(I - A)| = |chi_A(1)|: the Smith form of I - A
+    against the Berkowitz characteristic polynomial."""
+
+    @staticmethod
+    def _check(a):
+        chi_at_one = sum(char_poly(a).coeffs)
+        bf = compute_invariants(a).bowen_franks
+        torsion = [d for d in bf if d != 0]
+        assert (bf[-1:] == (0,)) == (chi_at_one == 0)
+        assert bf == tuple(torsion) + (0,) * (len(bf) - len(torsion))
+        if chi_at_one:
+            assert math.prod(torsion) == abs(chi_at_one)
+
+    @given(essentials(10))
+    @example(from_rows([[1]]))
+    @example(from_rows([[0, 1], [1, 0]]))
+    @example(from_rows([[1, 0], [0, 1]]))
+    @example(from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+    @settings(max_examples=100, deadline=None)
+    def test_order_is_chi_at_one(self, a):
+        self._check(a)
+
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    def test_order_is_chi_at_one_at_bench_sizes(self, n):
+        rng = random.Random(1000 + n)
+        a = from_rows([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
+        assert is_essential(a)
+        self._check(a)
 
 
 class TestCompare:
