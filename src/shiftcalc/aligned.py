@@ -12,8 +12,10 @@ and it is *aligned* when the two triple-tensor coherence equations hold:
     (Psi_Y (x) 1_Y)(1_N (x) Phi_M)(Phi_N (x) 1_M) = 1_Y (x) Psi_Y
 
 Equivalently, Psi_X and Psi_Y are 2-arrows from the composite arrows to the
-tensor-power arrows.  ``alignment_report`` evaluates both formulations and
-insists they agree, so each implementation checks the other.
+tensor-power arrows.  Verdicts come from the triple-tensor equations alone
+(``alignment_residuals``).  ``two_arrow_residuals`` measures the 2-arrow
+formulation with separate arithmetic; acceptance criterion 8 and the test
+suite compare the two, so neither is a copy of the other.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .corr import (
     canonical_identification,
     compose_one_arrows,
     compose_unitaries,
+    conjugate_arrow,
     from_matrix,
     identity_unitary,
     object_pair,
@@ -40,7 +43,7 @@ from .corr import (
     unitarity_defect,
     unitary_distance,
 )
-from .errors import CompositionError, ContractError, DomainError, ShapeError, ShiftcalcError
+from .errors import CompositionError, ContractError, DomainError, ShapeError
 from .witnesses import SEWitness, identity_witness, verify_se
 
 
@@ -140,21 +143,16 @@ class AlignmentReport:
 
 
 def alignment_report(d: AlignedShiftData, tol: float = DEFAULT_TOL) -> AlignmentReport:
-    """Check concreteness, then both coherence equations, within ``tol``.
+    """Check concreteness, then both triple-tensor equations, within ``tol``.
 
-    Evaluates the triple-tensor equations and, redundantly, the 2-arrow
-    squares; a verdict is only returned when the two formulations agree, so
-    either implementation catches a defect in the other.
+    Each residual is evaluated once.  The 2-arrow formulation is not consulted:
+    it is cross-checked against this one by acceptance criterion 8 and the
+    test suite, not on every verdict.
     """
     if not verify_concrete_shift(d, tol):
         return AlignmentReport(False)
     residuals = alignment_residuals(d)
-    aligned = bool(max(residuals) <= tol)
-    if aligned != bool(max(two_arrow_residuals(d)) <= tol):
-        raise ShiftcalcError(
-            "internal consistency failure: the two alignment formulations disagree"
-        )
-    return AlignmentReport(True, aligned, residuals)
+    return AlignmentReport(True, bool(max(residuals) <= tol), residuals)
 
 
 def verify_aligned(d: AlignedShiftData, tol: float = DEFAULT_TOL) -> bool:
@@ -165,19 +163,35 @@ def verify_aligned(d: AlignedShiftData, tol: float = DEFAULT_TOL) -> bool:
     return report.aligned
 
 
-def structure_endpoints(w: SEWitness) -> dict:
-    """Source and target of each structure map of the shift induced by ``w``,
-    keyed like the unitary arguments of :func:`build_from_se`."""
-    x = object_pair(w.a)
-    y = object_pair(w.b)
-    m_corr = from_matrix(w.r, x.algebra_index, y.algebra_index)
-    n_corr = from_matrix(w.s, y.algebra_index, x.algebra_index)
+def shift_parts(w: SEWitness) -> tuple:
+    """(X, Y, M, N, lag) of the shift induced by ``w``: the objects of A and B
+    and the edge correspondences of R and S."""
+    x_obj = object_pair(w.a)
+    y_obj = object_pair(w.b)
+    m_corr = from_matrix(w.r, x_obj.algebra_index, y_obj.algebra_index)
+    n_corr = from_matrix(w.s, y_obj.algebra_index, x_obj.algebra_index)
+    return x_obj, y_obj, m_corr, n_corr, w.lag
+
+
+def structure_endpoints(parts: tuple) -> dict:
+    """Source and target of each structure map of the shift with parts
+    (X, Y, M, N, lag), keyed like the unitary arguments of :func:`build_from_se`."""
+    x_obj, y_obj, m_corr, n_corr, lag = parts
     return {
-        "phi_m": (tensor(x.x, m_corr), tensor(m_corr, y.x)),
-        "phi_n": (tensor(y.x, n_corr), tensor(n_corr, x.x)),
-        "psi_x": (tensor(m_corr, n_corr), power_correspondence(x, w.lag)),
-        "psi_y": (tensor(n_corr, m_corr), power_correspondence(y, w.lag)),
+        "phi_m": (tensor(x_obj.x, m_corr), tensor(m_corr, y_obj.x)),
+        "phi_n": (tensor(y_obj.x, n_corr), tensor(n_corr, x_obj.x)),
+        "psi_x": (tensor(m_corr, n_corr), power_correspondence(x_obj, lag)),
+        "psi_y": (tensor(n_corr, m_corr), power_correspondence(y_obj, lag)),
     }
+
+
+def assemble_shift(parts: tuple, maps: dict) -> AlignedShiftData:
+    """The shift with parts (X, Y, M, N, lag) and the structure maps ``maps``,
+    keyed as by :func:`structure_endpoints`."""
+    x_obj, y_obj, m_corr, n_corr, lag = parts
+    m_arrow = OneArrow(y_obj, x_obj, m_corr, maps["phi_m"])
+    n_arrow = OneArrow(x_obj, y_obj, n_corr, maps["phi_n"])
+    return AlignedShiftData(x_obj, y_obj, m_arrow, n_arrow, maps["psi_x"], maps["psi_y"], lag)
 
 
 def build_from_se(
@@ -198,18 +212,13 @@ def build_from_se(
     """
     if not verify_se(w):
         raise ContractError("build_from_se requires a verified witness")
+    parts = shift_parts(w)
     given = {"phi_m": phi_m, "phi_n": phi_n, "psi_x": psi_x, "psi_y": psi_y}
     maps = {
         name: canonical_identification(src, tgt) if given[name] is None else given[name]
-        for name, (src, tgt) in structure_endpoints(w).items()
+        for name, (src, tgt) in structure_endpoints(parts).items()
     }
-    x_obj = object_pair(w.a)
-    y_obj = object_pair(w.b)
-    m_corr = from_matrix(w.r, x_obj.algebra_index, y_obj.algebra_index)
-    n_corr = from_matrix(w.s, y_obj.algebra_index, x_obj.algebra_index)
-    m_arrow = OneArrow(y_obj, x_obj, m_corr, maps["phi_m"])
-    n_arrow = OneArrow(x_obj, y_obj, n_corr, maps["phi_n"])
-    return AlignedShiftData(x_obj, y_obj, m_arrow, n_arrow, maps["psi_x"], maps["psi_y"], w.lag)
+    return assemble_shift(parts, maps)
 
 
 def trivial_shift(a) -> AlignedShiftData:
@@ -307,35 +316,18 @@ def compose_shifts(
 def conjugate_shift(d: AlignedShiftData, u: BlockUnitary, v: BlockUnitary) -> AlignedShiftData:
     """Conjugate all six maps coherently by automorphisms u of M and v of N.
 
-    The rewiring
-
-        Phi_M' = (u (x) 1_Y) Phi_M (1_X (x) u)*      Psi_X' = Psi_X (u (x) v)*
-        Phi_N' = (v (x) 1_X) Phi_N (1_Y (x) v)*      Psi_Y' = Psi_Y (v (x) u)*
-
-    cancels out of both coherence equations, so it preserves alignment
-    exactly; it is the standard way to manufacture aligned shifts with
-    non-permutation unitaries.
+    The arrows are rewired by :func:`conjugate_arrow` and the Psi maps become
+    Psi_X (u (x) v)* and Psi_Y (v (x) u)*.  This cancels out of both
+    coherence equations, so it preserves alignment exactly; it is the
+    standard way to manufacture aligned shifts with non-permutation unitaries.
     """
     if not (u.source == d.m_arrow.f and u.target == d.m_arrow.f):
         raise ShapeError("u must be an automorphism of M")
     if not (v.source == d.n_arrow.f and v.target == d.n_arrow.f):
         raise ShapeError("v must be an automorphism of N")
-    x = d.x_obj.x
-    y = d.y_obj.x
-    phi_m = compose_unitaries(
-        compose_unitaries(
-            tensor_unitaries(identity_unitary(x), u.adjoint()), d.m_arrow.phi
-        ),
-        tensor_unitaries(u, identity_unitary(y)),
-    )
-    phi_n = compose_unitaries(
-        compose_unitaries(
-            tensor_unitaries(identity_unitary(y), v.adjoint()), d.n_arrow.phi
-        ),
-        tensor_unitaries(v, identity_unitary(x)),
-    )
     psi_x = compose_unitaries(tensor_unitaries(u, v).adjoint(), d.psi_x)
     psi_y = compose_unitaries(tensor_unitaries(v, u).adjoint(), d.psi_y)
-    m_arrow = OneArrow(d.y_obj, d.x_obj, d.m_arrow.f, phi_m)
-    n_arrow = OneArrow(d.x_obj, d.y_obj, d.n_arrow.f, phi_n)
-    return AlignedShiftData(d.x_obj, d.y_obj, m_arrow, n_arrow, psi_x, psi_y, d.lag)
+    return AlignedShiftData(
+        d.x_obj, d.y_obj, conjugate_arrow(d.m_arrow, u), conjugate_arrow(d.n_arrow, v),
+        psi_x, psi_y, d.lag,
+    )

@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import jsonio
-from .aligned import alignment_report, build_from_se, structure_endpoints
+from .aligned import alignment_report, build_from_se, shift_parts, structure_endpoints
 from .corr import from_matrix, tensor, two_arrow_residual
 from .errors import ShiftcalcError
 from .exact import IntMatrix
@@ -184,7 +184,7 @@ def _cmd_aligned_verify(run: _Run, args) -> int:
 def _cmd_aligned_from_se(run: _Run, args) -> int:
     witness = jsonio.witness_from_json(jsonio.load_json(run.track(args.witness)))
     overrides = {}
-    for name, (src, tgt) in structure_endpoints(witness).items():
+    for name, (src, tgt) in structure_endpoints(shift_parts(witness)).items():
         path = getattr(args, name)
         if path is not None:
             doc = jsonio.load_json(run.track(path))

@@ -120,7 +120,10 @@ def from_matrix(r: IntMatrix, v: Optional[Sequence] = None, w: Optional[Sequence
     w = tuple(w) if w is not None else tuple(range(r.cols))
     if len(v) != r.rows or len(w) != r.cols:
         raise ShapeError("index label lists must match the matrix shape")
-    ends = tuple(np.repeat(np.arange(r.cols), r.row(i)) for i in range(r.rows))
+    try:
+        ends = tuple(np.repeat(np.arange(r.cols), r.row(i)) for i in range(r.rows))
+    except (OverflowError, ValueError, MemoryError):
+        raise DomainError("correspondence block dimensions are too large to hold a basis") from None
     return GraphCorrespondence(v, w, r, ((v, w, r),), ends)
 
 
@@ -361,12 +364,9 @@ class OneArrow:
 
 
 def identity_arrow(obj: ObjectPair) -> OneArrow:
-    """The unit arrow: F is the edge correspondence of the identity matrix,
-    phi the canonical permutation between X (x) I and I (x) X."""
-    n = len(obj.algebra_index)
-    unit = from_matrix(int_identity(n), obj.algebra_index, obj.algebra_index)
-    phi = canonical_identification(tensor(obj.x, unit), tensor(unit, obj.x))
-    return OneArrow(obj, obj, unit, phi)
+    """The unit arrow [X^(x)0, 1]: F is the edge correspondence of the identity
+    matrix, phi the canonical permutation between X (x) I and I (x) X."""
+    return power_arrow(obj, 0)
 
 
 def power_correspondence(obj: ObjectPair, m: int) -> GraphCorrespondence:
@@ -386,8 +386,6 @@ def power_correspondence(obj: ObjectPair, m: int) -> GraphCorrespondence:
 def power_arrow(obj: ObjectPair, m: int) -> OneArrow:
     """The arrow [X^(x)m, 1]; phi is the identity permutation because both
     X (x) X^(x)m and X^(x)m (x) X carry the same sorted path basis."""
-    if m == 0:
-        return identity_arrow(obj)
     f = power_correspondence(obj, m)
     phi = canonical_identification(tensor(obj.x, f), tensor(f, obj.x))
     return OneArrow(obj, obj, f, phi)

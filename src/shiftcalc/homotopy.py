@@ -25,14 +25,12 @@ from .corr import (
     GraphCorrespondence,
     ObjectPair,
     OneArrow,
-    canonical_identification,
     compose_one_arrows,
     compose_unitaries,
+    conjugate_arrow,
     identity_unitary,
     power_arrow,
-    power_correspondence,
     tensor,
-    tensor_unitaries,
     two_arrow_residual,
     unitarity_defect,
 )
@@ -207,15 +205,12 @@ def concatenate_homotopies(h1: ArrowHomotopy, h2: ArrowHomotopy) -> ArrowHomotop
     """
     if h1.g_arrow is not h2.f_arrow and h1.g_arrow != h2.f_arrow:
         raise ShapeError("homotopies must share their middle arrow")
-    x_corr = h1.f_arrow.source.x
-    y_corr = h1.f_arrow.target.x
     connect = compose_unitaries(h1.h1, h2.h0.adjoint())  # fiber1 -> fiber2
-    pre = tensor_unitaries(identity_unitary(y_corr), connect)
-    post = tensor_unitaries(connect.adjoint(), identity_unitary(x_corr))
-    transported = []
-    for t, u in h2.path.samples:
-        transported.append((t, compose_unitaries(compose_unitaries(pre, u), post)))
-    p2 = UnitaryPath(transported[0][1], transported[-1][1], tuple(transported), None)
+    back = connect.adjoint()
+    transported = tuple(
+        (t, conjugate_arrow(h2.fiber_arrow(k), back).phi) for k, (t, _) in enumerate(h2.path.samples)
+    )
+    p2 = UnitaryPath(transported[0][1], transported[-1][1], transported, None)
     path = concatenate_paths(h1.path, p2)
     h1_end = compose_unitaries(connect, h2.h1)
     return ArrowHomotopy(h1.f_arrow, h2.g_arrow, h1.fiber, path, h1.h0, h1_end)
@@ -230,17 +225,12 @@ def homotopy_to_identity(
     X^(x)m and the intertwiner follows the geodesic from the identity
     permutation to phi; both endpoint 2-arrows are the identity.
     """
-    fiber = power_correspondence(obj, m)
-    src = tensor(obj.x, fiber)
-    tgt = tensor(fiber, obj.x)
-    if phi.source != src or phi.target != tgt:
+    power = power_arrow(obj, m)
+    if phi.source != power.phi.source or phi.target != power.phi.target:
         raise ShapeError("phi must intertwine X (x) X^m with X^m (x) X canonically")
-    start = canonical_identification(src, tgt)
-    path = connect_unitaries(start, phi, steps)
-    f_arrow = power_arrow(obj, m)
-    g_arrow = OneArrow(obj, obj, fiber, phi)
-    ident = identity_unitary(fiber)
-    return ArrowHomotopy(f_arrow, g_arrow, fiber, path, ident, ident)
+    path = connect_unitaries(power.phi, phi, steps)
+    ident = identity_unitary(power.f)
+    return ArrowHomotopy(power, OneArrow(obj, obj, power.f, phi), power.f, path, ident, ident)
 
 
 def homotopy_shift_equivalence_from_se(
@@ -279,15 +269,8 @@ def _side_homotopy(
     steps: int,
 ) -> ArrowHomotopy:
     composite = compose_one_arrows(first, second)
-    x_corr = obj.x
     # Conjugate the composite intertwiner onto the tensor-power fiber.
-    phi = compose_unitaries(
-        compose_unitaries(
-            tensor_unitaries(identity_unitary(x_corr), psi.adjoint()), composite.phi
-        ),
-        tensor_unitaries(psi, identity_unitary(x_corr)),
-    )
-    base = homotopy_to_identity(phi, obj, m, steps)
+    base = homotopy_to_identity(conjugate_arrow(composite, psi).phi, obj, m, steps)
     # Retarget the t = 1 end at the composite arrow through psi^{-1}.
     return ArrowHomotopy(
         base.f_arrow, composite, base.fiber, base.path, base.h0, psi.adjoint()

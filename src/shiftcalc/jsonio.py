@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .aligned import AlignedShiftData
+from .aligned import AlignedShiftData, assemble_shift, structure_endpoints
 from .corr import (
     BlockUnitary,
     GraphCorrespondence,
@@ -25,7 +25,6 @@ from .corr import (
     OneArrow,
     from_matrix,
     object_pair,
-    power_correspondence,
     tensor,
 )
 from .errors import DomainError, ParseError
@@ -278,23 +277,14 @@ def shift_from_json(doc) -> AlignedShiftData:
     _require(_is_int(doc["lag"]) and doc["lag"] >= 1, "lag must be a positive integer")
     x_obj = object_from_json(doc["x"])
     y_obj = object_from_json(doc["y"])
-    m_corr = from_matrix(
-        matrix_from_json(doc["m_dims"]), x_obj.algebra_index, y_obj.algebra_index
-    )
-    n_corr = from_matrix(
-        matrix_from_json(doc["n_dims"]), y_obj.algebra_index, x_obj.algebra_index
-    )
-    phi_m = block_unitary_from_json(doc["phi_m"], tensor(x_obj.x, m_corr), tensor(m_corr, y_obj.x))
-    phi_n = block_unitary_from_json(doc["phi_n"], tensor(y_obj.x, n_corr), tensor(n_corr, x_obj.x))
-    psi_x = block_unitary_from_json(
-        doc["psi_x"], tensor(m_corr, n_corr), power_correspondence(x_obj, doc["lag"])
-    )
-    psi_y = block_unitary_from_json(
-        doc["psi_y"], tensor(n_corr, m_corr), power_correspondence(y_obj, doc["lag"])
-    )
-    m_arrow = OneArrow(y_obj, x_obj, m_corr, phi_m)
-    n_arrow = OneArrow(x_obj, y_obj, n_corr, phi_n)
-    return AlignedShiftData(x_obj, y_obj, m_arrow, n_arrow, psi_x, psi_y, doc["lag"])
+    m_corr = from_matrix(matrix_from_json(doc["m_dims"]), x_obj.algebra_index, y_obj.algebra_index)
+    n_corr = from_matrix(matrix_from_json(doc["n_dims"]), y_obj.algebra_index, x_obj.algebra_index)
+    parts = (x_obj, y_obj, m_corr, n_corr, doc["lag"])
+    maps = {
+        name: block_unitary_from_json(doc[name], src, tgt)
+        for name, (src, tgt) in structure_endpoints(parts).items()
+    }
+    return assemble_shift(parts, maps)
 
 
 def homotopy_to_json(h: ArrowHomotopy) -> dict:

@@ -10,25 +10,41 @@ from shiftcalc import (
     SEWitness,
     alignment_residuals,
     build_from_se,
+    compose_one_arrows,
+    compose_se,
     compose_shifts,
+    compose_unitaries,
+    conjugate_arrow,
     conjugate_shift,
+    fold_chain,
     from_rows,
+    identity_witness,
     mat_mul,
     mat_pow,
+    power_arrow,
     random_block_unitary,
     random_sse_chain,
     reverse_shift,
     slide_past_powers,
     trivial_shift,
+    two_arrow_residual,
     two_arrow_residuals,
     unitarity_defect,
     verify_aligned,
     verify_concrete_shift,
 )
-from shiftcalc.selftest import phase_twist
+from shiftcalc.selftest import GOLDEN_WITNESS, phase_twist
 from tests.conftest import random_essential
 
 TOL = 1e-9
+
+
+def golden_lag(lag: int) -> SEWitness:
+    """The golden witness lifted to ``lag`` by identity witnesses on its B side."""
+    w = GOLDEN_WITNESS
+    while w.lag < lag:
+        w = compose_se(w, identity_witness(w.b))
+    return w
 
 
 class TestConcreteShift:
@@ -129,6 +145,47 @@ class TestAlignment:
             via = max(two_arrow_residuals(d))
             assert abs(direct - via) <= 1e-8
             assert (direct <= TOL) == (via <= TOL)
+
+    def test_two_arrow_square_onto_conjugated_power_agrees(self):
+        # Psi_X is a 2-arrow onto [X^(x)m, 1] iff u Psi_X is one onto that arrow
+        # conjugated by a Haar unitary u.  The conjugated phi is dense, so this
+        # square shares no exact identity with the triple-tensor equation: the
+        # two residuals agree in exact arithmetic only, not bit for bit.
+        rng = random.Random(2718)
+        np_rng = np.random.default_rng(2718)
+        bases = [build_from_se(golden_lag(lag)) for lag in range(1, 5)]
+        while len(bases) < 40:
+            base = random_essential(rng, max_size=3, max_entry=2)
+            chain = random_sse_chain(base, rng.randint(1, 3), seed=rng.randrange(10**6))
+            bases.append(build_from_se(fold_chain(chain)))
+        residuals = []
+        for d in bases:
+            conj = conjugate_shift(
+                d, random_block_unitary(d.m_arrow.f, np_rng), random_block_unitary(d.n_arrow.f, np_rng)
+            )
+            for shift in (d, conj, phase_twist(conj, rng.uniform(0.3, 2.8))):
+                direct = alignment_residuals(shift)
+                sides = (
+                    (shift.x_obj, shift.m_arrow, shift.n_arrow, shift.psi_x),
+                    (shift.y_obj, shift.n_arrow, shift.m_arrow, shift.psi_y),
+                )
+                for side, (obj, first, second, psi) in enumerate(sides):
+                    power = power_arrow(obj, shift.lag)
+                    u = random_block_unitary(power.f, np_rng)
+                    via = two_arrow_residual(
+                        compose_unitaries(psi, u),
+                        compose_one_arrows(first, second),
+                        conjugate_arrow(power, u),
+                    )
+                    assert (direct[side] <= TOL) == (via <= TOL)
+                    assert abs(direct[side] - via) <= 10 * TOL
+                    residuals.append((direct[side], via))
+        assert len(residuals) == 240
+        # Both verdicts are well represented, and most residual pairs differ
+        # in their last bits, so the arithmetic really is separate.
+        unaligned = sum(direct > TOL for direct, _ in residuals)
+        assert 40 <= unaligned <= 200
+        assert sum(direct == via for direct, via in residuals) < 60
 
 
 class TestConjugation:

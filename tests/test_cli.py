@@ -381,6 +381,23 @@ class TestBadInputs:
         assert report is None
         assert "lag must be a positive integer" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("entry", [10**20, 2**62])
+    @pytest.mark.parametrize("command", ["corr tensor", "aligned from-se", "homotopy from-se"])
+    def test_oversized_entry_is_data_error(self, capsys, tmp_path, command, entry):
+        # Too large for a basis of edges: 10**20 overflows a machine integer,
+        # 2**62 edges do not fit in an array.  The witness itself is valid.
+        big = write(tmp_path / "big.json", mat([[entry]]))
+        one = write(tmp_path / "one.json", mat([[1]]))
+        if command == "corr tensor":
+            argv = ["corr", "tensor", "--r", big, "--s", one]
+        else:
+            w = {"a": mat([[entry]]), "b": mat([[entry]]), "r": mat([[1]]), "s": mat([[entry]]), "lag": 1}
+            argv = [*command.split(), "--witness", write(tmp_path / "w.json", w)]
+        code, report, err = run(capsys, argv)
+        assert code == 65
+        assert report is None
+        assert "too large" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
     def test_bad_tol_flag_is_usage_error(self, files, capsys, tol):
         code, report, err = run(capsys, [f"--tol={tol}", "invariants", "--a", files["two"]])
@@ -503,7 +520,7 @@ class TestEachVerdictOnce:
         code, report, _ = run(capsys, ["aligned", "verify", "--data", data])
         assert code == 0
         assert report["verdict"]["aligned"] is True
-        assert counts == {"unitarity_defect": 4, "alignment_residuals": 1, "two_arrow_residuals": 1}
+        assert counts == {"unitarity_defect": 4, "alignment_residuals": 1}
 
     def test_aligned_from_se_with_overrides(self, counts, capsys, tmp_path, golden_witness):
         from shiftcalc.jsonio import block_unitary_to_json
@@ -524,7 +541,6 @@ class TestEachVerdictOnce:
             "build_from_se": 1,
             "unitarity_defect": 4,
             "alignment_residuals": 1,
-            "two_arrow_residuals": 1,
         }
 
 

@@ -8,6 +8,7 @@ from shiftcalc import (
     SEWitness,
     UnitaryPath,
     concatenate_homotopies,
+    conjugate_arrow,
     connect_unitaries,
     constant_homotopy,
     from_matrix,
@@ -214,18 +215,36 @@ class TestFromWitness:
         assert hx.fiber.dims == from_rows([[4]])
 
     def test_random_chain_witnesses_end_to_end(self):
+        # Unlike the golden witnesses, whose composites are all identity
+        # permutations, folded chains give canonical shifts that are not
+        # aligned, so their homotopies take real logarithms, some through
+        # the eigenvalue -1 and hence the +pi branch.
         import random
 
         from shiftcalc import fold_chain, random_sse_chain
         from tests.conftest import random_essential
 
         rng = random.Random(515)
-        for _ in range(5):
+        nonzero = at_pi = 0
+        for _ in range(40):
             base = random_essential(rng, max_size=3, max_entry=2)
             chain = random_sse_chain(base, rng.randint(1, 2), seed=rng.randrange(10**6))
             w = fold_chain(chain)
-            _, hx, hy = homotopy_shift_equivalence_from_se(w, steps=6)
+            _, hx, hy = homotopy_shift_equivalence_from_se(w, steps=4)
             assert verify_homotopy(hx), homotopy_failure(hx)
             assert verify_homotopy(hy), homotopy_failure(hy)
             assert hx.fiber.dims == mat_pow(w.a, w.lag)
             assert hy.fiber.dims == mat_pow(w.b, w.lag)
+            for h in (hx, hy):
+                # U(1) is the composite conjugated onto the tensor-power fiber.
+                end = conjugate_arrow(h.g_arrow, h.h1.adjoint()).phi
+                assert unitary_distance(h.path.samples[-1][1], end) <= 10 * TOL
+            angles = np.concatenate(
+                [np.linalg.eigvalsh(-1j * g) for h in (hx, hy) for g in h.path.generator.values()]
+            )
+            assert angles.min() > -np.pi + 1e-6
+            assert angles.max() <= np.pi + 1e-9
+            nonzero += bool(np.abs(angles).max() > 0.0)
+            at_pi += bool(np.isclose(angles.max(), np.pi))
+        assert nonzero >= 10
+        assert at_pi >= 10
