@@ -7,7 +7,9 @@ identical inputs, flags and seeds; wall-clock timing is therefore only shown
 on stderr under --verbose.
 
 Exit codes: 0 verified / found / inconclusive, 1 refuted / not found,
-2 distinguished by an invariant, 64 usage error, 65 data error.
+2 distinguished by an invariant, 64 usage error, 65 data error, 70 internal
+error (an unexpected exception, named in one stderr line; --verbose adds
+its traceback).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 import os
 import sys
 import time
+import traceback
 
 from . import jsonio
 from .aligned import alignment_report, build_from_se, shift_parts, structure_endpoints
@@ -35,6 +38,7 @@ EXIT_REFUTED = 1
 EXIT_DISTINGUISHED = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SOFTWARE = 70
 
 DEFAULT_TOL_ENV = "SHIFTCALC_TOL"
 
@@ -190,7 +194,7 @@ def _cmd_aligned_from_se(run: _Run, args) -> int:
             doc = jsonio.load_json(run.track(path))
             overrides[name] = jsonio.block_unitary_from_json(doc, src, tgt)
     shift = build_from_se(witness, **overrides)
-    bundle = jsonio.shift_to_json(shift)
+    bundle = jsonio.shift_to_json(shift, _leaf=jsonio._complex_matrix_array)
     report = alignment_report(shift, run.tol)
     verdict = {"concrete": report.concrete, "aligned": report.aligned}
     if args.out:
@@ -207,13 +211,14 @@ def _cmd_homotopy_from_se(run: _Run, args) -> int:
     shift, hom_x, hom_y = homotopy_shift_equivalence_from_se(witness, steps=args.steps)
     ok_x = verify_homotopy(hom_x, run.tol)
     ok_y = verify_homotopy(hom_y, run.tol)
+    leaf = jsonio._complex_matrix_array
     bundle = {
         "schema": jsonio.SCHEMA,
         "witness": jsonio.witness_to_json(witness),
         "steps": args.steps,
-        "shift": jsonio.shift_to_json(shift),
-        "homotopy_x": jsonio.homotopy_to_json(hom_x),
-        "homotopy_y": jsonio.homotopy_to_json(hom_y),
+        "shift": jsonio.shift_to_json(shift, _leaf=leaf),
+        "homotopy_x": jsonio.homotopy_to_json(hom_x, _leaf=leaf),
+        "homotopy_y": jsonio.homotopy_to_json(hom_y, _leaf=leaf),
     }
     verdict = {"verified_x": ok_x, "verified_y": ok_y, "steps": args.steps}
     if args.out:
@@ -343,6 +348,12 @@ def main(argv=None) -> int:
         # refutation: exit 65 with one line on stderr.
         print(f"shiftcalc: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except Exception as exc:
+        # A fault of the program, not a verdict: never exit 1, which means "refuted".
+        if run.verbose:
+            traceback.print_exc()
+        print(f"shiftcalc: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

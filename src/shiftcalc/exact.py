@@ -123,18 +123,27 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def mat_pow(a: IntMatrix, m: int) -> IntMatrix:
-    """``a`` raised to the m-th power; ``a ** 0`` is the identity."""
+def mat_pow(a: IntMatrix, m: int, cap: int | None = None) -> IntMatrix:
+    """``a`` raised to the m-th power; ``a ** 0`` is the identity.
+
+    With ``cap``, for nonnegative ``a``, every entry above ``cap`` reads ``cap + 1``.
+    Clipping at cap + 1 commutes with sums and products of nonnegative integers, so the
+    entries at most ``cap`` are exact, and the work stays small however large m is.
+    """
     if not a.is_square:
         raise ShapeError("matrix power requires a square matrix")
     if m < 0:
         raise DomainError("matrix power requires a nonnegative exponent")
+
+    def clip(x: IntMatrix) -> IntMatrix:
+        return x if cap is None else from_rows([[min(v, cap + 1) for v in row] for row in x.entries])
+
     result = identity(a.rows)
-    base = a
+    base = clip(a)
     while m:
         if m & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if m > 1 else base
+            result = clip(mat_mul(result, base))
+        base = clip(mat_mul(base, base)) if m > 1 else base
         m >>= 1
     return result
 

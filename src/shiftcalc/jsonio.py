@@ -6,6 +6,12 @@ one complex matrix per nonempty block under the key "v,w" (index labels
 joined by a comma), each entry as an [re, im] pair.  Shift and arrow bundles
 describe their correspondences by integer matrices; the canonical bases are
 rebuilt on load, so only atomic (edge) correspondences travel through files.
+
+The public ``*_to_json`` functions return plain JSON values (nested lists).
+Inside the package, the command line builds its large bundles with *array
+leaves* instead: each block is the (d, d, 2) float64 array of its [re, im]
+pairs, which ``dump_json`` renders to the same text without building the
+nested lists.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from .corr import (
     object_pair,
     tensor,
 )
-from .errors import DomainError, ParseError
-from .exact import IntMatrix, from_rows
+from .errors import DomainError, ParseError, ShapeError
+from .exact import IntMatrix, from_rows, mat_mul, mat_pow
 from .homotopy import ArrowHomotopy
 from .witnesses import SEWitness
 
@@ -126,8 +132,13 @@ def witness_from_json(doc) -> SEWitness:
 # ---------------------------------------------------------------------------
 
 
+def _complex_matrix_array(m: np.ndarray) -> np.ndarray:
+    """The (d, d, 2) float64 array of [re, im] pairs of a complex block: an array leaf for ``dump_json``."""
+    return np.ascontiguousarray(m, dtype=complex).view(np.float64).reshape(*m.shape, 2)
+
+
 def _complex_matrix_to_json(m: np.ndarray) -> list:
-    return np.ascontiguousarray(m, dtype=complex).view(np.float64).reshape(*m.shape, 2).tolist()
+    return _complex_matrix_array(m).tolist()
 
 
 def _number_rows(o):
@@ -163,12 +174,14 @@ def _complex_matrix_from_json(doc, d: int, where: str) -> np.ndarray:
     raise ParseError(f"{where}: entries must be finite")
 
 
-def block_unitary_to_json(u: BlockUnitary) -> dict:
+def block_unitary_to_json(u: BlockUnitary, *, _leaf=None) -> dict:
+    """The block unitary document; ``_leaf`` converts each complex block (default: nested lists)."""
+    leaf = _leaf or _complex_matrix_to_json
     src = u.source
     blocks = {}
     for (i, j), m in sorted(u.blocks.items()):
         key = f"{src.left_index[i]},{src.right_index[j]}"
-        blocks[key] = _complex_matrix_to_json(m)
+        blocks[key] = leaf(m)
     return {
         "schema": SCHEMA,
         "left_index": list(src.left_index),
@@ -254,8 +267,11 @@ def arrow_from_json(doc) -> OneArrow:
     return OneArrow(source, target, f, phi)
 
 
-def shift_to_json(d: AlignedShiftData) -> dict:
-    """Serialize a shift whose M and N are atomic correspondences."""
+def shift_to_json(d: AlignedShiftData, *, _leaf=None) -> dict:
+    """Serialize a shift whose M and N are atomic correspondences.
+
+    ``_leaf`` converts each complex block, as in :func:`block_unitary_to_json`.
+    """
     return {
         "schema": SCHEMA,
         "x": object_to_json(d.x_obj),
@@ -263,10 +279,10 @@ def shift_to_json(d: AlignedShiftData) -> dict:
         "lag": d.lag,
         "m_dims": matrix_to_json(d.m_arrow.f.dims),
         "n_dims": matrix_to_json(d.n_arrow.f.dims),
-        "phi_m": block_unitary_to_json(d.m_arrow.phi),
-        "phi_n": block_unitary_to_json(d.n_arrow.phi),
-        "psi_x": block_unitary_to_json(d.psi_x),
-        "psi_y": block_unitary_to_json(d.psi_y),
+        "phi_m": block_unitary_to_json(d.m_arrow.phi, _leaf=_leaf),
+        "phi_n": block_unitary_to_json(d.n_arrow.phi, _leaf=_leaf),
+        "psi_x": block_unitary_to_json(d.psi_x, _leaf=_leaf),
+        "psi_y": block_unitary_to_json(d.psi_y, _leaf=_leaf),
     }
 
 
@@ -279,7 +295,15 @@ def shift_from_json(doc) -> AlignedShiftData:
     y_obj = object_from_json(doc["y"])
     m_corr = from_matrix(matrix_from_json(doc["m_dims"]), x_obj.algebra_index, y_obj.algebra_index)
     n_corr = from_matrix(matrix_from_json(doc["n_dims"]), y_obj.algebra_index, x_obj.algebra_index)
-    parts = (x_obj, y_obj, m_corr, n_corr, doc["lag"])
+    lag = doc["lag"]
+    # X^(x)lag has dims A^lag, which psi_x needs equal to those of M (x) N, R S
+    # (likewise for Y): check that before building any power, however large lag is.
+    sides = (("A^lag = R S", x_obj, m_corr, n_corr), ("B^lag = S R", y_obj, n_corr, m_corr))
+    for equation, obj, left, right in sides:
+        product = mat_mul(left.dims, right.dims)
+        if mat_pow(obj.x.dims, lag, cap=max(map(max, product.entries))) != product:
+            raise ShapeError(f"lag {lag} does not fit the bundle: {equation} fails")
+    parts = (x_obj, y_obj, m_corr, n_corr, lag)
     maps = {
         name: block_unitary_from_json(doc[name], src, tgt)
         for name, (src, tgt) in structure_endpoints(parts).items()
@@ -287,15 +311,16 @@ def shift_from_json(doc) -> AlignedShiftData:
     return assemble_shift(parts, maps)
 
 
-def homotopy_to_json(h: ArrowHomotopy) -> dict:
+def homotopy_to_json(h: ArrowHomotopy, *, _leaf=None) -> dict:
+    """The homotopy document; ``_leaf`` converts each complex block, as in :func:`block_unitary_to_json`."""
     return {
         "schema": SCHEMA,
         "fiber_dims": matrix_to_json(h.fiber.dims),
         "samples": [
-            {"t": t, "unitary": block_unitary_to_json(u)} for t, u in h.path.samples
+            {"t": t, "unitary": block_unitary_to_json(u, _leaf=_leaf)} for t, u in h.path.samples
         ],
-        "h0": block_unitary_to_json(h.h0),
-        "h1": block_unitary_to_json(h.h1),
+        "h0": block_unitary_to_json(h.h0, _leaf=_leaf),
+        "h1": block_unitary_to_json(h.h1, _leaf=_leaf),
     }
 
 
@@ -309,23 +334,34 @@ def load_json(path: str) -> dict:
 
 
 @lru_cache(maxsize=64)
-def _number_rows_format(n: int, k: int, level: int) -> str:
-    """%-format of n lists of k numbers laid out as json.dumps(indent=1) does at ``level``."""
-    outer, inner = "\n" + " " * (level + 1), "\n" + " " * (level + 2)
-    row = "[" + inner + ("," + inner).join(["%r"] * k) + outer + "]"
-    return "[" + outer + ("," + outer).join([row] * n) + "\n" + " " * level + "]"
+def _nested_format(shape: tuple, level: int) -> str:
+    """%-format of numbers nested by ``shape``, laid out as json.dumps(indent=1) does at ``level``."""
+    if not shape:
+        return "%r"
+    if not shape[0]:
+        return "[]"
+    sep = "\n" + " " * (level + 1)
+    item = _nested_format(shape[1:], level + 1)
+    return "[" + sep + ("," + sep).join([item] * shape[0]) + "\n" + " " * level + "]"
 
 
 def _encode(o, level: int, out: list):
     if isinstance(o, (str, int, float)) or o is None:
         out.append(json.dumps(o))
         return
+    if type(o) is np.ndarray and o.dtype == np.float64:
+        # An array leaf is rendered as its tolist() would be, without building that list.
+        text = _nested_format(o.shape, level) % tuple(o.ravel().tolist())
+        if "n" in text:  # only nan and inf print an "n"; json spells them NaN, Infinity
+            return _encode(o.tolist(), level, out)
+        out.append(text)
+        return
     if isinstance(o, dict) and all(type(key) is str for key in o):
         items, brackets = [(encode_basestring_ascii(k) + ": ", o[k]) for k in sorted(o)], "{}"
     elif isinstance(o, (list, tuple)):
         values = _number_rows(o)
-        text = values and _number_rows_format(len(o), len(o[0]), level) % values
-        if text and "n" not in text:  # only nan and inf print an "n"; json spells them NaN, Infinity
+        text = values and _nested_format((len(o), len(o[0])), level) % values
+        if text and "n" not in text:
             out.append(text)
             return
         items, brackets = [("", x) for x in o], "[]"
@@ -345,6 +381,9 @@ def dump_json(doc) -> str:
     Byte-identical to ``json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"``,
     which Python < 3.13 runs in pure Python when ``indent`` is set: too slow for bundles of
     [re, im] pairs.  What ``_encode`` leaves (non-str keys, non-JSON types, cycles) goes to it.
+    A float64 numpy array in ``doc`` is rendered as its ``tolist()`` would be; the stdlib
+    cannot encode one, so a document holding an array and anything left to the stdlib raises
+    its ``TypeError``.
     """
     out = []
     try:

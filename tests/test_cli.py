@@ -205,14 +205,34 @@ class TestAlignedAndHomotopy:
         assert bundle["shift"]["lag"] == 1
 
 
-@pytest.mark.parametrize("lag", [1, 2, 3, 4])
-def test_homotopy_bundle_bytes_are_the_stdlib_rendering(capsys, tmp_path, golden_witness, lag):
-    from shiftcalc import compose_se, identity_witness
+def bundle_witness(case):
+    """The golden witness lifted to lag ``case``, or for ``"chain<k>"`` a folded
+    random chain drawn from seed k (the chains listed below have homotopies with
+    nonzero generators; every golden generator is exactly zero)."""
+    import random
 
-    w = golden_witness
-    while w.lag < lag:
-        w = compose_se(w, identity_witness(w.b))
-    witness_path = write(tmp_path / "w.json", witness_to_json(w))
+    from shiftcalc import compose_se, fold_chain, identity_witness, random_sse_chain
+    from shiftcalc.selftest import GOLDEN_WITNESS, random_essential
+
+    if isinstance(case, int):
+        w = GOLDEN_WITNESS
+        while w.lag < case:
+            w = compose_se(w, identity_witness(w.b))
+        return w
+    rng = random.Random(int(case.removeprefix("chain")))
+    return fold_chain(random_sse_chain(random_essential(rng), rng.randint(1, 2), seed=rng.randrange(10**6)))
+
+
+CHAINS = ["chain0", "chain5", "chain6", "chain9", "chain10", "chain12", "chain17", "chain23"]
+
+
+def stdlib_rendering(text):
+    return json.dumps(json.loads(text), sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+@pytest.mark.parametrize("lag", [1, 2, 3, 4, *CHAINS])
+def test_homotopy_bundle_bytes_are_the_stdlib_rendering(capsys, tmp_path, lag):
+    witness_path = write(tmp_path / "w.json", witness_to_json(bundle_witness(lag)))
     out_path = tmp_path / "bundle.json"
     argv = ["homotopy", "from-se", "--witness", witness_path, "--steps", "3"]
     for extra in ([], ["--out", str(out_path)]):
@@ -220,9 +240,17 @@ def test_homotopy_bundle_bytes_are_the_stdlib_rendering(capsys, tmp_path, golden
         stdout = capsys.readouterr().out
         # Every float survives a JSON round trip, so the reloaded document
         # is the one the command wrote.
-        assert stdout == json.dumps(json.loads(stdout), sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+        assert stdout == stdlib_rendering(stdout)
     text = out_path.read_text()
-    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    assert text == stdlib_rendering(text)
+    if lag in CHAINS:
+        # A nonzero generator makes the interior samples no permutations.
+        doc = json.loads(text)
+        blocks = [
+            block for side in ("homotopy_x", "homotopy_y")
+            for block in doc[side]["samples"][1]["unitary"]["blocks"].values()
+        ]
+        assert {x for block in blocks for row in block for pair in row for x in pair} - {0.0, 1.0}
 
 
 class TestCheckTwoArrow:
@@ -381,6 +409,22 @@ class TestBadInputs:
         assert report is None
         assert "lag must be a positive integer" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("lag", [40, 10**9])
+    def test_huge_shift_lag_is_a_quick_data_error(self, capsys, tmp_path, golden_witness, lag):
+        # X^(x)lag would need 2**lag basis vectors: the lag must be rejected
+        # against the declared matrices before any tensor power is built.
+        import time
+
+        doc = shift_to_json(build_from_se(golden_witness))
+        doc["lag"] = lag
+        data = write(tmp_path / "s.json", doc)
+        started = time.perf_counter()
+        code, report, err = run(capsys, ["aligned", "verify", "--data", data])
+        assert time.perf_counter() - started < 1.0
+        assert code == 65
+        assert report is None
+        assert f"lag {lag} does not fit the bundle" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("entry", [10**20, 2**62])
     @pytest.mark.parametrize("command", ["corr tensor", "aligned from-se", "homotopy from-se"])
     def test_oversized_entry_is_data_error(self, capsys, tmp_path, command, entry):
@@ -433,6 +477,45 @@ class TestBadInputs:
         assert report is None
         assert err.startswith("shiftcalc: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), MemoryError()])
+    def test_unexpected_exception_exits_70(self, files, capsys, monkeypatch, error):
+        import shiftcalc.cli
+
+        def broken(a):
+            raise error
+
+        monkeypatch.setattr(shiftcalc.cli, "compute_invariants", broken)
+        code, report, err = run(capsys, ["invariants", "--a", files["two"]])
+        assert code == 70
+        assert report is None
+        assert err == f"shiftcalc: internal error: {error!r}\n"
+        assert type(error).__name__ in err
+
+    def test_verbose_adds_the_traceback(self, files, capsys, monkeypatch):
+        import shiftcalc.cli
+
+        def broken(a):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(shiftcalc.cli, "compute_invariants", broken)
+        code, report, err = run(capsys, ["--verbose", "invariants", "--a", files["two"]])
+        assert code == 70
+        assert err.startswith("Traceback")
+        assert err.endswith("shiftcalc: internal error: RuntimeError('boom')\n")
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_and_exit_pass_through(self, files, monkeypatch, error):
+        import shiftcalc.cli
+
+        def broken(a):
+            raise error
+
+        monkeypatch.setattr(shiftcalc.cli, "compute_invariants", broken)
+        with pytest.raises(error):
+            main(["invariants", "--a", files["two"]])
 
 
 SELFTEST_NAMES = [
@@ -542,6 +625,40 @@ class TestEachVerdictOnce:
             "unitarity_defect": 4,
             "alignment_residuals": 1,
         }
+
+
+class TestBundlesWithoutNestedLists:
+    """The command line writes bundles from array leaves: the nested-list block
+    converter of the public ``*_to_json`` functions is never called."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import shiftcalc.jsonio
+
+        calls = []
+        convert = shiftcalc.jsonio._complex_matrix_to_json
+
+        def counted(m):
+            calls.append(m.shape)
+            return convert(m)
+
+        monkeypatch.setattr(shiftcalc.jsonio, "_complex_matrix_to_json", counted)
+        return calls
+
+    @pytest.mark.parametrize("command", [["homotopy", "from-se", "--steps", "3"], ["aligned", "from-se"]])
+    @pytest.mark.parametrize("out", [True, False])
+    def test_from_se(self, calls, capsys, tmp_path, command, out):
+        witness_path = write(tmp_path / "w.json", witness_to_json(bundle_witness(2)))
+        extra = ["--out", str(tmp_path / "out.json")] if out else []
+        code, report, _ = run(capsys, [*command, "--witness", witness_path, *extra])
+        assert code == 0 and report is not None
+        assert calls == []
+
+    def test_the_public_functions_still_return_lists(self, calls, golden_witness):
+        # ... so the fixture does see the converter the default path calls.
+        doc = shift_to_json(build_from_se(golden_witness))
+        assert len(calls) == sum(len(doc[name]["blocks"]) for name in ("phi_m", "phi_n", "psi_x", "psi_y"))
+        assert all(type(block) is list for block in doc["psi_x"]["blocks"].values())
 
 
 def test_one_process_answers_as_fresh_processes(files, capsys, monkeypatch):

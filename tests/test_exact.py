@@ -106,6 +106,25 @@ class TestMatPow:
     def test_power_additivity(self, a, m, n):
         assert mat_pow(a, m + n) == mat_mul(mat_pow(a, m), mat_pow(a, n))
 
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+        ),
+        st.integers(0, 12),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_capped_power_is_the_clipped_power(self, rows, m, cap):
+        a = from_rows(rows)
+        clipped = [[min(x, cap + 1) for x in row] for row in mat_pow(a, m).entries]
+        assert mat_pow(a, m, cap=cap) == from_rows(clipped)
+
+    def test_capped_power_of_a_huge_exponent(self):
+        swap = from_rows([[0, 1], [1, 0]])
+        assert mat_pow(swap, 10**400, cap=1) == identity(2)
+        assert mat_pow(swap, 10**400 + 1, cap=1) == swap
+        assert mat_pow(from_rows([[2]]), 10**400, cap=5) == from_rows([[6]])
+
 
 # ---------------------------------------------------------------------------
 # Reference Smith normal form with full transform bookkeeping.  The package

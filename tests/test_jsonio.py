@@ -5,8 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftcalc import ParseError, from_matrix, from_rows, random_block_unitary
-from shiftcalc.jsonio import _complex_matrix_from_json, _complex_matrix_to_json, dump_json
+from shiftcalc import (
+    DomainError,
+    ParseError,
+    ShapeError,
+    build_from_se,
+    from_matrix,
+    from_rows,
+    random_block_unitary,
+)
+from shiftcalc import jsonio
+from shiftcalc.jsonio import (
+    _complex_matrix_array,
+    _complex_matrix_from_json,
+    _complex_matrix_to_json,
+    dump_json,
+)
+from shiftcalc.selftest import GOLDEN_WITNESS, arrow_from_witness
 
 
 def stdlib_dump(doc) -> str:
@@ -71,6 +86,73 @@ class TestDumpJson:
         doc["a"].append(doc)
         with pytest.raises(ValueError, match="Circular reference detected"):
             dump_json(doc)
+
+
+def to_lists(doc):
+    """``doc`` with every numpy array replaced by its tolist()."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: to_lists(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [to_lists(x) for x in doc]
+    return doc
+
+
+leaf_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-300, 1e16, 1.0, -1.0]),
+)
+
+
+@st.composite
+def array_leaves(draw):
+    """A (d, d, 2) float64 array of [re, im] pairs: built by the package's
+    converter from a complex block or its adjoint view, or a non-contiguous
+    view itself; at times with a non-finite entry, which takes the list path."""
+    d = draw(st.integers(1, 8))
+    values = draw(st.lists(leaf_values, min_size=2 * d * d, max_size=2 * d * d))
+    pairs = np.array(values, dtype=np.float64).reshape(d, d, 2)
+    if draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, n - 1)) for n in (d, d, 2))
+        pairs[i, j, k] = draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+    m = pairs.view(complex).reshape(d, d)
+    kind = draw(st.sampled_from(["block", "adjoint", "transposed view"]))
+    if kind == "transposed view":
+        return pairs.transpose(1, 0, 2)
+    return _complex_matrix_array(m.conj().T if kind == "adjoint" else m)
+
+
+@st.composite
+def nested_leaves(draw):
+    """An array leaf nested 0-4 levels deep in lists and dicts beside plain values."""
+    doc = draw(array_leaves())
+    for _ in range(draw(st.integers(0, 4))):
+        doc = draw(
+            st.sampled_from(
+                [[doc], [doc, 1.5], {"blocks": doc, "t": 0.25}, {"a": [doc, doc], "z": None}]
+            )
+        )
+    return doc
+
+
+class TestArrayLeaves:
+    @given(nested_leaves())
+    @settings(max_examples=150, deadline=None)
+    def test_match_the_stdlib_rendering_of_their_lists(self, doc):
+        assert dump_json(doc) == stdlib_dump(to_lists(doc))
+
+    def test_the_converter_gives_the_lists_of_the_list_converter(self):
+        m = np.array([[1 + 2j, -0.0 - 1j], [5e-324, 1e16j]])
+        for block in (m, m.conj().T):
+            leaf = _complex_matrix_array(block)
+            assert leaf.shape == (2, 2, 2) and leaf.dtype == np.float64
+            assert repr(leaf.tolist()) == repr(_complex_matrix_to_json(block))
+
+    def test_other_arrays_are_left_to_the_stdlib(self):
+        for doc in ([np.arange(3)], {"a": np.zeros(2, dtype=complex)}, [np.zeros(2), {1: 2}]):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                dump_json(doc)
 
 
 def old_complex_matrix_to_json(m):
@@ -146,3 +228,80 @@ class TestComplexMatrices:
     def test_reader_names_bad_shapes(self, doc, message):
         with pytest.raises(ParseError, match=message):
             _complex_matrix_from_json(doc, 2, "block 'x'")
+
+
+def json_paths(doc, prefix=()):
+    """Every node of a JSON document, as its path of keys and indices."""
+    yield prefix
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from json_paths(v, prefix + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from json_paths(v, prefix + (i,))
+
+
+def reader_documents():
+    """One valid document per schema, as a file would give it, with its reader."""
+    arrow = arrow_from_witness(GOLDEN_WITNESS, np.random.default_rng(3))
+    corr = from_matrix(from_rows([[2, 1], [1, 1]]))
+    unitary = random_block_unitary(corr, np.random.default_rng(4))
+    docs = {
+        "matrix": (jsonio.matrix_to_json(from_rows([[2, 1], [0, 3]])), jsonio.matrix_from_json),
+        "witness": (jsonio.witness_to_json(GOLDEN_WITNESS), jsonio.witness_from_json),
+        "block unitary": (
+            jsonio.block_unitary_to_json(unitary),
+            lambda doc: jsonio.block_unitary_from_json(doc, corr, corr),
+        ),
+        "arrow": (jsonio.arrow_to_json(arrow), jsonio.arrow_from_json),
+        "shift": (jsonio.shift_to_json(build_from_se(GOLDEN_WITNESS)), jsonio.shift_from_json),
+    }
+    return {name: (json.dumps(doc), reader) for name, (doc, reader) in docs.items()}
+
+
+READER_DOCUMENTS = reader_documents()
+REPLACEMENTS = [True, None, "x", [[1]], 10**400, float("nan"), 1e308]
+
+
+DELETE = object()
+
+
+def mutate(doc, path, replacement):
+    """``doc`` with the node at ``path`` replaced, or deleted when ``replacement``
+    is ``DELETE`` and the node is a dict entry."""
+    if not path:
+        return doc if replacement is DELETE else replacement
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is DELETE:
+        if isinstance(parent, dict):
+            del parent[path[-1]]
+    else:
+        parent[path[-1]] = json.loads(json.dumps(replacement))
+    return doc
+
+
+class TestReadersOnMutatedDocuments:
+    """A malformed document ends in a load or a typed error, never another exception."""
+
+    @pytest.mark.parametrize("schema", sorted(READER_DOCUMENTS))
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_load_or_typed_error(self, schema, data):
+        text, reader = READER_DOCUMENTS[schema]
+        doc = json.loads(text)
+        for _ in range(data.draw(st.integers(1, 2))):
+            path = data.draw(st.sampled_from(list(json_paths(doc))))
+            doc = mutate(doc, path, data.draw(st.sampled_from([*REPLACEMENTS, DELETE])))
+        try:
+            reader(doc)
+        except (ParseError, ShapeError, DomainError):
+            pass
+
+    def test_shift_with_a_lag_beyond_every_machine_integer(self):
+        text, reader = READER_DOCUMENTS["shift"]
+        doc = json.loads(text)
+        doc["lag"] = 10**400
+        with pytest.raises(ShapeError, match="does not fit the bundle"):
+            reader(doc)
