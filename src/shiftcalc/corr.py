@@ -377,9 +377,15 @@ def power_correspondence(obj: ObjectPair, m: int) -> GraphCorrespondence:
     if m == 0:
         n = len(obj.algebra_index)
         return from_matrix(int_identity(n), obj.algebra_index, obj.algebra_index)
-    acc = obj.x
-    for _ in range(m - 1):
-        acc = tensor(acc, obj.x)
+    # Repeated squaring: tensor concatenates factor sequences and ends arrays
+    # and multiplies dims, all associative, so every bracketing agrees.
+    acc, square = None, obj.x
+    while m:
+        if m & 1:
+            acc = square if acc is None else tensor(acc, square)
+        m >>= 1
+        if m:
+            square = tensor(square, square)
     return acc
 
 

@@ -1,11 +1,15 @@
 """Exact arbitrary-precision integer matrices and their normal forms.
 
-Everything in this module is pure Python integer arithmetic: no floats, no
-overflow.  It supplies the engine for the rest of the package -- matrix
-products and powers for witness verification, the invariant factors of the
-Smith normal form for cokernel invariants (the diagonal only; the unimodular
-transforms are never built), the division-free (Berkowitz) characteristic
-polynomial and the fraction-free (Bareiss) rank.
+Every result is an exact integer; no floats are involved.  Matrices live in
+Python integers, which cannot overflow.  The one place that uses fixed-width
+arithmetic is the characteristic polynomial: it works on int64 residues
+modulo primes p with n * (p - 1)**2 < 2**63, so every product of two residues
+and every sum of n such products fits, and a Hadamard bound makes the
+Chinese-remainder recovery exact.  The module supplies the engine for the
+rest of the package -- matrix products and powers for witness verification,
+the invariant factors of the Smith normal form for cokernel invariants (the
+diagonal only; the unimodular transforms are never built), the multi-modular
+Hessenberg characteristic polynomial and the fraction-free (Bareiss) rank.
 
 All values are immutable; every function returns fresh objects and is safe to
 call concurrently.
@@ -13,9 +17,12 @@ call concurrently.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DomainError, ShapeError
 
@@ -310,31 +317,133 @@ def poly_eval_matrix(p: IntPolynomial, a: IntMatrix) -> IntMatrix:
     return acc
 
 
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5 and 7, which is deterministic below
+    3215031751; every candidate here is at most 1 + isqrt(2**63 - 1)."""
+    if m < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if m % q == 0:
+            return m == q
+    d, s = m - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+#: Descending primes per size class k, built on first use: every prime p in
+#: ``_PRIME_TABLES[k]`` has 2**k * (p - 1)**2 < 2**63.
+_PRIME_TABLES: dict[int, list[int]] = {}
+
+
+def _moduli(n: int, exceed: int) -> list[int]:
+    """Primes p with n * (p - 1)**2 < 2**63, descending, until their product
+    exceeds ``exceed``: the largest ones with 2**k * (p - 1)**2 < 2**63 for
+    the size class 2**k >= n, from that class's table, extended as needed."""
+    k = (n - 1).bit_length()
+    table = _PRIME_TABLES.setdefault(k, [])
+    chosen, product = [], 1
+    while product <= exceed:
+        if len(chosen) == len(table):
+            q = table[-1] if table else 2 + math.isqrt((1 << (63 - k)) - 1)
+            q -= 1
+            while not _is_prime(q):
+                q -= 1
+            table.append(q)
+        chosen.append(table[len(chosen)])
+        product *= chosen[-1]
+    return chosen
+
+
+def _coefficient_bound(a: IntMatrix) -> int:
+    """B = prod_i (2 + isqrt(sum_j a_ij**2)) >= prod_i (1 + rho_i), rho_i the
+    2-norm of row i.  Coefficient c_k of det(tI - A) is +- the sum of the k-by-k
+    principal minors; Hadamard bounds each by the product of its rows' norms,
+    so |c_k| <= e_k(rho) <= B."""
+    bound = 1
+    for row in a.entries:
+        bound *= 2 + math.isqrt(sum(x * x for x in row))
+    return bound
+
+
 def char_poly(a: IntMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(tI - A), by Berkowitz's division-free
-    algorithm: bordering the leading r-by-r block A_r with row R, column C and
-    corner a_rr multiplies its coefficients (highest degree first) by the
-    lower-triangular Toeplitz matrix with first column
-    [1, -a_rr, -R C, -R A_r C, ..., -R A_r^(r-1) C].
+    """Characteristic polynomial det(tI - A), exactly, by Hessenberg reduction
+    modulo several primes at once and the Chinese remainder theorem (Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 2.2.9).
+
+    * Bound: every coefficient lies within B = prod_i (2 + isqrt(sum_j a_ij**2))
+      (see :func:`_coefficient_bound`).
+    * Primes: primes p with n * (p - 1)**2 < 2**63 (see :func:`_moduli`),
+      until their product M exceeds 2B.  Each residue lies in [0, p), so
+      every sum of at most n residue products fits an int64.
+    * Per prime, in one (K, n, n) array: the similarity reduction to upper
+      Hessenberg form H (pivot swaps, inverses through ``pow(x, -1, p)``),
+      then, with H_m its leading m-by-m block and 1-based indices, the
+      recurrence det(tI - H_m) = (t - h_mm) det(tI - H_(m-1))
+      - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) det(tI - H_(i-1)).
+    * Recovery: CRT into the symmetric range (-M/2, M/2], exact since |c_k| <= B.
     """
     if not a.is_square:
         raise ShapeError("characteristic polynomial requires a square matrix")
-    rows = a.entries
-    coeffs = [1]
-    for r in range(a.rows):
-        block = [row[:r] for row in rows[:r]]
-        bottom = rows[r][:r]
-        v = [row[r] for row in rows[:r]]
-        column = [1, -rows[r][r]]
-        for k in range(r):
-            if k:
-                v = [sum(map(operator.mul, row, v)) for row in block]
-            column.append(-sum(map(operator.mul, bottom, v)))
-        coeffs = [
-            sum(column[i - j] * coeffs[j] for j in range(min(i, r) + 1))
-            for i in range(r + 2)
-        ]
-    return poly(reversed(coeffs))
+    n = a.rows
+    primes = _moduli(n, 2 * _coefficient_bound(a))
+    p = np.array(primes, dtype=np.int64)[:, None]
+    rows = np.array(a.entries, dtype=object)
+    h = np.stack([(rows % q).astype(np.int64) for q in primes])
+
+    for m in range(1, n - 1):
+        # Pivot: the first nonzero entry of column m - 1 at or below row m.
+        if not h[:, m, m - 1].all():
+            piv = (h[:, m:, m - 1] != 0).argmax(axis=1) + m
+            ks = np.flatnonzero(piv != m)
+            ii = piv[ks]
+            h[ks, m], h[ks, ii] = h[ks, ii], h[ks, m].copy()
+            h[ks, :, m], h[ks, :, ii] = h[ks, :, ii], h[ks, :, m].copy()
+        inverse = np.array(
+            [pow(x, -1, q) if x else 0 for x, q in zip(h[:, m, m - 1].tolist(), primes)],
+            dtype=np.int64,
+        )
+        # Rows below m lose u times row m; column m gains the same multiples of
+        # their columns, which makes the step a similarity.
+        u = h[:, m + 1:, m - 1] * inverse[:, None] % p
+        h[:, m + 1:, m - 1:] -= u[:, :, None] * h[:, m, None, m - 1:]
+        h[:, m + 1:, m - 1:] %= p[:, :, None]
+        h[:, :, m] += np.einsum("kri,ki->kr", h[:, :, m + 1:], u)
+        h[:, :, m] %= p
+
+    # polys[:, m, d] is the t**d coefficient of det(tI - H_m), H_m the leading
+    # m-by-m block.  At corner c, sub[:, i] = h_(i+1,i) ... h_(c,c-1) for i <= c,
+    # the empty product 1 at i = c; the sum over i then takes in the h_cc term.
+    polys = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    sub = np.ones((len(primes), n), dtype=np.int64)
+    for c in range(n):
+        if c:
+            sub[:, :c] *= h[:, c, c - 1, None]
+            sub[:, :c] %= p
+        w = h[:, :c + 1, c] * sub[:, :c + 1] % p
+        nxt = polys[:, c + 1, :c + 2]
+        nxt[:, :-1] = -np.einsum("ki,kid->kd", w, polys[:, :c + 1, :c + 1])
+        nxt[:, 1:] += polys[:, c, :c + 1]
+        nxt %= p
+
+    coeffs = [0] * (n + 1)
+    modulus = 1
+    for q, residues in zip(primes, polys[:, n].tolist()):
+        inv = pow(modulus, -1, q)
+        coeffs = [x + modulus * ((r - x) * inv % q) for x, r in zip(coeffs, residues)]
+        modulus *= q
+    return poly(x - modulus if 2 * x > modulus else x for x in coeffs)
 
 
 def rank(a: IntMatrix) -> int:

@@ -67,20 +67,23 @@ class SSEChain:
                 raise CompositionError("consecutive chain steps do not share an endpoint")
 
 
+def _power_equals(a: IntMatrix, m: int, product: IntMatrix) -> bool:
+    """a^m == product, for nonnegative a and product.  The power is capped at
+    product's largest entry: an entry of a^m above it reads cap + 1 and
+    differs, the rest are exact, so the verdict is exact at any m."""
+    cap = max(max(row) for row in product.entries)
+    return mat_pow(a, m, cap=cap) == product
+
+
 def failing_equation(w: SEWitness) -> Optional[str]:
     """Name of the first defining equation that fails, or None if all hold."""
-    am = mat_pow(w.a, w.lag)
-    bm = mat_pow(w.b, w.lag)
     checks = (
-        (am, mat_mul(w.r, w.s)),
-        (bm, mat_mul(w.s, w.r)),
-        (mat_mul(w.b, w.s), mat_mul(w.s, w.a)),
-        (mat_mul(w.a, w.r), mat_mul(w.r, w.b)),
+        lambda: _power_equals(w.a, w.lag, mat_mul(w.r, w.s)),
+        lambda: _power_equals(w.b, w.lag, mat_mul(w.s, w.r)),
+        lambda: mat_mul(w.b, w.s) == mat_mul(w.s, w.a),
+        lambda: mat_mul(w.a, w.r) == mat_mul(w.r, w.b),
     )
-    for name, (lhs, rhs) in zip(SE_EQUATIONS, checks):
-        if lhs != rhs:
-            return name
-    return None
+    return next((name for name, holds in zip(SE_EQUATIONS, checks) if not holds()), None)
 
 
 def verify_se(w: SEWitness) -> bool:

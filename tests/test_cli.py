@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -67,6 +68,18 @@ class TestVerifySE:
         assert code == 1
         assert report["verdict"]["failing_equation"] == "A^m = RS"
         assert "A^m = RS" in err
+
+    def test_huge_lag_is_refuted_at_once(self, files, capsys, tmp_path):
+        one = write(tmp_path / "one.json", mat([[1]]))
+        start = time.perf_counter()
+        code, report, err = run(
+            capsys,
+            ["verify-se", "--a", files["two"], "--b", files["two"],
+             "--r", one, "--s", files["two"], "--lag", "1000000000"],
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert report["verdict"] == {"verified": False, "failing_equation": "A^m = RS"}
 
     def test_negative_entry_is_data_error(self, files, capsys, tmp_path):
         neg = write(tmp_path / "neg.json", mat([[1]]) | {"entries": [[-1]]})
@@ -164,6 +177,18 @@ class TestAlignedAndHomotopy:
         assert report["verdict"]["concrete"] is True
 
         code, report, _ = run(capsys, ["aligned", "verify", "--data", out_path])
+        assert code == 0
+        assert report["verdict"]["aligned"] is True
+
+    def test_huge_lag_bundle_verifies_at_once(self, capsys, tmp_path):
+        one = mat([[1]])
+        witness_path = write(tmp_path / "w.json", {"a": one, "b": one, "r": one, "s": one, "lag": 10**5})
+        out_path = str(tmp_path / "shift.json")
+        code, _, _ = run(capsys, ["aligned", "from-se", "--witness", witness_path, "--out", out_path])
+        assert code == 0
+        start = time.perf_counter()
+        code, report, _ = run(capsys, ["aligned", "verify", "--data", out_path])
+        assert time.perf_counter() - start < 1.0
         assert code == 0
         assert report["verdict"]["aligned"] is True
 
@@ -689,6 +714,22 @@ def test_one_process_answers_as_fresh_processes(files, capsys, monkeypatch):
             text=True,
         )
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_importing_the_cli_builds_no_prime_table():
+    # char_poly's prime tables are built on first use, never at import.
+    import shiftcalc
+
+    src = os.path.dirname(os.path.dirname(shiftcalc.__file__))
+    code = "import shiftcalc.cli, shiftcalc.exact; print(shiftcalc.exact._PRIME_TABLES)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "{}\n"
 
 
 def test_importing_the_cli_leaves_scipy_linalg_and_sympy_unloaded():

@@ -327,6 +327,18 @@ class TestArrows:
         for m in power_arrow(obj, 0).phi.blocks.values():
             assert np.array_equal(m, np.eye(m.shape[0]))
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_powers_by_squaring_match_the_left_fold(self, m):
+        rng = random.Random(500 + m)
+        for _ in range(4):
+            obj = object_pair(random_essential(rng, 3, 1))
+            power, left = power_correspondence(obj, m), reduce(tensor, [obj.x] * m)
+            assert power == left
+            assert (power.left_index, power.right_index) == (left.left_index, left.right_index)
+            assert len(power.ends) == len(left.ends)
+            for p, q in zip(power.ends, left.ends):
+                assert p.dtype == q.dtype and np.array_equal(p, q)
+
     def test_composed_powers_two_isomorphic_to_sum(self):
         obj = object_pair(from_rows([[1, 1], [1, 0]]))
         p2, p3 = power_arrow(obj, 2), power_arrow(obj, 3)

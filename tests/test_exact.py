@@ -1,3 +1,5 @@
+import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -20,6 +22,7 @@ from shiftcalc import (
     smith_normal_form,
     transpose,
 )
+from shiftcalc import exact
 from shiftcalc.exact import mat_sub, poly_eval_matrix, poly_strip_t
 
 
@@ -363,6 +366,82 @@ def _det(m):
     return total
 
 
+# ---------------------------------------------------------------------------
+# Reference characteristic polynomial.  The package computes it modulo primes
+# and recovers it by CRT; this is the earlier division-free algorithm on Python
+# integers, kept here as the oracle it is checked against.
+# ---------------------------------------------------------------------------
+
+
+def berkowitz(a):
+    """Characteristic polynomial det(tI - A), by Berkowitz's division-free
+    algorithm: bordering the leading r-by-r block A_r with row R, column C and
+    corner a_rr multiplies its coefficients (highest degree first) by the
+    lower-triangular Toeplitz matrix with first column
+    [1, -a_rr, -R C, -R A_r C, ..., -R A_r^(r-1) C].
+    """
+    if not a.is_square:
+        raise ShapeError("characteristic polynomial requires a square matrix")
+    rows = a.entries
+    coeffs = [1]
+    for r in range(a.rows):
+        block = [row[:r] for row in rows[:r]]
+        bottom = rows[r][:r]
+        v = [row[r] for row in rows[:r]]
+        column = [1, -rows[r][r]]
+        for k in range(r):
+            if k:
+                v = [sum(map(operator.mul, row, v)) for row in block]
+            column.append(-sum(map(operator.mul, bottom, v)))
+        coeffs = [
+            sum(column[i - j] * coeffs[j] for j in range(min(i, r) + 1))
+            for i in range(r + 2)
+        ]
+    return poly(reversed(coeffs))
+
+
+def check_against_berkowitz(a):
+    """char_poly agrees with the reference, and every coefficient lies within
+    the Hadamard bound that sized its primes."""
+    p = char_poly(a)
+    assert p == berkowitz(a)
+    assert max(map(abs, p.coeffs)) <= exact._coefficient_bound(a)
+    return p
+
+
+def sylvester_hadamard(order):
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return from_rows(h)
+
+
+def cycle_product(perm):
+    """prod (t^len - 1) over the cycles of ``perm``: det(tI - P) for the
+    permutation matrix P with P[i][perm[i]] = 1."""
+    coeffs, seen = [1], set()
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i, length = perm[i], length + 1
+        if length:  # multiply by t^length - 1
+            coeffs = [
+                (coeffs[k - length] if k >= length else 0) - (coeffs[k] if k < len(coeffs) else 0)
+                for k in range(len(coeffs) + length)
+            ]
+    return poly(coeffs)
+
+
+def near_prime_entries(n):
+    """Entries that are 0 or +-1 modulo the first primes of size n: p - 1, p,
+    p + 1 and small multiples of p, with both signs."""
+    values = {0, 1, -1}
+    for q in exact._moduli(n, 1 << 400):
+        values |= {s * x for s in (1, -1) for x in (q - 1, q, q + 1, 2 * q, 3 * q)}
+    return sorted(values)
+
+
 class TestCharPoly:
     def test_scalar(self):
         assert char_poly(from_rows([[2]])) == poly([-2, 1])
@@ -410,6 +489,70 @@ class TestCharPoly:
         a = from_rows([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
         assert is_essential(a)
         assert char_poly(a) == faddeev_leverrier(a)
+
+
+    @given(squares(8, 10**30))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_berkowitz_beyond_int64(self, a):
+        check_against_berkowitz(a)
+
+    @given(squares(12, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_berkowitz_with_negative_entries(self, a):
+        check_against_berkowitz(a)
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from(near_prime_entries(n)), min_size=n, max_size=n),
+                min_size=n, max_size=n,
+            )
+        ).map(from_rows)
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_berkowitz_at_multiples_of_the_primes(self, a):
+        check_against_berkowitz(a)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_sylvester_hadamard_reaches_the_hadamard_bound(self, sign):
+        h = sylvester_hadamard(32)
+        a = from_rows([[sign * x for x in row] for row in h.entries])
+        # |det| = 32^16: the rows are orthogonal, each of norm sqrt(32).
+        assert abs(check_against_berkowitz(a).constant_term()) == 2**80
+
+    @given(st.integers(1, 60).flatmap(lambda n: st.permutations(range(n))))
+    @settings(max_examples=15, deadline=None)
+    def test_permutation_matrices(self, perm):
+        n = len(perm)
+        a = from_rows([[int(perm[i] == j) for j in range(n)] for i in range(n)])
+        assert check_against_berkowitz(a) == cycle_product(perm)
+
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_zero_and_nilpotent_matrices(self, n, seed):
+        rng = random.Random(seed)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        # Strictly upper triangular, then relabelled by a permutation: nilpotent.
+        upper = [[rng.randint(-5, 5) if j > i else 0 for j in range(n)] for i in range(n)]
+        nilpotent = from_rows([[upper[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+        for a in (from_rows([[0] * n for _ in range(n)]), nilpotent):
+            assert check_against_berkowitz(a) == poly([0] * n + [1])
+
+    def test_table_primes_are_prime_and_overflow_free(self):
+        import sympy  # test-only oracle; the package never imports it
+
+        for n in (1, 2, 3, 40, 64, 65, 1000):
+            assert len(exact._moduli(n, 1 << 600)) > 1
+        for k, table in exact._PRIME_TABLES.items():
+            ceiling = 2 + math.isqrt((1 << (63 - k)) - 1)
+            # The table is every prime below the ceiling, descending, none skipped.
+            assert table[0] == sympy.prevprime(ceiling)
+            for q, smaller in zip(table, table[1:]):
+                assert smaller == sympy.prevprime(q)
+            for q in table:
+                assert sympy.isprime(q)
+                assert (1 << k) * (q - 1) ** 2 < 2**63
 
 
 class TestStripAndRank:

@@ -270,7 +270,7 @@ def mutate(doc, path, replacement):
     """``doc`` with the node at ``path`` replaced, or deleted when ``replacement``
     is ``DELETE`` and the node is a dict entry."""
     if not path:
-        return doc if replacement is DELETE else replacement
+        return doc if replacement is DELETE else json.loads(json.dumps(replacement))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]

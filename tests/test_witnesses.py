@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftcalc import (
     CompositionError,
@@ -21,6 +23,7 @@ from shiftcalc import (
     verify_elementary,
     verify_se,
 )
+from shiftcalc.witnesses import SE_EQUATIONS
 from tests.conftest import random_essential
 
 
@@ -61,6 +64,43 @@ class TestVerify:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(Exception):
             SEWitness(from_rows([[1]]), from_rows([[1]]), from_rows([[1, 1]]), from_rows([[1]]), 1)
+
+
+def uncapped_failing_equation(w):
+    """Reference: both powers multiplied out in full."""
+    checks = (
+        (mat_pow(w.a, w.lag), mat_mul(w.r, w.s)),
+        (mat_pow(w.b, w.lag), mat_mul(w.s, w.r)),
+        (mat_mul(w.b, w.s), mat_mul(w.s, w.a)),
+        (mat_mul(w.a, w.r), mat_mul(w.r, w.b)),
+    )
+    return next((name for name, (lhs, rhs) in zip(SE_EQUATIONS, checks) if lhs != rhs), None)
+
+
+class TestCappedPowers:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([None, "a", "b", "r", "s"]))
+    @settings(max_examples=120, deadline=None)
+    def test_capped_and_uncapped_decisions_agree(self, seed, lag, perturbed):
+        rng = random.Random(seed)
+        w = fold_chain(random_sse_chain(random_essential(rng, 3, 2), lag, seed))
+        if perturbed is not None:
+            rows = getattr(w, perturbed).to_lists()
+            i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+            rows[i][j] += 1 if rows[i][j] == 0 or rng.random() < 0.5 else -1
+            w = SEWitness(**{**vars(w), perturbed: from_rows(rows)})
+        assert failing_equation(w) == uncapped_failing_equation(w)
+        # Every entry of an essential witness feeds some product, so a
+        # perturbed one always fails.
+        assert (failing_equation(w) is None) == (perturbed is None)
+
+    def test_huge_lag_is_decided_at_once(self):
+        two, one = from_rows([[2]]), from_rows([[1]])
+        assert failing_equation(SEWitness(two, two, one, two, 10**9)) == "A^m = RS"
+        ones = from_rows([[1, 1], [1, 1]])
+        assert failing_equation(SEWitness(ones, ones, identity(2), ones, 10**9)) == "A^m = RS"
+        perm = from_rows([[0, 1], [1, 0]])
+        assert failing_equation(SEWitness(perm, perm, identity(2), identity(2), 10**9 + 1)) == "A^m = RS"
+        assert failing_equation(SEWitness(perm, perm, identity(2), identity(2), 10**9)) is None
 
 
 class TestReverseCompose:
