@@ -94,13 +94,10 @@ from .aligned import (
 from .homotopy import (
     ArrowHomotopy,
     UnitaryPath,
-    concatenate_homotopies,
     connect_unitaries,
-    constant_homotopy,
     homotopy_failure,
     homotopy_shift_equivalence_from_se,
     homotopy_to_identity,
-    reverse_homotopy,
     verify_homotopy,
 )
 

@@ -1,15 +1,17 @@
 """Exact arbitrary-precision integer matrices and their normal forms.
 
 Every result is an exact integer; no floats are involved.  Matrices live in
-Python integers, which cannot overflow.  The one place that uses fixed-width
-arithmetic is the characteristic polynomial: it works on int64 residues
-modulo primes p with n * (p - 1)**2 < 2**63, so every product of two residues
-and every sum of n such products fits, and a Hadamard bound makes the
-Chinese-remainder recovery exact.  The module supplies the engine for the
-rest of the package -- matrix products and powers for witness verification,
-the invariant factors of the Smith normal form for cokernel invariants (the
-diagonal only; the unimodular transforms are never built), the multi-modular
-Hessenberg characteristic polynomial and the fraction-free (Bareiss) rank.
+Python integers, which cannot overflow.  Two computations use fixed-width
+arithmetic: the characteristic polynomial and the adjugate product
+adj(I - A) B.  Both work on stacked int64 residues modulo primes p with
+n * (p - 1)**2 < 2**63, so every product of two residues and every sum of n
+such products fits, and a Hadamard bound makes the Chinese-remainder
+recovery exact.  The module supplies the engine for the rest of the package
+-- matrix products and powers for witness verification, the invariant
+factors of the Smith normal form, over Z or modulo an integer, for cokernel
+invariants (the diagonal only; the unimodular transforms are never built),
+the multi-modular Hessenberg characteristic polynomial, the adjugate of
+I - A from it, and the fraction-free (Bareiss) rank.
 
 All values are immutable; every function returns fresh objects and is safe to
 call concurrently.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,7 +80,9 @@ class IntMatrix:
 
 def from_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
     """Build an :class:`IntMatrix` from a nested sequence of integers."""
-    grid = tuple(tuple(_as_int(x) for x in r) for r in rows)
+    grid = tuple(map(tuple, rows))
+    if not {*map(type, chain.from_iterable(grid))} <= {int}:
+        grid = tuple(tuple(_as_int(x) for x in r) for r in grid)
     if not grid or not grid[0]:
         raise ShapeError("matrix must have at least one row and one column")
     return IntMatrix(len(grid), len(grid[0]), grid)
@@ -183,17 +188,26 @@ def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
     m[i], m[j] = m[j], m[i]
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
+def smith_normal_form(m: IntMatrix, modulus: int = 0) -> tuple[int, ...]:
     """Invariant factors of ``m`` over the integers: the diagonal of its Smith
     normal form, min(rows, cols) entries d1 | d2 | ..., nonnegative, zeros
     trailing.  The chain is unique, so no transforms are kept.
 
+    With ``modulus`` h >= 1 the same elimination runs over Z/hZ and returns
+    gcd(d_i, h) for each i (so h where d_i = 0): the invariant factors of the
+    lattice im(m) + hZ^rows.  Every entry stays reduced modulo h, and a pivot
+    whose column is clear becomes gcd(pivot, h), which the column h e_t of that
+    lattice allows, so the pivots divide h and keep their divisibility chain.
+    The default 0 is Z itself (gcd(d, 0) = d).
+
     Pivots are chosen as the smallest-absolute-value nonzero entry of the
     remaining block, ties broken by (row, col) position.
     """
-    work = m.to_lists()
+    h = modulus
+    work = [[x % h for x in row] for row in m.entries] if h else m.to_lists()
     r, c = m.rows, m.cols
     n = min(r, c)
+    diag = []
     for t in range(n):
         while True:
             # Smallest |x| != 0 in the trailing block, first in row-major
@@ -205,8 +219,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
                     p, pi = x, i
                     if p == 1:
                         break
-            if not p:
-                break  # the trailing block is zero
+            if not p:  # the trailing block is zero, and stays zero
+                return (*diag, *[h] * (n - t))
             _swap_rows(work, t, pi)
             pivot_row = work[t]
             pj = next(j for j in range(t, c) if abs(pivot_row[j]) == p)
@@ -221,10 +235,15 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
             for row in work[t + 1:]:
                 if row[t]:
                     q = row[t] // p
-                    row[t:] = [x - q * y for x, y in zip(row[t:], pivot_row[t:])]
+                    if h:
+                        row[t:] = [(x - q * y) % h for x, y in zip(row[t:], pivot_row[t:])]
+                    else:
+                        row[t:] = [x - q * y for x, y in zip(row[t:], pivot_row[t:])]
                     clear = clear and not row[t]
             if not clear:
                 continue  # a strictly smaller remainder exists; re-select pivot
+            if h:
+                p = pivot_row[t] = math.gcd(p, h)
             # Column t is clear below the pivot, so each column operation
             # that reduces row t changes row t alone.
             pivot_row[t + 1:] = [x % p for x in pivot_row[t + 1:]]
@@ -239,7 +258,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
             if offender is None:
                 break
             pivot_row[t + 1:] = offender[t + 1:]
-    return tuple(work[i][i] for i in range(n))
+        diag.append(work[t][t])
+    return tuple(diag)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +418,7 @@ def char_poly(a: IntMatrix) -> IntPolynomial:
     n = a.rows
     primes = _moduli(n, 2 * _coefficient_bound(a))
     p = np.array(primes, dtype=np.int64)[:, None]
-    rows = np.array(a.entries, dtype=object)
-    h = np.stack([(rows % q).astype(np.int64) for q in primes])
+    h = _residues(a, primes)
 
     for m in range(1, n - 1):
         # Pivot: the first nonzero entry of column m - 1 at or below row m.
@@ -437,13 +456,61 @@ def char_poly(a: IntMatrix) -> IntPolynomial:
         nxt[:, 1:] += polys[:, c, :c + 1]
         nxt %= p
 
-    coeffs = [0] * (n + 1)
+    return poly(_crt(polys[:, n].tolist(), primes))
+
+
+def adjugate_product(a: IntMatrix, chi: IntPolynomial, b: IntMatrix) -> IntMatrix:
+    """adj(I - A) B, exactly, from ``chi`` = det(tI - A) = sum_k c_k t**k.
+
+    * Adjugate: with D = chi(1) = det(I - A) and q(t) = (chi(t) - D) / (t - 1),
+      whose coefficients are the suffix sums q_k = sum_(j>k) c_j, Cayley-Hamilton
+      gives (I - A) q(A) = D I, so adj(I - A) = q(A).
+    * Bound: each entry of adj(I - A) is an (n-1)-minor of I - A, whose rows have
+      2-norms at most 1 + rho_i, so Hadamard bounds it by
+      :func:`_coefficient_bound`; an entry of the product is within that times
+      the largest column sum of |b|.
+    * q(A) B by Horner's rule, Y <- A Y + q_k B, on the stacked int64 residues
+      modulo primes from :func:`_moduli` whose product exceeds twice the bound,
+      then CRT into the symmetric range.  No matrix-matrix product is formed.
+    """
+    n = a.rows
+    if not a.is_square or b.rows != n or chi.degree != n:
+        raise ShapeError("adjugate product needs a square A, its characteristic polynomial and B with n rows")
+    column_sum = max(sum(map(abs, col)) for col in zip(*b.entries))
+    primes = _moduli(n, 2 * _coefficient_bound(a) * column_sum)
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    # q_(n-1), ..., q_0: the Horner order.
+    q = list(accumulate(reversed(chi.coeffs[1:])))
+    q_residues = np.array([[x % r for x in q] for r in primes], dtype=np.int64)
+    h, hb = _residues(a, primes), _residues(b, primes)
+    y = np.zeros_like(hb)
+    for k in range(n):
+        y = (h @ y % p + q_residues[:, k, None, None] * hb) % p
+    values = _crt(y.reshape(len(primes), -1).tolist(), primes)
+    return from_rows([values[i * b.cols:(i + 1) * b.cols] for i in range(n)])
+
+
+def _residues(a: IntMatrix, primes: list[int]) -> np.ndarray:
+    """The (K, rows, cols) int64 residues in [0, p) of ``a`` modulo each of the
+    K primes, from entries of any size and sign."""
+    try:
+        rows = np.array(a.entries, dtype=np.int64)
+    except OverflowError:
+        rows = np.array(a.entries, dtype=object)
+        return np.stack([(rows % q).astype(np.int64) for q in primes])
+    return rows % np.array(primes, dtype=np.int64)[:, None, None]
+
+
+def _crt(residues: list[list[int]], primes: list[int]) -> list[int]:
+    """The integers in the symmetric range (-M/2, M/2], M the product of
+    ``primes``, with ``residues[k]`` modulo ``primes[k]``, entry by entry."""
+    values = [0] * len(residues[0])
     modulus = 1
-    for q, residues in zip(primes, polys[:, n].tolist()):
+    for q, rs in zip(primes, residues):
         inv = pow(modulus, -1, q)
-        coeffs = [x + modulus * ((r - x) * inv % q) for x, r in zip(coeffs, residues)]
+        values = [x + modulus * ((r - x) * inv % q) for x, r in zip(values, rs)]
         modulus *= q
-    return poly(x - modulus if 2 * x > modulus else x for x in coeffs)
+    return [x - modulus if 2 * x > modulus else x for x in values]
 
 
 def rank(a: IntMatrix) -> int:

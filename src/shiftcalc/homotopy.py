@@ -26,7 +26,6 @@ from .corr import (
     ObjectPair,
     OneArrow,
     compose_one_arrows,
-    compose_unitaries,
     conjugate_arrow,
     identity_unitary,
     power_arrow,
@@ -43,14 +42,14 @@ class UnitaryPath:
     """A path of block unitaries from ``source`` to ``target``.
 
     ``samples`` lists (t, unitary) with strictly increasing t from 0 to 1.
-    When ``generator`` is present it holds the blockwise skew-Hermitian H
-    with U(t) = U(0) exp(tH); concatenated paths carry samples only.
+    ``generator`` holds the blockwise skew-Hermitian H with
+    U(t) = U(0) exp(tH), so the samples are determined by it.
     """
 
     source: BlockUnitary
     target: BlockUnitary
     samples: tuple
-    generator: Optional[dict]
+    generator: dict
 
     def __post_init__(self):
         if len(self.samples) < 2:
@@ -97,23 +96,6 @@ def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> Unitary
         }
         samples.append((t, BlockUnitary(u0.source, u0.target, blocks)))
     return UnitaryPath(u0, u1, tuple(samples), generator)
-
-
-def reverse_path(p: UnitaryPath) -> UnitaryPath:
-    """Time reversal t -> 1 - t; the generator flips sign relative to the new
-    starting point."""
-    samples = tuple((1.0 - t, u) for t, u in reversed(p.samples))
-    generator = None
-    if p.generator is not None:
-        generator = {ij: -h for ij, h in p.generator.items()}
-    return UnitaryPath(p.target, p.source, samples, generator)
-
-
-def concatenate_paths(p1: UnitaryPath, p2: UnitaryPath) -> UnitaryPath:
-    """Run p1 on [0, 1/2] and p2 on [1/2, 1]; sample-only (no generator)."""
-    first = tuple((t / 2, u) for t, u in p1.samples)
-    second = tuple((0.5 + t / 2, u) for t, u in p2.samples if t > 0.0)
-    return UnitaryPath(p1.source, p2.target, first + second, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,42 +160,6 @@ def verify_homotopy(h: ArrowHomotopy, tol: float = DEFAULT_TOL) -> bool:
     """True iff every sample is unitary and both endpoint squares commute
     within ``tol``."""
     return homotopy_failure(h, tol) is None
-
-
-def constant_homotopy(arrow: OneArrow) -> ArrowHomotopy:
-    """The reflexivity homotopy: the fiber is the arrow itself at every time."""
-    samples = ((0.0, arrow.phi), (1.0, arrow.phi))
-    zero_gen = {ij: np.zeros_like(m) for ij, m in arrow.phi.blocks.items()}
-    path = UnitaryPath(arrow.phi, arrow.phi, samples, zero_gen)
-    ident = identity_unitary(arrow.f)
-    return ArrowHomotopy(arrow, arrow, arrow.f, path, ident, ident)
-
-
-def reverse_homotopy(h: ArrowHomotopy) -> ArrowHomotopy:
-    """Symmetry: reverse time and swap the endpoint data."""
-    return ArrowHomotopy(
-        h.g_arrow, h.f_arrow, h.fiber, reverse_path(h.path), h.h1, h.h0
-    )
-
-
-def concatenate_homotopies(h1: ArrowHomotopy, h2: ArrowHomotopy) -> ArrowHomotopy:
-    """Transitivity: glue homotopies f ~ g and g ~ k along their g ends.
-
-    The second path is transported onto the first fiber through the
-    connecting unitary c = h2.h0* after h1.h1, which matches the seam fibers
-    exactly, so only sampled data survives (no closed-form generator).
-    """
-    if h1.g_arrow is not h2.f_arrow and h1.g_arrow != h2.f_arrow:
-        raise ShapeError("homotopies must share their middle arrow")
-    connect = compose_unitaries(h1.h1, h2.h0.adjoint())  # fiber1 -> fiber2
-    back = connect.adjoint()
-    transported = tuple(
-        (t, conjugate_arrow(h2.fiber_arrow(k), back).phi) for k, (t, _) in enumerate(h2.path.samples)
-    )
-    p2 = UnitaryPath(transported[0][1], transported[-1][1], transported, None)
-    path = concatenate_paths(h1.path, p2)
-    h1_end = compose_unitaries(connect, h2.h1)
-    return ArrowHomotopy(h1.f_arrow, h2.g_arrow, h1.fiber, path, h1.h0, h1_end)
 
 
 def homotopy_to_identity(

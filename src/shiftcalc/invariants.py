@@ -12,14 +12,18 @@ so two lists are equal iff the groups are isomorphic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .errors import DomainError
 from .exact import (
     IntMatrix,
     IntPolynomial,
+    adjugate_product,
     char_poly,
+    from_rows,
     identity,
     is_essential,
     mat_sub,
@@ -39,7 +43,10 @@ class DimensionInvariants:
 
     ``nonzero_char_poly`` is the characteristic polynomial with every factor
     of t removed; ``bowen_franks`` is the canonical invariant-factor list of
-    coker(I - A); ``eventual_rank`` is the rank of A^n for n the matrix size,
+    coker(I - A), taken from D = chi_A(1) = det(I - A), adj(I - A) = q(A) for
+    q(t) = (chi_A(t) - D) / (t - 1), and the Smith form modulo
+    h = gcd(D, adj(I - A) B) (see :func:`compute_invariants`);
+    ``eventual_rank`` is the rank of A^n for n the matrix size,
     which counts the nonzero eigenvalues with multiplicity and so is the
     degree of ``nonzero_char_poly``.  Being derived from that polynomial, it
     and ``det_away_from_zero`` are never the only separating invariant.
@@ -88,11 +95,37 @@ def cokernel_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 
 
 def compute_invariants(a: IntMatrix) -> DimensionInvariants:
-    """The full invariant battery for an essential matrix."""
+    """The full invariant battery for an essential matrix.
+
+    The Bowen-Franks factors d1 | ... | dn of M = I - A come from chi = det(tI - A),
+    computed once for the other invariants:
+
+    * D = chi(1) = det M.  D = 0 (a free summand) takes the Smith form over Z.
+    * adj M = q(A) for q(t) = (chi(t) - D) / (t - 1), by Cayley-Hamilton
+      (:func:`~shiftcalc.exact.adjugate_product`).  Every entry of adj M is an
+      (n-1)-minor, so a multiple of g = d1 ... d(n-1); hence g divides
+      h = gcd(D, entries of adj M B) for the two fixed columns B = (1, ..., 1)
+      and (1, ..., n), and h divides D.
+    * The Smith form modulo h gives gcd(di, h) = di for i < n, since di | g | h,
+      and dn = |D| / (d1 ... d(n-1)).  For h = 1 that is one pass over M.
+    """
     if not is_essential(a):
         raise DomainError("invariants are defined for essential matrices")
-    stripped, _ = poly_strip_t(char_poly(a))
-    bf = cokernel_invariant_factors(mat_sub(identity(a.rows), a))
+    chi = char_poly(a)
+    stripped, _ = poly_strip_t(chi)
+    m = mat_sub(identity(a.rows), a)
+    det = sum(chi.coeffs)
+    if det:
+        columns = from_rows([[1, j] for j in range(1, a.rows + 1)])
+        h = abs(det)
+        for y in chain.from_iterable(adjugate_product(a, chi, columns).entries):
+            h = math.gcd(h, y)
+            if h == 1:
+                break
+        factors = smith_normal_form(m, modulus=h)[:-1]
+        bf = tuple(d for d in (*factors, abs(det) // math.prod(factors)) if d != 1)
+    else:
+        bf = cokernel_invariant_factors(m)
     det_away = (-1) ** stripped.degree * stripped.constant_term()
     return DimensionInvariants(stripped, bf, stripped.degree, det_away)
 

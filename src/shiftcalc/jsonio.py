@@ -72,6 +72,15 @@ def matrix_from_json(doc) -> IntMatrix:
     rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
     _require(_is_int(rows) and _is_int(cols), "matrix shape must be integers")
     _require(isinstance(entries, list) and len(entries) == rows, "entry grid has the wrong number of rows")
+    if (
+        rows > 0
+        and cols > 0
+        and {*map(type, entries)} <= {list}
+        and {*map(len, entries)} == {cols}
+        and {*map(type, chain.from_iterable(entries))} <= {int}
+    ):
+        return IntMatrix(rows, cols, tuple(map(tuple, entries)))
+    # Entry by entry, so the error names the first offending row.
     for i, row in enumerate(entries):
         _require(isinstance(row, list) and len(row) == cols, f"row {i} has the wrong length")
         for x in row:
@@ -91,9 +100,9 @@ def parse_matrix_file(path: str) -> IntMatrix:
 def nonnegative_matrix_from_file(path: str) -> IntMatrix:
     m = parse_matrix_file(path)
     for i, row in enumerate(m.entries):
-        for j, x in enumerate(row):
-            if x < 0:
-                raise DomainError(f"{path}: entry ({i}, {j}) is negative ({x})")
+        if min(row) < 0:
+            j, x = next((j, x) for j, x in enumerate(row) if x < 0)
+            raise DomainError(f"{path}: entry ({i}, {j}) is negative ({x})")
     return m
 
 

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,13 @@ from shiftcalc import (
     ArrowHomotopy,
     BlockUnitary,
     DomainError,
+    OneArrow,
     SEWitness,
+    ShapeError,
     UnitaryPath,
-    concatenate_homotopies,
+    compose_unitaries,
     conjugate_arrow,
     connect_unitaries,
-    constant_homotopy,
     from_matrix,
     from_rows,
     homotopy_failure,
@@ -22,7 +25,6 @@ from shiftcalc import (
     object_pair,
     power_arrow,
     random_block_unitary,
-    reverse_homotopy,
     tensor,
     unitarity_defect,
     unitary_distance,
@@ -30,6 +32,72 @@ from shiftcalc import (
 )
 
 TOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Homotopy of arrows is an equivalence relation: reflexivity, symmetry and
+# transitivity, built from the package's paths and checked by its verifier.
+# ---------------------------------------------------------------------------
+
+
+class SampledPath(NamedTuple):
+    """A path known by its samples alone, as gluing two geodesics leaves it:
+    no single generator describes it."""
+
+    source: BlockUnitary
+    target: BlockUnitary
+    samples: tuple
+
+
+def reverse_path(p: UnitaryPath) -> UnitaryPath:
+    """Time reversal t -> 1 - t; the generator flips sign relative to the new
+    starting point."""
+    samples = tuple((1.0 - t, u) for t, u in reversed(p.samples))
+    generator = {ij: -h for ij, h in p.generator.items()}
+    return UnitaryPath(p.target, p.source, samples, generator)
+
+
+def concatenate_paths(p1, p2) -> SampledPath:
+    """Run p1 on [0, 1/2] and p2 on [1/2, 1]; sample-only (no generator)."""
+    first = tuple((t / 2, u) for t, u in p1.samples)
+    second = tuple((0.5 + t / 2, u) for t, u in p2.samples if t > 0.0)
+    return SampledPath(p1.source, p2.target, first + second)
+
+
+def constant_homotopy(arrow: OneArrow) -> ArrowHomotopy:
+    """The reflexivity homotopy: the fiber is the arrow itself at every time."""
+    samples = ((0.0, arrow.phi), (1.0, arrow.phi))
+    zero_gen = {ij: np.zeros_like(m) for ij, m in arrow.phi.blocks.items()}
+    path = UnitaryPath(arrow.phi, arrow.phi, samples, zero_gen)
+    ident = identity_unitary(arrow.f)
+    return ArrowHomotopy(arrow, arrow, arrow.f, path, ident, ident)
+
+
+def reverse_homotopy(h: ArrowHomotopy) -> ArrowHomotopy:
+    """Symmetry: reverse time and swap the endpoint data."""
+    return ArrowHomotopy(
+        h.g_arrow, h.f_arrow, h.fiber, reverse_path(h.path), h.h1, h.h0
+    )
+
+
+def concatenate_homotopies(h1: ArrowHomotopy, h2: ArrowHomotopy) -> ArrowHomotopy:
+    """Transitivity: glue homotopies f ~ g and g ~ k along their g ends.
+
+    The second path is transported onto the first fiber through the
+    connecting unitary c = h2.h0* after h1.h1, which matches the seam fibers
+    exactly, so only sampled data survives (no closed-form generator).
+    """
+    if h1.g_arrow is not h2.f_arrow and h1.g_arrow != h2.f_arrow:
+        raise ShapeError("homotopies must share their middle arrow")
+    connect = compose_unitaries(h1.h1, h2.h0.adjoint())  # fiber1 -> fiber2
+    back = connect.adjoint()
+    transported = tuple(
+        (t, conjugate_arrow(h2.fiber_arrow(k), back).phi) for k, (t, _) in enumerate(h2.path.samples)
+    )
+    p2 = SampledPath(transported[0][1], transported[-1][1], transported)
+    path = concatenate_paths(h1.path, p2)
+    h1_end = compose_unitaries(connect, h2.h1)
+    return ArrowHomotopy(h1.f_arrow, h2.g_arrow, h1.fiber, path, h1.h0, h1_end)
 
 
 class TestConnectUnitaries:
@@ -152,7 +220,7 @@ class TestVerifyHomotopy:
         corrupted_sample = bad_sample.replace_block(0, 0, bad_sample.block(0, 0) * 1.5)
         samples = list(h.path.samples)
         samples[3] = (t, corrupted_sample)
-        bad_path = UnitaryPath(h.path.source, h.path.target, tuple(samples), None)
+        bad_path = UnitaryPath(h.path.source, h.path.target, tuple(samples), h.path.generator)
         bad = ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, bad_path, h.h0, h.h1)
         assert not verify_homotopy(bad)
         assert "sample 3" in homotopy_failure(bad)

@@ -1,6 +1,10 @@
-"""Unused imports in the package: no linter is installed, so ``ast`` stands in."""
+"""Unused imports in the package, and the names the benchmark tracer rebinds.
+
+No linter is installed, so ``ast`` stands in.
+"""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -36,3 +40,20 @@ def test_the_check_sees_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def traced_names() -> list[str]:
+    """Every ``module.function`` in the benchmark tracer's ``LAYERS`` table,
+    read from its source: the tracer rebinds each one by ``getattr``."""
+    source = (pathlib.Path(__file__).parent.parent / "bench" / "spans.py").read_text(encoding="utf-8")
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]:
+            layers = ast.literal_eval(node.value)
+            return [f"{module}.{fn}" for module, fns in layers.items() for fn in fns]
+    raise AssertionError("bench/spans.py defines no LAYERS table")
+
+
+@pytest.mark.parametrize("name", traced_names())
+def test_traced_name_resolves(name):
+    module, fn = name.split(".")
+    assert callable(getattr(importlib.import_module(f"shiftcalc.{module}"), fn, None))

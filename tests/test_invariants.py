@@ -13,14 +13,17 @@ from shiftcalc import (
     compute_invariants,
     from_rows,
     fold_chain,
+    identity,
     is_essential,
     mat_pow,
     poly,
     random_sse_chain,
     rank,
+    smith_normal_form,
     transpose,
 )
-from shiftcalc.invariants import ONE_MINUS_T, ONE_MINUS_T_SQUARED, ONE_PLUS_T
+from shiftcalc.exact import _coefficient_bound, adjugate_product, mat_sub
+from shiftcalc.invariants import ONE_MINUS_T, ONE_MINUS_T_SQUARED, ONE_PLUS_T, cokernel_invariant_factors
 from tests.conftest import random_essential
 
 
@@ -127,6 +130,162 @@ class TestBowenFranksOrder:
         a = from_rows([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
         assert is_essential(a)
         self._check(a)
+
+
+def essential_of_size(rng, n, max_entry):
+    """Random essential n x n matrix, entries 0..max_entry; zero rows and
+    columns get a 1 at a random place."""
+    rows = [[rng.randint(0, max_entry) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        if not any(rows[i]):
+            rows[i][rng.randrange(n)] = 1
+    for j in range(n):
+        if not any(rows[i][j] for i in range(n)):
+            rows[rng.randrange(n)][j] = 1
+    return from_rows(rows)
+
+
+def permutation(rng, n):
+    perm = rng.sample(range(n), n)
+    return from_rows([[int(perm[i] == j) for j in range(n)] for i in range(n)])
+
+
+def block_sum(*blocks):
+    n = sum(b.rows for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + list(r) + [0] * (n - at - b.rows) for r in b.entries]
+        at += b.rows
+    return from_rows(rows)
+
+
+def sympy_bowen_franks(a):
+    """Canonical invariant factors of coker(I - A) from sympy's Smith form."""
+    import sympy  # test-only oracle; the package never imports it
+    from sympy.matrices.normalforms import invariant_factors
+
+    m = sympy.eye(a.rows) - sympy.Matrix(a.to_lists())
+    factors = [int(d) for d in invariant_factors(m, domain=sympy.ZZ)]
+    return tuple(d for d in factors if d not in (0, 1)) + (0,) * factors.count(0)
+
+
+class TestBowenFranksThroughTheAdjugate:
+    """``compute_invariants`` takes coker(I - A) from det(I - A) = chi_A(1), the
+    adjugate chi-quotient q(A) and the Smith form modulo the gcd h; the oracles
+    are the Smith form of I - A over Z and, up to n = 12, sympy."""
+
+    @staticmethod
+    def _check(a):
+        got = compute_invariants(a).bowen_franks
+        assert got == cokernel_invariant_factors(mat_sub(identity(a.rows), a))
+        if a.rows <= 12:
+            assert got == sympy_bowen_franks(a)
+        return got
+
+    @given(st.integers(1, 40), st.sampled_from([1, 3, 10**12]), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_random_essential(self, n, max_entry, seed):
+        self._check(essential_of_size(random.Random(seed), n, max_entry))
+
+    @given(st.integers(1, 20), st.integers(0, 2**32))
+    @settings(max_examples=15, deadline=None)
+    def test_entries_beyond_every_table_prime(self, n, seed):
+        self._check(essential_of_size(random.Random(seed), n, 10**30))
+
+    def test_entries_beyond_every_table_prime_at_n_40(self):
+        self._check(essential_of_size(random.Random(40), 40, 10**30))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 40])
+    def test_permutations_are_singular(self, n):
+        # det(I - P) = 0: one free summand per cycle, the Smith form over Z.
+        rng = random.Random(n)
+        for _ in range(3):
+            p = permutation(rng, n)
+            bf = self._check(p)
+            assert bf and set(bf) == {0}
+
+    @pytest.mark.parametrize("n", [2, 6, 12, 40])
+    def test_unit_determinant(self, n):
+        # Companion matrices of t^k - t^(k-1) - 1 (chi(1) = -1), block sums of
+        # them (D = +-1) and relabelings: the group is trivial and h = 1.
+        rng = random.Random(n)
+        for _ in range(3):
+            sizes, left = [], n
+            while left:
+                sizes.append(rng.randint(1, left))
+                left -= sizes[-1]
+            blocks = []
+            for k in sizes:
+                top = [1] + [0] * (k - 2) + [1] if k > 1 else [2]
+                blocks.append(from_rows([top] + [[int(j == i) for j in range(k)] for i in range(k - 1)]))
+            a = block_sum(*blocks)
+            perm = rng.sample(range(n), n)
+            a = from_rows([[a[perm[i], perm[j]] for j in range(n)] for i in range(n)])
+            assert abs(sum(char_poly(a).coeffs)) == 1
+            assert self._check(a) == ()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_scalar_matrices(self, n, k):
+        # coker((1 - k) I) = (Z/(k - 1))^n, by hand; k = 3 is diag(3, ..., 3), (Z/2)^n.
+        expected = (k - 1,) * n if k > 2 else ()
+        assert self._check(from_rows([[k * (i == j) for j in range(n)] for i in range(n)])) == expected
+
+    @pytest.mark.parametrize("copies,size", [(2, 3), (3, 4), (4, 10), (2, 20)])
+    def test_block_sums_of_equal_blocks(self, copies, size):
+        # coker of a block sum is the sum of the cokernels: each factor repeats.
+        rng = random.Random(copies * size)
+        for _ in range(2):
+            block = essential_of_size(rng, size, 3)
+            alone = cokernel_invariant_factors(mat_sub(identity(size), block))
+            got = self._check(block_sum(*[block] * copies))
+            assert sorted(got) == sorted(alone * copies)
+
+    @pytest.mark.parametrize("a", [[[1]], [[2]], [[3]], [[10**30]]])
+    def test_one_by_one(self, a):
+        assert self._check(from_rows(a)) == tuple(d for d in (abs(1 - a[0][0]),) if d != 1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_factor_lists_at_n_40(self, seed):
+        self._check(essential_of_size(random.Random(4000 + seed), 40, 3))
+
+    @given(st.integers(1, 8), st.sampled_from([3, 10**30]), st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_adjugate_product(self, n, max_entry, seed):
+        import sympy  # test-only oracle
+
+        rng = random.Random(seed)
+        a = from_rows([[rng.randint(-max_entry, max_entry) for _ in range(n)] for _ in range(n)])
+        b = from_rows([[rng.randint(-5, 5) for _ in range(2)] for _ in range(n)])
+        adj = (sympy.eye(n) - sympy.Matrix(a.to_lists())).adjugate()
+        assert max(map(abs, adj)) <= _coefficient_bound(a)
+        assert adjugate_product(a, char_poly(a), b).to_lists() == (adj * sympy.Matrix(b.to_lists())).tolist()
+
+
+class TestSmithNormalFormModulo:
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda r: st.integers(1, 7).flatmap(
+                lambda c: st.lists(
+                    st.lists(st.integers(-10**6, 10**6), min_size=c, max_size=c),
+                    min_size=r,
+                    max_size=r,
+                )
+            )
+        ).map(from_rows),
+        st.integers(1, 50),
+    )
+    @example(from_rows([[4, 0], [0, 6]]), 6)
+    @example(from_rows([[0]]), 7)
+    @example(from_rows([[5, 3]]), 1)
+    @settings(max_examples=300, deadline=None)
+    def test_is_gcd_with_the_factors_over_z(self, m, h):
+        assert smith_normal_form(m, modulus=h) == tuple(math.gcd(d, h) for d in smith_normal_form(m))
+
+    @pytest.mark.parametrize("h", [1, 2, 12, 50])
+    def test_on_i_minus_a_at_n_40(self, h):
+        m = mat_sub(identity(40), essential_of_size(random.Random(h), 40, 3))
+        assert smith_normal_form(m, modulus=h) == tuple(math.gcd(d, h) for d in smith_normal_form(m))
 
 
 class TestCompare:
