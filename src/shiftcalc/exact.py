@@ -1,16 +1,17 @@
 """Exact arbitrary-precision integer matrices and their normal forms.
 
-Every result is an exact integer; no floats are involved.  Matrices live in
-Python integers, which cannot overflow.  Two computations use fixed-width
-arithmetic: the characteristic polynomial and the adjugate product
-adj(I - A) B.  Both work on stacked int64 residues modulo primes p with
-n * (p - 1)**2 < 2**63, so every product of two residues and every sum of n
-such products fits, and a Hadamard bound makes the Chinese-remainder
-recovery exact.  The module supplies the engine for the rest of the package
--- matrix products and powers for witness verification, the invariant
-factors of the Smith normal form, over Z or modulo an integer, for cokernel
-invariants (the diagonal only; the unimodular transforms are never built),
-the multi-modular Hessenberg characteristic polynomial, the adjugate of
+Every result is an exact integer.  Matrices live in Python integers, which
+cannot overflow.  Two computations run on residues instead: the
+characteristic polynomial and the adjugate product adj(I - A) B.  Both come
+from one table of powers of A modulo primes p with 2**(2k) * (p - 1)**2 < 2**53
+for the size class 2**k > n, held as float64: every residue product, and every
+sum of up to n**2 of them, is a nonnegative integer below 2**53, so each BLAS
+product is exact, and a Hadamard bound makes the Chinese-remainder recovery
+exact.  The module supplies the engine for the rest of the package -- matrix
+products and powers for witness verification, the invariant factors of the
+Smith normal form, over Z or modulo an integer, for cokernel invariants (the
+diagonal only; the unimodular transforms are never built), the characteristic
+polynomial from traces of powers and Newton's identities, the adjugate of
 I - A from it, and the fraction-free (Bareiss) rank.
 
 All values are immutable; every function returns fresh objects and is safe to
@@ -103,7 +104,7 @@ def transpose(a: IntMatrix) -> IntMatrix:
 
 def is_nonnegative(a: IntMatrix) -> bool:
     """True iff every entry of ``a`` is >= 0."""
-    return all(x >= 0 for r in a.entries for x in r)
+    return min(map(min, a.entries)) >= 0
 
 
 def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -170,13 +171,7 @@ def is_essential(a: IntMatrix) -> bool:
         raise ShapeError("essentiality is defined for square matrices")
     if not is_nonnegative(a):
         raise DomainError("essentiality is defined for nonnegative matrices")
-    for i in range(a.rows):
-        if all(x == 0 for x in a.row(i)):
-            return False
-    for j in range(a.cols):
-        if all(x == 0 for x in a.col(j)):
-            return False
-    return True
+    return all(map(any, a.entries)) and all(map(any, zip(*a.entries)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +334,7 @@ def poly_eval_matrix(p: IntPolynomial, a: IntMatrix) -> IntMatrix:
 
 def _is_prime(m: int) -> bool:
     """Miller-Rabin with bases 2, 3, 5 and 7, which is deterministic below
-    3215031751; every candidate here is at most 1 + isqrt(2**63 - 1)."""
+    3215031751; every candidate here is below 2**27."""
     if m < 2:
         return False
     for q in (2, 3, 5, 7):
@@ -362,23 +357,29 @@ def _is_prime(m: int) -> bool:
 
 
 #: Descending primes per size class k, built on first use: every prime p in
-#: ``_PRIME_TABLES[k]`` has 2**k * (p - 1)**2 < 2**63.
+#: ``_PRIME_TABLES[k]`` has 2**(2k) * (p - 1)**2 < 2**53 and p > 2**k.
 _PRIME_TABLES: dict[int, list[int]] = {}
 
 
 def _moduli(n: int, exceed: int) -> list[int]:
-    """Primes p with n * (p - 1)**2 < 2**63, descending, until their product
-    exceeds ``exceed``: the largest ones with 2**k * (p - 1)**2 < 2**63 for
-    the size class 2**k >= n, from that class's table, extended as needed."""
-    k = (n - 1).bit_length()
+    """Primes for matrices of size n, descending, until their product exceeds
+    ``exceed``: the largest ones with 2**(2k) * (p - 1)**2 < 2**53 and p > 2**k
+    for the size class 2**k > n, from that class's table, extended as needed.
+
+    Raises :class:`DomainError` when the class runs out of such primes, which
+    happens at once for n >= 2**13.
+    """
+    k = n.bit_length()
     table = _PRIME_TABLES.setdefault(k, [])
     chosen, product = [], 1
     while product <= exceed:
         if len(chosen) == len(table):
-            q = table[-1] if table else 2 + math.isqrt((1 << (63 - k)) - 1)
-            q -= 1
-            while not _is_prime(q):
+            # The largest q with 2**(2k) * (q - 1)**2 <= 2**53 - 1, then downwards.
+            q = table[-1] - 1 if table else 1 + math.isqrt(((1 << 53) - 1) >> 2 * k)
+            while q > 1 << k and not _is_prime(q):
                 q -= 1
+            if q <= 1 << k:
+                raise DomainError(f"a {n}x{n} matrix is too large for exact float64 residue arithmetic")
             table.append(q)
         chosen.append(table[len(chosen)])
         product *= chosen[-1]
@@ -392,102 +393,157 @@ def _coefficient_bound(a: IntMatrix) -> int:
     so |c_k| <= e_k(rho) <= B."""
     bound = 1
     for row in a.entries:
-        bound *= 2 + math.isqrt(sum(x * x for x in row))
+        bound *= 2 + math.isqrt(sum(map(operator.mul, row, row)))
     return bound
 
 
-def char_poly(a: IntMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(tI - A), exactly, by Hessenberg reduction
-    modulo several primes at once and the Chinese remainder theorem (Cohen, A
-    Course in Computational Algebraic Number Theory, Alg. 2.2.9).
+def _reduce(c: np.ndarray, p: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """``c`` modulo ``p`` in place, for float64 integers 0 <= c < 2**53, with p
+    and ``inverse`` = 1/p broadcast against c.
 
-    * Bound: every coefficient lies within B = prod_i (2 + isqrt(sum_j a_ij**2))
-      (see :func:`_coefficient_bound`).
-    * Primes: primes p with n * (p - 1)**2 < 2**63 (see :func:`_moduli`),
-      until their product M exceeds 2B.  Each residue lies in [0, p), so
-      every sum of at most n residue products fits an int64.
-    * Per prime, in one (K, n, n) array: the similarity reduction to upper
-      Hessenberg form H (pivot swaps, inverses through ``pow(x, -1, p)``),
-      then, with H_m its leading m-by-m block and 1-based indices, the
-      recurrence det(tI - H_m) = (t - h_mm) det(tI - H_(m-1))
-      - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) det(tI - H_(i-1)).
-    * Recovery: CRT into the symmetric range (-M/2, M/2], exact since |c_k| <= B.
+    The quotient c * (1/p) carries a relative error of a few units in the last
+    place, so its floor is off by at most one and c - floor(c * (1/p)) * p lies
+    in [-p, 2p); one correction by +p or -p brings it into [0, p).  Every
+    value is an integer of magnitude below 2**53, so each step is exact.
+    """
+    q = c * inverse
+    np.floor(q, out=q)
+    q *= p
+    c -= q
+    np.add(c, p, out=c, where=c < 0)
+    np.subtract(c, p, out=c, where=c >= p)
+    return c
+
+
+@dataclass(frozen=True)
+class PowerTable:
+    """Powers of a square integer matrix A modulo primes p, held as float64,
+    from which both the characteristic polynomial and adj(I - A) B follow.
+
+    Build with :func:`power_table`.  With r = isqrt(n) + 1, ``baby[j, k]`` is
+    (A^T)^j for j < r (transposed, ready for the trace product) and
+    ``giant[i, k]`` is A^(ri) for i <= n // r, both modulo ``primes[k]``;
+    ``rhs[k]`` is B modulo ``primes[k]``.  The primes keep every product exact
+    (see :func:`char_poly`), and their product exceeds
+    2 * :func:`_coefficient_bound` (A) * (largest column sum of |B|).
+    """
+
+    primes: tuple[int, ...]
+    baby: np.ndarray
+    giant: np.ndarray
+    rhs: np.ndarray
+
+    def char_poly(self) -> IntPolynomial:
+        """det(tI - A), exactly, from the power sums s_k = tr(A^k).
+
+        * Traces: s_(ri+j) = tr(A^(ri) A^j) is the inner product of A^(ri)
+          with (A^j)^T, so all of them come from one batched product of the
+          flattened giant and baby powers, n**2 terms per sum.
+        * Newton's identities k e_k = sum_(i<=k) (-1)**(i-1) e_(k-i) s_i modulo
+          M, the product of the primes; each prime exceeds n, so k <= n is
+          invertible modulo M.
+        * c_(n-k) = (-1)**k e_k, taken in (-M/2, M/2]: exact, since
+          |c_k| <= B < M/2 (see :func:`_coefficient_bound`).
+        """
+        g, k, n, _ = self.giant.shape
+        r = len(self.baby)
+        p = np.array(self.primes, dtype=np.float64)[:, None, None]
+        giant = self.giant.reshape(g, k, n * n).transpose(1, 0, 2)
+        traces = giant @ self.baby.reshape(r, k, n * n).transpose(1, 2, 0)
+        traces = _reduce(traces, p, 1 / p).reshape(k, g * r)[:, 1:n + 1]
+        modulus = math.prod(self.primes)
+        # (-1)**(i-1) s_i for i = 1..n.
+        signed = [-s if i % 2 else s for i, s in enumerate(_crt(traces.astype(np.int64).tolist(), self.primes))]
+        e = [1]
+        for m in range(1, n + 1):
+            e.append(sum(map(operator.mul, reversed(e), signed)) * pow(m, -1, modulus) % modulus)
+        coeffs = [x if m % 2 == 0 else -x % modulus for m, x in enumerate(e)]
+        return poly(reversed([x - modulus if 2 * x > modulus else x for x in coeffs]))
+
+    def adjugate_product(self, chi: IntPolynomial) -> IntMatrix:
+        """adj(I - A) B, exactly, from ``chi`` = det(tI - A) = sum_k c_k t**k.
+
+        * Adjugate: with D = chi(1) = det(I - A) and q(t) = (chi(t) - D) / (t - 1),
+          whose coefficients are the suffix sums q_k = sum_(j>k) c_j, Cayley-Hamilton
+          gives (I - A) q(A) = D I, so adj(I - A) = q(A).
+        * Bound: each entry of adj(I - A) is an (n-1)-minor of I - A, whose rows have
+          2-norms at most 1 + rho_i, so Hadamard bounds it by
+          :func:`_coefficient_bound`; an entry of the product is within that times
+          the largest column sum of |B|, which sized the primes.
+        * q(A) B = sum_i A^(ri) (sum_j q_(ri+j) A^j B) (Paterson-Stockmeyer): one
+          product for the A^j B, one contraction with the residues of q, one with
+          the giant powers, then CRT into the symmetric range.
+        """
+        g, k, n, _ = self.giant.shape
+        r, cols = len(self.baby), self.rhs.shape[-1]
+        if chi.degree != n:
+            raise ShapeError("adjugate product needs the characteristic polynomial of A")
+        p = np.array(self.primes, dtype=np.float64)[:, None, None]
+        q = [*accumulate(reversed(chi.coeffs[1:]))][::-1]
+        q_residues = np.zeros((k, g * r))
+        q_residues[:, :n] = [[x % prime for x in q] for prime in self.primes]
+        powers_b = _reduce(self.baby.transpose(0, 1, 3, 2) @ self.rhs, p, 1 / p)
+        inner = q_residues.reshape(k, g, r) @ powers_b.reshape(r, k, n * cols).transpose(1, 0, 2)
+        inner = _reduce(inner, p, 1 / p).transpose(1, 0, 2).reshape(g, k, n, cols)
+        y = _reduce((self.giant @ inner).sum(axis=0), p, 1 / p)
+        values = _crt(y.astype(np.int64).reshape(k, -1).tolist(), self.primes)
+        return from_rows([values[i * cols:(i + 1) * cols] for i in range(n)])
+
+
+def power_table(a: IntMatrix, b: IntMatrix | None = None) -> PowerTable:
+    """The :class:`PowerTable` of A, with primes sized for det(tI - A) and, when
+    ``b`` is given, for adj(I - A) B as well.
+
+    Each baby and giant power is one batched product of (K, n, n) stacks,
+    reduced by :func:`_reduce` against full-size arrays of the primes (a
+    broadcast of K primes made the reduction three times slower).
     """
     if not a.is_square:
         raise ShapeError("characteristic polynomial requires a square matrix")
     n = a.rows
-    primes = _moduli(n, 2 * _coefficient_bound(a))
-    p = np.array(primes, dtype=np.int64)[:, None]
-    h = _residues(a, primes)
-
-    for m in range(1, n - 1):
-        # Pivot: the first nonzero entry of column m - 1 at or below row m.
-        if not h[:, m, m - 1].all():
-            piv = (h[:, m:, m - 1] != 0).argmax(axis=1) + m
-            ks = np.flatnonzero(piv != m)
-            ii = piv[ks]
-            h[ks, m], h[ks, ii] = h[ks, ii], h[ks, m].copy()
-            h[ks, :, m], h[ks, :, ii] = h[ks, :, ii], h[ks, :, m].copy()
-        inverse = np.array(
-            [pow(x, -1, q) if x else 0 for x, q in zip(h[:, m, m - 1].tolist(), primes)],
-            dtype=np.int64,
-        )
-        # Rows below m lose u times row m; column m gains the same multiples of
-        # their columns, which makes the step a similarity.
-        u = h[:, m + 1:, m - 1] * inverse[:, None] % p
-        h[:, m + 1:, m - 1:] -= u[:, :, None] * h[:, m, None, m - 1:]
-        h[:, m + 1:, m - 1:] %= p[:, :, None]
-        h[:, :, m] += np.einsum("kri,ki->kr", h[:, :, m + 1:], u)
-        h[:, :, m] %= p
-
-    # polys[:, m, d] is the t**d coefficient of det(tI - H_m), H_m the leading
-    # m-by-m block.  At corner c, sub[:, i] = h_(i+1,i) ... h_(c,c-1) for i <= c,
-    # the empty product 1 at i = c; the sum over i then takes in the h_cc term.
-    polys = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)
-    polys[:, 0, 0] = 1
-    sub = np.ones((len(primes), n), dtype=np.int64)
-    for c in range(n):
-        if c:
-            sub[:, :c] *= h[:, c, c - 1, None]
-            sub[:, :c] %= p
-        w = h[:, :c + 1, c] * sub[:, :c + 1] % p
-        nxt = polys[:, c + 1, :c + 2]
-        nxt[:, :-1] = -np.einsum("ki,kid->kd", w, polys[:, :c + 1, :c + 1])
-        nxt[:, 1:] += polys[:, c, :c + 1]
-        nxt %= p
-
-    return poly(_crt(polys[:, n].tolist(), primes))
-
-
-def adjugate_product(a: IntMatrix, chi: IntPolynomial, b: IntMatrix) -> IntMatrix:
-    """adj(I - A) B, exactly, from ``chi`` = det(tI - A) = sum_k c_k t**k.
-
-    * Adjugate: with D = chi(1) = det(I - A) and q(t) = (chi(t) - D) / (t - 1),
-      whose coefficients are the suffix sums q_k = sum_(j>k) c_j, Cayley-Hamilton
-      gives (I - A) q(A) = D I, so adj(I - A) = q(A).
-    * Bound: each entry of adj(I - A) is an (n-1)-minor of I - A, whose rows have
-      2-norms at most 1 + rho_i, so Hadamard bounds it by
-      :func:`_coefficient_bound`; an entry of the product is within that times
-      the largest column sum of |b|.
-    * q(A) B by Horner's rule, Y <- A Y + q_k B, on the stacked int64 residues
-      modulo primes from :func:`_moduli` whose product exceeds twice the bound,
-      then CRT into the symmetric range.  No matrix-matrix product is formed.
-    """
-    n = a.rows
-    if not a.is_square or b.rows != n or chi.degree != n:
-        raise ShapeError("adjugate product needs a square A, its characteristic polynomial and B with n rows")
-    column_sum = max(sum(map(abs, col)) for col in zip(*b.entries))
+    b = zeros(n, 1) if b is None else b
+    if b.rows != n:
+        raise ShapeError("adjugate product needs B with as many rows as A")
+    column_sum = max(1, *(sum(map(abs, col)) for col in zip(*b.entries)))
     primes = _moduli(n, 2 * _coefficient_bound(a) * column_sum)
-    p = np.array(primes, dtype=np.int64)[:, None, None]
-    # q_(n-1), ..., q_0: the Horner order.
-    q = list(accumulate(reversed(chi.coeffs[1:])))
-    q_residues = np.array([[x % r for x in q] for r in primes], dtype=np.int64)
-    h, hb = _residues(a, primes), _residues(b, primes)
-    y = np.zeros_like(hb)
-    for k in range(n):
-        y = (h @ y % p + q_residues[:, k, None, None] * hb) % p
-    values = _crt(y.reshape(len(primes), -1).tolist(), primes)
-    return from_rows([values[i * b.cols:(i + 1) * b.cols] for i in range(n)])
+    k, r = len(primes), math.isqrt(n) + 1
+    g = n // r + 1
+    p = np.repeat(np.array(primes, dtype=np.float64), n * n).reshape(k, n, n)
+    inverse = 1 / p
+    baby = np.empty((r, k, n, n))
+    baby[0] = np.eye(n)
+    baby[1] = _residues(a, primes).transpose(0, 2, 1)
+    for j in range(2, r):
+        _reduce(np.matmul(baby[j - 1], baby[1], out=baby[j]), p, inverse)
+    giant = np.empty((g, k, n, n))
+    giant[0] = np.eye(n)
+    if g > 1:
+        # A^r = A A^(r-1), each factor the transpose of a baby power.
+        _reduce(np.matmul(baby[1].transpose(0, 2, 1), baby[r - 1].transpose(0, 2, 1), out=giant[1]), p, inverse)
+    for i in range(2, g):
+        _reduce(np.matmul(giant[i - 1], giant[1], out=giant[i]), p, inverse)
+    return PowerTable(tuple(primes), baby, giant, _residues(b, primes).astype(np.float64))
+
+
+def char_poly(a: IntMatrix) -> IntPolynomial:
+    """Characteristic polynomial det(tI - A), exactly, by traces of powers
+    modulo several primes, Newton's identities and the Chinese remainder
+    theorem (Preparata-Sarwate 1978, with the baby-step/giant-step traces).
+
+    * Bound: every coefficient lies within B = prod_i (2 + isqrt(sum_j a_ij**2))
+      (see :func:`_coefficient_bound`).
+    * Primes: the largest primes p with 2**(2k) * (p - 1)**2 < 2**53 for the
+      size class 2**k > n (see :func:`_moduli`), until their product M exceeds
+      2B.  Residues lie in [0, p), so every product of two is a nonnegative
+      integer, and every partial sum of up to n**2 < 2**(2k) such products is
+      below 2**53: float64 BLAS products are exact in any order of summation,
+      with or without fused multiply-add.  Each product is reduced by
+      c - floor(c * (1/p)) * p and one correction by +-p (see :func:`_reduce`).
+      Each prime exceeds 2**k > n, so Newton's divisions by k <= n exist;
+      from n = 2**13 on no prime fits and :class:`DomainError` is raised.
+    * Powers and recovery: see :func:`power_table` and :meth:`PowerTable.char_poly`.
+    """
+    return power_table(a).char_poly()
 
 
 def _residues(a: IntMatrix, primes: list[int]) -> np.ndarray:

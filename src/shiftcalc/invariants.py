@@ -21,8 +21,6 @@ from .errors import DomainError
 from .exact import (
     IntMatrix,
     IntPolynomial,
-    adjugate_product,
-    char_poly,
     from_rows,
     identity,
     is_essential,
@@ -30,6 +28,7 @@ from .exact import (
     poly,
     poly_eval_matrix,
     poly_strip_t,
+    power_table,
     smith_normal_form,
 )
 
@@ -45,7 +44,8 @@ class DimensionInvariants:
     of t removed; ``bowen_franks`` is the canonical invariant-factor list of
     coker(I - A), taken from D = chi_A(1) = det(I - A), adj(I - A) = q(A) for
     q(t) = (chi_A(t) - D) / (t - 1), and the Smith form modulo
-    h = gcd(D, adj(I - A) B) (see :func:`compute_invariants`);
+    h = gcd(D, adj(I - A) B), where chi_A and q(A) B come from one table of
+    powers of A (see :func:`compute_invariants`);
     ``eventual_rank`` is the rank of A^n for n the matrix size,
     which counts the nonzero eigenvalues with multiplicity and so is the
     degree of ``nonzero_char_poly``.  Being derived from that polynomial, it
@@ -98,11 +98,13 @@ def compute_invariants(a: IntMatrix) -> DimensionInvariants:
     """The full invariant battery for an essential matrix.
 
     The Bowen-Franks factors d1 | ... | dn of M = I - A come from chi = det(tI - A),
-    computed once for the other invariants:
+    computed once for the other invariants.  One
+    :class:`~shiftcalc.exact.PowerTable` of A, with primes sized for both,
+    gives chi and adj M B:
 
     * D = chi(1) = det M.  D = 0 (a free summand) takes the Smith form over Z.
     * adj M = q(A) for q(t) = (chi(t) - D) / (t - 1), by Cayley-Hamilton
-      (:func:`~shiftcalc.exact.adjugate_product`).  Every entry of adj M is an
+      (:meth:`~shiftcalc.exact.PowerTable.adjugate_product`).  Every entry of adj M is an
       (n-1)-minor, so a multiple of g = d1 ... d(n-1); hence g divides
       h = gcd(D, entries of adj M B) for the two fixed columns B = (1, ..., 1)
       and (1, ..., n), and h divides D.
@@ -111,14 +113,14 @@ def compute_invariants(a: IntMatrix) -> DimensionInvariants:
     """
     if not is_essential(a):
         raise DomainError("invariants are defined for essential matrices")
-    chi = char_poly(a)
+    table = power_table(a, from_rows([[1, j] for j in range(1, a.rows + 1)]))
+    chi = table.char_poly()
     stripped, _ = poly_strip_t(chi)
     m = mat_sub(identity(a.rows), a)
     det = sum(chi.coeffs)
     if det:
-        columns = from_rows([[1, j] for j in range(1, a.rows + 1)])
         h = abs(det)
-        for y in chain.from_iterable(adjugate_product(a, chi, columns).entries):
+        for y in chain.from_iterable(table.adjugate_product(chi).entries):
             h = math.gcd(h, y)
             if h == 1:
                 break

@@ -513,6 +513,26 @@ class TestCharPoly:
     def test_matches_berkowitz_at_multiples_of_the_primes(self, a):
         check_against_berkowitz(a)
 
+    @given(
+        st.sampled_from([3, 4, 8, 9, 15, 16, 24, 25, 31, 32, 33, 63, 64, 65]),
+        st.sampled_from([5, 10**30]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_power_table_at_split_and_size_class_edges(self, n, bound, seed):
+        # n next to a square, where the baby-step count r = isqrt(n) + 1 moves,
+        # and next to 2**k, where the primes move.  char_poly against Berkowitz;
+        # adj(I - A) B through (I - A) adj(I - A) B = det(I - A) B.
+        rng = random.Random(seed)
+        a = from_rows([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
+        b = from_rows([[rng.randint(-bound, bound) for _ in range(2)] for _ in range(n)])
+        chi = check_against_berkowitz(a)
+        table = exact.power_table(a, b)
+        assert table.char_poly() == chi
+        det = sum(chi.coeffs)
+        expected = from_rows([[det * x for x in row] for row in b.entries])
+        assert mat_mul(mat_sub(identity(n), a), table.adjugate_product(chi)) == expected
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_sylvester_hadamard_reaches_the_hadamard_bound(self, sign):
         h = sylvester_hadamard(32)
@@ -539,20 +559,46 @@ class TestCharPoly:
         for a in (from_rows([[0] * n for _ in range(n)]), nilpotent):
             assert check_against_berkowitz(a) == poly([0] * n + [1])
 
+    def test_reduction_is_exact_next_to_multiples_of_the_primes(self):
+        # Next to a multiple of p, floor(c * (1/p)) can be off by one either
+        # way; the reduction still returns c mod p, up to c < 2**53.
+        import numpy as np
+
+        rng = random.Random(7)
+        for n in (1, 20, 40, 2**13 - 1):
+            for q in exact._moduli(n, 1 << 200):
+                top = ((1 << 53) - 1) // q
+                multiples = [rng.randrange(top) for _ in range(500)] + [top - 1, top]
+                c = [x * q + d for x in multiples for d in (-1, 0, 1) if 0 <= x * q + d < 2**53]
+                got = exact._reduce(np.array(c, dtype=np.float64), q, 1 / q)
+                assert got.tolist() == [x % q for x in c]
+
     def test_table_primes_are_prime_and_overflow_free(self):
+        # Float64 holds every integer below 2**53 exactly: with residues in
+        # [0, q), every sum of up to n**2 < 2**(2k) residue products stays
+        # there.  Each prime exceeds 2**k > n, so Newton's divisions by k <= n
+        # exist modulo their product.
         import sympy  # test-only oracle; the package never imports it
 
-        for n in (1, 2, 3, 40, 64, 65, 1000):
+        for n in (1, 2, 3, 31, 32, 40, 64, 65, 1000, 2**13 - 1):
             assert len(exact._moduli(n, 1 << 600)) > 1
         for k, table in exact._PRIME_TABLES.items():
-            ceiling = 2 + math.isqrt((1 << (63 - k)) - 1)
-            # The table is every prime below the ceiling, descending, none skipped.
-            assert table[0] == sympy.prevprime(ceiling)
+            # The largest q with 2**(2k) * (q - 1)**2 < 2**53.
+            ceiling = math.isqrt(2**53 >> 2 * k) + 2
+            while (1 << 2 * k) * (ceiling - 1) ** 2 >= 2**53:
+                ceiling -= 1
+            # The table is every prime up to the ceiling, descending, none skipped.
+            assert table[0] == sympy.prevprime(ceiling + 1)
             for q, smaller in zip(table, table[1:]):
                 assert smaller == sympy.prevprime(q)
             for q in table:
                 assert sympy.isprime(q)
-                assert (1 << k) * (q - 1) ** 2 < 2**63
+                assert (1 << 2 * k) * (q - 1) ** 2 < 2**53
+                assert q > 1 << k
+        # n = 2**13 is in class k = 14, which asks for q > 2**14 with
+        # (q - 1)**2 < 2**25: there is none, so the size is refused.
+        with pytest.raises(DomainError):
+            exact._moduli(2**13, 1)
 
 
 class TestStripAndRank:

@@ -22,7 +22,7 @@ from shiftcalc import (
     smith_normal_form,
     transpose,
 )
-from shiftcalc.exact import _coefficient_bound, adjugate_product, mat_sub
+from shiftcalc.exact import _coefficient_bound, mat_sub, power_table
 from shiftcalc.invariants import ONE_MINUS_T, ONE_MINUS_T_SQUARED, ONE_PLUS_T, cokernel_invariant_factors
 from tests.conftest import random_essential
 
@@ -249,17 +249,30 @@ class TestBowenFranksThroughTheAdjugate:
     def test_full_factor_lists_at_n_40(self, seed):
         self._check(essential_of_size(random.Random(4000 + seed), 40, 3))
 
-    @given(st.integers(1, 8), st.sampled_from([3, 10**30]), st.integers(0, 2**32))
-    @settings(max_examples=25, deadline=None)
-    def test_adjugate_product(self, n, max_entry, seed):
+    @given(
+        st.integers(1, 8),
+        st.sampled_from([3, 10**30]),
+        st.sampled_from([5, 10**40]),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_adjugate_product(self, n, max_entry, max_b, singular, seed):
         import sympy  # test-only oracle
 
         rng = random.Random(seed)
-        a = from_rows([[rng.randint(-max_entry, max_entry) for _ in range(n)] for _ in range(n)])
-        b = from_rows([[rng.randint(-5, 5) for _ in range(2)] for _ in range(n)])
+        rows = [[rng.randint(-max_entry, max_entry) for _ in range(n)] for _ in range(n)]
+        if singular:  # row 0 of I - A is zero, so D = det(I - A) = 0
+            rows[0] = [int(j == 0) for j in range(n)]
+        a = from_rows(rows)
+        # Entries of B up to 10**40 make the column sum, not A, size the primes.
+        b = from_rows([[rng.randint(-max_b, max_b) for _ in range(2)] for _ in range(n)])
         adj = (sympy.eye(n) - sympy.Matrix(a.to_lists())).adjugate()
         assert max(map(abs, adj)) <= _coefficient_bound(a)
-        assert adjugate_product(a, char_poly(a), b).to_lists() == (adj * sympy.Matrix(b.to_lists())).tolist()
+        table = power_table(a, b)
+        chi = table.char_poly()
+        assert chi == char_poly(a) and (sum(chi.coeffs) == 0 or not singular)
+        assert table.adjugate_product(chi).to_lists() == (adj * sympy.Matrix(b.to_lists())).tolist()
 
 
 class TestSmithNormalFormModulo:
