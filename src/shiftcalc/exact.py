@@ -7,7 +7,8 @@ from one table of powers of A modulo primes p with 2**(2k) * (p - 1)**2 < 2**53
 for the size class 2**k > n, held as float64: every residue product, and every
 sum of up to n**2 of them, is a nonnegative integer below 2**53, so each BLAS
 product is exact, and a Hadamard bound makes the Chinese-remainder recovery
-exact.  The module supplies the engine for the rest of the package -- matrix
+exact.  The table is built a few primes at a time, within ``_TABLE_BYTES``.
+The module supplies the engine for the rest of the package -- matrix
 products and powers for witness verification, the invariant factors of the
 Smith normal form, over Z or modulo an integer, for cokernel invariants (the
 diagonal only; the unimodular transforms are never built), the characteristic
@@ -366,8 +367,14 @@ def _moduli(n: int, exceed: int) -> list[int]:
     ``exceed``: the largest ones with 2**(2k) * (p - 1)**2 < 2**53 and p > 2**k
     for the size class 2**k > n, from that class's table, extended as needed.
 
-    Raises :class:`DomainError` when the class runs out of such primes, which
-    happens at once for n >= 2**13.
+    Each class has finitely many such primes, those in (2**k, 2**(26.5 - k)];
+    their product is about 2**265953 for k = 9 (n = 256..511), 2**131801 for
+    k = 10, 2**63579 for k = 11, 2**27413 for k = 12 and 2**4839 for k = 13
+    (n = 4096..8191), and at least 2**265953 below n = 256.  When ``exceed``
+    is larger, :class:`DomainError` is raised: the limit depends on n and on
+    the bound together.  Every 4096x4096 permutation matrix is refused (its
+    bound is 3**4096, about 2**6492), as is every matrix from n = 2**13 on,
+    whose class has no prime at all.
     """
     k = n.bit_length()
     table = _PRIME_TABLES.setdefault(k, [])
@@ -379,7 +386,9 @@ def _moduli(n: int, exceed: int) -> list[int]:
             while q > 1 << k and not _is_prime(q):
                 q -= 1
             if q <= 1 << k:
-                raise DomainError(f"a {n}x{n} matrix is too large for exact float64 residue arithmetic")
+                raise DomainError(
+                    f"a {n}x{n} matrix with these entries is too large for exact float64 residue arithmetic"
+                )
             table.append(q)
         chosen.append(table[len(chosen)])
         product *= chosen[-1]
@@ -415,99 +424,23 @@ def _reduce(c: np.ndarray, p: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     return c
 
 
-@dataclass(frozen=True)
-class PowerTable:
-    """Powers of a square integer matrix A modulo primes p, held as float64,
-    from which both the characteristic polynomial and adj(I - A) B follow.
+#: Bytes of baby and giant powers held at once.  Primes are taken in chunks
+#: that fit, so memory does not grow with the number of primes, that is with
+#: the size of the entries.  A chunk holds at least one prime, whose powers
+#: alone outgrow the budget from n = 256 on.
+_TABLE_BYTES = 1 << 24
 
-    Build with :func:`power_table`.  With r = isqrt(n) + 1, ``baby[j, k]`` is
-    (A^T)^j for j < r (transposed, ready for the trace product) and
-    ``giant[i, k]`` is A^(ri) for i <= n // r, both modulo ``primes[k]``;
-    ``rhs[k]`` is B modulo ``primes[k]``.  The primes keep every product exact
-    (see :func:`char_poly`), and their product exceeds
-    2 * :func:`_coefficient_bound` (A) * (largest column sum of |B|).
+
+def _powers(a: np.ndarray, primes: list[int], r: int, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """The baby powers (A^T)^j, j < r (transposed, ready for the trace
+    product), and the giant powers A^(ri), i < g, modulo each of the K
+    primes, as float64 (r, K, n, n) and (g, K, n, n) stacks.
+
+    Each power is one batched product of (K, n, n) stacks, reduced by
+    :func:`_reduce` against full-size arrays of the primes (a broadcast of K
+    primes made the reduction three times slower).
     """
-
-    primes: tuple[int, ...]
-    baby: np.ndarray
-    giant: np.ndarray
-    rhs: np.ndarray
-
-    def char_poly(self) -> IntPolynomial:
-        """det(tI - A), exactly, from the power sums s_k = tr(A^k).
-
-        * Traces: s_(ri+j) = tr(A^(ri) A^j) is the inner product of A^(ri)
-          with (A^j)^T, so all of them come from one batched product of the
-          flattened giant and baby powers, n**2 terms per sum.
-        * Newton's identities k e_k = sum_(i<=k) (-1)**(i-1) e_(k-i) s_i modulo
-          M, the product of the primes; each prime exceeds n, so k <= n is
-          invertible modulo M.
-        * c_(n-k) = (-1)**k e_k, taken in (-M/2, M/2]: exact, since
-          |c_k| <= B < M/2 (see :func:`_coefficient_bound`).
-        """
-        g, k, n, _ = self.giant.shape
-        r = len(self.baby)
-        p = np.array(self.primes, dtype=np.float64)[:, None, None]
-        giant = self.giant.reshape(g, k, n * n).transpose(1, 0, 2)
-        traces = giant @ self.baby.reshape(r, k, n * n).transpose(1, 2, 0)
-        traces = _reduce(traces, p, 1 / p).reshape(k, g * r)[:, 1:n + 1]
-        modulus = math.prod(self.primes)
-        # (-1)**(i-1) s_i for i = 1..n.
-        signed = [-s if i % 2 else s for i, s in enumerate(_crt(traces.astype(np.int64).tolist(), self.primes))]
-        e = [1]
-        for m in range(1, n + 1):
-            e.append(sum(map(operator.mul, reversed(e), signed)) * pow(m, -1, modulus) % modulus)
-        coeffs = [x if m % 2 == 0 else -x % modulus for m, x in enumerate(e)]
-        return poly(reversed([x - modulus if 2 * x > modulus else x for x in coeffs]))
-
-    def adjugate_product(self, chi: IntPolynomial) -> IntMatrix:
-        """adj(I - A) B, exactly, from ``chi`` = det(tI - A) = sum_k c_k t**k.
-
-        * Adjugate: with D = chi(1) = det(I - A) and q(t) = (chi(t) - D) / (t - 1),
-          whose coefficients are the suffix sums q_k = sum_(j>k) c_j, Cayley-Hamilton
-          gives (I - A) q(A) = D I, so adj(I - A) = q(A).
-        * Bound: each entry of adj(I - A) is an (n-1)-minor of I - A, whose rows have
-          2-norms at most 1 + rho_i, so Hadamard bounds it by
-          :func:`_coefficient_bound`; an entry of the product is within that times
-          the largest column sum of |B|, which sized the primes.
-        * q(A) B = sum_i A^(ri) (sum_j q_(ri+j) A^j B) (Paterson-Stockmeyer): one
-          product for the A^j B, one contraction with the residues of q, one with
-          the giant powers, then CRT into the symmetric range.
-        """
-        g, k, n, _ = self.giant.shape
-        r, cols = len(self.baby), self.rhs.shape[-1]
-        if chi.degree != n:
-            raise ShapeError("adjugate product needs the characteristic polynomial of A")
-        p = np.array(self.primes, dtype=np.float64)[:, None, None]
-        q = [*accumulate(reversed(chi.coeffs[1:]))][::-1]
-        q_residues = np.zeros((k, g * r))
-        q_residues[:, :n] = [[x % prime for x in q] for prime in self.primes]
-        powers_b = _reduce(self.baby.transpose(0, 1, 3, 2) @ self.rhs, p, 1 / p)
-        inner = q_residues.reshape(k, g, r) @ powers_b.reshape(r, k, n * cols).transpose(1, 0, 2)
-        inner = _reduce(inner, p, 1 / p).transpose(1, 0, 2).reshape(g, k, n, cols)
-        y = _reduce((self.giant @ inner).sum(axis=0), p, 1 / p)
-        values = _crt(y.astype(np.int64).reshape(k, -1).tolist(), self.primes)
-        return from_rows([values[i * cols:(i + 1) * cols] for i in range(n)])
-
-
-def power_table(a: IntMatrix, b: IntMatrix | None = None) -> PowerTable:
-    """The :class:`PowerTable` of A, with primes sized for det(tI - A) and, when
-    ``b`` is given, for adj(I - A) B as well.
-
-    Each baby and giant power is one batched product of (K, n, n) stacks,
-    reduced by :func:`_reduce` against full-size arrays of the primes (a
-    broadcast of K primes made the reduction three times slower).
-    """
-    if not a.is_square:
-        raise ShapeError("characteristic polynomial requires a square matrix")
-    n = a.rows
-    b = zeros(n, 1) if b is None else b
-    if b.rows != n:
-        raise ShapeError("adjugate product needs B with as many rows as A")
-    column_sum = max(1, *(sum(map(abs, col)) for col in zip(*b.entries)))
-    primes = _moduli(n, 2 * _coefficient_bound(a) * column_sum)
-    k, r = len(primes), math.isqrt(n) + 1
-    g = n // r + 1
+    k, n = len(primes), len(a)
     p = np.repeat(np.array(primes, dtype=np.float64), n * n).reshape(k, n, n)
     inverse = 1 / p
     baby = np.empty((r, k, n, n))
@@ -522,7 +455,87 @@ def power_table(a: IntMatrix, b: IntMatrix | None = None) -> PowerTable:
         _reduce(np.matmul(baby[1].transpose(0, 2, 1), baby[r - 1].transpose(0, 2, 1), out=giant[1]), p, inverse)
     for i in range(2, g):
         _reduce(np.matmul(giant[i - 1], giant[1], out=giant[i]), p, inverse)
-    return PowerTable(tuple(primes), baby, giant, _residues(b, primes).astype(np.float64))
+    return baby, giant
+
+
+def _modular_char_poly_and_adjugate(
+    a: np.ndarray, b: np.ndarray | None, primes: list[int], r: int, g: int
+) -> tuple[list[int], list[int] | None]:
+    """c_0, ..., c_n of det(tI - A) and, when ``b`` is given, the entries of
+    adj(I - A) B, row by row, modulo the product of ``primes``, from their
+    baby and giant powers (see :func:`_char_poly_and_adjugate`); A and B come
+    as :func:`_as_array` arrays.  The powers are freed on return."""
+    k, n, modulus = len(primes), len(a), math.prod(primes)
+    baby, giant = _powers(a, primes, r, g)
+    p = np.array(primes, dtype=np.float64)[:, None, None]
+    traces = giant.reshape(g, k, n * n).transpose(1, 0, 2) @ baby.reshape(r, k, n * n).transpose(1, 2, 0)
+    traces = _reduce(traces, p, 1 / p).reshape(k, g * r)[:, 1:n + 1]
+    # (-1)**(i-1) s_i for i = 1..n.
+    signed = [-s if i % 2 else s for i, s in enumerate(_crt(traces.astype(np.int64).tolist(), primes))]
+    e = [1]
+    for m in range(1, n + 1):
+        e.append(sum(map(operator.mul, reversed(e), signed)) * pow(m, -1, modulus) % modulus)
+    chi = [x if m % 2 == 0 else -x % modulus for m, x in enumerate(e)][::-1]
+    if b is None:
+        return chi, None
+    q = [*accumulate(reversed(chi[1:]))][::-1]
+    q_residues = np.zeros((k, g * r))
+    q_residues[:, :n] = [[x % prime for x in q] for prime in primes]
+    powers_b = _reduce(baby.transpose(0, 1, 3, 2) @ _residues(b, primes).astype(np.float64), p, 1 / p)
+    cols = b.shape[1]
+    inner = q_residues.reshape(k, g, r) @ powers_b.reshape(r, k, n * cols).transpose(1, 0, 2)
+    inner = _reduce(inner, p, 1 / p).transpose(1, 0, 2).reshape(g, k, n, cols)
+    y = _reduce((giant @ inner).sum(axis=0), p, 1 / p)
+    return chi, _crt(y.astype(np.int64).reshape(k, -1).tolist(), primes)
+
+
+def _char_poly_and_adjugate(a: IntMatrix, b: IntMatrix | None = None) -> tuple[IntPolynomial, IntMatrix | None]:
+    """det(tI - A) and, when ``b`` is given, adj(I - A) B, exactly, from one
+    table of powers of A modulo primes (see :func:`char_poly` for the primes
+    and why every product is exact).
+
+    * Primes: their product M exceeds 2 * :func:`_coefficient_bound` (A) times
+      the largest column sum of |B|.  They are taken in chunks whose powers
+      fit in ``_TABLE_BYTES``; each chunk, with product M_c, yields chi and
+      adj(I - A) B modulo M_c (:func:`_modular_char_poly_and_adjugate`), and a
+      last CRT over the chunks lifts both into (-M/2, M/2].
+    * Table: with r = isqrt(n) + 1, the baby powers A^j, j < r, and the giant
+      powers A^(ri), i <= n // r (see :func:`_powers`).
+    * chi: s_(ri+j) = tr(A^(ri) A^j) is the inner product of A^(ri) with
+      (A^j)^T, so every power sum comes from one batched product of the
+      flattened giant and baby powers, n**2 terms per sum.  Newton's
+      identities k e_k = sum_(i<=k) (-1)**(i-1) e_(k-i) s_i run modulo M_c
+      (each prime exceeds n, so k <= n is invertible), and
+      c_(n-k) = (-1)**k e_k.  Exact, since |c_k| <= :func:`_coefficient_bound` (A)
+      < M/2.
+    * Adjugate: with D = chi(1) = det(I - A) and q(t) = (chi(t) - D) / (t - 1),
+      whose coefficients are the suffix sums q_k = sum_(j>k) c_j, Cayley-Hamilton
+      gives (I - A) q(A) = D I, so adj(I - A) = q(A).  Each entry of adj(I - A)
+      is an (n-1)-minor of I - A, whose rows have 2-norms at most 1 + rho_i, so
+      Hadamard bounds it by :func:`_coefficient_bound` (A), and an entry of
+      the product by that times the largest column sum of |B|.  q(A) B = sum_i A^(ri) (sum_j q_(ri+j) A^j B)
+      (Paterson-Stockmeyer): one product for the A^j B, one contraction with
+      the residues of q, one with the giant powers.
+    """
+    if not a.is_square:
+        raise ShapeError("characteristic polynomial requires a square matrix")
+    n = a.rows
+    if b is not None and b.rows != n:
+        raise ShapeError("adjugate product needs B with as many rows as A")
+    column_sum = 1 if b is None else max(1, *(sum(map(abs, col)) for col in zip(*b.entries)))
+    primes = _moduli(n, 2 * _coefficient_bound(a) * column_sum)
+    r = math.isqrt(n) + 1
+    g = n // r + 1
+    chunk = max(1, _TABLE_BYTES // (8 * (r + g) * n * n))
+    parts = [primes[i:i + chunk] for i in range(0, len(primes), chunk)]
+    rows, rhs = _as_array(a), None if b is None else _as_array(b)
+    chis, adjugates = zip(*(_modular_char_poly_and_adjugate(rows, rhs, part, r, g) for part in parts))
+    moduli = [*map(math.prod, parts)]
+    chi = poly(_crt(chis, moduli))
+    if b is None:
+        return chi, None
+    values = _crt(adjugates, moduli)
+    return chi, from_rows([values[i * b.cols:(i + 1) * b.cols] for i in range(n)])
 
 
 def char_poly(a: IntMatrix) -> IntPolynomial:
@@ -539,30 +552,40 @@ def char_poly(a: IntMatrix) -> IntPolynomial:
       below 2**53: float64 BLAS products are exact in any order of summation,
       with or without fused multiply-add.  Each product is reduced by
       c - floor(c * (1/p)) * p and one correction by +-p (see :func:`_reduce`).
-      Each prime exceeds 2**k > n, so Newton's divisions by k <= n exist;
-      from n = 2**13 on no prime fits and :class:`DomainError` is raised.
-    * Powers and recovery: see :func:`power_table` and :meth:`PowerTable.char_poly`.
+      Each prime exceeds 2**k > n, so Newton's divisions by k <= n exist.
+      A size class has finitely many such primes, so :class:`DomainError` is
+      raised when B outgrows them (see :func:`_moduli`): for every matrix from
+      n = 2**13 on, and earlier for large entries or large n.
+    * Powers and recovery: see :func:`_char_poly_and_adjugate`.
     """
-    return power_table(a).char_poly()
+    return _char_poly_and_adjugate(a)[0]
 
 
-def _residues(a: IntMatrix, primes: list[int]) -> np.ndarray:
-    """The (K, rows, cols) int64 residues in [0, p) of ``a`` modulo each of the
-    K primes, from entries of any size and sign."""
+def _as_array(a: IntMatrix) -> np.ndarray:
+    """The entries of ``a`` as an int64 array, or as an object array of
+    Python ints when some entry does not fit in int64."""
     try:
-        rows = np.array(a.entries, dtype=np.int64)
+        return np.array(a.entries, dtype=np.int64)
     except OverflowError:
-        rows = np.array(a.entries, dtype=object)
-        return np.stack([(rows % q).astype(np.int64) for q in primes])
-    return rows % np.array(primes, dtype=np.int64)[:, None, None]
+        return np.array(a.entries, dtype=object)
 
 
-def _crt(residues: list[list[int]], primes: list[int]) -> list[int]:
-    """The integers in the symmetric range (-M/2, M/2], M the product of
-    ``primes``, with ``residues[k]`` modulo ``primes[k]``, entry by entry."""
+def _residues(a: np.ndarray, primes: list[int]) -> np.ndarray:
+    """The (K, rows, cols) int64 residues in [0, p) of the :func:`_as_array`
+    array ``a`` modulo each of the K primes, from entries of any size and
+    sign."""
+    if a.dtype == object:
+        return np.stack([(a % q).astype(np.int64) for q in primes])
+    return a % np.array(primes, dtype=np.int64)[:, None, None]
+
+
+def _crt(residues: list[list[int]], moduli: list[int]) -> list[int]:
+    """The integers in the symmetric range (-M/2, M/2], M the product of the
+    pairwise coprime ``moduli``, with ``residues[k]`` modulo ``moduli[k]``,
+    entry by entry."""
     values = [0] * len(residues[0])
     modulus = 1
-    for q, rs in zip(primes, residues):
+    for q, rs in zip(moduli, residues):
         inv = pow(modulus, -1, q)
         values = [x + modulus * ((r - x) * inv % q) for x, r in zip(values, rs)]
         modulus *= q

@@ -21,6 +21,7 @@ from .errors import DomainError
 from .exact import (
     IntMatrix,
     IntPolynomial,
+    _char_poly_and_adjugate,
     from_rows,
     identity,
     is_essential,
@@ -28,7 +29,6 @@ from .exact import (
     poly,
     poly_eval_matrix,
     poly_strip_t,
-    power_table,
     smith_normal_form,
 )
 
@@ -98,14 +98,14 @@ def compute_invariants(a: IntMatrix) -> DimensionInvariants:
     """The full invariant battery for an essential matrix.
 
     The Bowen-Franks factors d1 | ... | dn of M = I - A come from chi = det(tI - A),
-    computed once for the other invariants.  One
-    :class:`~shiftcalc.exact.PowerTable` of A, with primes sized for both,
-    gives chi and adj M B:
+    computed once for the other invariants.  One table of powers of A, with
+    primes sized for both, gives chi and adj M B
+    (:func:`~shiftcalc.exact._char_poly_and_adjugate`):
 
     * D = chi(1) = det M.  D = 0 (a free summand) takes the Smith form over Z.
-    * adj M = q(A) for q(t) = (chi(t) - D) / (t - 1), by Cayley-Hamilton
-      (:meth:`~shiftcalc.exact.PowerTable.adjugate_product`).  Every entry of adj M is an
-      (n-1)-minor, so a multiple of g = d1 ... d(n-1); hence g divides
+    * adj M = q(A) for q(t) = (chi(t) - D) / (t - 1), by Cayley-Hamilton.
+      Every entry of adj M is an (n-1)-minor, so a multiple of
+      g = d1 ... d(n-1); hence g divides
       h = gcd(D, entries of adj M B) for the two fixed columns B = (1, ..., 1)
       and (1, ..., n), and h divides D.
     * The Smith form modulo h gives gcd(di, h) = di for i < n, since di | g | h,
@@ -113,14 +113,13 @@ def compute_invariants(a: IntMatrix) -> DimensionInvariants:
     """
     if not is_essential(a):
         raise DomainError("invariants are defined for essential matrices")
-    table = power_table(a, from_rows([[1, j] for j in range(1, a.rows + 1)]))
-    chi = table.char_poly()
+    chi, adjugate = _char_poly_and_adjugate(a, from_rows([[1, j] for j in range(1, a.rows + 1)]))
     stripped, _ = poly_strip_t(chi)
     m = mat_sub(identity(a.rows), a)
     det = sum(chi.coeffs)
     if det:
         h = abs(det)
-        for y in chain.from_iterable(table.adjugate_product(chi).entries):
+        for y in chain.from_iterable(adjugate.entries):
             h = math.gcd(h, y)
             if h == 1:
                 break

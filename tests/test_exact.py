@@ -409,6 +409,16 @@ def check_against_berkowitz(a):
     return p
 
 
+def assert_char_poly_and_adjugate(a, b, chi):
+    """The shared table gives ``chi``, and its adj(I - A) B passes
+    (I - A) adj(I - A) B = det(I - A) B."""
+    got, adjugate = exact._char_poly_and_adjugate(a, b)
+    assert got == chi
+    det = sum(chi.coeffs)
+    expected = from_rows([[det * x for x in row] for row in b.entries])
+    assert mat_mul(mat_sub(identity(a.rows), a), adjugate) == expected
+
+
 def sylvester_hadamard(order):
     h = [[1]]
     while len(h) < order:
@@ -527,11 +537,20 @@ class TestCharPoly:
         a = from_rows([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
         b = from_rows([[rng.randint(-bound, bound) for _ in range(2)] for _ in range(n)])
         chi = check_against_berkowitz(a)
-        table = exact.power_table(a, b)
-        assert table.char_poly() == chi
-        det = sum(chi.coeffs)
-        expected = from_rows([[det * x for x in row] for row in b.entries])
-        assert mat_mul(mat_sub(identity(n), a), table.adjugate_product(chi)) == expected
+        assert_char_poly_and_adjugate(a, b, chi)
+
+    @pytest.mark.parametrize("n, bound", [(1, 10**30), (9, 5), (16, 10**30), (33, 3), (65, 10**30)])
+    def test_primes_in_chunks_of_one(self, monkeypatch, n, bound):
+        # A table budget below one prime's powers makes every prime its own
+        # chunk, as at large n, so the last CRT combines several chunks.
+        rng = random.Random(n)
+        a = from_rows([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
+        b = from_rows([[rng.randint(-bound, bound) for _ in range(2)] for _ in range(n)])
+        chi = berkowitz(a)
+        monkeypatch.setattr(exact, "_TABLE_BYTES", 1)
+        assert len(exact._moduli(n, 2 * exact._coefficient_bound(a))) > 1
+        assert char_poly(a) == chi
+        assert_char_poly_and_adjugate(a, b, chi)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_sylvester_hadamard_reaches_the_hadamard_bound(self, sign):
@@ -599,6 +618,21 @@ class TestCharPoly:
         # (q - 1)**2 < 2**25: there is none, so the size is refused.
         with pytest.raises(DomainError):
             exact._moduli(2**13, 1)
+
+    def test_size_classes_run_out_of_primes_before_n_reaches_2_13(self):
+        # An n x n permutation matrix has bound 3**n.  Class k = 13
+        # (n = 4096..8191) has primes in (8192, 11586] only, whose product is
+        # about 2**4839 < 2 * 3**4096: already n = 4096 is refused.  Class
+        # k = 12 holds about 2**27413, enough for n = 4095.
+        assert exact._coefficient_bound(from_rows([[int(j == (i + 1) % 7) for j in range(7)] for i in range(7)])) == 3**7
+        with pytest.raises(DomainError, match="too large for exact float64 residue arithmetic"):
+            exact._moduli(4096, 2 * 3**4096)
+        assert math.prod(exact._moduli(4095, 2 * 3**4095)) > 2 * 3**4095
+        # Class k = 11 (n = 1024..2047) holds about 2**63579, which a 1024 x
+        # 1024 matrix with entries near 2**62 passes: its bound is about
+        # (32 * 2**62)**1024 = 2**68608.
+        with pytest.raises(DomainError):
+            exact._moduli(1024, 2 * (2 + 32 * 2**62) ** 1024)
 
 
 class TestStripAndRank:
