@@ -39,7 +39,6 @@ from .witnesses import (
     random_sse_chain,
     reverse_se,
     search_se,
-    verify_elementary,
     verify_se,
 )
 from .invariants import (

@@ -88,7 +88,7 @@ def verify_concrete_shift(d: AlignedShiftData, tol: float = DEFAULT_TOL) -> bool
     The domain/codomain bookkeeping is already enforced by construction.
     """
     maps = (d.m_arrow.phi, d.n_arrow.phi, d.psi_x, d.psi_y)
-    return all(unitarity_defect(u) <= tol for u in maps)
+    return all(unitarity_defect(u, tol) <= tol for u in maps)
 
 
 def alignment_residuals(d: AlignedShiftData) -> tuple[float, float]:

@@ -140,12 +140,12 @@ class ArrowHomotopy:
 def homotopy_failure(h: ArrowHomotopy, tol: float = DEFAULT_TOL) -> Optional[str]:
     """Description of the first defect found, or None if the homotopy checks out."""
     for idx, (t, u) in enumerate(h.path.samples):
-        defect = unitarity_defect(u)
-        if defect > tol:
+        defect = unitarity_defect(u, tol)
+        if not defect <= tol:
             return f"sample {idx} (t={t:g}) is not unitary: defect {defect:.3e}"
     for name, psi in (("h0", h.h0), ("h1", h.h1)):
-        defect = unitarity_defect(psi)
-        if defect > tol:
+        defect = unitarity_defect(psi, tol)
+        if not defect <= tol:
             return f"endpoint 2-arrow {name} is not unitary: defect {defect:.3e}"
     r0 = two_arrow_residual(h.h0, h.fiber_arrow(0), h.f_arrow)
     if r0 > tol:

@@ -11,7 +11,9 @@ The public ``*_to_json`` functions return plain JSON values (nested lists).
 Inside the package, the command line builds its large bundles with *array
 leaves* instead: each block is the (d, d, 2) float64 array of its [re, im]
 pairs, which ``dump_json`` renders to the same text without building the
-nested lists.
+nested lists.  A block whose entries are all +0.0 and 1.0 (every canonical
+identification, a permutation) formats no float at all: each of its pairs is
+one of four cached texts.
 """
 
 from __future__ import annotations
@@ -342,16 +344,36 @@ def load_json(path: str) -> dict:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
 
 
+def _join(items: list, level: int) -> str:
+    """A list of rendered items, laid out as json.dumps(indent=1) does at ``level``."""
+    if not items:
+        return "[]"
+    sep = "\n" + " " * (level + 1)
+    return "[" + sep + ("," + sep).join(items) + "\n" + " " * level + "]"
+
+
 @lru_cache(maxsize=64)
 def _nested_format(shape: tuple, level: int) -> str:
     """%-format of numbers nested by ``shape``, laid out as json.dumps(indent=1) does at ``level``."""
-    if not shape:
-        return "%r"
-    if not shape[0]:
-        return "[]"
-    sep = "\n" + " " * (level + 1)
-    item = _nested_format(shape[1:], level + 1)
-    return "[" + sep + ("," + sep).join([item] * shape[0]) + "\n" + " " * level + "]"
+    return _join([_nested_format(shape[1:], level + 1)] * shape[0], level) if shape else "%r"
+
+
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+
+
+@lru_cache(maxsize=64)
+def _unit_pair_texts(level: int) -> np.ndarray:
+    """The [re, im] pair texts at ``level`` with re, im in {0.0, 1.0}, indexed by 2 re + im."""
+    pairs = [(re, im) for re in (0.0, 1.0) for im in (0.0, 1.0)]
+    return np.array([_nested_format((2,), level) % pair for pair in pairs], dtype=object)
+
+
+def _is_unit_leaf(o: np.ndarray) -> bool:
+    """A (d, d, 2) leaf whose entries all have the bits of +0.0 or 1.0 (so -0.0 does not count)."""
+    if o.ndim != 3 or o.shape[2] != 2:
+        return False
+    bits = o.view(np.uint64)
+    return bool(((bits == 0) | (bits == _ONE_BITS)).all())
 
 
 def _encode(o, level: int, out: list):
@@ -360,6 +382,11 @@ def _encode(o, level: int, out: list):
         return
     if type(o) is np.ndarray and o.dtype == np.float64:
         # An array leaf is rendered as its tolist() would be, without building that list.
+        if _is_unit_leaf(o):
+            # A 0/1 block (a permutation, say) needs no float formatting: each pair is a cached text.
+            pairs = _unit_pair_texts(level + 2)[(2 * o[..., 0] + o[..., 1]).astype(np.intp)]
+            out.append(_join([_join(row, level + 1) for row in pairs.tolist()], level))
+            return
         text = _nested_format(o.shape, level) % tuple(o.ravel().tolist())
         if "n" in text:  # only nan and inf print an "n"; json spells them NaN, Infinity
             return _encode(o.tolist(), level, out)

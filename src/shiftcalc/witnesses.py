@@ -91,11 +91,6 @@ def verify_se(w: SEWitness) -> bool:
     return failing_equation(w) is None
 
 
-def verify_elementary(a: IntMatrix, b: IntMatrix, r: IntMatrix, s: IntMatrix) -> bool:
-    """Shift equivalence with lag 1."""
-    return verify_se(SEWitness(a, b, r, s, 1))
-
-
 def identity_witness(a: IntMatrix) -> SEWitness:
     """The lag-1 self-witness (A, A, I, A)."""
     return SEWitness(a, a, identity(a.rows), a, 1)

@@ -4,12 +4,15 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from shiftcalc import build_from_se, from_rows, verify_aligned
+from shiftcalc import build_from_se, from_rows, homotopy_shift_equivalence_from_se, verify_aligned
 from shiftcalc.cli import main
 from shiftcalc.jsonio import (
+    SCHEMA,
     dump_json,
+    homotopy_to_json,
     matrix_from_json,
     matrix_to_json,
     parse_matrix_file,
@@ -195,13 +198,16 @@ class TestAlignedAndHomotopy:
     def test_verify_rejects_twisted_bundle(self, capsys, tmp_path, golden_witness):
         shift = build_from_se(golden_witness)
         doc = shift_to_json(shift)
-        # Non-unitary corruption straight in the file.
+        # Non-unitary corruption straight in the file.  At 1e200, U*U - I
+        # overflows to inf and nan, which no tolerance accepts.
         key = sorted(doc["psi_x"]["blocks"])[0]
-        doc["psi_x"]["blocks"][key][0][0] = [5.0, 0.0]
-        data = write(tmp_path / "bad.json", doc)
-        code, report, _ = run(capsys, ["aligned", "verify", "--data", data])
-        assert code == 1
-        assert report["verdict"]["concrete"] is False
+        for entry, options in (([5.0, 0.0], []), ([1e200, 0.0], ["--tol", "1e300"])):
+            doc["psi_x"]["blocks"][key][0][0] = entry
+            data = write(tmp_path / "bad.json", doc)
+            with np.errstate(over="ignore", invalid="ignore"):
+                code, report, _ = run(capsys, [*options, "aligned", "verify", "--data", data])
+            assert code == 1
+            assert report["verdict"]["concrete"] is False
 
     def test_shift_bundle_roundtrip_preserves_alignment(self, golden_witness):
         shift = build_from_se(golden_witness)
@@ -678,6 +684,23 @@ class TestBundlesWithoutNestedLists:
         code, report, _ = run(capsys, [*command, "--witness", witness_path, *extra])
         assert code == 0 and report is not None
         assert calls == []
+        if out:
+            # The bundle is the stdlib rendering of what the public functions return.
+            witness = bundle_witness(2)
+            if command[0] == "homotopy":
+                shift, hom_x, hom_y = homotopy_shift_equivalence_from_se(witness, steps=3)
+                list_form = {
+                    "schema": SCHEMA,
+                    "witness": witness_to_json(witness),
+                    "steps": 3,
+                    "shift": shift_to_json(shift),
+                    "homotopy_x": homotopy_to_json(hom_x),
+                    "homotopy_y": homotopy_to_json(hom_y),
+                }
+            else:
+                list_form = shift_to_json(build_from_se(witness))
+            expected = json.dumps(list_form, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+            assert (tmp_path / "out.json").read_text() == expected
 
     def test_the_public_functions_still_return_lists(self, calls, golden_witness):
         # ... so the fixture does see the converter the default path calls.

@@ -246,6 +246,34 @@ class TestBlockUnitaries:
             scale = 8 * 16 * np.finfo(float).eps * max(1.0, np.linalg.norm(block, 2) ** 2)
             assert abs(unitarity_defect(v) - two_svd_defect(v)) <= scale
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 1e-6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_verdict_with_tol_is_the_exact_verdict(self, seed, tol):
+        rng = np.random.default_rng(seed)
+        c = from_matrix(from_rows([[16, 1], [3, 7]]))
+        u = random_block_unitary(c, rng)
+        (i, j), m = list(u.blocks.items())[seed % 4]
+        d = len(m)
+        # m V diag(sqrt(1 + lam)) V* has U*U - I = V diag(lam) V*: exact defect max |lam|,
+        # Frobenius norm ||lam||_2, which lies between tol / 2 and tol for some targets.
+        v, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        lam = rng.uniform(-1, 1, d)
+        lam /= np.abs(lam).max()
+        blocks = [m, np.eye(d)[rng.permutation(d)], np.full((d, d), np.nan)]
+        for target in (0.25, 0.45, 0.5, 0.55, 0.7, 0.95, 1.0, 1.05, 2.0):
+            scale = np.sqrt(1 + target * max(tol, 1e-14) * lam)
+            blocks.append(m @ (v * scale) @ v.conj().T)
+        for block in blocks:
+            w = u.replace_block(i, j, block)
+            got, exact = unitarity_defect(w, tol), unitarity_defect(w)
+            assert (got <= tol) == (exact <= tol)
+            if not got <= tol / 2:
+                assert got == exact or np.isnan(got) and np.isnan(exact)
+            else:
+                # The bound is an upper bound, up to rounding in U*U - I.
+                assert exact <= got + 64 * d * np.finfo(float).eps
+        assert unitarity_defect(identity_unitary(c), 0.0) == 0.0
+
     def test_compose_with_inverse_is_identity(self):
         rng = np.random.default_rng(1)
         c = from_matrix(from_rows([[2, 1], [1, 1]]))

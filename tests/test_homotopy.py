@@ -217,13 +217,15 @@ class TestVerifyHomotopy:
         phi = random_block_unitary(square, rng, target=square)
         h = homotopy_to_identity(phi, obj, 1, steps=6)
         t, bad_sample = h.path.samples[3]
-        corrupted_sample = bad_sample.replace_block(0, 0, bad_sample.block(0, 0) * 1.5)
-        samples = list(h.path.samples)
-        samples[3] = (t, corrupted_sample)
-        bad_path = UnitaryPath(h.path.source, h.path.target, tuple(samples), h.path.generator)
-        bad = ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, bad_path, h.h0, h.h1)
-        assert not verify_homotopy(bad)
-        assert "sample 3" in homotopy_failure(bad)
+        block = bad_sample.block(0, 0)
+        # A nan defect fails as a large one does, whatever the tolerance.
+        for corrupted, tol in ((block * 1.5, TOL), (np.full_like(block, np.nan), 1e300)):
+            samples = list(h.path.samples)
+            samples[3] = (t, bad_sample.replace_block(0, 0, corrupted))
+            bad_path = UnitaryPath(h.path.source, h.path.target, tuple(samples), h.path.generator)
+            bad = ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, bad_path, h.h0, h.h1)
+            assert not verify_homotopy(bad, tol)
+            assert "sample 3" in homotopy_failure(bad, tol)
 
     def test_constant_homotopy_of_valid_arrow(self):
         obj = object_pair(from_rows([[1, 2], [1, 1]]))

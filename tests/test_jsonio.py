@@ -105,17 +105,30 @@ leaf_values = st.one_of(
 )
 
 
+non_finite = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+# Any value but the bits of +0.0 and 1.0: one of these makes a 0/1 leaf an ordinary one.
+other_values = leaf_values.filter(lambda x: repr(x) not in ("0.0", "1.0")) | non_finite
+
+
 @st.composite
 def array_leaves(draw):
     """A (d, d, 2) float64 array of [re, im] pairs: built by the package's
-    converter from a complex block or its adjoint view, or a non-contiguous
-    view itself; at times with a non-finite entry, which takes the list path."""
+    converter from a complex block or its adjoint view (whose conj() turns
+    0.0 into -0.0), or a non-contiguous view itself.  Its entries are
+    arbitrary finite values, or all 0.0 and 1.0 (at times a permutation
+    block), which take the pair-text path; at times one entry is set to
+    another value, non-finite ones taking the list path."""
     d = draw(st.integers(1, 8))
-    values = draw(st.lists(leaf_values, min_size=2 * d * d, max_size=2 * d * d))
-    pairs = np.array(values, dtype=np.float64).reshape(d, d, 2)
+    entries = draw(st.sampled_from(["any", "0/1", "permutation"]))
+    if entries == "permutation":
+        pairs = np.zeros((d, d, 2))
+        pairs[np.arange(d), draw(st.permutations(range(d))), 0] = 1.0
+    else:
+        values = leaf_values if entries == "any" else st.sampled_from([0.0, 1.0])
+        pairs = np.array(draw(st.lists(values, min_size=2 * d * d, max_size=2 * d * d))).reshape(d, d, 2)
     if draw(st.booleans()):
         i, j, k = (draw(st.integers(0, n - 1)) for n in (d, d, 2))
-        pairs[i, j, k] = draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+        pairs[i, j, k] = draw(non_finite if entries == "any" else other_values)
     m = pairs.view(complex).reshape(d, d)
     kind = draw(st.sampled_from(["block", "adjoint", "transposed view"]))
     if kind == "transposed view":
@@ -138,9 +151,18 @@ def nested_leaves(draw):
 
 class TestArrayLeaves:
     @given(nested_leaves())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_match_the_stdlib_rendering_of_their_lists(self, doc):
         assert dump_json(doc) == stdlib_dump(to_lists(doc))
+
+    def test_only_leaves_of_plus_zero_and_one_take_the_pair_texts(self):
+        perm = np.eye(3, dtype=complex)[[2, 0, 1]]
+        for leaf in (_complex_matrix_array(perm), _complex_matrix_array(perm * 1j)):
+            assert jsonio._is_unit_leaf(leaf) and jsonio._is_unit_leaf(leaf.transpose(1, 0, 2))
+        # conj() writes -0.0 into every imaginary part of the adjoint.
+        for other in (perm.conj().T, perm * 0.5, -perm):
+            assert not jsonio._is_unit_leaf(_complex_matrix_array(other))
+        assert not jsonio._is_unit_leaf(np.zeros((3, 2))) and not jsonio._is_unit_leaf(np.ones((2, 2, 3)))
 
     def test_the_converter_gives_the_lists_of_the_list_converter(self):
         m = np.array([[1 + 2j, -0.0 - 1j], [5e-324, 1e16j]])

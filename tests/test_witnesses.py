@@ -20,11 +20,15 @@ from shiftcalc import (
     random_sse_chain,
     reverse_se,
     search_se,
-    verify_elementary,
     verify_se,
 )
 from shiftcalc.witnesses import SE_EQUATIONS
 from tests.conftest import random_essential
+
+
+def verify_elementary(a, b, r, s):
+    """Shift equivalence with lag 1."""
+    return verify_se(SEWitness(a, b, r, s, 1))
 
 
 class TestVerify:
