@@ -152,7 +152,8 @@ def alignment_report(d: AlignedShiftData, tol: float = DEFAULT_TOL) -> Alignment
     if not verify_concrete_shift(d, tol):
         return AlignmentReport(False)
     residuals = alignment_residuals(d)
-    return AlignmentReport(True, bool(max(residuals) <= tol), residuals)
+    # max() would drop a nan in second place.
+    return AlignmentReport(True, all(r <= tol for r in residuals), residuals)
 
 
 def verify_aligned(d: AlignedShiftData, tol: float = DEFAULT_TOL) -> bool:

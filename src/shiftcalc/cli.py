@@ -25,7 +25,7 @@ import traceback
 
 from . import jsonio
 from .aligned import alignment_report, build_from_se, shift_parts, structure_endpoints
-from .corr import from_matrix, tensor, two_arrow_residual
+from .corr import DEFAULT_TOL, from_matrix, tensor, two_arrow_residual
 from .errors import ShiftcalcError
 from .exact import IntMatrix
 from .homotopy import homotopy_shift_equivalence_from_se, verify_homotopy
@@ -333,7 +333,7 @@ def main(argv=None) -> int:
     tol = args.tol
     if tol is None:
         try:
-            tol = float(os.environ.get(DEFAULT_TOL_ENV, "1e-9"))
+            tol = float(os.environ.get(DEFAULT_TOL_ENV, DEFAULT_TOL))
         except ValueError:
             print(f"shiftcalc: invalid {DEFAULT_TOL_ENV}", file=sys.stderr)
             return EXIT_USAGE

@@ -249,13 +249,18 @@ def unitary_distance(u1: BlockUnitary, u2: BlockUnitary) -> float:
 
     A full SVD per block: ``aligned verify`` and ``corr check-2arrow`` print this
     value as a residual, so a bound in its place would change their reports.
+    A block whose difference holds nan or inf has distance nan, which no
+    ``<= tol`` accepts.
     """
     if not (u1.source.same_shape(u2.source) and u1.target.same_shape(u2.target)):
         raise ShapeError("cannot compare block maps of different shapes")
     worst = 0.0
     for ij, m in u1.blocks.items():
-        worst = max(worst, np.linalg.norm(m - u2.blocks[ij], ord=2))
-    return worst
+        diff = m - u2.blocks[ij]
+        # The SVD need not converge on a nan or inf.
+        distance = np.linalg.norm(diff, ord=2) if np.isfinite(diff).all() else np.nan
+        worst = np.maximum(worst, distance)  # unlike max(), keeps a nan
+    return float(worst)
 
 
 def compose_unitaries(u1: BlockUnitary, u2: BlockUnitary) -> BlockUnitary:

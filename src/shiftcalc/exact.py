@@ -1,19 +1,20 @@
 """Exact arbitrary-precision integer matrices and their normal forms.
 
 Every result is an exact integer.  Matrices live in Python integers, which
-cannot overflow.  Two computations run on residues instead: the
-characteristic polynomial and the adjugate product adj(I - A) B.  Both come
-from one table of powers of A modulo primes p with 2**(2k) * (p - 1)**2 < 2**53
+cannot overflow.  One computation runs on residues instead: the
+characteristic polynomial together with the adjugate product adj(I - A) B,
+both from one table of powers of A modulo primes p with 2**(2k) * (p - 1)**2 < 2**53
 for the size class 2**k > n, held as float64: every residue product, and every
 sum of up to n**2 of them, is a nonnegative integer below 2**53, so each BLAS
 product is exact, and a Hadamard bound makes the Chinese-remainder recovery
 exact.  The table is built a few primes at a time, within ``_TABLE_BYTES``.
 The module supplies the engine for the rest of the package -- matrix
-products and powers for witness verification, the invariant factors of the
-Smith normal form, over Z or modulo an integer, for cokernel invariants (the
-diagonal only; the unimodular transforms are never built), the characteristic
-polynomial from traces of powers and Newton's identities, the adjugate of
-I - A from it, and the fraction-free (Bareiss) rank.
+products, powers and the capped power check ``power_equals`` for witness
+verification, the invariant factors of the Smith normal form, over Z or
+modulo an integer, for cokernel invariants (the diagonal only; the
+unimodular transforms are never built), the characteristic polynomial from
+traces of powers and Newton's identities, the adjugate of I - A from it, and
+the fraction-free (Bareiss) rank.
 
 All values are immutable; every function returns fresh objects and is safe to
 call concurrently.
@@ -95,10 +96,6 @@ def identity(n: int) -> IntMatrix:
     return from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
-def zeros(rows: int, cols: int) -> IntMatrix:
-    return from_rows([[0] * cols for _ in range(rows)])
-
-
 def transpose(a: IntMatrix) -> IntMatrix:
     return from_rows([a.col(j) for j in range(a.cols)])
 
@@ -108,20 +105,10 @@ def is_nonnegative(a: IntMatrix) -> bool:
     return min(map(min, a.entries)) >= 0
 
 
-def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ShapeError(f"cannot add {a.rows}x{a.cols} and {b.rows}x{b.cols}")
-    return from_rows([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)])
-
-
 def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ShapeError(f"cannot subtract {a.rows}x{a.cols} and {b.rows}x{b.cols}")
     return from_rows([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)])
-
-
-def mat_scale(c: int, a: IntMatrix) -> IntMatrix:
-    return from_rows([[c * x for x in r] for r in a.entries])
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -160,6 +147,13 @@ def mat_pow(a: IntMatrix, m: int, cap: int | None = None) -> IntMatrix:
         base = clip(mat_mul(base, base)) if m > 1 else base
         m >>= 1
     return result
+
+
+def power_equals(a: IntMatrix, m: int, product: IntMatrix) -> bool:
+    """a^m == product, for nonnegative a and product.  The power is capped at
+    product's largest entry: an entry of a^m above it reads cap + 1 and
+    differs, the rest are exact, so the verdict is exact at any m."""
+    return mat_pow(a, m, cap=max(map(max, product.entries))) == product
 
 
 def is_essential(a: IntMatrix) -> bool:
@@ -326,10 +320,12 @@ def poly_eval_matrix(p: IntPolynomial, a: IntMatrix) -> IntMatrix:
     """Evaluate ``p`` at a square matrix, exactly (Horner scheme)."""
     if not a.is_square:
         raise ShapeError("polynomial evaluation requires a square matrix")
-    n = a.rows
-    acc = zeros(n, n)
+    acc = from_rows([[0] * a.rows] * a.rows)
     for coeff in reversed(p.coeffs):
-        acc = mat_add(mat_mul(acc, a), mat_scale(coeff, identity(n)))
+        rows = mat_mul(acc, a).to_lists()
+        for i, row in enumerate(rows):
+            row[i] += coeff
+        acc = from_rows(rows)
     return acc
 
 
@@ -459,12 +455,12 @@ def _powers(a: np.ndarray, primes: list[int], r: int, g: int) -> tuple[np.ndarra
 
 
 def _modular_char_poly_and_adjugate(
-    a: np.ndarray, b: np.ndarray | None, primes: list[int], r: int, g: int
-) -> tuple[list[int], list[int] | None]:
-    """c_0, ..., c_n of det(tI - A) and, when ``b`` is given, the entries of
-    adj(I - A) B, row by row, modulo the product of ``primes``, from their
-    baby and giant powers (see :func:`_char_poly_and_adjugate`); A and B come
-    as :func:`_as_array` arrays.  The powers are freed on return."""
+    a: np.ndarray, b: np.ndarray, primes: list[int], r: int, g: int
+) -> tuple[list[int], list[int]]:
+    """c_0, ..., c_n of det(tI - A) and the entries of adj(I - A) B, row by
+    row, modulo the product of ``primes``, from their baby and giant powers
+    (see :func:`_char_poly_and_adjugate`); A and B come as :func:`_as_array`
+    arrays.  The powers are freed on return."""
     k, n, modulus = len(primes), len(a), math.prod(primes)
     baby, giant = _powers(a, primes, r, g)
     p = np.array(primes, dtype=np.float64)[:, None, None]
@@ -476,8 +472,6 @@ def _modular_char_poly_and_adjugate(
     for m in range(1, n + 1):
         e.append(sum(map(operator.mul, reversed(e), signed)) * pow(m, -1, modulus) % modulus)
     chi = [x if m % 2 == 0 else -x % modulus for m, x in enumerate(e)][::-1]
-    if b is None:
-        return chi, None
     q = [*accumulate(reversed(chi[1:]))][::-1]
     q_residues = np.zeros((k, g * r))
     q_residues[:, :n] = [[x % prime for x in q] for prime in primes]
@@ -489,13 +483,13 @@ def _modular_char_poly_and_adjugate(
     return chi, _crt(y.astype(np.int64).reshape(k, -1).tolist(), primes)
 
 
-def _char_poly_and_adjugate(a: IntMatrix, b: IntMatrix | None = None) -> tuple[IntPolynomial, IntMatrix | None]:
-    """det(tI - A) and, when ``b`` is given, adj(I - A) B, exactly, from one
-    table of powers of A modulo primes (see :func:`char_poly` for the primes
-    and why every product is exact).
+def _char_poly_and_adjugate(a: IntMatrix, b: IntMatrix) -> tuple[IntPolynomial, IntMatrix]:
+    """det(tI - A) and adj(I - A) B, exactly, from one table of powers of A
+    modulo primes (see :func:`char_poly` for the primes and why every product
+    is exact).
 
     * Primes: their product M exceeds 2 * :func:`_coefficient_bound` (A) times
-      the largest column sum of |B|.  They are taken in chunks whose powers
+      the largest column sum of |B|, or 1 if that is larger.  They are taken in chunks whose powers
       fit in ``_TABLE_BYTES``; each chunk, with product M_c, yields chi and
       adj(I - A) B modulo M_c (:func:`_modular_char_poly_and_adjugate`), and a
       last CRT over the chunks lifts both into (-M/2, M/2].
@@ -520,22 +514,19 @@ def _char_poly_and_adjugate(a: IntMatrix, b: IntMatrix | None = None) -> tuple[I
     if not a.is_square:
         raise ShapeError("characteristic polynomial requires a square matrix")
     n = a.rows
-    if b is not None and b.rows != n:
+    if b.rows != n:
         raise ShapeError("adjugate product needs B with as many rows as A")
-    column_sum = 1 if b is None else max(1, *(sum(map(abs, col)) for col in zip(*b.entries)))
+    column_sum = max(1, *(sum(map(abs, col)) for col in zip(*b.entries)))
     primes = _moduli(n, 2 * _coefficient_bound(a) * column_sum)
     r = math.isqrt(n) + 1
     g = n // r + 1
     chunk = max(1, _TABLE_BYTES // (8 * (r + g) * n * n))
     parts = [primes[i:i + chunk] for i in range(0, len(primes), chunk)]
-    rows, rhs = _as_array(a), None if b is None else _as_array(b)
+    rows, rhs = _as_array(a), _as_array(b)
     chis, adjugates = zip(*(_modular_char_poly_and_adjugate(rows, rhs, part, r, g) for part in parts))
     moduli = [*map(math.prod, parts)]
-    chi = poly(_crt(chis, moduli))
-    if b is None:
-        return chi, None
     values = _crt(adjugates, moduli)
-    return chi, from_rows([values[i * b.cols:(i + 1) * b.cols] for i in range(n)])
+    return poly(_crt(chis, moduli)), from_rows([values[i * b.cols:(i + 1) * b.cols] for i in range(n)])
 
 
 def char_poly(a: IntMatrix) -> IntPolynomial:
@@ -556,9 +547,10 @@ def char_poly(a: IntMatrix) -> IntPolynomial:
       A size class has finitely many such primes, so :class:`DomainError` is
       raised when B outgrows them (see :func:`_moduli`): for every matrix from
       n = 2**13 on, and earlier for large entries or large n.
-    * Powers and recovery: see :func:`_char_poly_and_adjugate`.
+    * Powers and recovery: see :func:`_char_poly_and_adjugate`, here with B
+      one zero column, whose column sum counts as 1 and leaves the primes.
     """
-    return _char_poly_and_adjugate(a)[0]
+    return _char_poly_and_adjugate(a, from_rows([[0]] * a.rows))[0]
 
 
 def _as_array(a: IntMatrix) -> np.ndarray:

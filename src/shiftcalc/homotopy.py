@@ -148,10 +148,10 @@ def homotopy_failure(h: ArrowHomotopy, tol: float = DEFAULT_TOL) -> Optional[str
         if not defect <= tol:
             return f"endpoint 2-arrow {name} is not unitary: defect {defect:.3e}"
     r0 = two_arrow_residual(h.h0, h.fiber_arrow(0), h.f_arrow)
-    if r0 > tol:
+    if not r0 <= tol:
         return f"h0 fails the 2-arrow square at t=0: residual {r0:.3e}"
     r1 = two_arrow_residual(h.h1, h.fiber_arrow(len(h.path.samples) - 1), h.g_arrow)
-    if r1 > tol:
+    if not r1 <= tol:
         return f"h1 fails the 2-arrow square at t=1: residual {r1:.3e}"
     return None
 

@@ -13,7 +13,7 @@ so two lists are equal iff the groups are isomorphic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Optional
 
@@ -32,9 +32,6 @@ from .exact import (
     smith_normal_form,
 )
 
-#: Order in which invariants are compared and named in verdicts.
-INVARIANT_NAMES = ("nonzero_char_poly", "bowen_franks", "eventual_rank", "det_away_from_zero")
-
 
 @dataclass(frozen=True)
 class DimensionInvariants:
@@ -50,6 +47,7 @@ class DimensionInvariants:
     which counts the nonzero eigenvalues with multiplicity and so is the
     degree of ``nonzero_char_poly``.  Being derived from that polynomial, it
     and ``det_away_from_zero`` are never the only separating invariant.
+    :func:`compare` checks the fields in their order.
     """
 
     nonzero_char_poly: IntPolynomial
@@ -58,12 +56,16 @@ class DimensionInvariants:
     det_away_from_zero: int
 
 
+#: Order in which invariants are compared and named in verdicts: the field order.
+INVARIANT_NAMES = tuple(field.name for field in fields(DimensionInvariants))
+
+
 @dataclass(frozen=True)
 class ComparisonVerdict:
     """Outcome of comparing two invariant batteries.
 
-    ``separating`` lists every invariant that differs, in the canonical
-    order; empty means inconclusive.  ``primary`` names the first of them.
+    ``separating`` lists every invariant that differs, in the order of
+    ``INVARIANT_NAMES``; empty means inconclusive.  ``primary`` names the first of them.
     """
 
     separating: tuple[str, ...]
@@ -139,16 +141,9 @@ def compare(a: IntMatrix, b: IntMatrix) -> ComparisonVerdict:
     """
     inv_a = compute_invariants(a)
     inv_b = compute_invariants(b)
-    fields = (
-        inv_a.nonzero_char_poly == inv_b.nonzero_char_poly,
-        inv_a.bowen_franks == inv_b.bowen_franks,
-        inv_a.eventual_rank == inv_b.eventual_rank,
-        inv_a.det_away_from_zero == inv_b.det_away_from_zero,
+    return ComparisonVerdict(
+        tuple(name for name in INVARIANT_NAMES if getattr(inv_a, name) != getattr(inv_b, name))
     )
-    separating = tuple(
-        name for name, equal in zip(INVARIANT_NAMES, fields) if not equal
-    )
-    return ComparisonVerdict(separating)
 
 
 def bowen_franks_general(a: IntMatrix, p: IntPolynomial) -> tuple[int, ...]:

@@ -13,7 +13,9 @@ leaves* instead: each block is the (d, d, 2) float64 array of its [re, im]
 pairs, which ``dump_json`` renders to the same text without building the
 nested lists.  A block whose entries are all +0.0 and 1.0 (every canonical
 identification, a permutation) formats no float at all: each of its pairs is
-one of four cached texts.
+one of four cached texts.  Array leaves are the writer's only fast path; a
+list (an integer matrix, or a block of the public functions) is written
+value by value.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .corr import (
     tensor,
 )
 from .errors import DomainError, ParseError, ShapeError
-from .exact import IntMatrix, from_rows, mat_mul, mat_pow
+from .exact import IntMatrix, from_rows, mat_mul, power_equals
 from .homotopy import ArrowHomotopy
 from .witnesses import SEWitness
 
@@ -311,8 +313,7 @@ def shift_from_json(doc) -> AlignedShiftData:
     # (likewise for Y): check that before building any power, however large lag is.
     sides = (("A^lag = R S", x_obj, m_corr, n_corr), ("B^lag = S R", y_obj, n_corr, m_corr))
     for equation, obj, left, right in sides:
-        product = mat_mul(left.dims, right.dims)
-        if mat_pow(obj.x.dims, lag, cap=max(map(max, product.entries))) != product:
+        if not power_equals(obj.x.dims, lag, mat_mul(left.dims, right.dims)):
             raise ShapeError(f"lag {lag} does not fit the bundle: {equation} fails")
     parts = (x_obj, y_obj, m_corr, n_corr, lag)
     maps = {
@@ -381,7 +382,8 @@ def _encode(o, level: int, out: list):
         out.append(json.dumps(o))
         return
     if type(o) is np.ndarray and o.dtype == np.float64:
-        # An array leaf is rendered as its tolist() would be, without building that list.
+        # An array leaf is rendered as its tolist() would be, without building that
+        # list; lists and tuples take the general branch below.
         if _is_unit_leaf(o):
             # A 0/1 block (a permutation, say) needs no float formatting: each pair is a cached text.
             pairs = _unit_pair_texts(level + 2)[(2 * o[..., 0] + o[..., 1]).astype(np.intp)]
@@ -395,11 +397,6 @@ def _encode(o, level: int, out: list):
     if isinstance(o, dict) and all(type(key) is str for key in o):
         items, brackets = [(encode_basestring_ascii(k) + ": ", o[k]) for k in sorted(o)], "{}"
     elif isinstance(o, (list, tuple)):
-        values = _number_rows(o)
-        text = values and _nested_format((len(o), len(o[0])), level) % values
-        if text and "n" not in text:
-            out.append(text)
-            return
         items, brackets = [("", x) for x in o], "[]"
     else:
         raise TypeError("left to the stdlib encoder")
@@ -417,9 +414,9 @@ def dump_json(doc) -> str:
     Byte-identical to ``json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"``,
     which Python < 3.13 runs in pure Python when ``indent`` is set: too slow for bundles of
     [re, im] pairs.  What ``_encode`` leaves (non-str keys, non-JSON types, cycles) goes to it.
-    A float64 numpy array in ``doc`` is rendered as its ``tolist()`` would be; the stdlib
-    cannot encode one, so a document holding an array and anything left to the stdlib raises
-    its ``TypeError``.
+    A float64 numpy array in ``doc`` is rendered as its ``tolist()`` would be, in one
+    %-format; every list is rendered value by value.  The stdlib cannot encode an array, so a
+    document holding an array and anything left to the stdlib raises its ``TypeError``.
     """
     out = []
     try:

@@ -18,7 +18,17 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import CompositionError, ContractError, DomainError, ShapeError
-from .exact import IntMatrix, from_rows, identity, is_essential, is_nonnegative, mat_mul, mat_pow
+from .exact import (
+    IntMatrix,
+    from_rows,
+    identity,
+    is_essential,
+    is_nonnegative,
+    mat_mul,
+    mat_pow,
+    power_equals,
+    transpose,
+)
 
 #: The four defining equations, in the order they are checked and reported.
 SE_EQUATIONS = ("A^m = RS", "B^m = SR", "BS = SA", "AR = RB")
@@ -67,19 +77,11 @@ class SSEChain:
                 raise CompositionError("consecutive chain steps do not share an endpoint")
 
 
-def _power_equals(a: IntMatrix, m: int, product: IntMatrix) -> bool:
-    """a^m == product, for nonnegative a and product.  The power is capped at
-    product's largest entry: an entry of a^m above it reads cap + 1 and
-    differs, the rest are exact, so the verdict is exact at any m."""
-    cap = max(max(row) for row in product.entries)
-    return mat_pow(a, m, cap=cap) == product
-
-
 def failing_equation(w: SEWitness) -> Optional[str]:
     """Name of the first defining equation that fails, or None if all hold."""
     checks = (
-        lambda: _power_equals(w.a, w.lag, mat_mul(w.r, w.s)),
-        lambda: _power_equals(w.b, w.lag, mat_mul(w.s, w.r)),
+        lambda: power_equals(w.a, w.lag, mat_mul(w.r, w.s)),
+        lambda: power_equals(w.b, w.lag, mat_mul(w.s, w.r)),
         lambda: mat_mul(w.b, w.s) == mat_mul(w.s, w.a),
         lambda: mat_mul(w.a, w.r) == mat_mul(w.r, w.b),
     )
@@ -251,23 +253,10 @@ def _random_row_split(a: IntMatrix, rng: random.Random) -> tuple[IntMatrix, IntM
 
 
 def _random_col_split(a: IntMatrix, rng: random.Random) -> tuple[IntMatrix, IntMatrix]:
-    """Factor A = R*S by splitting one column into two nonzero parts (in-split)."""
-    n = a.rows
-    splittable = [j for j in range(n) if sum(a.col(j)) >= 2]
-    j = rng.choice(splittable)
-    col = list(a.col(j))
-    while True:
-        u = [rng.randint(0, x) for x in col]
-        v = [x - y for x, y in zip(col, u)]
-        if any(u) and any(v):
-            break
-    r_cols = [list(a.col(k)) for k in range(n)]
-    r_cols[j] = u
-    r_cols.append(v)
-    r = from_rows([[r_cols[k][i] for k in range(n + 1)] for i in range(n)])
-    s_rows = [[1 if k == i else 0 for k in range(n)] for i in range(n)]
-    s_rows.append([1 if k == j else 0 for k in range(n)])
-    return r, from_rows(s_rows)
+    """Factor A = R*S by splitting one column into two nonzero parts (in-split):
+    the row split A^T = R'S' transposed back, R = S'^T and S = R'^T."""
+    r, s = _random_row_split(transpose(a), rng)
+    return transpose(s), transpose(r)
 
 
 def random_sse_chain(a: IntMatrix, steps: int, seed: int) -> SSEChain:

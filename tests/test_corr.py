@@ -274,6 +274,17 @@ class TestBlockUnitaries:
                 assert exact <= got + 64 * d * np.finfo(float).eps
         assert unitarity_defect(identity_unitary(c), 0.0) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_block_of_nan_or_inf_has_distance_nan(self, bad):
+        rng = np.random.default_rng(9)
+        c = from_matrix(from_rows([[16, 1], [3, 7]]))
+        u = random_block_unitary(c, rng)
+        for (i, j), m in u.blocks.items():
+            v = u.replace_block(i, j, np.full_like(m, bad))
+            # Every block position, so a nan after a finite block is kept too.
+            assert np.isnan(unitary_distance(u, v)) and np.isnan(unitary_distance(v, u))
+        assert unitary_distance(u, u) == 0.0
+
     def test_compose_with_inverse_is_identity(self):
         rng = np.random.default_rng(1)
         c = from_matrix(from_rows([[2, 1], [1, 1]]))
@@ -450,6 +461,16 @@ class TestTwoArrows:
         twisted = u.replace_block(0, 0, np.diag([np.exp(1j * np.pi / 3), 1.0]) @ u.block(0, 0))
         assert check_two_arrow(u, f, g)
         assert not check_two_arrow(twisted, f, g)
+
+    def test_a_nan_block_breaks_intertwining(self):
+        obj = object_pair(from_rows([[2]]))
+        rng = np.random.default_rng(23)
+        f = power_arrow(obj, 1)
+        u = random_block_unitary(f.f, rng)
+        g = conjugate_arrow(f, u)
+        broken = u.replace_block(0, 0, np.full_like(u.block(0, 0), np.nan))
+        assert np.isnan(two_arrow_residual(broken, f, g))
+        assert not check_two_arrow(broken, f, g, 1e300)
 
     def test_non_parallel_arrows_rejected(self, golden_witness):
         arrow = arrow_from_witness(golden_witness)

@@ -468,6 +468,17 @@ class TestCharPoly:
     def test_transpose_invariance(self, a):
         assert char_poly(a) == char_poly(transpose(a))
 
+    @given(square_matrices, st.lists(st.integers(-20, 20), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_poly_eval_matrix_is_the_sum_of_powers(self, a, coeffs):
+        # Oracle: sum_k c_k A^k, each power multiplied out on its own.
+        expected = [[0] * a.rows for _ in range(a.rows)]
+        for k, c in enumerate(coeffs):
+            for i, row in enumerate(mat_pow(a, k).entries):
+                for j, x in enumerate(row):
+                    expected[i][j] += c * x
+        assert poly_eval_matrix(poly(coeffs), a) == from_rows(expected)
+
     @given(square_matrices)
     @settings(max_examples=40, deadline=None)
     def test_cayley_hamilton(self, a):

@@ -227,6 +227,20 @@ class TestVerifyHomotopy:
             assert not verify_homotopy(bad, tol)
             assert "sample 3" in homotopy_failure(bad, tol)
 
+    def test_nan_endpoint_square_is_named(self):
+        # Every sample and both 2-arrows stay unitary; only the arrow at t = 0
+        # carries a nan, so the square of h0 is the first thing to fail.
+        obj = object_pair(from_rows([[2]]))
+        rng = np.random.default_rng(16)
+        square = tensor(obj.x, obj.x)
+        phi = random_block_unitary(square, rng, target=square)
+        h = homotopy_to_identity(phi, obj, 1, steps=6)
+        f = h.f_arrow
+        nan_phi = f.phi.replace_block(0, 0, np.full_like(f.phi.block(0, 0), np.nan))
+        bad = ArrowHomotopy(OneArrow(f.source, f.target, f.f, nan_phi), h.g_arrow, h.fiber, h.path, h.h0, h.h1)
+        assert homotopy_failure(bad, 1e300) == "h0 fails the 2-arrow square at t=0: residual nan"
+        assert not verify_homotopy(bad, 1e300)
+
     def test_constant_homotopy_of_valid_arrow(self):
         obj = object_pair(from_rows([[1, 2], [1, 1]]))
         h = constant_homotopy(power_arrow(obj, 1))

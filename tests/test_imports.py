@@ -1,4 +1,5 @@
-"""Unused imports in the package, and the names the benchmark tracer rebinds.
+"""Unused imports and unused private names in the package, and the names the
+benchmark tracer rebinds.
 
 No linter is installed, so ``ast`` stands in.
 """
@@ -40,6 +41,55 @@ def test_the_check_sees_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level functions, classes and constants whose names start with
+    one underscore (dunders such as ``__all__`` are protocol, not private)."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def used_names(source: str) -> set[str]:
+    """Names a module reads, as a variable, an attribute or an import."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used |= {alias.name for alias in node.names}
+    return used
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each private definition no module reads."""
+    used = set().union(*map(used_names, sources.values()))
+    return sorted(
+        f"{module}.{name}" for module, source in sources.items() for name in private_definitions(source) - used
+    )
+
+
+def test_the_check_sees_an_unused_private_name():
+    sources = {
+        "a": "_LIMIT = 3\n_TABLE: dict = {}\n__all__ = []\ndef _helper():\n    return _LIMIT\nclass _Box:\n    pass\n",
+        "b": "from a import _TABLE\n_TABLE[1] = 2\n",
+    }
+    assert unused_private_names(sources) == ["a._Box", "a._helper"]
+
+
+def test_every_private_name_is_used():
+    package = pathlib.Path(shiftcalc.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    assert sum(len(private_definitions(source)) for source in sources.values()) > 0
+    assert unused_private_names(sources) == []
 
 
 def traced_names() -> list[str]:

@@ -22,7 +22,7 @@ from shiftcalc import (
     search_se,
     verify_se,
 )
-from shiftcalc.witnesses import SE_EQUATIONS
+from shiftcalc.witnesses import SE_EQUATIONS, _random_col_split
 from tests.conftest import random_essential
 
 
@@ -243,3 +243,37 @@ class TestRandomChains:
     def test_requires_essential(self):
         with pytest.raises(DomainError):
             random_sse_chain(from_rows([[1, 0], [1, 0]]), 1, seed=0)
+
+
+def reference_col_split(a, rng):
+    """Reference: the in-split built column by column, independently of the
+    row split."""
+    n = a.rows
+    splittable = [j for j in range(n) if sum(a.col(j)) >= 2]
+    j = rng.choice(splittable)
+    col = list(a.col(j))
+    while True:
+        u = [rng.randint(0, x) for x in col]
+        v = [x - y for x, y in zip(col, u)]
+        if any(u) and any(v):
+            break
+    r_cols = [list(a.col(k)) for k in range(n)]
+    r_cols[j] = u
+    r_cols.append(v)
+    r = from_rows([[r_cols[k][i] for k in range(n + 1)] for i in range(n)])
+    s_rows = [[1 if k == i else 0 for k in range(n)] for i in range(n)]
+    s_rows.append([1 if k == j else 0 for k in range(n)])
+    return r, from_rows(s_rows)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_col_split_matches_the_reference_and_its_draws(matrix_seed, seed, max_size, max_entry):
+    a = random_essential(random.Random(matrix_seed), max_size, max_entry)
+    if not any(sum(a.col(j)) >= 2 for j in range(a.cols)):
+        return  # nothing to split
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    r, s = _random_col_split(a, rng)
+    assert (r, s) == reference_col_split(a, reference_rng)
+    assert rng.getstate() == reference_rng.getstate()
+    assert mat_mul(r, s) == a
