@@ -29,7 +29,7 @@ from .corr import DEFAULT_TOL, from_matrix, tensor, two_arrow_residual
 from .errors import ShiftcalcError
 from .exact import IntMatrix
 from .homotopy import homotopy_shift_equivalence_from_se, verify_homotopy
-from .invariants import compare, compute_invariants
+from .invariants import INVARIANT_NAMES, compare, compute_invariants
 from .selftest import run_selftest
 from .witnesses import SEWitness, failing_equation, search_se
 
@@ -93,6 +93,16 @@ def _load_matrix(run: _Run, path: str) -> IntMatrix:
     return jsonio.nonnegative_matrix_from_file(path)
 
 
+def _write_or_embed(verdict: dict, key: str, bundle: dict, out) -> None:
+    """Write ``bundle`` to ``out`` and name the file in ``verdict``, or embed it under ``key``."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(jsonio.dump_json(bundle))
+        verdict["out"] = out
+    else:
+        verdict[key] = bundle
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
@@ -125,12 +135,8 @@ def _cmd_search_se(run: _Run, args) -> int:
 
 def _cmd_invariants(run: _Run, args) -> int:
     inv = compute_invariants(_load_matrix(run, args.a))
-    verdict = {
-        "nonzero_char_poly": list(inv.nonzero_char_poly.coeffs),
-        "bowen_franks": list(inv.bowen_franks),
-        "eventual_rank": inv.eventual_rank,
-        "det_away_from_zero": inv.det_away_from_zero,
-    }
+    verdict = {name: getattr(inv, name) for name in INVARIANT_NAMES}
+    verdict["nonzero_char_poly"] = inv.nonzero_char_poly.coeffs
     return run.emit(verdict, EXIT_OK)
 
 
@@ -164,7 +170,7 @@ def _cmd_corr_check_two_arrow(run: _Run, args) -> int:
     f = jsonio.arrow_from_json(jsonio.load_json(run.track(args.f)))
     g = jsonio.arrow_from_json(jsonio.load_json(run.track(args.g)))
     psi = jsonio.block_unitary_from_json(jsonio.load_json(run.track(args.psi)), f.f, g.f)
-    residual = float(two_arrow_residual(psi, f, g))
+    residual = two_arrow_residual(psi, f, g)
     ok = residual <= run.tol
     verdict = {"two_arrow": ok, "residual": residual}
     return run.emit(verdict, EXIT_OK if ok else EXIT_REFUTED)
@@ -180,7 +186,7 @@ def _cmd_aligned_verify(run: _Run, args) -> int:
     verdict = {
         "concrete": True,
         "aligned": report.aligned,
-        "residuals": {"x": float(rx), "y": float(ry)},
+        "residuals": {"x": rx, "y": ry},
     }
     return run.emit(verdict, EXIT_OK if report.aligned else EXIT_REFUTED)
 
@@ -197,12 +203,7 @@ def _cmd_aligned_from_se(run: _Run, args) -> int:
     bundle = jsonio.shift_to_json(shift, _leaf=jsonio._complex_matrix_array)
     report = alignment_report(shift, run.tol)
     verdict = {"concrete": report.concrete, "aligned": report.aligned}
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.dump_json(bundle))
-        verdict["out"] = args.out
-    else:
-        verdict["shift"] = bundle
+    _write_or_embed(verdict, "shift", bundle, args.out)
     return run.emit(verdict, EXIT_OK if report.concrete else EXIT_REFUTED)
 
 
@@ -221,12 +222,7 @@ def _cmd_homotopy_from_se(run: _Run, args) -> int:
         "homotopy_y": jsonio.homotopy_to_json(hom_y, _leaf=leaf),
     }
     verdict = {"verified_x": ok_x, "verified_y": ok_y, "steps": args.steps}
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.dump_json(bundle))
-        verdict["out"] = args.out
-    else:
-        verdict["bundle"] = bundle
+    _write_or_embed(verdict, "bundle", bundle, args.out)
     return run.emit(verdict, EXIT_OK if ok_x and ok_y else EXIT_REFUTED)
 
 

@@ -27,8 +27,7 @@ from .errors import DomainError, ShapeError
 from .exact import IntMatrix, is_essential, is_nonnegative, mat_mul
 from .exact import identity as int_identity
 
-#: An edge (source label, alpha, target label); basis vectors are edge paths.
-Edge = tuple
+#: A basis vector: a path of edges (source label, alpha, target label).
 Path = tuple
 
 DEFAULT_TOL = 1e-9

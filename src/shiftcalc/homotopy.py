@@ -13,7 +13,7 @@ form, the sample list is what gets checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -138,21 +138,21 @@ class ArrowHomotopy:
 
 
 def homotopy_failure(h: ArrowHomotopy, tol: float = DEFAULT_TOL) -> Optional[str]:
-    """Description of the first defect found, or None if the homotopy checks out."""
+    """Description of the first defect found, or None if the homotopy checks out:
+    the samples in order, then h0 and h1, each for unitarity before its square."""
     for idx, (t, u) in enumerate(h.path.samples):
         defect = unitarity_defect(u, tol)
         if not defect <= tol:
             return f"sample {idx} (t={t:g}) is not unitary: defect {defect:.3e}"
-    for name, psi in (("h0", h.h0), ("h1", h.h1)):
+    last = len(h.path.samples) - 1
+    for name, psi, index, arrow in (("h0", h.h0, 0, h.f_arrow), ("h1", h.h1, last, h.g_arrow)):
         defect = unitarity_defect(psi, tol)
         if not defect <= tol:
             return f"endpoint 2-arrow {name} is not unitary: defect {defect:.3e}"
-    r0 = two_arrow_residual(h.h0, h.fiber_arrow(0), h.f_arrow)
-    if not r0 <= tol:
-        return f"h0 fails the 2-arrow square at t=0: residual {r0:.3e}"
-    r1 = two_arrow_residual(h.h1, h.fiber_arrow(len(h.path.samples) - 1), h.g_arrow)
-    if not r1 <= tol:
-        return f"h1 fails the 2-arrow square at t=1: residual {r1:.3e}"
+        residual = two_arrow_residual(psi, h.fiber_arrow(index), arrow)
+        if not residual <= tol:
+            t = h.path.samples[index][0]
+            return f"{name} fails the 2-arrow square at t={t:g}: residual {residual:.3e}"
     return None
 
 
@@ -218,6 +218,4 @@ def _side_homotopy(
     # Conjugate the composite intertwiner onto the tensor-power fiber.
     base = homotopy_to_identity(conjugate_arrow(composite, psi).phi, obj, m, steps)
     # Retarget the t = 1 end at the composite arrow through psi^{-1}.
-    return ArrowHomotopy(
-        base.f_arrow, composite, base.fiber, base.path, base.h0, psi.adjoint()
-    )
+    return replace(base, g_arrow=composite, h1=psi.adjoint())

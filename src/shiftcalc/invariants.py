@@ -42,7 +42,8 @@ class DimensionInvariants:
     coker(I - A), taken from D = chi_A(1) = det(I - A), adj(I - A) = q(A) for
     q(t) = (chi_A(t) - D) / (t - 1), and the Smith form modulo
     h = gcd(D, adj(I - A) B), where chi_A and q(A) B come from one table of
-    powers of A (see :func:`compute_invariants`);
+    powers of A; only h = 0, that is D = 0 and adj(I - A) B = 0, takes the
+    Smith form over Z (see :func:`compute_invariants`);
     ``eventual_rank`` is the rank of A^n for n the matrix size,
     which counts the nonzero eigenvalues with multiplicity and so is the
     degree of ``nonzero_char_poly``.  Being derived from that polynomial, it
@@ -85,15 +86,9 @@ class ComparisonVerdict:
 
 
 def cokernel_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """Canonical invariant factors of coker(m): drop 1s, keep a trailing 0
-    per free summand."""
-    diag = smith_normal_form(m)
-    factors = [d for d in diag if d != 1]
-    free = m.rows - len(diag) + sum(1 for d in diag if d == 0)
-    # Square input: rows == len(diag), so free counts exactly the zero diag
-    # entries; keep the general formula for rectangular cokernels.
-    torsion = [d for d in factors if d != 0]
-    return tuple(torsion + [0] * free)
+    """Canonical invariant factors of coker(m) for a square m: the Smith
+    diagonal without its 1s, each 0 (a free summand) trailing."""
+    return tuple(d for d in smith_normal_form(m) if d != 1)
 
 
 def compute_invariants(a: IntMatrix) -> DimensionInvariants:
@@ -104,14 +99,17 @@ def compute_invariants(a: IntMatrix) -> DimensionInvariants:
     primes sized for both, gives chi and adj M B
     (:func:`~shiftcalc.exact._char_poly_and_adjugate`):
 
-    * D = chi(1) = det M.  D = 0 (a free summand) takes the Smith form over Z.
+    * D = chi(1) = det M.
     * adj M = q(A) for q(t) = (chi(t) - D) / (t - 1), by Cayley-Hamilton.
       Every entry of adj M is an (n-1)-minor, so a multiple of
       g = d1 ... d(n-1); hence g divides
       h = gcd(D, entries of adj M B) for the two fixed columns B = (1, ..., 1)
       and (1, ..., n), and h divides D.
-    * The Smith form modulo h gives gcd(di, h) = di for i < n, since di | g | h,
-      and dn = |D| / (d1 ... d(n-1)).  For h = 1 that is one pass over M.
+    * h != 0: the Smith form modulo h gives gcd(di, h) = di for i < n, since
+      di | g | h, and dn = |D| / (d1 ... d(n-1)), which is 0 when D = 0 (rank
+      n - 1, one free summand).  For h = 1 that is one pass over M.
+    * h = 0 only when D = 0 and adj M B = 0; the same call, modulo 0, then
+      takes the Smith form over Z.
     """
     if not is_essential(a):
         raise DomainError("invariants are defined for essential matrices")
@@ -119,16 +117,15 @@ def compute_invariants(a: IntMatrix) -> DimensionInvariants:
     stripped, _ = poly_strip_t(chi)
     m = mat_sub(identity(a.rows), a)
     det = sum(chi.coeffs)
-    if det:
-        h = abs(det)
-        for y in chain.from_iterable(adjugate.entries):
-            h = math.gcd(h, y)
-            if h == 1:
-                break
-        factors = smith_normal_form(m, modulus=h)[:-1]
-        bf = tuple(d for d in (*factors, abs(det) // math.prod(factors)) if d != 1)
-    else:
-        bf = cokernel_invariant_factors(m)
+    h = abs(det)
+    for y in chain.from_iterable(adjugate.entries):
+        h = math.gcd(h, y)
+        if h == 1:
+            break
+    diag = smith_normal_form(m, modulus=h)
+    if h:
+        diag = (*diag[:-1], abs(det) // math.prod(diag[:-1]))
+    bf = tuple(d for d in diag if d != 1)
     det_away = (-1) ** stripped.degree * stripped.constant_term()
     return DimensionInvariants(stripped, bf, stripped.degree, det_away)
 

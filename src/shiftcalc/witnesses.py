@@ -204,8 +204,9 @@ def search_se(
     if entry_bound < 0:
         raise DomainError("entry bound must be nonnegative")
 
-    am = mat_pow(a, lag)
-    bm = mat_pow(b, lag)
+    # Entries of RS and SR are at most rows * bound^2: capped, the powers compare exactly at any lag.
+    am = mat_pow(a, lag, cap=b.rows * entry_bound**2)
+    bm = mat_pow(b, lag, cap=a.rows * entry_bound**2)
     s_candidates = None
     for r in _bounded_intertwiners(a, b, a.rows, b.rows, entry_bound):
         # A^m = RS forces every row of A^m to vanish where R's row is zero;

@@ -18,18 +18,22 @@ from shiftcalc import (
     conjugate_shift,
     fold_chain,
     from_rows,
+    identity_unitary,
     identity_witness,
     mat_mul,
     mat_pow,
     power_arrow,
+    power_correspondence,
     random_block_unitary,
     random_sse_chain,
     reverse_shift,
     slide_past_powers,
+    tensor_unitaries,
     trivial_shift,
     two_arrow_residual,
     two_arrow_residuals,
     unitarity_defect,
+    unitary_distance,
     verify_aligned,
     verify_concrete_shift,
 )
@@ -186,6 +190,133 @@ class TestAlignment:
         unaligned = sum(direct > TOL for direct, _ in residuals)
         assert 40 <= unaligned <= 200
         assert sum(direct == via for direct, via in residuals) < 60
+
+
+def reference_alignment_residuals(d: AlignedShiftData) -> tuple[float, float]:
+    """The two coherence equations written out side by side, with the
+    composite intertwiners built inline: the reference for the one loop of
+    ``alignment_residuals``."""
+    x = d.x_obj.x
+    y = d.y_obj.x
+    m_corr = d.m_arrow.f
+    n_corr = d.n_arrow.f
+
+    lhs_x = compose_unitaries(
+        compose_unitaries(
+            tensor_unitaries(d.m_arrow.phi, identity_unitary(n_corr)),
+            tensor_unitaries(identity_unitary(m_corr), d.n_arrow.phi),
+        ),
+        tensor_unitaries(d.psi_x, identity_unitary(x)),
+    )
+    rhs_x = tensor_unitaries(identity_unitary(x), d.psi_x)
+
+    lhs_y = compose_unitaries(
+        compose_unitaries(
+            tensor_unitaries(d.n_arrow.phi, identity_unitary(m_corr)),
+            tensor_unitaries(identity_unitary(n_corr), d.m_arrow.phi),
+        ),
+        tensor_unitaries(d.psi_y, identity_unitary(y)),
+    )
+    rhs_y = tensor_unitaries(identity_unitary(y), d.psi_y)
+
+    return unitary_distance(lhs_x, rhs_x), unitary_distance(lhs_y, rhs_y)
+
+
+def reference_composite_psis(d1: AlignedShiftData, d2: AlignedShiftData):
+    """Psi_X and Psi_Y of ``compose_shifts(d1, d2)``, each side written out:
+    the reference for its one helper called with mirrored arguments."""
+    m1, n1 = d1.m_arrow, d1.n_arrow
+    m2, n2 = d2.m_arrow, d2.n_arrow
+    # M1 (x) M2 (x) N2 (x) N1 -> M1 (x) Y^n (x) N1 -> M1 (x) N1 (x) X^n -> X^(m+n)
+    psi_x = compose_unitaries(
+        compose_unitaries(
+            tensor_unitaries(
+                tensor_unitaries(identity_unitary(m1.f), d2.psi_x),
+                identity_unitary(n1.f),
+            ),
+            tensor_unitaries(identity_unitary(m1.f), slide_past_powers(n1, d2.lag)),
+        ),
+        tensor_unitaries(
+            d1.psi_x, identity_unitary(power_correspondence(d1.x_obj, d2.lag))
+        ),
+    )
+    # N2 (x) N1 (x) M1 (x) M2 -> N2 (x) Y^m (x) M2 -> N2 (x) M2 (x) Z^m -> Z^(n+m)
+    psi_y = compose_unitaries(
+        compose_unitaries(
+            tensor_unitaries(
+                tensor_unitaries(identity_unitary(n2.f), d1.psi_y),
+                identity_unitary(m2.f),
+            ),
+            tensor_unitaries(identity_unitary(n2.f), slide_past_powers(m2, d1.lag)),
+        ),
+        tensor_unitaries(
+            d2.psi_y, identity_unitary(power_correspondence(d2.y_obj, d1.lag))
+        ),
+    )
+    return psi_x, psi_y
+
+
+def same_bits(u1, u2) -> bool:
+    """Equal endpoints and bit-identical blocks."""
+    return (
+        u1.source == u2.source
+        and u1.target == u2.target
+        and u1.blocks.keys() == u2.blocks.keys()
+        and all(np.array_equal(m, u2.blocks[ij]) for ij, m in u1.blocks.items())
+    )
+
+
+class TestAgainstTheWrittenOutSides:
+    def test_residuals_bit_for_bit(self):
+        # Folded chains, each also Haar-conjugated and then phase-twisted.
+        rng = random.Random(1729)
+        np_rng = np.random.default_rng(1729)
+        bases = [build_from_se(golden_lag(lag)) for lag in range(1, 4)]
+        while len(bases) < 34:
+            base = random_essential(rng, max_size=3, max_entry=2)
+            chain = random_sse_chain(base, rng.randint(1, 2), seed=rng.randrange(10**6))
+            bases.append(build_from_se(fold_chain(chain)))
+        shifts = []
+        for d in bases:
+            conj = conjugate_shift(
+                d, random_block_unitary(d.m_arrow.f, np_rng), random_block_unitary(d.n_arrow.f, np_rng)
+            )
+            shifts += [d, conj, phase_twist(conj, rng.uniform(0.3, 2.8))]
+        assert len(shifts) == 102
+        residuals = [alignment_residuals(d) for d in shifts]
+        assert residuals == [reference_alignment_residuals(d) for d in shifts]
+        # Both verdicts are well represented.
+        assert 20 <= sum(max(r) > TOL for r in residuals) <= 80
+
+    def test_composites_bit_for_bit(self):
+        # Conjugated trivial shifts, chained at lags 1 + 1 and, through a
+        # composite of two, at 2 + 1 and 1 + 2, so the slides run over powers.
+        rng = random.Random(31)
+        np_rng = np.random.default_rng(31)
+
+        def conjugated_trivial(a):
+            d = trivial_shift(a)
+            return conjugate_shift(
+                d, random_block_unitary(d.m_arrow.f, np_rng), random_block_unitary(d.n_arrow.f, np_rng)
+            )
+
+        def compose(d1, d2):
+            composed = compose_shifts(d1, d2, 8e-9)
+            psi_x, psi_y = reference_composite_psis(d1, d2)
+            assert same_bits(composed.psi_x, psi_x)
+            assert same_bits(composed.psi_y, psi_y)
+            assert alignment_residuals(composed) == reference_alignment_residuals(composed)
+            return composed
+
+        for k in range(20):
+            a = random_essential(rng, max_size=2, max_entry=2)
+            d1, d2 = conjugated_trivial(a), conjugated_trivial(a)
+            if k % 3 == 0:
+                compose(d1, d2)
+            elif k % 3 == 1:
+                compose(compose(d1, d2), conjugated_trivial(a))
+            else:
+                compose(d1, compose(d2, conjugated_trivial(a)))
 
 
 class TestConjugation:

@@ -162,6 +162,17 @@ class TestSearchAndTensor:
         assert code == 1
         assert report["verdict"] == {"found": False, "witness": None}
 
+    def test_search_at_a_huge_lag_is_refuted_at_once(self, files, capsys):
+        # A^lag and B^lag are capped at the largest entry RS and SR can reach.
+        start = time.perf_counter()
+        code, report, _ = run(
+            capsys,
+            ["search-se", "--a", files["two"], "--b", files["pair"], "--lag", "1000000000", "--bound", "1"],
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert report["verdict"] == {"found": False, "witness": None}
+
     def test_tensor_dims(self, files, capsys):
         code, report, _ = run(capsys, ["corr", "tensor", "--r", files["r"], "--s", files["s"]])
         assert code == 0

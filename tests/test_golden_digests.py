@@ -1,0 +1,142 @@
+"""Byte identity of CLI reports and bundles, pinned by sha256 digests.
+
+Each call runs in-process from a temporary directory with relative paths,
+because reports name their input files.  Every homotopy here has zero
+generators (checked below), so no LAPACK rounding enters a digest: a
+changed digest means a changed report, not a different BLAS.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+from shiftcalc import from_rows, homotopy_shift_equivalence_from_se
+from shiftcalc.cli import main
+from shiftcalc.jsonio import matrix_to_json, witness_to_json
+from tests.test_aligned import golden_lag
+
+HOMOTOPY_LAGS = (1, 2, 3)
+HOMOTOPY_STEPS = 8
+INVARIANT_MATRICES = {
+    "torsion": [[3, 1], [1, 3]],  # D = 3, h = 1: the last factor is |D| = 3
+    "cycle": [[0, 1, 0], [0, 0, 1], [1, 0, 0]],  # D = 0, h = 3: Smith form modulo 3
+    "identity": [[1, 0], [0, 1]],  # D = 0 and adj(I - A) = 0: Smith form over Z
+}
+
+#: argv -> (exit code, sha256 of stdout, sha256 of the --out file or None),
+#: recorded before the aligned, homotopy, invariants and cli rewrites that
+#: these digests guard.
+GOLDEN = {
+    "aligned from-se --witness witness-1.json --out shift-1.json": (
+        0, "1b699a00f25c39420ac8638436b88dabeaa9ea848d8a532d8433b2f956fd267e",
+        "1b30a30e02c35d520b8ee4dafe95261a4a7186434488a13a5269742b9bb00a7a",
+    ),
+    "aligned from-se --witness witness-2.json --out shift-2.json": (
+        0, "79ab230849c54552994ed7752cf46d015063a08e4a9a9ca6c992deb7ca1bd95c",
+        "2acad835b1fa528d655a95f076f1560b9129e4a46b753b21c9c66a0152e4ee5a",
+    ),
+    "aligned from-se --witness witness-3.json --out shift-3.json": (
+        0, "ba50c97c0690804bc934b79867b360f27fabe5b7ca37ad943a7f16ca6a9bd3cc",
+        "ab3abc3014ee784e822ca671cfc022b8042bf4796e05ea1a2d8b2453d209e727",
+    ),
+    "aligned from-se --witness witness-4.json --out shift-4.json": (
+        0, "1fdff821d41509b066e2730387541d0010604e759ddee19bd6e729787c9e7d7a",
+        "0a8d5bcd0ac8ec82f4a4256dcd1ada8ba975c53450a9de0e95f8413fbcfc99c2",
+    ),
+    "aligned verify --data shift-1.json": (
+        0, "b8f65b29c413baee70a27b4d222680892cd01c1b31e19033bb6be954fe6820b0",
+        None,
+    ),
+    "aligned verify --data shift-2.json": (
+        0, "882b0f3168f31359fd53a49c35b17c121bca4631b1f57c16c61d12f705031ab5",
+        None,
+    ),
+    "aligned verify --data shift-3.json": (
+        0, "a663486f9da685dce01343de9522077ee8c0e358173e5bd05a6dad5053250fb4",
+        None,
+    ),
+    "aligned verify --data shift-4.json": (
+        0, "481e4d749780ea459cf6fd6c73d00a6eb96d111891766d86d50fded5c19881a1",
+        None,
+    ),
+    "corr tensor --r r.json --s s.json": (
+        0, "36ec9162141764ecde12b7dbda39fb5af8536f7c7857fb9b7cf57740b72c60cb",
+        None,
+    ),
+    "homotopy from-se --witness witness-1.json --steps 8 --out homotopy-1.json": (
+        0, "dd35dcd0da2c65bcbf764a178dc48225d5e69d9c85bbb6a3cb164d4e040da93b",
+        "849635174f3ab815a9611f2d529b3378ec7f92a0b2d2d6de8c4b3e83c86db0e8",
+    ),
+    "homotopy from-se --witness witness-2.json --steps 8 --out homotopy-2.json": (
+        0, "8e10fe33e845bbeda83354314731f7ac0259c26af6f5552aeb9ffa20fc4edf68",
+        "f738003e26c94d1c792ac0afbecc1d98a30231ec286d959c75f1d6862be316fc",
+    ),
+    "homotopy from-se --witness witness-3.json --steps 8 --out homotopy-3.json": (
+        0, "b61d3f699aaa580cd911fe5528cea19ba96f24711156c25c385a668fca4f48f3",
+        "6e7e22826b7877e6c61c3348645daee32873772721c1c1417e06c035fa9192b5",
+    ),
+    "invariants --a cycle.json": (
+        0, "d4087cec009ff965c36c9c16f97f0e021b86b911232e8aad6d2b280a2e3945eb",
+        None,
+    ),
+    "invariants --a identity.json": (
+        0, "882e7bff5b50beb01d3e982679ffadbed2d1e9714d29882a568eff3264ab6a59",
+        None,
+    ),
+    "invariants --a torsion.json": (
+        0, "f325c23a0064ebc6219b2fc88582ca38718eabe0cc68340bac7b8e782bbb6394",
+        None,
+    ),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return path.name
+
+
+def run_calls(tmp_path, capsys) -> dict:
+    """Write the fixtures into ``tmp_path`` (the working directory), run every
+    call and digest what it printed and wrote."""
+    calls = []
+    for lag in range(1, 5):
+        witness = _write(tmp_path / f"witness-{lag}.json", witness_to_json(golden_lag(lag)))
+        calls.append(("aligned", "from-se", "--witness", witness, "--out", f"shift-{lag}.json"))
+        calls.append(("aligned", "verify", "--data", f"shift-{lag}.json"))
+        if lag in HOMOTOPY_LAGS:
+            calls.append(
+                ("homotopy", "from-se", "--witness", witness, "--steps", str(HOMOTOPY_STEPS),
+                 "--out", f"homotopy-{lag}.json")
+            )
+    for name, rows in INVARIANT_MATRICES.items():
+        calls.append(("invariants", "--a", _write(tmp_path / f"{name}.json", matrix_to_json(from_rows(rows)))))
+    r = _write(tmp_path / "r.json", matrix_to_json(from_rows([[1, 1]])))
+    s = _write(tmp_path / "s.json", matrix_to_json(from_rows([[1], [1]])))
+    calls.append(("corr", "tensor", "--r", r, "--s", s))
+
+    digests = {}
+    for argv in calls:
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        written = argv[argv.index("--out") + 1] if "--out" in argv else None
+        file_digest = _sha((tmp_path / written).read_bytes()) if written else None
+        digests[" ".join(argv)] = (code, _sha(out.encode()), file_digest)
+    return digests
+
+
+def test_homotopy_generators_are_exactly_zero():
+    for lag in HOMOTOPY_LAGS:
+        _, hom_x, hom_y = homotopy_shift_equivalence_from_se(golden_lag(lag), steps=HOMOTOPY_STEPS)
+        for hom in (hom_x, hom_y):
+            assert all(not np.any(block) for block in hom.path.generator.values())
+
+
+def test_reports_and_bundles_are_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SHIFTCALC_TOL", raising=False)
+    assert run_calls(tmp_path, capsys) == GOLDEN

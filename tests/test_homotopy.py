@@ -241,6 +241,33 @@ class TestVerifyHomotopy:
         assert homotopy_failure(bad, 1e300) == "h0 fails the 2-arrow square at t=0: residual nan"
         assert not verify_homotopy(bad, 1e300)
 
+    def test_non_unitary_h1_is_named(self):
+        obj = object_pair(from_rows([[2]]))
+        rng = np.random.default_rng(16)
+        square = tensor(obj.x, obj.x)
+        h = homotopy_to_identity(random_block_unitary(square, rng, target=square), obj, 1, steps=6)
+        doubled = h.h1.replace_block(0, 0, 2.0 * h.h1.block(0, 0))
+        bad = ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, h.path, h.h0, doubled)
+        assert homotopy_failure(bad, TOL) == "endpoint 2-arrow h1 is not unitary: defect 3.000e+00"
+        assert not verify_homotopy(bad, TOL)
+
+    def test_t1_square_alone_fails(self):
+        # The samples, h0, h1 and the square at t = 0 all check out; only the
+        # arrow at t = 1 is replaced, by one whose phi carries a nan.
+        obj = object_pair(from_rows([[2]]))
+        rng = np.random.default_rng(16)
+        square = tensor(obj.x, obj.x)
+        h = homotopy_to_identity(random_block_unitary(square, rng, target=square), obj, 1, steps=6)
+        g = h.g_arrow
+        nan_phi = g.phi.replace_block(0, 0, np.full_like(g.phi.block(0, 0), np.nan))
+        bad = ArrowHomotopy(h.f_arrow, OneArrow(g.source, g.target, g.f, nan_phi), h.fiber, h.path, h.h0, h.h1)
+        assert homotopy_failure(bad, 1e300) == "h1 fails the 2-arrow square at t=1: residual nan"
+        assert not verify_homotopy(bad, 1e300)
+        # A finite defect is named the same way, at the working tolerance.
+        twisted = OneArrow(g.source, g.target, g.f, g.phi.replace_block(0, 0, 1j * g.phi.block(0, 0)))
+        bad = ArrowHomotopy(h.f_arrow, twisted, h.fiber, h.path, h.h0, h.h1)
+        assert homotopy_failure(bad, TOL).startswith("h1 fails the 2-arrow square at t=1: residual ")
+
     def test_constant_homotopy_of_valid_arrow(self):
         obj = object_pair(from_rows([[1, 2], [1, 1]]))
         h = constant_homotopy(power_arrow(obj, 1))

@@ -24,6 +24,7 @@ from shiftcalc import (
 )
 from shiftcalc.exact import _char_poly_and_adjugate, _coefficient_bound, mat_sub
 from shiftcalc.invariants import ONE_MINUS_T, ONE_MINUS_T_SQUARED, ONE_PLUS_T, cokernel_invariant_factors
+from shiftcalc import invariants
 from tests.conftest import random_essential
 
 
@@ -196,8 +197,29 @@ class TestBowenFranksThroughTheAdjugate:
         self._check(essential_of_size(random.Random(40), 40, 10**30))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 40])
-    def test_permutations_are_singular(self, n):
-        # det(I - P) = 0: one free summand per cycle, the Smith form over Z.
+    def test_permutations_are_singular(self, n, monkeypatch):
+        # det(I - P) = 0: one free summand per cycle.  A single n-cycle has
+        # adj(I - P) = J, so h = gcd(0, adj(I - P) B) = gcd(n, n(n + 1)/2) != 0
+        # and the Smith form runs modulo h; with two or more cycles
+        # adj(I - P) = 0, so h = 0 and it runs over Z.
+        moduli = []
+        smith = invariants.smith_normal_form
+        monkeypatch.setattr(
+            invariants, "smith_normal_form", lambda m, modulus=0: moduli.append(modulus) or smith(m, modulus)
+        )
+
+        def check(p):
+            moduli.clear()
+            bf = self._check(p)  # compute_invariants first, then the oracles
+            return bf, moduli[0]
+
+        cycle = from_rows([[int(j == (i + 1) % n) for j in range(n)] for i in range(n)])
+        assert check(cycle) == ((0,), math.gcd(n, n * (n + 1) // 2))
+        if n > 1:
+            assert check(identity(n)) == ((0,) * n, 0)
+            k = n // 2
+            two_cycles = [(i + 1) % k if i < k else k + (i - k + 1) % (n - k) for i in range(n)]
+            assert check(from_rows([[int(j == two_cycles[i]) for j in range(n)] for i in range(n)])) == ((0, 0), 0)
         rng = random.Random(n)
         for _ in range(3):
             p = permutation(rng, n)

@@ -180,6 +180,16 @@ class TestSearch:
         found = search_se(a, a, 1, 2)
         assert found.r == from_rows([[1]]) and found.s == from_rows([[2]])
 
+    def test_products_at_the_power_cap_are_found(self):
+        # A^lag and B^lag are capped at the largest entry RS and SR can have:
+        # b.rows * bound^2 = 3 here, which RS = [[3]] reaches, and
+        # a.rows * bound^2 = 1, which every entry of SR = J reaches.
+        ones = from_rows([[1, 1, 1]] * 3)
+        found = search_se(from_rows([[3]]), ones, 1, 1)
+        assert found.r == from_rows([[1, 1, 1]]) and found.s == from_rows([[1], [1], [1]])
+        found = search_se(ones, from_rows([[3]]), 1, 1)
+        assert found.r == from_rows([[1], [1], [1]]) and found.s == from_rows([[1, 1, 1]])
+
     def test_requires_essential(self):
         with pytest.raises(DomainError):
             search_se(from_rows([[0]]), from_rows([[1]]), 1, 1)
