@@ -204,7 +204,7 @@ class BlockUnitary:
 
 
 def identity_unitary(c: GraphCorrespondence) -> BlockUnitary:
-    return BlockUnitary(c, c, {ij: np.eye(c.block_dim(*ij)) for ij in c.blocks()})
+    return canonical_identification(c, c)
 
 
 def canonical_identification(src: GraphCorrespondence, tgt: GraphCorrespondence) -> BlockUnitary:
@@ -214,8 +214,6 @@ def canonical_identification(src: GraphCorrespondence, tgt: GraphCorrespondence)
     edge correspondences with the edge correspondence of the product matrix:
     the k-th basis path of each block is sent to the k-th.
     """
-    if not src.same_shape(tgt):
-        raise ShapeError("canonical identification needs equal dims")
     return BlockUnitary(src, tgt, {ij: np.eye(src.block_dim(*ij)) for ij in src.blocks()})
 
 
@@ -279,8 +277,6 @@ def tensor_unitaries(u1: BlockUnitary, u2: BlockUnitary) -> BlockUnitary:
     """
     x, xp = u1.source, u1.target
     y, yp = u2.source, u2.target
-    if x.right_index != y.left_index:
-        raise ShapeError("tensor factors must share their middle index set")
     src = tensor(x, y)
     tgt = tensor(xp, yp)
     y_dims = np.array(y.dims.entries)
@@ -308,11 +304,8 @@ def canonical_assoc(x: GraphCorrespondence, y: GraphCorrespondence, z: GraphCorr
     return canonical_identification(tensor(tensor(x, y), z), tensor(x, tensor(y, z)))
 
 
-def random_block_unitary(
-    src: GraphCorrespondence, rng: np.random.Generator, target: Optional[GraphCorrespondence] = None
-) -> BlockUnitary:
-    """Haar-distributed unitary blocks; deterministic for a fixed generator."""
-    tgt = src if target is None else target
+def random_block_unitary(src: GraphCorrespondence, rng: np.random.Generator) -> BlockUnitary:
+    """Haar-distributed unitary blocks from ``src`` to itself; deterministic for a fixed generator."""
     blocks = {}
     for ij in src.blocks():
         d = src.block_dim(*ij)
@@ -321,7 +314,7 @@ def random_block_unitary(
         phases = np.diag(r).copy()
         phases /= np.abs(phases)
         blocks[ij] = q * phases
-    return BlockUnitary(src, tgt, blocks)
+    return BlockUnitary(src, src, blocks)
 
 
 # ---------------------------------------------------------------------------

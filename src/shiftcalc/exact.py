@@ -354,8 +354,9 @@ def _is_prime(m: int) -> bool:
 
 
 #: Descending primes per size class k, built on first use: every prime p in
-#: ``_PRIME_TABLES[k]`` has 2**(2k) * (p - 1)**2 < 2**53 and p > 2**k.
-_PRIME_TABLES: dict[int, list[int]] = {}
+#: ``_PRIME_TABLES[k]`` has 2**(2k) * (p - 1)**2 < 2**53 and p > 2**k.  A longer
+#: table replaces a shorter one whole, so concurrent callers never share one half built.
+_PRIME_TABLES: dict[int, tuple[int, ...]] = {}
 
 
 def _moduli(n: int, exceed: int) -> list[int]:
@@ -373,21 +374,24 @@ def _moduli(n: int, exceed: int) -> list[int]:
     whose class has no prime at all.
     """
     k = n.bit_length()
-    table = _PRIME_TABLES.setdefault(k, [])
+    table = _PRIME_TABLES.get(k, ())
     chosen, product = [], 1
     while product <= exceed:
-        if len(chosen) == len(table):
+        if len(chosen) < len(table):
+            chosen.append(table[len(chosen)])
+        else:
             # The largest q with 2**(2k) * (q - 1)**2 <= 2**53 - 1, then downwards.
-            q = table[-1] - 1 if table else 1 + math.isqrt(((1 << 53) - 1) >> 2 * k)
+            q = chosen[-1] - 1 if chosen else 1 + math.isqrt(((1 << 53) - 1) >> 2 * k)
             while q > 1 << k and not _is_prime(q):
                 q -= 1
             if q <= 1 << k:
                 raise DomainError(
                     f"a {n}x{n} matrix with these entries is too large for exact float64 residue arithmetic"
                 )
-            table.append(q)
-        chosen.append(table[len(chosen)])
+            chosen.append(q)
         product *= chosen[-1]
+    if len(chosen) > len(table):
+        _PRIME_TABLES[k] = tuple(chosen)
     return chosen
 
 

@@ -172,8 +172,6 @@ def homotopy_to_identity(
     permutation to phi; both endpoint 2-arrows are the identity.
     """
     power = power_arrow(obj, m)
-    if phi.source != power.phi.source or phi.target != power.phi.target:
-        raise ShapeError("phi must intertwine X (x) X^m with X^m (x) X canonically")
     path = connect_unitaries(power.phi, phi, steps)
     ident = identity_unitary(power.f)
     return ArrowHomotopy(power, OneArrow(obj, obj, power.f, phi), power.f, path, ident, ident)

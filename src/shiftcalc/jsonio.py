@@ -16,6 +16,11 @@ identification, a permutation) formats no float at all: each of its pairs is
 one of four cached texts.  Array leaves are the writer's only fast path; a
 list (an integer matrix, or a block of the public functions) is written
 value by value.
+
+The readers raise ``ParseError`` naming the first fault they meet.  A stored
+block is read in one pass, row by row: only a row that fails its check, or
+holds an int, is walked entry by entry to name its first offending entry, and
+finiteness is checked once over the whole block.
 """
 
 from __future__ import annotations
@@ -55,6 +60,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _fields(doc, kind: str, names: tuple) -> tuple:
+    """The values of the named fields of a ``kind`` document, which must be a JSON object holding them all."""
+    _require(isinstance(doc, dict), f"{kind} document must be a JSON object")
+    for name in names:
+        _require(name in doc, f"{kind} document is missing '{name}'")
+    return tuple(doc[name] for name in names)
+
+
 # ---------------------------------------------------------------------------
 # Matrices
 # ---------------------------------------------------------------------------
@@ -70,10 +83,7 @@ def matrix_to_json(m: IntMatrix) -> dict:
 
 
 def matrix_from_json(doc) -> IntMatrix:
-    _require(isinstance(doc, dict), "matrix document must be a JSON object")
-    for field in ("rows", "cols", "entries"):
-        _require(field in doc, f"matrix document is missing '{field}'")
-    rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
+    rows, cols, entries = _fields(doc, "matrix", ("rows", "cols", "entries"))
     _require(_is_int(rows) and _is_int(cols), "matrix shape must be integers")
     _require(isinstance(entries, list) and len(entries) == rows, "entry grid has the wrong number of rows")
     if (
@@ -127,17 +137,9 @@ def witness_to_json(w: SEWitness) -> dict:
 
 
 def witness_from_json(doc) -> SEWitness:
-    _require(isinstance(doc, dict), "witness document must be a JSON object")
-    for field in ("a", "b", "r", "s", "lag"):
-        _require(field in doc, f"witness document is missing '{field}'")
-    _require(_is_int(doc["lag"]), "witness lag must be an integer")
-    return SEWitness(
-        matrix_from_json(doc["a"]),
-        matrix_from_json(doc["b"]),
-        matrix_from_json(doc["r"]),
-        matrix_from_json(doc["s"]),
-        doc["lag"],
-    )
+    *matrices, lag = _fields(doc, "witness", ("a", "b", "r", "s", "lag"))
+    _require(_is_int(lag), "witness lag must be an integer")
+    return SEWitness(*map(matrix_from_json, matrices), lag)
 
 
 # ---------------------------------------------------------------------------
@@ -154,37 +156,27 @@ def _complex_matrix_to_json(m: np.ndarray) -> list:
     return _complex_matrix_array(m).tolist()
 
 
-def _number_rows(o):
-    """Entries, row after row, of a list of equal-length nonempty lists of non-bool ints and floats; else None."""
-    if o and type(o[0]) is list and o[0] and type(o[0][0]) in (int, float):
-        if {*map(type, o)} <= {list} and len({*map(len, o)}) == 1:
-            values = tuple(chain.from_iterable(o))
-            if {*map(type, values)} <= {int, float}:
-                return values
-    return None
-
-
 def _complex_matrix_from_json(doc, d: int, where: str) -> np.ndarray:
+    """The d x d complex block of d rows of d [re, im] pairs, read in one pass (see the module docstring)."""
     _require(isinstance(doc, list) and len(doc) == d, f"{where}: block must have {d} rows")
-    rows = [_number_rows(row) if isinstance(row, list) and len(row) == d else None for row in doc]
-    if all(row is not None and len(row) == 2 * d for row in rows):
-        try:
-            out = np.array(rows, dtype=np.float64).view(complex).reshape(d, d)
-            if np.isfinite(out).all():
-                return out
-        except OverflowError:
-            pass
-    # Entry by entry, so the error names the first offending entry.
+    values = []
     for i, row in enumerate(doc):
         _require(isinstance(row, list) and len(row) == d, f"{where}: row {i} must have {d} entries")
-        for j, pair in enumerate(row):
-            ok = type(pair) is list and len(pair) == 2 and {*map(type, pair)} <= {int, float}
-            _require(ok, f"{where}: entry ({i}, {j}) must be an [re, im] pair of numbers")
-            try:
-                complex(*pair)
-            except OverflowError:
-                raise ParseError(f"{where}: entry ({i}, {j}) is too large") from None
-    raise ParseError(f"{where}: entries must be finite")
+        pairs = {*map(type, row)} <= {list} and {*map(len, row)} <= {2}
+        flat = [*chain.from_iterable(row)] if pairs else None
+        if flat is None or not {*map(type, flat)} <= {float}:
+            # Name the row's first bad entry; an int may be too large for a float.
+            for j, pair in enumerate(row):
+                ok = type(pair) is list and len(pair) == 2 and {*map(type, pair)} <= {int, float}
+                _require(ok, f"{where}: entry ({i}, {j}) must be an [re, im] pair of numbers")
+                try:
+                    complex(*pair)
+                except OverflowError:
+                    raise ParseError(f"{where}: entry ({i}, {j}) is too large") from None
+        values += flat
+    out = np.array(values, dtype=np.float64).view(complex).reshape(d, d)
+    _require(np.isfinite(out).all(), f"{where}: entries must be finite")
+    return out
 
 
 def block_unitary_to_json(u: BlockUnitary, *, _leaf=None) -> dict:
@@ -212,30 +204,29 @@ def block_unitary_from_json(
     The document's declared shape must match the source's; which structured
     correspondences the blocks act between is the caller's decision.
     """
-    _require(isinstance(doc, dict), "block unitary document must be a JSON object")
-    for field in ("left_index", "right_index", "dims", "blocks"):
-        _require(field in doc, f"block unitary document is missing '{field}'")
-    for field in ("left_index", "right_index"):
-        _require(isinstance(doc[field], list), f"block unitary '{field}' must be a list")
+    fields = ("left_index", "right_index", "dims", "blocks")
+    left_index, right_index, dims, stored = _fields(doc, "block unitary", fields)
+    for field, labels in (("left_index", left_index), ("right_index", right_index)):
+        _require(isinstance(labels, list), f"block unitary '{field}' must be a list")
     _require(
-        isinstance(doc["dims"], list) and all(isinstance(row, list) for row in doc["dims"]),
+        isinstance(dims, list) and all(isinstance(row, list) for row in dims),
         "block unitary 'dims' must be a list of lists",
     )
-    _require(isinstance(doc["blocks"], dict), "block unitary 'blocks' must be a JSON object")
-    dims = from_rows(doc["dims"])
+    _require(isinstance(stored, dict), "block unitary 'blocks' must be a JSON object")
+    # from_rows would read true and false as 1 and 0.
+    _require(bool not in {*map(type, chain.from_iterable(dims))}, "block unitary 'dims' has a boolean entry")
+    dims = from_rows(dims)
     _require(
-        [str(x) for x in doc["left_index"]] == [str(x) for x in source.left_index]
-        and [str(x) for x in doc["right_index"]] == [str(x) for x in source.right_index]
+        [str(x) for x in left_index] == [str(x) for x in source.left_index]
+        and [str(x) for x in right_index] == [str(x) for x in source.right_index]
         and dims == source.dims,
         "block unitary shape does not match the expected correspondence",
     )
     blocks = {}
     for (i, j) in source.blocks():
         key = f"{source.left_index[i]},{source.right_index[j]}"
-        _require(key in doc["blocks"], f"missing block '{key}'")
-        blocks[(i, j)] = _complex_matrix_from_json(
-            doc["blocks"][key], source.block_dim(i, j), f"block '{key}'"
-        )
+        _require(key in stored, f"missing block '{key}'")
+        blocks[(i, j)] = _complex_matrix_from_json(stored[key], source.block_dim(i, j), f"block '{key}'")
     return BlockUnitary(source, target, blocks)
 
 
@@ -270,13 +261,11 @@ def arrow_to_json(arrow: OneArrow) -> dict:
 
 
 def arrow_from_json(doc) -> OneArrow:
-    _require(isinstance(doc, dict), "arrow document must be a JSON object")
-    for field in ("source", "target", "f_dims", "phi"):
-        _require(field in doc, f"arrow document is missing '{field}'")
-    source = object_from_json(doc["source"])
-    target = object_from_json(doc["target"])
-    f = from_matrix(matrix_from_json(doc["f_dims"]), target.algebra_index, source.algebra_index)
-    phi = block_unitary_from_json(doc["phi"], tensor(target.x, f), tensor(f, source.x))
+    source, target, f_dims, phi = _fields(doc, "arrow", ("source", "target", "f_dims", "phi"))
+    source = object_from_json(source)
+    target = object_from_json(target)
+    f = from_matrix(matrix_from_json(f_dims), target.algebra_index, source.algebra_index)
+    phi = block_unitary_from_json(phi, tensor(target.x, f), tensor(f, source.x))
     return OneArrow(source, target, f, phi)
 
 
@@ -300,15 +289,13 @@ def shift_to_json(d: AlignedShiftData, *, _leaf=None) -> dict:
 
 
 def shift_from_json(doc) -> AlignedShiftData:
-    _require(isinstance(doc, dict), "shift document must be a JSON object")
-    for field in ("x", "y", "lag", "m_dims", "n_dims", "phi_m", "phi_n", "psi_x", "psi_y"):
-        _require(field in doc, f"shift document is missing '{field}'")
-    _require(_is_int(doc["lag"]) and doc["lag"] >= 1, "lag must be a positive integer")
-    x_obj = object_from_json(doc["x"])
-    y_obj = object_from_json(doc["y"])
-    m_corr = from_matrix(matrix_from_json(doc["m_dims"]), x_obj.algebra_index, y_obj.algebra_index)
-    n_corr = from_matrix(matrix_from_json(doc["n_dims"]), y_obj.algebra_index, x_obj.algebra_index)
-    lag = doc["lag"]
+    fields = ("x", "y", "lag", "m_dims", "n_dims", "phi_m", "phi_n", "psi_x", "psi_y")
+    x, y, lag, m_dims, n_dims, *_ = _fields(doc, "shift", fields)
+    _require(_is_int(lag) and lag >= 1, "lag must be a positive integer")
+    x_obj = object_from_json(x)
+    y_obj = object_from_json(y)
+    m_corr = from_matrix(matrix_from_json(m_dims), x_obj.algebra_index, y_obj.algebra_index)
+    n_corr = from_matrix(matrix_from_json(n_dims), y_obj.algebra_index, x_obj.algebra_index)
     # X^(x)lag has dims A^lag, which psi_x needs equal to those of M (x) N, R S
     # (likewise for Y): check that before building any power, however large lag is.
     sides = (("A^lag = R S", x_obj, m_corr, n_corr), ("B^lag = S R", y_obj, n_corr, m_corr))

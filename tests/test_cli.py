@@ -413,7 +413,7 @@ class TestBadInputs:
     @pytest.mark.parametrize(
         "part, field, value",
         [("x", "labels", 5), ("psi_x", "left_index", 5), ("psi_x", "right_index", 5),
-         ("psi_x", "dims", [1]), ("psi_x", "blocks", 5)],
+         ("psi_x", "dims", [1]), ("psi_y", "dims", [[True, 1], [1, 1]]), ("psi_x", "blocks", 5)],
     )
     def test_malformed_bundle_field_is_data_error(self, capsys, tmp_path, golden_witness, part, field, value):
         doc = shift_to_json(build_from_se(golden_witness))

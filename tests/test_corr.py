@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftcalc import (
+    BlockUnitary,
     DomainError,
     ShapeError,
     canonical_assoc,
@@ -109,8 +110,8 @@ class TestDerivedBases:
         # Targets are the atomic correspondences of the same dims, so their
         # basis order differs from the sources' whenever a side has several
         # factors.
-        u = random_block_unitary(x, rng, from_matrix(x.dims))
-        v = random_block_unitary(y, rng, from_matrix(y.dims))
+        u = BlockUnitary(x, from_matrix(x.dims), random_block_unitary(x, rng).blocks)
+        v = BlockUnitary(y, from_matrix(y.dims), random_block_unitary(y, rng).blocks)
         w = tensor_unitaries(u, v)
         src_x, src_y = itinerary_blocks(mats[:k]), itinerary_blocks(mats[k:])
         tgt_x, tgt_y = itinerary_blocks([x.dims]), itinerary_blocks([y.dims])

@@ -630,6 +630,42 @@ class TestCharPoly:
         with pytest.raises(DomainError):
             exact._moduli(2**13, 1)
 
+    def test_concurrent_first_calls_share_no_half_built_table(self, monkeypatch):
+        # Two threads meet inside the prime search of the same empty size class
+        # (k = 3), as a scheduler may interleave them.  Neither may extend a
+        # table the other is reading: a prime listed twice would make a later
+        # call divide by a modulus that is not coprime to the others.
+        import threading
+
+        is_prime = exact._is_prime
+        first_calls = threading.Barrier(2, timeout=10)
+        met = set()
+
+        def meeting(m):
+            if threading.get_ident() not in met:
+                met.add(threading.get_ident())
+                first_calls.wait()
+            return is_prime(m)
+
+        monkeypatch.setattr(exact, "_PRIME_TABLES", {})
+        monkeypatch.setattr(exact, "_is_prime", meeting)
+        results = [None, None]
+
+        def run(i):
+            results[i] = exact._moduli(5, 1 << 100)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        monkeypatch.setattr(exact, "_is_prime", is_prime)
+        later = exact._moduli(5, 1 << 200)
+        monkeypatch.setattr(exact, "_PRIME_TABLES", {})
+        expected = exact._moduli(5, 1 << 200)
+        assert results[0] == results[1] == expected[: len(results[0])]
+        assert later == expected and len(set(later)) == len(later)
+
     def test_size_classes_run_out_of_primes_before_n_reaches_2_13(self):
         # An n x n permutation matrix has bound 3**n.  Class k = 13
         # (n = 4096..8191) has primes in (8192, 11586] only, whose product is

@@ -11,9 +11,9 @@ import json
 
 import numpy as np
 
-from shiftcalc import from_rows, homotopy_shift_equivalence_from_se
+from shiftcalc import build_from_se, from_rows, homotopy_shift_equivalence_from_se
 from shiftcalc.cli import main
-from shiftcalc.jsonio import matrix_to_json, witness_to_json
+from shiftcalc.jsonio import matrix_to_json, shift_to_json, witness_to_json
 from tests.test_aligned import golden_lag
 
 HOMOTOPY_LAGS = (1, 2, 3)
@@ -140,3 +140,114 @@ def test_reports_and_bundles_are_byte_identical(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("SHIFTCALC_TOL", raising=False)
     assert run_calls(tmp_path, capsys) == GOLDEN
+
+
+DELETE = object()
+BLOCK = ("psi_x", "blocks", "0,0")  # the one 2x2 block of the golden lag-1 Psi_X
+
+#: name -> faults, each a path into the golden lag-1 shift bundle and the value
+#: put there (``DELETE`` removes a key).  One bundle per message the shift,
+#: object, matrix, block unitary and block readers give, and two with two
+#: faults in one block, where the first in row order is named.
+MALFORMED = {
+    "not-an-object": [((), [])],
+    "missing-field": [(("psi_y",), DELETE)],
+    "lag-zero": [(("lag",), 0)],
+    "lag-unfit": [(("lag",), 2)],
+    "object-no-matrix": [(("x",), 5)],
+    "object-labels": [(("x", "labels"), 5)],
+    "matrix-not-an-object": [(("m_dims",), [])],
+    "matrix-missing-field": [(("m_dims", "cols"), DELETE)],
+    "matrix-shape": [(("m_dims", "rows"), 1.5)],
+    "matrix-grid-rows": [(("m_dims", "entries"), [[1, 1], [1, 1]])],
+    "matrix-row-length": [(("m_dims", "entries", 0), [1])],
+    "matrix-entry": [(("m_dims", "entries", 0, 0), "1")],
+    "unitary-not-an-object": [(("psi_x",), [])],
+    "unitary-missing-field": [(("psi_x", "blocks"), DELETE)],
+    "unitary-left-index": [(("psi_x", "left_index"), 5)],
+    "unitary-right-index": [(("psi_x", "right_index"), 5)],
+    "unitary-dims-lists": [(("psi_x", "dims"), [2])],
+    "unitary-dims-entry": [(("psi_x", "dims", 0, 0), "2")],
+    "unitary-dims-bool": [(("psi_y", "dims", 0, 0), True)],
+    "unitary-blocks": [(("psi_x", "blocks"), 5)],
+    "unitary-shape": [(("psi_x", "dims"), [[3]])],
+    "unitary-missing-block": [(BLOCK, DELETE)],
+    "block-rows": [(BLOCK, [])],
+    "block-row-length": [((*BLOCK, 1), [[1.0, 0.0]])],
+    "block-pair": [((*BLOCK, 1, 0), [1.0])],
+    "block-bool": [((*BLOCK, 1, 0), [True, 0.0])],
+    "block-too-large": [((*BLOCK, 1, 1), [0, 10**400])],
+    "block-not-finite": [((*BLOCK, 0, 1), [float("nan"), 0.0])],
+    "block-not-finite-then-pair": [((*BLOCK, 0, 0), [float("inf"), 0.0]), ((*BLOCK, 1, 1), [None, 0.0])],
+    "block-too-large-then-pair": [((*BLOCK, 0, 1), [10**400, 0]), ((*BLOCK, 1, 0), ["x", 0.0])],
+}
+
+#: name -> (exit code, stderr) of ``aligned verify --data <name>.json``, recorded
+#: before the block reader lost its second path.  Only "unitary-dims-bool"
+#: changed since: it was read as dims 1 and verified (0, "").
+MALFORMED_STDERR = {
+    "invalid-json": (65, "shiftcalc: invalid-json.json: invalid JSON at line 1, column 1254\n"),
+    "not-an-object": (65, "shiftcalc: shift document must be a JSON object\n"),
+    "missing-field": (65, "shiftcalc: shift document is missing 'psi_y'\n"),
+    "lag-zero": (65, "shiftcalc: lag must be a positive integer\n"),
+    "lag-unfit": (65, "shiftcalc: lag 2 does not fit the bundle: A^lag = R S fails\n"),
+    "object-no-matrix": (65, "shiftcalc: object document needs a 'matrix'\n"),
+    "object-labels": (65, "shiftcalc: object 'labels' must be a list\n"),
+    "matrix-not-an-object": (65, "shiftcalc: matrix document must be a JSON object\n"),
+    "matrix-missing-field": (65, "shiftcalc: matrix document is missing 'cols'\n"),
+    "matrix-shape": (65, "shiftcalc: matrix shape must be integers\n"),
+    "matrix-grid-rows": (65, "shiftcalc: entry grid has the wrong number of rows\n"),
+    "matrix-row-length": (65, "shiftcalc: row 0 has the wrong length\n"),
+    "matrix-entry": (65, "shiftcalc: row 0 has a non-integer entry\n"),
+    "unitary-not-an-object": (65, "shiftcalc: block unitary document must be a JSON object\n"),
+    "unitary-missing-field": (65, "shiftcalc: block unitary document is missing 'blocks'\n"),
+    "unitary-left-index": (65, "shiftcalc: block unitary 'left_index' must be a list\n"),
+    "unitary-right-index": (65, "shiftcalc: block unitary 'right_index' must be a list\n"),
+    "unitary-dims-lists": (65, "shiftcalc: block unitary 'dims' must be a list of lists\n"),
+    "unitary-dims-entry": (65, "shiftcalc: expected an integer entry, got '2'\n"),
+    "unitary-dims-bool": (65, "shiftcalc: block unitary 'dims' has a boolean entry\n"),
+    "unitary-blocks": (65, "shiftcalc: block unitary 'blocks' must be a JSON object\n"),
+    "unitary-shape": (65, "shiftcalc: block unitary shape does not match the expected correspondence\n"),
+    "unitary-missing-block": (65, "shiftcalc: missing block '0,0'\n"),
+    "block-rows": (65, "shiftcalc: block '0,0': block must have 2 rows\n"),
+    "block-row-length": (65, "shiftcalc: block '0,0': row 1 must have 2 entries\n"),
+    "block-pair": (65, "shiftcalc: block '0,0': entry (1, 0) must be an [re, im] pair of numbers\n"),
+    "block-bool": (65, "shiftcalc: block '0,0': entry (1, 0) must be an [re, im] pair of numbers\n"),
+    "block-too-large": (65, "shiftcalc: block '0,0': entry (1, 1) is too large\n"),
+    "block-not-finite": (65, "shiftcalc: block '0,0': entries must be finite\n"),
+    "block-not-finite-then-pair": (
+        65, "shiftcalc: block '0,0': entry (1, 1) must be an [re, im] pair of numbers\n",
+    ),
+    "block-too-large-then-pair": (65, "shiftcalc: block '0,0': entry (0, 1) is too large\n"),
+}
+
+
+def malformed_bundles() -> dict[str, str]:
+    """name -> text of each ``MALFORMED`` bundle, and of one truncated bundle."""
+    golden = json.dumps(shift_to_json(build_from_se(golden_lag(1))))
+    texts = {"invalid-json": golden[:-1]}
+    for name, faults in MALFORMED.items():
+        doc = json.loads(golden)
+        for path, value in faults:
+            if not path:
+                doc = value
+                continue
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        texts[name] = json.dumps(doc)
+    return texts
+
+
+def test_malformed_bundles_give_the_recorded_errors(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for name, text in malformed_bundles().items():
+        (tmp_path / f"{name}.json").write_text(text)
+        code = main(["aligned", "verify", "--data", f"{name}.json"])
+        got[name] = (code, capsys.readouterr().err)
+    assert got == MALFORMED_STDERR

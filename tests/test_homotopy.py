@@ -193,7 +193,7 @@ class TestHomotopyToIdentity:
         obj = object_pair(from_rows([[2]]))
         rng = np.random.default_rng(15)
         square = tensor(obj.x, obj.x)
-        phi = random_block_unitary(square, rng, target=square)
+        phi = random_block_unitary(square, rng)
         h = homotopy_to_identity(phi, obj, 1, steps=8)
         assert verify_homotopy(h)
         assert h.f_arrow.phi.blocks[(0, 0)].shape == (4, 4)
@@ -214,7 +214,7 @@ class TestVerifyHomotopy:
         obj = object_pair(from_rows([[2]]))
         rng = np.random.default_rng(16)
         square = tensor(obj.x, obj.x)
-        phi = random_block_unitary(square, rng, target=square)
+        phi = random_block_unitary(square, rng)
         h = homotopy_to_identity(phi, obj, 1, steps=6)
         t, bad_sample = h.path.samples[3]
         block = bad_sample.block(0, 0)
@@ -233,7 +233,7 @@ class TestVerifyHomotopy:
         obj = object_pair(from_rows([[2]]))
         rng = np.random.default_rng(16)
         square = tensor(obj.x, obj.x)
-        phi = random_block_unitary(square, rng, target=square)
+        phi = random_block_unitary(square, rng)
         h = homotopy_to_identity(phi, obj, 1, steps=6)
         f = h.f_arrow
         nan_phi = f.phi.replace_block(0, 0, np.full_like(f.phi.block(0, 0), np.nan))
@@ -245,7 +245,7 @@ class TestVerifyHomotopy:
         obj = object_pair(from_rows([[2]]))
         rng = np.random.default_rng(16)
         square = tensor(obj.x, obj.x)
-        h = homotopy_to_identity(random_block_unitary(square, rng, target=square), obj, 1, steps=6)
+        h = homotopy_to_identity(random_block_unitary(square, rng), obj, 1, steps=6)
         doubled = h.h1.replace_block(0, 0, 2.0 * h.h1.block(0, 0))
         bad = ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, h.path, h.h0, doubled)
         assert homotopy_failure(bad, TOL) == "endpoint 2-arrow h1 is not unitary: defect 3.000e+00"
@@ -257,7 +257,7 @@ class TestVerifyHomotopy:
         obj = object_pair(from_rows([[2]]))
         rng = np.random.default_rng(16)
         square = tensor(obj.x, obj.x)
-        h = homotopy_to_identity(random_block_unitary(square, rng, target=square), obj, 1, steps=6)
+        h = homotopy_to_identity(random_block_unitary(square, rng), obj, 1, steps=6)
         g = h.g_arrow
         nan_phi = g.phi.replace_block(0, 0, np.full_like(g.phi.block(0, 0), np.nan))
         bad = ArrowHomotopy(h.f_arrow, OneArrow(g.source, g.target, g.f, nan_phi), h.fiber, h.path, h.h0, h.h1)
@@ -277,7 +277,7 @@ class TestVerifyHomotopy:
         obj = object_pair(from_rows([[2]]))
         rng = np.random.default_rng(17)
         square = tensor(obj.x, obj.x)
-        phi = random_block_unitary(square, rng, target=square)
+        phi = random_block_unitary(square, rng)
         h = homotopy_to_identity(phi, obj, 1, steps=6)
         assert verify_homotopy(reverse_homotopy(h))
 
@@ -285,7 +285,7 @@ class TestVerifyHomotopy:
         obj = object_pair(from_rows([[2]]))
         rng = np.random.default_rng(18)
         square = tensor(obj.x, obj.x)
-        phi = random_block_unitary(square, rng, target=square)
+        phi = random_block_unitary(square, rng)
         h = homotopy_to_identity(phi, obj, 1, steps=5)
         joined = concatenate_homotopies(reverse_homotopy(h), h)
         assert verify_homotopy(joined)

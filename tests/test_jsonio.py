@@ -1,4 +1,5 @@
 import json
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from shiftcalc.jsonio import (
     _complex_matrix_array,
     _complex_matrix_from_json,
     _complex_matrix_to_json,
+    _require,
     dump_json,
 )
 from shiftcalc.selftest import GOLDEN_WITNESS, arrow_from_witness
@@ -185,6 +187,84 @@ def old_complex_matrix_from_json(doc):
     return np.array([[complex(re, im) for re, im in row] for row in doc], dtype=complex).reshape(len(doc), len(doc))
 
 
+def _number_rows(o):
+    """Entries, row after row, of a list of equal-length nonempty lists of non-bool ints and floats; else None."""
+    if o and type(o[0]) is list and o[0] and type(o[0][0]) in (int, float):
+        if {*map(type, o)} <= {list} and len({*map(len, o)}) == 1:
+            values = tuple(chain.from_iterable(o))
+            if {*map(type, values)} <= {int, float}:
+                return values
+    return None
+
+
+def reference_complex_matrix_from_json(doc, d: int, where: str) -> np.ndarray:
+    """The block reader as it was with two paths: a whole-block fast path, then
+    an entry-by-entry walk of the whole block when anything fails."""
+    _require(isinstance(doc, list) and len(doc) == d, f"{where}: block must have {d} rows")
+    rows = [_number_rows(row) if isinstance(row, list) and len(row) == d else None for row in doc]
+    if all(row is not None and len(row) == 2 * d for row in rows):
+        try:
+            out = np.array(rows, dtype=np.float64).view(complex).reshape(d, d)
+            if np.isfinite(out).all():
+                return out
+        except OverflowError:
+            pass
+    # Entry by entry, so the error names the first offending entry.
+    for i, row in enumerate(doc):
+        _require(isinstance(row, list) and len(row) == d, f"{where}: row {i} must have {d} entries")
+        for j, pair in enumerate(row):
+            ok = type(pair) is list and len(pair) == 2 and {*map(type, pair)} <= {int, float}
+            _require(ok, f"{where}: entry ({i}, {j}) must be an [re, im] pair of numbers")
+            try:
+                complex(*pair)
+            except OverflowError:
+                raise ParseError(f"{where}: entry ({i}, {j}) is too large") from None
+    raise ParseError(f"{where}: entries must be finite")
+
+
+def outcome(read, doc, d):
+    """The bits of the block ``read`` returns, or the type and message of what it raises."""
+    try:
+        return np.ascontiguousarray(read(doc, d, "block 'x'")).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+block_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**64), 2**64),
+    st.sampled_from([0, -0.0, 2**53 + 1, 10**300 + 7, 5e-324, 1.7976931348623157e308, 2**1024 - 2**970 - 1]),
+)
+bad_values = st.sampled_from(
+    [True, False, "1.0", None, [], 10**400, -(10**400), 2**1024, 1e400, -1e400, float("nan")]
+)
+bad_pairs = st.sampled_from([[], [1.0], [1.0, 0.0, 0.0], (1.0, 0.0), 1.0, "ab", None, {"re": 1.0}])
+
+
+@st.composite
+def mutated_blocks(draw):
+    """(doc, d): a d x d block of [re, im] pairs of JSON numbers with up to
+    three faults, applied values first, then pairs, rows and the block: a bad
+    value, a bad pair, a short or long row or one that is not a list, a short
+    or long block."""
+    d = draw(st.integers(1, 5))
+    doc = [[[draw(block_values), draw(block_values)] for _ in range(d)] for _ in range(d)]
+    faults = st.sampled_from(["1 value"] * 4 + ["2 pair"] * 2 + ["3 row"] * 2 + ["4 block"])
+    kinds = sorted(draw(st.lists(faults, max_size=3)))
+    for kind in kinds:
+        i, j, k = (draw(st.integers(0, n - 1)) for n in (d, d, 2))
+        if kind == "1 value":
+            doc[i][j][k] = draw(bad_values)
+        elif kind == "2 pair":
+            doc[i][j] = draw(bad_pairs)
+        elif kind == "3 row":
+            row = doc[i] if isinstance(doc[i], list) else []
+            doc[i] = draw(st.sampled_from([row[1:], row + [[0.0, 0.0]], "ab", 1.0, None, [1.0] * d]))
+        else:
+            doc = draw(st.sampled_from([doc[1:], doc + [[[0.0, 0.0]] * d]]))
+    return doc, d
+
+
 class TestComplexMatrices:
     @pytest.fixture
     def unitary(self):
@@ -210,6 +290,12 @@ class TestComplexMatrices:
         out = _complex_matrix_from_json(doc, d, "block")
         assert out.shape == (d, d) and out.dtype == complex
         assert np.ascontiguousarray(out).tobytes() == old_complex_matrix_from_json(doc).tobytes()
+
+    @given(mutated_blocks())
+    @settings(max_examples=600, deadline=None)
+    def test_reader_matches_the_two_path_reference(self, block):
+        doc, d = block
+        assert outcome(_complex_matrix_from_json, doc, d) == outcome(reference_complex_matrix_from_json, doc, d)
 
     def test_reader_roundtrips_the_writer(self, unitary):
         for m in unitary.blocks.values():
