@@ -217,21 +217,21 @@ def canonical_identification(src: GraphCorrespondence, tgt: GraphCorrespondence)
     return BlockUnitary(src, tgt, {ij: np.eye(src.block_dim(*ij)) for ij in src.blocks()})
 
 
-def unitarity_defect(u: BlockUnitary, tol: Optional[float] = None) -> float:
+def unitarity_defect(u: BlockUnitary, tol: float = 0.0) -> float:
     """Largest blockwise deviation of U*U and UU* from the identity.  Blocks are
     square, so both deviations are max |sigma_i^2 - 1|: one ``eigvalsh`` of U*U - I.
 
-    With ``tol``, a verdict ``<= tol`` is all the caller needs: a block whose
-    Frobenius norm ||U*U - I||_F, an upper bound of the operator norm, is at most
-    tol / 2 counts at that bound, and only the other blocks take the ``eigvalsh``.
-    The result is then <= tol exactly when the exact defect is, and any result
-    above tol / 2 is the exact defect.  A block whose U*U - I holds nan or inf
+    A verdict ``<= tol`` is all the caller needs: a block whose Frobenius norm
+    ||U*U - I||_F, an upper bound of the operator norm, is at most tol / 2 counts
+    at that bound, and only the other blocks take the ``eigvalsh``.  The result is
+    <= tol exactly when the exact defect is, and any result above tol / 2 (at the
+    default tol = 0, any result) is exact.  A block whose U*U - I holds nan or inf
     (from a nan or an overflow) has defect nan, which no ``<= tol`` accepts.
     """
     worst = 0.0
     for m in u.blocks.values():
         gram = m.conj().T @ m - np.eye(m.shape[0])
-        if tol is not None and (bound := np.linalg.norm(gram)) <= tol / 2:
+        if (bound := np.linalg.norm(gram)) <= tol / 2:
             defect = bound
         elif np.isfinite(gram).all():
             defect = np.abs(np.linalg.eigvalsh(gram)).max()

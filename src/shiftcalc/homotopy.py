@@ -33,8 +33,8 @@ from .corr import (
     two_arrow_residual,
     unitarity_defect,
 )
-from .errors import ContractError, DomainError, ShapeError
-from .witnesses import SEWitness, verify_se
+from .errors import DomainError, ShapeError
+from .witnesses import SEWitness
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,9 +192,7 @@ def homotopy_shift_equivalence_from_se(
 
     whose endpoint 2-arrows are the identity and the inverse Psi.
     """
-    if not verify_se(w):
-        raise ContractError("homotopy construction requires a verified witness")
-    shift = build_from_se(w)
+    shift = build_from_se(w)  # raises ContractError on an unverified witness
     hom_x = _side_homotopy(
         shift.x_obj, shift.m_arrow, shift.n_arrow, shift.psi_x, w.lag, steps
     )

@@ -141,38 +141,32 @@ def _bounded_intertwiners(
     """All nonnegative integer X with entries <= bound and left*X == X*right.
 
     Enumerated in lexicographic order of the row-major entry vector.  Entries
-    are filled one by one; a partial assignment is pruned as soon as some
-    linear constraint can no longer reach zero given the remaining entry
-    range [0, bound].
+    are filled one by one, each node carrying the running sum of every linear
+    constraint over the cells filled so far.  ``low[c]`` and ``high[c]`` are
+    the least and greatest totals cells c, c+1, ... can still add to each
+    constraint within [0, bound], computed once; a node is pruned as soon as
+    some constraint's sum can no longer reach zero.
     """
     ncells = rows * cols
     # Constraint (i, j): sum_k left[i,k] X[k,j] - sum_k X[i,k] right[k,j] == 0.
-    # coeff[(cell)] per constraint, as a flat vector over cells.
-    constraints = []
-    for i in range(rows):
-        for j in range(cols):
-            coeff = [0] * ncells
-            for k in range(rows):
-                coeff[k * cols + j] += left[i, k]
-            for k in range(cols):
-                coeff[i * cols + k] -= right[k, j]
-            constraints.append(coeff)
+    # columns[p * cols + q] holds cell (p, q)'s coefficient in every constraint.
+    columns = [
+        [
+            (left[i, p] if q == j else 0) - (right[q, j] if i == p else 0)
+            for i in range(rows)
+            for j in range(cols)
+        ]
+        for p in range(rows)
+        for q in range(cols)
+    ]
+    low, high = [[0] * ncells], [[0] * ncells]
+    for column in reversed(columns):
+        low.insert(0, [lo + bound * min(x, 0) for lo, x in zip(low[0], column)])
+        high.insert(0, [hi + bound * max(x, 0) for hi, x in zip(high[0], column)])
 
     values = [0] * ncells
 
-    def feasible(filled: int) -> bool:
-        for coeff in constraints:
-            lo = hi = sum(c * v for c, v in zip(coeff[:filled], values[:filled]))
-            for c in coeff[filled:]:
-                if c > 0:
-                    hi += c * bound
-                elif c < 0:
-                    lo += c * bound
-            if lo > 0 or hi < 0:
-                return False
-        return True
-
-    def fill(cell: int) -> Iterator[IntMatrix]:
+    def fill(cell: int, sums: list) -> Iterator[IntMatrix]:
         if cell == ncells:
             yield from_rows(
                 [values[i * cols : (i + 1) * cols] for i in range(rows)]
@@ -180,11 +174,14 @@ def _bounded_intertwiners(
             return
         for x in range(bound + 1):
             values[cell] = x
-            if feasible(cell + 1):
-                yield from fill(cell + 1)
-        values[cell] = 0
+            partial = [s + x * c for s, c in zip(sums, columns[cell])]
+            if all(
+                s + lo <= 0 <= s + hi
+                for s, lo, hi in zip(partial, low[cell + 1], high[cell + 1])
+            ):
+                yield from fill(cell + 1, partial)
 
-    yield from fill(0)
+    yield from fill(0, [0] * ncells)
 
 
 def search_se(

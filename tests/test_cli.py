@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from shiftcalc import build_from_se, from_rows, homotopy_shift_equivalence_from_se, verify_aligned
+from shiftcalc import SEWitness, build_from_se, from_rows, homotopy_shift_equivalence_from_se, verify_aligned
 from shiftcalc.cli import main
 from shiftcalc.jsonio import (
     SCHEMA,
@@ -442,6 +442,16 @@ class TestBadInputs:
         assert code == 65
         assert report is None
         assert "witness lag must be an integer" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command", [["homotopy", "from-se", "--witness"], ["aligned", "from-se", "--witness"]]
+    )
+    def test_unverified_witness_is_data_error(self, capsys, tmp_path, command):
+        bad = SEWitness(from_rows([[2]]), from_rows([[3]]), from_rows([[1]]), from_rows([[2]]), 1)
+        code, report, err = run(capsys, [*command, write(tmp_path / "w.json", witness_to_json(bad))])
+        assert code == 65
+        assert report is None
+        assert err == "shiftcalc: build_from_se requires a verified witness\n"
 
     def test_bool_shift_lag_is_data_error(self, capsys, tmp_path, golden_witness):
         doc = shift_to_json(build_from_se(golden_witness))

@@ -118,7 +118,11 @@ def run_calls(tmp_path, capsys) -> dict:
     r = _write(tmp_path / "r.json", matrix_to_json(from_rows([[1, 1]])))
     s = _write(tmp_path / "s.json", matrix_to_json(from_rows([[1], [1]])))
     calls.append(("corr", "tensor", "--r", r, "--s", s))
+    return digest_calls(calls, tmp_path, capsys)
 
+
+def digest_calls(calls, tmp_path, capsys) -> dict:
+    """argv -> (exit code, sha256 of stdout, sha256 of the --out file or None)."""
     digests = {}
     for argv in calls:
         code = main(list(argv))
@@ -140,6 +144,90 @@ def test_reports_and_bundles_are_byte_identical(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("SHIFTCALC_TOL", raising=False)
     assert run_calls(tmp_path, capsys) == GOLDEN
+
+
+#: name -> (A, B, lag, bound) of each ``search-se`` recovery case: the golden
+#: [[2]] ~ [[1,1],[1,1]], and the four lag-2 cases that
+#: ``bench/workloads.py::_recovery_case(rng, 3, 2, 3)`` draws first from
+#: ``random.Random(5)``, each searched at its witness's largest entry.  Every
+#: case has a refutation twin, B with its first diagonal entry raised: the
+#: traces differ, so no witness exists at any bound.
+SEARCH_CASES = {
+    "golden": ([[2]], [[1, 1], [1, 1]], 1, 1),
+    "probe-0": (
+        [[2, 1, 2], [1, 2, 2], [2, 2, 0]],
+        [[2, 1, 0, 2, 0], [1, 2, 2, 0, 2], [2, 1, 0, 0, 0], [2, 2, 0, 0, 0], [0, 1, 0, 0, 0]],
+        2, 2,
+    ),
+    "probe-1": (
+        [[0, 2, 0], [0, 0, 1], [1, 0, 1]],
+        [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [1, 0, 1, 0, 1], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]],
+        2, 1,
+    ),
+    "probe-2": (
+        [[0, 2, 2], [1, 0, 0], [1, 0, 0]],
+        [[0, 0, 1, 0, 0], [1, 0, 0, 1, 1], [1, 0, 0, 1, 1], [0, 1, 1, 0, 0], [0, 1, 0, 0, 0]],
+        2, 2,
+    ),
+    "probe-3": (
+        [[1, 1, 0], [1, 1, 1], [0, 1, 0]],
+        [[0, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 1, 0, 0, 0], [1, 1, 0, 0, 1], [1, 0, 0, 0, 1]],
+        2, 1,
+    ),
+}
+
+#: argv -> (exit code, sha256 of stdout, None), recorded before the bounded
+#: search kept running sums.
+SEARCH_GOLDEN = {
+    "search-se --a search-golden-a.json --b search-golden-recovery-b.json --lag 1 --bound 1": (
+        0, "cd4d5b7997966f35f5de86a867a89b9b5fc76ed9eee88373255708aed756c958", None,
+    ),
+    "search-se --a search-golden-a.json --b search-golden-refutation-b.json --lag 1 --bound 1": (
+        1, "e587048a22ba67a22321c875052d202472d66a8e8d1ed6c21820df5bfe6cc593", None,
+    ),
+    "search-se --a search-probe-0-a.json --b search-probe-0-recovery-b.json --lag 2 --bound 2": (
+        0, "c3c1be87b900479d500dcc00894900e12d4644c52b2dfea05f65c9c98664f0a3", None,
+    ),
+    "search-se --a search-probe-0-a.json --b search-probe-0-refutation-b.json --lag 2 --bound 2": (
+        1, "ce570d1d50cb880adbd793f79166578990cac8863a55428d5572451704ccabcc", None,
+    ),
+    "search-se --a search-probe-1-a.json --b search-probe-1-recovery-b.json --lag 2 --bound 1": (
+        0, "49c53342ce8d3acbfd77061800423f929d2a11e1d9ddf5e40cd224abe4d4a489", None,
+    ),
+    "search-se --a search-probe-1-a.json --b search-probe-1-refutation-b.json --lag 2 --bound 1": (
+        1, "cccda33186f8bf365b2d1081c69104e5ba2215d50925b26a7b67fd6d1175cd7c", None,
+    ),
+    "search-se --a search-probe-2-a.json --b search-probe-2-recovery-b.json --lag 2 --bound 2": (
+        0, "a7cdc9b5616a4dcd8fdb4e480a1de12b4cbb30bc5578adb9b64c7607e0cfc007", None,
+    ),
+    "search-se --a search-probe-2-a.json --b search-probe-2-refutation-b.json --lag 2 --bound 2": (
+        1, "82838bdeb0fa143f546a6693a77eea6b3004f7f73cb411661124b963342472f2", None,
+    ),
+    "search-se --a search-probe-3-a.json --b search-probe-3-recovery-b.json --lag 2 --bound 1": (
+        0, "b5524b19cc1a5790e1e17a5ee038ae2e30d031d98bc42dcee00b5528393363ae", None,
+    ),
+    "search-se --a search-probe-3-a.json --b search-probe-3-refutation-b.json --lag 2 --bound 1": (
+        1, "18903766a52d2f8f23754db76bef631910b5c8a8a72b9143729a21918369f2d3", None,
+    ),
+}
+
+
+def search_calls(tmp_path) -> list:
+    """Write every ``SEARCH_CASES`` pair and its twin; the ``search-se`` argv of each."""
+    calls = []
+    for name, (a, b, lag, bound) in SEARCH_CASES.items():
+        twin = [list(row) for row in b]
+        twin[0][0] += 1
+        a_path = _write(tmp_path / f"search-{name}-a.json", matrix_to_json(from_rows(a)))
+        for tag, rows in (("recovery", b), ("refutation", twin)):
+            b_path = _write(tmp_path / f"search-{name}-{tag}-b.json", matrix_to_json(from_rows(rows)))
+            calls.append(("search-se", "--a", a_path, "--b", b_path, "--lag", str(lag), "--bound", str(bound)))
+    return calls
+
+
+def test_search_reports_are_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert digest_calls(search_calls(tmp_path), tmp_path, capsys) == SEARCH_GOLDEN
 
 
 DELETE = object()

@@ -217,6 +217,63 @@ class TestBoundedIntertwiners:
             assert list(_bounded_intertwiners(a, b, n, p, bound)) == expected
 
 
+def reference_bounded_intertwiners(left, right, rows, cols, bound):
+    """Reference: the enumerator that re-sums every constraint over every cell
+    at every node, with no running sums and no precomputed suffix ranges."""
+    ncells = rows * cols
+    constraints = []
+    for i in range(rows):
+        for j in range(cols):
+            coeff = [0] * ncells
+            for k in range(rows):
+                coeff[k * cols + j] += left[i, k]
+            for k in range(cols):
+                coeff[i * cols + k] -= right[k, j]
+            constraints.append(coeff)
+
+    values = [0] * ncells
+
+    def feasible(filled):
+        for coeff in constraints:
+            lo = hi = sum(c * v for c, v in zip(coeff[:filled], values[:filled]))
+            for c in coeff[filled:]:
+                if c > 0:
+                    hi += c * bound
+                elif c < 0:
+                    lo += c * bound
+            if lo > 0 or hi < 0:
+                return False
+        return True
+
+    def fill(cell):
+        if cell == ncells:
+            yield from_rows([values[i * cols : (i + 1) * cols] for i in range(rows)])
+            return
+        for x in range(bound + 1):
+            values[cell] = x
+            if feasible(cell + 1):
+                yield from fill(cell + 1)
+        values[cell] = 0
+
+    yield from fill(0)
+
+
+small_squares = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+).map(from_rows)
+
+
+@given(small_squares, small_squares, st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_bounded_intertwiners_match_the_reference_sequence(left, right, bound):
+    from shiftcalc.witnesses import _bounded_intertwiners
+
+    rows, cols = left.rows, right.rows
+    assert list(_bounded_intertwiners(left, right, rows, cols, bound)) == list(
+        reference_bounded_intertwiners(left, right, rows, cols, bound)
+    )
+
+
 class TestRandomChains:
     def test_zero_steps(self):
         chain = random_sse_chain(from_rows([[2]]), 0, seed=1)
