@@ -17,18 +17,23 @@ tensor-power arrows.  Verdicts come from the triple-tensor equations alone
 formulation, which differs only by a product with identity blocks; the
 independent check is the test ``test_two_arrow_square_onto_conjugated_power_agrees``,
 through a power arrow conjugated by a Haar unitary.
+
+A shift's structure maps get their sources and targets in one place,
+``assemble_shift``; ``build_from_se`` and the bundle reader supply only the maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .corr import (
     DEFAULT_TOL,
     BlockUnitary,
+    GraphCorrespondence,
     ObjectPair,
     OneArrow,
+    arrow_with,
     canonical_identification,
     compose_one_arrows,
     compose_unitaries,
@@ -147,62 +152,44 @@ def verify_aligned(d: AlignedShiftData, tol: float = DEFAULT_TOL) -> bool:
     return report.aligned
 
 
-def shift_parts(w: SEWitness) -> tuple:
-    """(X, Y, M, N, lag) of the shift induced by ``w``: the objects of A and B
-    and the edge correspondences of R and S."""
+def assemble_shift(
+    x_obj: ObjectPair, y_obj: ObjectPair, m_corr: GraphCorrespondence, n_corr: GraphCorrespondence,
+    lag: int, make: Callable,
+) -> AlignedShiftData:
+    """The shift of lag ``lag`` from X to Y through M and N whose structure maps are
+    ``make(name, source, target)``, called for "phi_m", "phi_n", "psi_x" and "psi_y"
+    in that order: the one place a shift's maps get their endpoints."""
+    m_arrow = arrow_with(y_obj, x_obj, m_corr, lambda src, tgt: make("phi_m", src, tgt))
+    n_arrow = arrow_with(x_obj, y_obj, n_corr, lambda src, tgt: make("phi_n", src, tgt))
+    psi_x = make("psi_x", tensor(m_corr, n_corr), power_correspondence(x_obj, lag))
+    psi_y = make("psi_y", tensor(n_corr, m_corr), power_correspondence(y_obj, lag))
+    return AlignedShiftData(x_obj, y_obj, m_arrow, n_arrow, psi_x, psi_y, lag)
+
+
+def build_from_se(w: SEWitness, given: Optional[Callable] = None) -> AlignedShiftData:
+    """Concrete shift induced by a verified witness (A, B, R, S, m).
+
+    M and N are the edge correspondences of R and S.  Only once the witness
+    verifies, each structure map is ``given(name, source, target)``, called as
+    :func:`assemble_shift` calls its ``make``; where ``given`` is omitted or
+    returns None, the map is the canonical identification that matches sorted
+    path bases in order -- legitimate because the witness equations make the
+    block dimensions agree (e.g. X(A) (x) X(R) and X(R) (x) X(B) both have dims
+    AR = RB).  Whether the result is *aligned* is not assumed anywhere; run
+    ``verify_aligned`` to find out.
+    """
+    if not verify_se(w):
+        raise ContractError("build_from_se requires a verified witness")
     x_obj = object_pair(w.a)
     y_obj = object_pair(w.b)
     m_corr = from_matrix(w.r, x_obj.algebra_index, y_obj.algebra_index)
     n_corr = from_matrix(w.s, y_obj.algebra_index, x_obj.algebra_index)
-    return x_obj, y_obj, m_corr, n_corr, w.lag
 
+    def make(name, src, tgt):
+        u = given(name, src, tgt) if given else None
+        return canonical_identification(src, tgt) if u is None else u
 
-def structure_endpoints(parts: tuple) -> dict:
-    """Source and target of each structure map of the shift with parts
-    (X, Y, M, N, lag), keyed like the unitary arguments of :func:`build_from_se`."""
-    x_obj, y_obj, m_corr, n_corr, lag = parts
-    return {
-        "phi_m": (tensor(x_obj.x, m_corr), tensor(m_corr, y_obj.x)),
-        "phi_n": (tensor(y_obj.x, n_corr), tensor(n_corr, x_obj.x)),
-        "psi_x": (tensor(m_corr, n_corr), power_correspondence(x_obj, lag)),
-        "psi_y": (tensor(n_corr, m_corr), power_correspondence(y_obj, lag)),
-    }
-
-
-def assemble_shift(parts: tuple, maps: dict) -> AlignedShiftData:
-    """The shift with parts (X, Y, M, N, lag) and the structure maps ``maps``,
-    keyed as by :func:`structure_endpoints`."""
-    x_obj, y_obj, m_corr, n_corr, lag = parts
-    m_arrow = OneArrow(y_obj, x_obj, m_corr, maps["phi_m"])
-    n_arrow = OneArrow(x_obj, y_obj, n_corr, maps["phi_n"])
-    return AlignedShiftData(x_obj, y_obj, m_arrow, n_arrow, maps["psi_x"], maps["psi_y"], lag)
-
-
-def build_from_se(
-    w: SEWitness,
-    phi_m: Optional[BlockUnitary] = None,
-    phi_n: Optional[BlockUnitary] = None,
-    psi_x: Optional[BlockUnitary] = None,
-    psi_y: Optional[BlockUnitary] = None,
-) -> AlignedShiftData:
-    """Concrete shift induced by a verified witness (A, B, R, S, m).
-
-    M and N are the edge correspondences of R and S.  Each omitted unitary
-    defaults to the canonical identification that matches sorted path bases
-    in order -- legitimate because the witness equations make the block
-    dimensions agree (e.g. X(A) (x) X(R) and X(R) (x) X(B) both have dims
-    AR = RB).  Whether the defaults are *aligned* is not assumed anywhere;
-    run ``verify_aligned`` to find out.
-    """
-    if not verify_se(w):
-        raise ContractError("build_from_se requires a verified witness")
-    parts = shift_parts(w)
-    given = {"phi_m": phi_m, "phi_n": phi_n, "psi_x": psi_x, "psi_y": psi_y}
-    maps = {
-        name: canonical_identification(src, tgt) if given[name] is None else given[name]
-        for name, (src, tgt) in structure_endpoints(parts).items()
-    }
-    return assemble_shift(parts, maps)
+    return assemble_shift(x_obj, y_obj, m_corr, n_corr, w.lag, make)
 
 
 def trivial_shift(a) -> AlignedShiftData:

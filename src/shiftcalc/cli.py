@@ -24,7 +24,7 @@ import time
 import traceback
 
 from . import jsonio
-from .aligned import alignment_report, build_from_se, shift_parts, structure_endpoints
+from .aligned import alignment_report, build_from_se
 from .corr import DEFAULT_TOL, from_matrix, tensor, two_arrow_residual
 from .errors import ShiftcalcError
 from .exact import IntMatrix
@@ -193,13 +193,13 @@ def _cmd_aligned_verify(run: _Run, args) -> int:
 
 def _cmd_aligned_from_se(run: _Run, args) -> int:
     witness = jsonio.witness_from_json(jsonio.load_json(run.track(args.witness)))
-    overrides = {}
-    for name, (src, tgt) in structure_endpoints(shift_parts(witness)).items():
+
+    def given(name, src, tgt):
         path = getattr(args, name)
         if path is not None:
-            doc = jsonio.load_json(run.track(path))
-            overrides[name] = jsonio.block_unitary_from_json(doc, src, tgt)
-    shift = build_from_se(witness, **overrides)
+            return jsonio.block_unitary_from_json(jsonio.load_json(run.track(path)), src, tgt)
+
+    shift = build_from_se(witness, given)
     bundle = jsonio.shift_to_json(shift, _leaf=jsonio._complex_matrix_array)
     report = alignment_report(shift, run.tol)
     verdict = {"concrete": report.concrete, "aligned": report.aligned}

@@ -404,12 +404,18 @@ def power_correspondence(obj: ObjectPair, m: int) -> GraphCorrespondence:
     return acc
 
 
+def arrow_with(source: ObjectPair, target: ObjectPair, f: GraphCorrespondence, make=None) -> OneArrow:
+    """The arrow [F, phi] from ``source`` to ``target`` with phi = make(Y (x) F, F (x) X):
+    the one place an intertwiner gets its endpoints.  ``make`` defaults to
+    :func:`canonical_identification`."""
+    make = make or canonical_identification
+    return OneArrow(source, target, f, make(tensor(target.x, f), tensor(f, source.x)))
+
+
 def power_arrow(obj: ObjectPair, m: int) -> OneArrow:
     """The arrow [X^(x)m, 1]; phi is the identity permutation because both
     X (x) X^(x)m and X^(x)m (x) X carry the same sorted path basis."""
-    f = power_correspondence(obj, m)
-    phi = canonical_identification(tensor(obj.x, f), tensor(f, obj.x))
-    return OneArrow(obj, obj, f, phi)
+    return arrow_with(obj, obj, power_correspondence(obj, m))
 
 
 def compose_one_arrows(g: OneArrow, f: OneArrow) -> OneArrow:

@@ -3,9 +3,12 @@
 One schema per type, all tagged "shiftcalc/v1".  Matrices are
 {"rows", "cols", "entries"} with entries in row order; block unitaries store
 one complex matrix per nonempty block under the key "v,w" (index labels
-joined by a comma), each entry as an [re, im] pair.  Shift and arrow bundles
-describe their correspondences by integer matrices; the canonical bases are
-rebuilt on load, so only atomic (edge) correspondences travel through files.
+joined by a comma), each entry as an [re, im] pair; labels that give two
+blocks one key are refused, on writing and on reading.  Shift and arrow
+bundles describe their correspondences by integer matrices; the canonical
+bases are rebuilt on load, so only atomic (edge) correspondences travel
+through files.  The readers supply only the stored maps: ``corr.arrow_with``
+and ``aligned.assemble_shift`` decide the endpoints each map is read against.
 
 The public ``*_to_json`` functions return plain JSON values (nested lists).
 Inside the package, the command line builds its large bundles with *array
@@ -26,22 +29,15 @@ finiteness is checked once over the whole block.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .aligned import AlignedShiftData, assemble_shift, structure_endpoints
-from .corr import (
-    BlockUnitary,
-    GraphCorrespondence,
-    ObjectPair,
-    OneArrow,
-    from_matrix,
-    object_pair,
-    tensor,
-)
+from .aligned import AlignedShiftData, assemble_shift
+from .corr import BlockUnitary, GraphCorrespondence, ObjectPair, OneArrow, arrow_with, from_matrix, object_pair
 from .errors import DomainError, ParseError, ShapeError
 from .exact import IntMatrix, from_rows, mat_mul, power_equals
 from .homotopy import ArrowHomotopy
@@ -179,14 +175,21 @@ def _complex_matrix_from_json(doc, d: int, where: str) -> np.ndarray:
     return out
 
 
+def _block_keys(c: GraphCorrespondence) -> dict:
+    """(i, j) -> the "v,w" key of each nonempty block of ``c``, row-major; two blocks
+    whose labels give one key could not both be stored, so that is a ``DomainError``."""
+    keys = {(i, j): f"{c.left_index[i]},{c.right_index[j]}" for i, j in c.blocks()}
+    if len(set(keys.values())) < len(keys):
+        key = Counter(keys.values()).most_common(1)[0][0]
+        raise DomainError(f"two blocks share the key '{key}': index labels must give distinct \"v,w\" keys")
+    return keys
+
+
 def block_unitary_to_json(u: BlockUnitary, *, _leaf=None) -> dict:
     """The block unitary document; ``_leaf`` converts each complex block (default: nested lists)."""
     leaf = _leaf or _complex_matrix_to_json
     src = u.source
-    blocks = {}
-    for (i, j), m in sorted(u.blocks.items()):
-        key = f"{src.left_index[i]},{src.right_index[j]}"
-        blocks[key] = leaf(m)
+    blocks = {key: leaf(u.blocks[ij]) for ij, key in _block_keys(src).items()}
     return {
         "schema": SCHEMA,
         "left_index": list(src.left_index),
@@ -223,8 +226,7 @@ def block_unitary_from_json(
         "block unitary shape does not match the expected correspondence",
     )
     blocks = {}
-    for (i, j) in source.blocks():
-        key = f"{source.left_index[i]},{source.right_index[j]}"
+    for (i, j), key in _block_keys(source).items():
         _require(key in stored, f"missing block '{key}'")
         blocks[(i, j)] = _complex_matrix_from_json(stored[key], source.block_dim(i, j), f"block '{key}'")
     return BlockUnitary(source, target, blocks)
@@ -265,8 +267,7 @@ def arrow_from_json(doc) -> OneArrow:
     source = object_from_json(source)
     target = object_from_json(target)
     f = from_matrix(matrix_from_json(f_dims), target.algebra_index, source.algebra_index)
-    phi = block_unitary_from_json(phi, tensor(target.x, f), tensor(f, source.x))
-    return OneArrow(source, target, f, phi)
+    return arrow_with(source, target, f, lambda src, tgt: block_unitary_from_json(phi, src, tgt))
 
 
 def shift_to_json(d: AlignedShiftData, *, _leaf=None) -> dict:
@@ -302,12 +303,9 @@ def shift_from_json(doc) -> AlignedShiftData:
     for equation, obj, left, right in sides:
         if not power_equals(obj.x.dims, lag, mat_mul(left.dims, right.dims)):
             raise ShapeError(f"lag {lag} does not fit the bundle: {equation} fails")
-    parts = (x_obj, y_obj, m_corr, n_corr, lag)
-    maps = {
-        name: block_unitary_from_json(doc[name], src, tgt)
-        for name, (src, tgt) in structure_endpoints(parts).items()
-    }
-    return assemble_shift(parts, maps)
+    return assemble_shift(
+        x_obj, y_obj, m_corr, n_corr, lag, lambda name, src, tgt: block_unitary_from_json(doc[name], src, tgt)
+    )
 
 
 def homotopy_to_json(h: ArrowHomotopy, *, _leaf=None) -> dict:

@@ -23,18 +23,18 @@ import numpy as np
 
 from .aligned import (
     AlignedShiftData,
+    alignment_report,
     alignment_residuals,
     build_from_se,
     compose_shifts,
     conjugate_shift,
     trivial_shift,
     two_arrow_residuals,
-    verify_aligned,
     verify_concrete_shift,
 )
 from .corr import (
     OneArrow,
-    canonical_identification,
+    arrow_with,
     compose_one_arrows,
     conjugate_arrow,
     from_matrix,
@@ -96,9 +96,7 @@ def arrow_from_witness(w: SEWitness, np_rng: Optional[np.random.Generator] = Non
     """
     src = object_pair(w.a)
     tgt = object_pair(w.b)
-    f = from_matrix(w.s, tgt.algebra_index, src.algebra_index)
-    phi = canonical_identification(tensor(tgt.x, f), tensor(f, src.x))
-    arrow = OneArrow(src, tgt, f, phi)
+    arrow = arrow_with(src, tgt, from_matrix(w.s, tgt.algebra_index, src.algebra_index))
     if np_rng is not None:
         arrow = conjugate_arrow(arrow, random_block_unitary(arrow.f, np_rng))
     return arrow
@@ -284,10 +282,9 @@ def alignment_transitivity(size: int, tol: float) -> float:
         d0 = trivial_shift(random_essential(rng, max_size=3, max_entry=2))
         composed = compose_shifts(_conjugated(d0, np_rng), _conjugated(d0, np_rng))
         _expect(composed.lag == 2, f"trial {trial}: composite lag {composed.lag}")
-        residual = max(alignment_residuals(composed))
-        _expect(residual <= bound, f"trial {trial}: residual {residual:.3e} exceeds {bound:.1e}")
-        _expect(verify_aligned(composed, bound), f"trial {trial}: the composite is not aligned")
-        worst = max(worst, residual)
+        report = alignment_report(composed, bound)  # residuals None when not concrete
+        _expect(report.aligned, f"trial {trial}: not aligned within {bound:.1e}, residuals {report.residuals}")
+        worst = max(worst, *report.residuals)
     return worst
 
 

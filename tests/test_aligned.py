@@ -93,7 +93,28 @@ class TestConcreteShift:
 
         wrong = identity_unitary(from_matrix(from_rows([[3]])))
         with pytest.raises(ShapeError):
-            build_from_se(golden_witness, psi_x=wrong)
+            build_from_se(golden_witness, lambda name, src, tgt: wrong if name == "psi_x" else None)
+
+    def test_given_runs_only_on_a_verified_witness(self, golden_witness):
+        calls = []
+
+        def given(name, src, tgt):
+            calls.append((name, src, tgt))
+
+        bad = SEWitness(from_rows([[2]]), from_rows([[3]]), from_rows([[1]]), from_rows([[2]]), 1)
+        with pytest.raises(ContractError):
+            build_from_se(bad, given)
+        assert calls == []
+        def maps(d):
+            return {"phi_m": d.m_arrow.phi, "phi_n": d.n_arrow.phi, "psi_x": d.psi_x, "psi_y": d.psi_y}
+
+        built = maps(build_from_se(golden_lag(2), given))
+        assert [name for name, _, _ in calls] == ["phi_m", "phi_n", "psi_x", "psi_y"]
+        for name, src, tgt in calls:
+            assert (src, tgt) == (built[name].source, built[name].target)
+        # None from given means the canonical identification.
+        for name, u in maps(build_from_se(golden_lag(2))).items():
+            assert unitary_distance(built[name], u) == 0.0
 
 
 class TestAlignment:

@@ -453,6 +453,30 @@ class TestBadInputs:
         assert report is None
         assert err == "shiftcalc: build_from_se requires a verified witness\n"
 
+    def test_unverified_huge_lag_builds_no_power(self, capsys, tmp_path, golden_witness, monkeypatch):
+        # X^(x)40 would need 2**40 basis vectors: the witness is checked before
+        # any structure map gets its endpoints.
+        import shiftcalc.aligned
+
+        def refuse(*args):
+            raise AssertionError("power_correspondence called")
+
+        monkeypatch.setattr(shiftcalc.aligned, "power_correspondence", refuse)
+        doc = witness_to_json(golden_witness)
+        doc["lag"] = 40
+        code, report, err = run(capsys, ["aligned", "from-se", "--witness", write(tmp_path / "w.json", doc)])
+        assert (code, report) == (65, None)
+        assert err == "shiftcalc: build_from_se requires a verified witness\n"
+
+    def test_colliding_block_keys_are_data_error(self, capsys, tmp_path):
+        from tests.test_jsonio import colliding_bundle
+
+        data = write(tmp_path / "s.json", colliding_bundle())
+        code, report, err = run(capsys, ["aligned", "verify", "--data", data])
+        assert (code, report) == (65, None)
+        assert err.count("\n") == 1
+        assert err.startswith("shiftcalc: two blocks share the key '0,1,1'")
+
     def test_bool_shift_lag_is_data_error(self, capsys, tmp_path, golden_witness):
         doc = shift_to_json(build_from_se(golden_witness))
         doc["lag"] = True
@@ -604,7 +628,7 @@ class TestSelftest:
         def not_concrete(*args):
             raise ContractError("verify_aligned requires a verified concrete shift")
 
-        monkeypatch.setattr(selftest, "verify_aligned", not_concrete)
+        monkeypatch.setattr(selftest, "alignment_report", not_concrete)
         monkeypatch.setattr(selftest, "PROPERTIES", selftest.PROPERTIES[4:6])
         code, report, err = run(capsys, ["selftest"])
         assert code == 1
@@ -645,17 +669,19 @@ class TestEachVerdictOnce:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("unitarity_defect", "alignment_residuals", "two_arrow_residuals"):
+        for name in ("unitarity_defect", "alignment_residuals", "two_arrow_residuals", "power_correspondence"):
             counted(shiftcalc.aligned, name)
         counted(shiftcalc.cli, "build_from_se")
         return counts
 
     def test_aligned_verify(self, counts, capsys, tmp_path, golden_witness):
         data = write(tmp_path / "shift.json", shift_to_json(build_from_se(golden_witness)))
+        counts.clear()
         code, report, _ = run(capsys, ["aligned", "verify", "--data", data])
         assert code == 0
         assert report["verdict"]["aligned"] is True
-        assert counts == {"unitarity_defect": 4, "alignment_residuals": 1}
+        # X^(x)lag and Y^(x)lag: once for psi_x and psi_y, once in the constructor check.
+        assert counts == {"unitarity_defect": 4, "alignment_residuals": 1, "power_correspondence": 4}
 
     def test_aligned_from_se_with_overrides(self, counts, capsys, tmp_path, golden_witness):
         from shiftcalc.jsonio import block_unitary_to_json
@@ -664,6 +690,7 @@ class TestEachVerdictOnce:
         witness_path = write(tmp_path / "w.json", witness_to_json(golden_witness))
         phi_path = write(tmp_path / "phi_m.json", block_unitary_to_json(shift.m_arrow.phi))
         psi_path = write(tmp_path / "psi_y.json", block_unitary_to_json(shift.psi_y))
+        counts.clear()
         code, report, _ = run(
             capsys,
             ["aligned", "from-se", "--witness", witness_path,
@@ -676,6 +703,7 @@ class TestEachVerdictOnce:
             "build_from_se": 1,
             "unitarity_defect": 4,
             "alignment_residuals": 1,
+            "power_correspondence": 4,
         }
 
 
@@ -791,3 +819,72 @@ def test_importing_the_cli_leaves_scipy_linalg_and_sympy_unloaded():
         check=True,
     ).stdout
     assert out == "set()\n"
+
+
+#: The values a mutated leaf of a corpus document may take.
+MUTATION_POOL = [0, -1, 2, 10**30, 10**400, 1.5, float("nan"), True, None, "x", [], {}, [[1]], "0,1"]
+CORPUS_EXITS = {0, 1, 2, 64, 65}
+
+
+def leaf_paths(doc, prefix=()):
+    """The path of every leaf of a JSON document: a scalar or an empty container."""
+    if isinstance(doc, (dict, list)) and doc:
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from leaf_paths(value, prefix + (key,))
+    else:
+        yield prefix
+
+
+def mutation_corpus(rng, originals: dict, count: int):
+    """(schema, document) pairs: ``count`` copies of each original with 1-3 of its
+    leaves replaced by values drawn from ``MUTATION_POOL``."""
+    from tests.test_jsonio import mutate
+
+    for _ in range(count):
+        for schema, original in originals.items():
+            doc = json.loads(json.dumps(original))
+            for _ in range(rng.randint(1, 3)):
+                doc = mutate(doc, rng.choice(list(leaf_paths(doc))), rng.choice(MUTATION_POOL))
+            yield schema, doc
+
+
+def test_mutated_documents_exit_with_a_documented_code(capsys, tmp_path):
+    # Every subcommand that reads a schema gets each mutated document of it.
+    import random
+
+    from shiftcalc import identity_unitary
+    from shiftcalc.jsonio import arrow_to_json, block_unitary_to_json
+    from shiftcalc.selftest import GOLDEN_WITNESS, arrow_from_witness
+    from tests.test_aligned import golden_lag
+
+    witness = golden_lag(2)
+    arrow = arrow_from_witness(GOLDEN_WITNESS)
+    originals = {
+        "witness": witness_to_json(witness),
+        "shift": shift_to_json(build_from_se(witness)),
+        "matrix": matrix_to_json(witness.b),
+        "arrow": arrow_to_json(arrow),
+    }
+    b = write(tmp_path / "b.json", originals["matrix"])
+    f = write(tmp_path / "f.json", originals["arrow"])
+    psi = write(tmp_path / "psi.json", block_unitary_to_json(identity_unitary(arrow.f)))
+    commands = {
+        "witness": [["aligned", "from-se", "--witness"], ["homotopy", "from-se", "--steps", "2", "--witness"]],
+        "shift": [["aligned", "verify", "--data"]],
+        "matrix": [
+            ["invariants", "--a"], ["compare", "--b", b, "--a"], ["corr", "tensor", "--r", b, "--s"],
+            ["search-se", "--b", b, "--lag", "1", "--bound", "1", "--a"],
+            ["verify-se", "--a", b, "--b", b, "--r", b, "--lag", "1", "--s"],
+        ],
+        "arrow": [
+            ["corr", "check-2arrow", "--psi", psi, "--g", f, "--f"],
+            ["corr", "check-2arrow", "--psi", psi, "--f", f, "--g"],
+        ],
+    }
+    path = str(tmp_path / "doc.json")
+    for schema, doc in mutation_corpus(random.Random(18), originals, 40):
+        write(tmp_path / "doc.json", doc)
+        for command in commands[schema]:
+            code, _, err = run(capsys, [*command, path])
+            assert code in CORPUS_EXITS, (command, doc, err)
+            assert code != 65 or err.count("\n") == 1, (command, doc, err)

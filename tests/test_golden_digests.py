@@ -11,9 +11,9 @@ import json
 
 import numpy as np
 
-from shiftcalc import build_from_se, from_rows, homotopy_shift_equivalence_from_se
+from shiftcalc import build_from_se, from_matrix, from_rows, homotopy_shift_equivalence_from_se, identity_unitary
 from shiftcalc.cli import main
-from shiftcalc.jsonio import matrix_to_json, shift_to_json, witness_to_json
+from shiftcalc.jsonio import block_unitary_to_json, matrix_to_json, shift_to_json, witness_to_json
 from tests.test_aligned import golden_lag
 
 HOMOTOPY_LAGS = (1, 2, 3)
@@ -121,15 +121,17 @@ def run_calls(tmp_path, capsys) -> dict:
     return digest_calls(calls, tmp_path, capsys)
 
 
-def digest_calls(calls, tmp_path, capsys) -> dict:
-    """argv -> (exit code, sha256 of stdout, sha256 of the --out file or None)."""
+def digest_calls(calls, tmp_path, capsys, stderr: bool = False) -> dict:
+    """argv -> (exit code, sha256 of stdout, sha256 of the --out file or None),
+    with the stderr text appended when ``stderr`` is set."""
     digests = {}
     for argv in calls:
         code = main(list(argv))
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
         written = argv[argv.index("--out") + 1] if "--out" in argv else None
         file_digest = _sha((tmp_path / written).read_bytes()) if written else None
-        digests[" ".join(argv)] = (code, _sha(out.encode()), file_digest)
+        digest = (code, _sha(captured.out.encode()), file_digest)
+        digests[" ".join(argv)] = digest + (captured.err,) if stderr else digest
     return digests
 
 
@@ -339,3 +341,82 @@ def test_malformed_bundles_give_the_recorded_errors(tmp_path, capsys, monkeypatc
         code = main(["aligned", "verify", "--data", f"{name}.json"])
         got[name] = (code, capsys.readouterr().err)
     assert got == MALFORMED_STDERR
+
+
+#: argv -> (exit code, sha256 of stdout, sha256 of the --out file or None, stderr)
+#: of ``aligned from-se`` with override files, and ``aligned verify`` on what it
+#: wrote, recorded before each shift's endpoints were decided in one place.
+#: The files hold the canonical Phi_M and Psi_Y of each golden lag, so every
+#: residual is exactly 0; the Psi_X file has the wrong dims.
+OVERRIDE_GOLDEN = {
+    "aligned from-se --witness witness-1.json --phi-m phi-m-1.json --psi-y psi-y-1.json --out override-1.json": (
+        0, "7c3a00cd0858caf34fbe8edac7d715637451ef23f32b6da85fd4a357c91605b7",
+        "1b30a30e02c35d520b8ee4dafe95261a4a7186434488a13a5269742b9bb00a7a",
+        "",
+    ),
+    "aligned verify --data override-1.json": (
+        0, "f1827b53666bb464ef77fd4edcd094bfd05a8f97caf80d74091a0a935c2229a0",
+        None,
+        "",
+    ),
+    "aligned from-se --witness witness-1.json --psi-x psi-x-wrong.json": (
+        65, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+        "shiftcalc: block unitary shape does not match the expected correspondence\n",
+    ),
+    "aligned from-se --witness witness-2.json --phi-m phi-m-2.json --psi-y psi-y-2.json --out override-2.json": (
+        0, "3a728cea26fabb2b7413305a757b169b1da1f1e7a29f730a756b19af53241e1d",
+        "2acad835b1fa528d655a95f076f1560b9129e4a46b753b21c9c66a0152e4ee5a",
+        "",
+    ),
+    "aligned verify --data override-2.json": (
+        0, "e8503d9f592482bd190ae57ae25df65e54db5e12cb835ccb73c43ab5ebad5939",
+        None,
+        "",
+    ),
+    "aligned from-se --witness witness-2.json --psi-x psi-x-wrong.json": (
+        65, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+        "shiftcalc: block unitary shape does not match the expected correspondence\n",
+    ),
+    "aligned from-se --witness witness-3.json --phi-m phi-m-3.json --psi-y psi-y-3.json --out override-3.json": (
+        0, "3eadb5e0a9229f9939851d697e5e0345e4291921a72f7b6324d5d50a01d07c25",
+        "ab3abc3014ee784e822ca671cfc022b8042bf4796e05ea1a2d8b2453d209e727",
+        "",
+    ),
+    "aligned verify --data override-3.json": (
+        0, "0144fc3c655d133c017784202327a5d17cdcd9b7c56f9f5a0a26ed47986c3d32",
+        None,
+        "",
+    ),
+    "aligned from-se --witness witness-3.json --psi-x psi-x-wrong.json": (
+        65, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+        "shiftcalc: block unitary shape does not match the expected correspondence\n",
+    ),
+}
+
+
+def override_calls(tmp_path) -> list:
+    """Write the witness and override files of each lag; the argv of each call."""
+    wrong = identity_unitary(from_matrix(from_rows([[3]])))
+    wrong_path = _write(tmp_path / "psi-x-wrong.json", block_unitary_to_json(wrong))
+    calls = []
+    for lag in HOMOTOPY_LAGS:
+        shift = build_from_se(golden_lag(lag))
+        witness = _write(tmp_path / f"witness-{lag}.json", witness_to_json(golden_lag(lag)))
+        phi_m = _write(tmp_path / f"phi-m-{lag}.json", block_unitary_to_json(shift.m_arrow.phi))
+        psi_y = _write(tmp_path / f"psi-y-{lag}.json", block_unitary_to_json(shift.psi_y))
+        out = f"override-{lag}.json"
+        calls.append(
+            ("aligned", "from-se", "--witness", witness, "--phi-m", phi_m, "--psi-y", psi_y, "--out", out)
+        )
+        calls.append(("aligned", "verify", "--data", out))
+        calls.append(("aligned", "from-se", "--witness", witness, "--psi-x", wrong_path))
+    return calls
+
+
+def test_override_runs_are_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SHIFTCALC_TOL", raising=False)
+    assert digest_calls(override_calls(tmp_path), tmp_path, capsys, stderr=True) == OVERRIDE_GOLDEN

@@ -1,5 +1,5 @@
-"""Unused imports and unused private names in the package, and the names the
-benchmark tracer rebinds.
+"""Unused imports, unused private names and unread public names in the
+package, and the names the benchmark tracer rebinds.
 
 No linter is installed, so ``ast`` stands in.
 """
@@ -43,9 +43,8 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def private_definitions(source: str) -> set[str]:
-    """Module-level functions, classes and constants whose names start with
-    one underscore (dunders such as ``__all__`` are protocol, not private)."""
+def definitions(source: str) -> set[str]:
+    """Names of the module-level functions, classes and constants."""
     names = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -53,7 +52,13 @@ def private_definitions(source: str) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {t.id for t in targets if isinstance(t, ast.Name)}
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return names
+
+
+def private_definitions(source: str) -> set[str]:
+    """Definitions whose names start with one underscore (dunders such as
+    ``__all__`` are protocol, not private)."""
+    return {name for name in definitions(source) if name.startswith("_") and not name.startswith("__")}
 
 
 def used_names(source: str) -> set[str]:
@@ -107,3 +112,38 @@ def traced_names() -> list[str]:
 def test_traced_name_resolves(name):
     module, fn = name.split(".")
     assert callable(getattr(importlib.import_module(f"shiftcalc.{module}"), fn, None))
+
+
+def public_definitions(source: str) -> set[str]:
+    """Definitions whose names do not start with an underscore."""
+    return {name for name in definitions(source) if not name.startswith("_")}
+
+
+def unread_public_names(package: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.name`` for each public definition of ``package`` that no source in
+    ``readers`` reads; the package's own modules are among the readers."""
+    used = set().union(*map(used_names, readers))
+    return sorted(
+        f"{module}.{name}" for module, source in package.items() for name in public_definitions(source) - used
+    )
+
+
+def test_the_check_sees_an_unread_public_name():
+    package = {"a": "LIMIT = 3\ndef helper():\n    return LIMIT\nclass Box:\n    pass\ndef orphan():\n    pass\n"}
+    assert unread_public_names(package, [*package.values(), "from a import helper\nhelper()\n"]) == [
+        "a.Box", "a.orphan",
+    ]
+
+
+def test_every_public_name_is_read():
+    root = pathlib.Path(__file__).parent.parent
+    package = {path.stem: path.read_text(encoding="utf-8") for path in (root / "src" / "shiftcalc").glob("*.py")}
+    # Re-exporting a name from the package's __init__ is not reading it.
+    readers = [
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "demos", "bench", "tests")
+        for path in sorted((root / folder).rglob("*.py"))
+        if path != root / "src" / "shiftcalc" / "__init__.py"
+    ]
+    assert sum(len(public_definitions(source)) for source in package.values()) > 0
+    assert unread_public_names(package, readers) == []

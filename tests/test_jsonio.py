@@ -10,11 +10,18 @@ from shiftcalc import (
     DomainError,
     ParseError,
     ShapeError,
+    alignment_residuals,
     build_from_se,
+    canonical_identification,
+    conjugate_shift,
     from_matrix,
     from_rows,
+    identity,
+    identity_unitary,
+    object_pair,
     random_block_unitary,
 )
+from shiftcalc.aligned import assemble_shift
 from shiftcalc import jsonio
 from shiftcalc.jsonio import (
     _complex_matrix_array,
@@ -413,3 +420,57 @@ class TestReadersOnMutatedDocuments:
         doc["lag"] = 10**400
         with pytest.raises(ShapeError, match="does not fit the bundle"):
             reader(doc)
+
+
+def colliding_shift(x_labels=("0,1", "0"), y_labels=("1", "1,1")):
+    """The Haar-conjugated canonical shift A ~ A, A = [[1, 1], [1, 1]], through
+    R = A and S = I at lag 1, labelled by ``x_labels`` and ``y_labels``.  With
+    the default labels the blocks (0, 0) and (1, 1) of X (x) M share the key
+    "0,1,1"."""
+    a = from_rows([[1, 1], [1, 1]])
+    x, y = object_pair(a, x_labels), object_pair(a, y_labels)
+    m = from_matrix(a, x.algebra_index, y.algebra_index)
+    n = from_matrix(identity(2), y.algebra_index, x.algebra_index)
+    d = assemble_shift(x, y, m, n, 1, lambda name, src, tgt: canonical_identification(src, tgt))
+    rng = np.random.default_rng(0)
+    return conjugate_shift(d, random_block_unitary(m, rng), random_block_unitary(n, rng))
+
+
+def colliding_bundle() -> dict:
+    """The bundle of :func:`colliding_shift` as a writer keying blocks by label
+    alone would give it: its ``phi_m`` keeps 3 keys for 4 blocks."""
+    names = {"p": "0,1", "q": "0", "r": "1", "t": "1,1"}
+    doc = jsonio.shift_to_json(colliding_shift(("p", "q"), ("r", "t")))
+    for obj in ("x", "y"):
+        doc[obj]["labels"] = [names[v] for v in doc[obj]["labels"]]
+    for name in ("phi_m", "phi_n", "psi_x", "psi_y"):
+        u = doc[name]
+        for field in ("left_index", "right_index"):
+            u[field] = [names[v] for v in u[field]]
+        u["blocks"] = {",".join(names[v] for v in key.split(",")): m for key, m in u["blocks"].items()}
+    return doc
+
+
+class TestBlockKeys:
+    """Every nonempty block of a stored map needs its own "v,w" key."""
+
+    def test_the_colliding_shift_is_aligned_in_memory(self):
+        assert max(alignment_residuals(colliding_shift())) < 1e-14
+        assert len(colliding_bundle()["phi_m"]["blocks"]) == 3
+
+    def test_writer_refuses_labels_whose_keys_collide(self):
+        with pytest.raises(DomainError, match="two blocks share the key '0,1,1'"):
+            jsonio.shift_to_json(colliding_shift())
+
+    def test_reader_refuses_labels_whose_keys_collide(self):
+        with pytest.raises(DomainError, match="two blocks share the key '0,1,1'"):
+            jsonio.shift_from_json(colliding_bundle())
+
+    def test_duplicate_labels_collide(self):
+        corr = from_matrix(from_rows([[1, 1], [1, 1]]), ["a", "a"], ["a", "a"])
+        with pytest.raises(DomainError, match="two blocks share the key 'a,a'"):
+            jsonio.block_unitary_to_json(identity_unitary(corr))
+        doc = jsonio.block_unitary_to_json(identity_unitary(from_matrix(from_rows([[1]]), ["a"], ["a"])))
+        doc.update(left_index=["a", "a"], right_index=["a", "a"], dims=[[1, 1], [1, 1]])
+        with pytest.raises(DomainError, match="two blocks share the key 'a,a'"):
+            jsonio.block_unitary_from_json(doc, corr, corr)
