@@ -36,6 +36,11 @@ from .corr import (
 from .errors import DomainError, ShapeError
 from .witnesses import SEWitness
 
+#: Bytes the samples of one path may take: ``connect_unitaries`` predicts their size
+#: from the endpoint's blocks before making any, and refuses a larger path with a
+#: ``DomainError``.  The command line's paths take a few MB (16 samples at lag 6).
+_SAMPLES_BYTES = 1 << 30
+
 
 @dataclass(frozen=True, eq=False)
 class UnitaryPath:
@@ -66,12 +71,18 @@ def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> Unitary
     with eigenvalue arguments in (-pi, pi] (an eigenvalue at -1 gets +pi, also
     when rounding puts its computed argument within a few ulp of -pi; this
     fixed branch is a representation choice, discontinuous only on that
-    measure-zero set).  Samples are taken at t = k/(steps-1).
+    measure-zero set).  Samples are taken at t = k/(steps-1).  A path whose
+    samples would take more than ``_SAMPLES_BYTES`` is refused before any is made.
     """
     if steps < 2:
         raise DomainError("need at least two samples")
     if u0.source != u1.source or u0.target != u1.target:
         raise ShapeError("endpoints must share source and target correspondences")
+    predicted = steps * sum(m.nbytes for m in u0.blocks.values())
+    if predicted > _SAMPLES_BYTES:
+        raise DomainError(
+            f"{steps} samples would take {predicted} bytes, above the {_SAMPLES_BYTES} a path may take"
+        )
     # Imported on first use: it is slow to load, and the exact layer never needs it.
     import scipy.linalg
 

@@ -18,7 +18,12 @@ nested lists.  A block whose entries are all +0.0 and 1.0 (every canonical
 identification, a permutation) formats no float at all: each of its pairs is
 one of four cached texts.  Array leaves are the writer's only fast path; a
 list (an integer matrix, or a block of the public functions) is written
-value by value.
+value by value, and each scalar gets the stdlib's text without a
+``json.dumps`` call.
+
+``dump_json(doc, fh)`` writes the text to ``fh`` in chunks of about
+``_CHUNK_BYTES`` and never holds it whole, so a bundle takes memory for one
+chunk, not for the document; there, what the encoder cannot render raises.
 
 The readers raise ``ParseError`` naming the first fault they meet.  A stored
 block is read in one pass, row by row: only a row that fails its check, or
@@ -33,6 +38,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 import numpy as np
 
@@ -362,9 +368,50 @@ def _is_unit_leaf(o: np.ndarray) -> bool:
     return bool(((bits == 0) | (bits == _ONE_BITS)).all())
 
 
-def _encode(o, level: int, out: list):
-    if isinstance(o, (str, int, float)) or o is None:
-        out.append(json.dumps(o))
+#: Leaf text, in bytes (the text is ASCII), that ``dump_json`` holds before writing it
+#: out in stream form: the writer's memory follows this, not the size of the document.
+_CHUNK_BYTES = 1 << 20
+
+
+class _Chunks(list):
+    """The text pieces ``_encode`` appends.  Given a file, each array leaf that brings
+    the leaf text held past ``_CHUNK_BYTES`` writes every held piece to it as one
+    string and drops them; other pieces are small, so only a leaf is counted."""
+
+    def __init__(self, fh=None):
+        super().__init__()
+        self.fh = fh
+        self.held = 0
+
+    def leaf(self, text: str):
+        self.append(text)
+        if self.fh is not None:
+            self.held += len(text)
+            if self.held >= _CHUNK_BYTES:
+                self.flush()
+
+    def flush(self):
+        self.fh.write("".join(self))
+        self.clear()
+        self.held = 0
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _encode(o, level: int, out: _Chunks):
+    # Scalars get the stdlib's exact text, subclasses too (bool before int).
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+        return
+    if o is None or o is True or o is False:
+        out.append(_CONSTANTS[o])
+        return
+    if isinstance(o, int):
+        out.append(int.__repr__(o))
+        return
+    if isinstance(o, float):
+        out.append(float.__repr__(o) if isfinite(o) else "NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
         return
     if type(o) is np.ndarray and o.dtype == np.float64:
         # An array leaf is rendered as its tolist() would be, without building that
@@ -372,19 +419,21 @@ def _encode(o, level: int, out: list):
         if _is_unit_leaf(o):
             # A 0/1 block (a permutation, say) needs no float formatting: each pair is a cached text.
             pairs = _unit_pair_texts(level + 2)[(2 * o[..., 0] + o[..., 1]).astype(np.intp)]
-            out.append(_join([_join(row, level + 1) for row in pairs.tolist()], level))
+            out.leaf(_join([_join(row, level + 1) for row in pairs.tolist()], level))
             return
         text = _nested_format(o.shape, level) % tuple(o.ravel().tolist())
         if "n" in text:  # only nan and inf print an "n"; json spells them NaN, Infinity
             return _encode(o.tolist(), level, out)
-        out.append(text)
+        out.leaf(text)
         return
-    if isinstance(o, dict) and all(type(key) is str for key in o):
+    if isinstance(o, dict):
+        if not all(type(key) is str for key in o):
+            raise TypeError("a dict with a key other than str is left to the stdlib encoder")
         items, brackets = [(encode_basestring_ascii(k) + ": ", o[k]) for k in sorted(o)], "{}"
     elif isinstance(o, (list, tuple)):
         items, brackets = [("", x) for x in o], "[]"
     else:
-        raise TypeError("left to the stdlib encoder")
+        raise TypeError(f"a {type(o).__name__} is left to the stdlib encoder")
     sep = brackets[0] + "\n" + " " * (level + 1)
     for prefix, x in items:
         out.append(sep + prefix)
@@ -393,20 +442,33 @@ def _encode(o, level: int, out: list):
     out.append("\n" + " " * level + brackets[1] if items else brackets)
 
 
-def dump_json(doc) -> str:
+def dump_json(doc, fh=None):
     """Canonical serialization: sorted keys, fixed separators, trailing newline.
 
     Byte-identical to ``json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"``,
     which Python < 3.13 runs in pure Python when ``indent`` is set: too slow for bundles of
-    [re, im] pairs.  What ``_encode`` leaves (non-str keys, non-JSON types, cycles) goes to it.
-    A float64 numpy array in ``doc`` is rendered as its ``tolist()`` would be, in one
-    %-format; every list is rendered value by value.  The stdlib cannot encode an array, so a
-    document holding an array and anything left to the stdlib raises its ``TypeError``.
+    [re, im] pairs.  A float64 numpy array in ``doc`` is rendered as its ``tolist()`` would be,
+    in one %-format; every list is rendered value by value, and every scalar as the stdlib
+    spells it.
+
+    Without ``fh``, returns the text.  What ``_encode`` leaves (non-str keys, non-JSON types,
+    cycles) then goes to the stdlib; it cannot encode an array, so a document holding an
+    array and anything left to the stdlib raises its ``TypeError``.
+
+    With ``fh``, writes the same text to the text file ``fh`` in chunks of about
+    ``_CHUNK_BYTES`` and returns None, never holding the text whole.  What ``_encode`` leaves
+    then raises its ``TypeError`` (``RecursionError`` for a cycle) after the chunks already
+    written; the command line writes no such document.
     """
-    out = []
+    out = _Chunks(fh)
     try:
         _encode(doc, 0, out)
-        return "".join(out) + "\n"
     except (TypeError, RecursionError):
-        pass
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+        if fh is not None:
+            raise
+        return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    out.append("\n")
+    if fh is None:
+        return "".join(out)
+    out.flush()
+    return None

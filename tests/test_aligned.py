@@ -117,6 +117,43 @@ class TestConcreteShift:
             assert unitary_distance(built[name], u) == 0.0
 
 
+    def test_psi_targets_other_than_the_lag_th_power_are_refused(self):
+        from shiftcalc import ShapeError, canonical_identification, from_matrix, tensor
+
+        d = build_from_se(golden_lag(2))
+        for lag in (1, 3):
+            with pytest.raises(ShapeError, match="psi_x must end at the lag-th tensor power of X"):
+                AlignedShiftData(d.x_obj, d.y_obj, d.m_arrow, d.n_arrow, d.psi_x, d.psi_y, lag)
+        # Two factors each, with the dims A^2 = [[4]] and B^2 = [[2, 2], [2, 2]] of the
+        # squares, but other factors than X, X and Y, Y.
+        wrong_x = tensor(from_matrix(from_rows([[1]])), from_matrix(from_rows([[4]])))
+        wrong_y = tensor(from_matrix(from_rows([[1, 0], [0, 1]])), from_matrix(from_rows([[2, 2], [2, 2]])))
+        psi_x = canonical_identification(d.psi_x.source, wrong_x)
+        psi_y = canonical_identification(d.psi_y.source, wrong_y)
+        with pytest.raises(ShapeError, match="psi_x must end at the lag-th tensor power of X"):
+            AlignedShiftData(d.x_obj, d.y_obj, d.m_arrow, d.n_arrow, psi_x, d.psi_y, 2)
+        with pytest.raises(ShapeError, match="psi_y must end at the lag-th tensor power of Y"):
+            AlignedShiftData(d.x_obj, d.y_obj, d.m_arrow, d.n_arrow, d.psi_x, psi_y, 2)
+
+    def test_the_power_check_agrees_with_the_built_power(self):
+        from shiftcalc import from_matrix, object_pair, tensor
+        from shiftcalc.aligned import _is_power
+
+        x = object_pair(from_rows([[2]]))
+        y = object_pair(from_rows([[1, 1], [1, 1]]))
+        candidates = [power_correspondence(obj, k) for obj in (x, y) for k in range(1, 5)]
+        candidates += [
+            tensor(from_matrix(from_rows([[1]])), from_matrix(from_rows([[4]]))),
+            from_matrix(from_rows([[4]])),
+            power_correspondence(object_pair(from_rows([[2]]), ["a"]), 2),
+            power_correspondence(object_pair(from_rows([[1, 1], [1, 1]]), [1, 0]), 2),
+        ]
+        for obj in (x, y):
+            for lag in range(1, 5):
+                built = power_correspondence(obj, lag)
+                assert [_is_power(c, obj, lag) for c in candidates] == [c == built for c in candidates]
+
+
 class TestAlignment:
     def test_trivial_shift_aligned(self):
         for mat in ([[2]], [[1, 1], [1, 0]], [[1, 2], [2, 1]]):

@@ -295,6 +295,39 @@ def test_homotopy_bundle_bytes_are_the_stdlib_rendering(capsys, tmp_path, lag):
         assert {x for block in blocks for row in block for pair in row for x in pair} - {0.0, 1.0}
 
 
+def test_a_lag_6_bundle_is_written_without_holding_its_text(capsys, tmp_path):
+    # The bundle is 25.4 MiB.  Its text built whole, joined and encoded would take
+    # a few times that; streamed, the samples of the two homotopies set the peak.
+    import tracemalloc
+
+    witness_path = write(tmp_path / "w.json", witness_to_json(bundle_witness(6)))
+    out_path = tmp_path / "bundle.json"
+    # The first run loads scipy, which the traced run should not count.
+    assert main(["homotopy", "from-se", "--witness", witness_path, "--steps", "2"]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["homotopy", "from-se", "--witness", witness_path, "--steps", "16", "--out", str(out_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out
+    assert peak < out_path.stat().st_size
+
+
+def test_huge_steps_are_refused_before_sampling(capsys, tmp_path):
+    # 3 * 10**6 samples of the 32 x 32 block at lag 4 would take 49 GB.
+    witness_path = write(tmp_path / "w.json", witness_to_json(bundle_witness(4)))
+    start = time.perf_counter()
+    code, report, err = run(
+        capsys, ["homotopy", "from-se", "--witness", witness_path, "--steps", "3000000", "--out", str(tmp_path / "h.json")]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 65 and report is None
+    assert err == "shiftcalc: 3000000 samples would take 49152000000 bytes, above the 1073741824 a path may take\n"
+
+
 class TestCheckTwoArrow:
     @pytest.fixture
     def arrow_files(self, tmp_path):
@@ -680,8 +713,9 @@ class TestEachVerdictOnce:
         code, report, _ = run(capsys, ["aligned", "verify", "--data", data])
         assert code == 0
         assert report["verdict"]["aligned"] is True
-        # X^(x)lag and Y^(x)lag: once for psi_x and psi_y, once in the constructor check.
-        assert counts == {"unitarity_defect": 4, "alignment_residuals": 1, "power_correspondence": 4}
+        # X^(x)lag and Y^(x)lag, once each for psi_x and psi_y; the constructor checks
+        # those targets without building the powers again.
+        assert counts == {"unitarity_defect": 4, "alignment_residuals": 1, "power_correspondence": 2}
 
     def test_aligned_from_se_with_overrides(self, counts, capsys, tmp_path, golden_witness):
         from shiftcalc.jsonio import block_unitary_to_json
@@ -703,7 +737,7 @@ class TestEachVerdictOnce:
             "build_from_se": 1,
             "unitarity_defect": 4,
             "alignment_residuals": 1,
-            "power_correspondence": 4,
+            "power_correspondence": 2,
         }
 
 

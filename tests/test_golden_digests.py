@@ -420,3 +420,48 @@ def test_override_runs_are_byte_identical(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("SHIFTCALC_TOL", raising=False)
     assert digest_calls(override_calls(tmp_path), tmp_path, capsys, stderr=True) == OVERRIDE_GOLDEN
+
+
+#: argv -> (exit code, sha256 of stdout, None) of the runs whose report embeds the
+#: bundle (no ``--out``), recorded before reports and bundles were streamed.
+EMBEDDED_GOLDEN = {
+    "aligned from-se --witness witness-1.json": (
+        0, "e312e99e3c3b487534a503c0416a7ed5413b02798aaaaab9e1dd251d7be80378", None,
+    ),
+    "homotopy from-se --witness witness-1.json --steps 8": (
+        0, "56283d54bb6e107684c4553ffb9e9821af177668ee80957a45eab5af8b07f91c", None,
+    ),
+    "aligned from-se --witness witness-2.json": (
+        0, "50f8ddd7d3dd24ff9c0f18ec1e3d48c416ecb11d27b942d6c347b0ecff58169c", None,
+    ),
+    "homotopy from-se --witness witness-2.json --steps 8": (
+        0, "10b4caca923cd1f76b1de5055e8cdd8b817c4902a1e0b3eeb71e1a5e50337be6", None,
+    ),
+    "aligned from-se --witness witness-3.json": (
+        0, "70285de2e812dd4b878df09d5fadcbb628821845b4124018896eb382e0e878eb", None,
+    ),
+    "homotopy from-se --witness witness-3.json --steps 8": (
+        0, "4e0f6fb3dd0b6c777fdcb571fe39fb8eeb757e1dc8c542eef85a4c000327a945", None,
+    ),
+    "aligned from-se --witness witness-4.json": (
+        0, "01939aae6a77ca89e1b1bc693b0b6aa1356ac8de3522481f0f6f27729257cb26", None,
+    ),
+}
+
+
+def embedded_calls(tmp_path) -> list:
+    """The ``aligned from-se`` and ``homotopy from-se`` calls without ``--out``, whose
+    reports embed the bundle: written by the same stream as a bundle file."""
+    calls = []
+    for lag in range(1, 5):
+        witness = _write(tmp_path / f"witness-{lag}.json", witness_to_json(golden_lag(lag)))
+        calls.append(("aligned", "from-se", "--witness", witness))
+        if lag in HOMOTOPY_LAGS:
+            calls.append(("homotopy", "from-se", "--witness", witness, "--steps", str(HOMOTOPY_STEPS)))
+    return calls
+
+
+def test_embedded_reports_are_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SHIFTCALC_TOL", raising=False)
+    assert digest_calls(embedded_calls(tmp_path), tmp_path, capsys) == EMBEDDED_GOLDEN

@@ -1,3 +1,4 @@
+import io
 import json
 from itertools import chain
 
@@ -97,6 +98,44 @@ class TestDumpJson:
             dump_json(doc)
 
 
+class _Str(str):
+    def __repr__(self):
+        return "spelled by the class"
+
+    __str__ = __repr__
+
+
+class _Int(int):
+    __repr__ = __str__ = _Str.__repr__
+
+
+class _Float(float):
+    __repr__ = __str__ = _Str.__repr__
+
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    texts,
+    st.sampled_from([10**400, -(10**400), -0.0, 5e-324, float("nan"), float("inf"), -float("inf")]),
+    st.floats().map(np.float64),
+    st.integers().map(_Int),
+    st.floats().map(_Float),
+    texts.map(_Str),
+)
+
+
+class TestScalars:
+    @given(scalars)
+    @settings(max_examples=400, deadline=None)
+    def test_are_spelled_as_the_stdlib_spells_them(self, x):
+        # Subclasses too: the stdlib ignores their own repr and str.
+        assert dump_json(x) == json.dumps(x) + "\n"
+        assert dump_json([x, {"k": x}]) == stdlib_dump([x, {"k": x}])
+
+
 def to_lists(doc):
     """``doc`` with every numpy array replaced by its tolist()."""
     if isinstance(doc, np.ndarray):
@@ -184,6 +223,49 @@ class TestArrayLeaves:
         for doc in ([np.arange(3)], {"a": np.zeros(2, dtype=complex)}, [np.zeros(2), {1: 2}]):
             with pytest.raises(TypeError, match="not JSON serializable"):
                 dump_json(doc)
+
+
+class _Writes(io.StringIO):
+    """A text file that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return super().write(text)
+
+
+class TestStream:
+    """``dump_json(doc, fh)`` writes the text of ``dump_json(doc)`` in chunks."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @given(doc=st.lists(nested_leaves() | documents, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_writes_the_text_of_the_string_form(self, chunk, doc):
+        fh = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jsonio, "_CHUNK_BYTES", chunk)
+            assert dump_json(doc, fh) is None
+        assert fh.getvalue() == dump_json(doc)
+
+    def test_a_chunk_is_written_once_its_leaves_pass_the_chunk_size(self, monkeypatch):
+        leaf = np.full((2, 2, 2), 0.5)
+        doc = {"a": [leaf, leaf], "b": leaf, "c": 1}
+        fh = _Writes()
+        dump_json(doc, fh)
+        assert fh.lengths == [len(dump_json(doc))]
+        monkeypatch.setattr(jsonio, "_CHUNK_BYTES", 1)
+        fh = _Writes()
+        dump_json(doc, fh)
+        # One write after each leaf, one for the rest.
+        assert len(fh.lengths) == 4 and fh.getvalue() == dump_json(doc)
+
+    @pytest.mark.parametrize("doc", [{1: [1]}, {"a": {1, 2}}, [np.int64(1)]])
+    def test_what_is_left_to_the_stdlib_raises(self, doc):
+        with pytest.raises(TypeError, match="left to the stdlib encoder"):
+            dump_json(doc, io.StringIO())
 
 
 def old_complex_matrix_to_json(m):
