@@ -4,8 +4,8 @@ Every subcommand prints exactly one JSON run report to stdout (schema
 "shiftcalc/v1": command, input digests, tolerances, verdict) and reserves
 stderr for human-readable notes.  Reports are byte-identical across runs for
 identical inputs, flags and seeds; wall-clock timing is therefore only shown
-on stderr under --verbose.  Reports and bundles are written in chunks, so the
-memory a run takes does not grow with the size of what it writes.
+on stderr under --verbose.  Reports and bundles are written block by block,
+so the memory a run takes does not grow with the size of what it writes.
 
 Exit codes: 0 verified / found / inconclusive, 1 refuted / not found,
 2 distinguished by an invariant, 64 usage error, 65 data error, 70 internal

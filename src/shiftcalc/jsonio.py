@@ -21,19 +21,23 @@ list (an integer matrix, or a block of the public functions) is written
 value by value, and each scalar gets the stdlib's text without a
 ``json.dumps`` call.
 
-``dump_json(doc, fh)`` writes the text to ``fh`` in chunks of about
-``_CHUNK_BYTES`` and never holds it whole, so a bundle takes memory for one
-chunk, not for the document; there, what the encoder cannot render raises.
+``dump_json(doc, fh)`` is the package's one JSON writer.  It writes each
+array leaf to ``fh`` as soon as it renders it, with the small pieces before
+it, so a bundle takes memory for one block's text, not for the document.
+What it cannot render raises; nothing falls back to the stdlib encoder.
 
-The readers raise ``ParseError`` naming the first fault they meet.  A stored
-block is read in one pass, row by row: only a row that fails its check, or
-holds an int, is walked entry by entry to name its first offending entry, and
-finiteness is checked once over the whole block.
+``load_json`` turns every fault of the decoder (bad syntax, nesting too deep,
+a number too long) into a ``ParseError`` naming the file; the readers raise
+``ParseError`` naming the first fault they meet.  A stored block is read in
+one pass, row by row: only a row that fails its check, or holds an int, is
+walked entry by entry to name its first offending entry, and finiteness is
+checked once over the whole block.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
@@ -105,7 +109,7 @@ def matrix_from_json(doc) -> IntMatrix:
 
 
 def parse_matrix_file(path: str) -> IntMatrix:
-    """Load a matrix JSON file, reporting position information on bad JSON."""
+    """Load a matrix JSON file; ``load_json`` names the line and column of bad JSON."""
     doc = load_json(path)
     try:
         return matrix_from_json(doc)
@@ -334,6 +338,11 @@ def load_json(path: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply to read") from None
+    except ValueError:  # the decoder's only other fault: an int literal past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"{path}: a number has more than {limit} digits, too many to read") from None
 
 
 def _join(items: list, level: int) -> str:
@@ -368,38 +377,10 @@ def _is_unit_leaf(o: np.ndarray) -> bool:
     return bool(((bits == 0) | (bits == _ONE_BITS)).all())
 
 
-#: Leaf text, in bytes (the text is ASCII), that ``dump_json`` holds before writing it
-#: out in stream form: the writer's memory follows this, not the size of the document.
-_CHUNK_BYTES = 1 << 20
-
-
-class _Chunks(list):
-    """The text pieces ``_encode`` appends.  Given a file, each array leaf that brings
-    the leaf text held past ``_CHUNK_BYTES`` writes every held piece to it as one
-    string and drops them; other pieces are small, so only a leaf is counted."""
-
-    def __init__(self, fh=None):
-        super().__init__()
-        self.fh = fh
-        self.held = 0
-
-    def leaf(self, text: str):
-        self.append(text)
-        if self.fh is not None:
-            self.held += len(text)
-            if self.held >= _CHUNK_BYTES:
-                self.flush()
-
-    def flush(self):
-        self.fh.write("".join(self))
-        self.clear()
-        self.held = 0
-
-
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _encode(o, level: int, out: _Chunks):
+def _encode(o, level: int, out: list, fh):
     # Scalars get the stdlib's exact text, subclasses too (bool before int).
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))
@@ -408,67 +389,64 @@ def _encode(o, level: int, out: _Chunks):
         out.append(_CONSTANTS[o])
         return
     if isinstance(o, int):
-        out.append(int.__repr__(o))
+        try:
+            out.append(int.__repr__(o))
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise DomainError(f"an integer has more than {limit} digits, too many to write") from None
         return
     if isinstance(o, float):
         out.append(float.__repr__(o) if isfinite(o) else "NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
         return
     if type(o) is np.ndarray and o.dtype == np.float64:
         # An array leaf is rendered as its tolist() would be, without building that
-        # list; lists and tuples take the general branch below.
+        # list, and written out with the pieces before it; lists and tuples take the
+        # general branch below.
         if _is_unit_leaf(o):
             # A 0/1 block (a permutation, say) needs no float formatting: each pair is a cached text.
             pairs = _unit_pair_texts(level + 2)[(2 * o[..., 0] + o[..., 1]).astype(np.intp)]
-            out.leaf(_join([_join(row, level + 1) for row in pairs.tolist()], level))
-            return
-        text = _nested_format(o.shape, level) % tuple(o.ravel().tolist())
-        if "n" in text:  # only nan and inf print an "n"; json spells them NaN, Infinity
-            return _encode(o.tolist(), level, out)
-        out.leaf(text)
+            out.append(_join([_join(row, level + 1) for row in pairs.tolist()], level))
+        else:
+            text = _nested_format(o.shape, level) % tuple(o.ravel().tolist())
+            if "n" in text:  # only nan and inf print an "n"; json spells them NaN, Infinity
+                _encode(o.tolist(), level, out, fh)
+            else:
+                out.append(text)
+        fh.write("".join(out))
+        out.clear()
         return
     if isinstance(o, dict):
         if not all(type(key) is str for key in o):
-            raise TypeError("a dict with a key other than str is left to the stdlib encoder")
+            raise TypeError("dump_json writes only str keys")
         items, brackets = [(encode_basestring_ascii(k) + ": ", o[k]) for k in sorted(o)], "{}"
     elif isinstance(o, (list, tuple)):
         items, brackets = [("", x) for x in o], "[]"
     else:
-        raise TypeError(f"a {type(o).__name__} is left to the stdlib encoder")
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
     sep = brackets[0] + "\n" + " " * (level + 1)
     for prefix, x in items:
         out.append(sep + prefix)
-        _encode(x, level + 1, out)
+        _encode(x, level + 1, out, fh)
         sep = "," + sep[1:]
     out.append("\n" + " " * level + brackets[1] if items else brackets)
 
 
-def dump_json(doc, fh=None):
-    """Canonical serialization: sorted keys, fixed separators, trailing newline.
+def dump_json(doc, fh) -> None:
+    """Write ``doc`` to the text file ``fh`` in canonical form: sorted keys, fixed separators,
+    trailing newline.
 
     Byte-identical to ``json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"``,
     which Python < 3.13 runs in pure Python when ``indent`` is set: too slow for bundles of
     [re, im] pairs.  A float64 numpy array in ``doc`` is rendered as its ``tolist()`` would be,
-    in one %-format; every list is rendered value by value, and every scalar as the stdlib
-    spells it.
+    in one %-format, and written out with the pieces before it as soon as it is rendered, so
+    the text is never held whole; every list is rendered value by value, and every scalar as
+    the stdlib spells it.  The rest and the final newline go in one last write.
 
-    Without ``fh``, returns the text.  What ``_encode`` leaves (non-str keys, non-JSON types,
-    cycles) then goes to the stdlib; it cannot encode an array, so a document holding an
-    array and anything left to the stdlib raises its ``TypeError``.
-
-    With ``fh``, writes the same text to the text file ``fh`` in chunks of about
-    ``_CHUNK_BYTES`` and returns None, never holding the text whole.  What ``_encode`` leaves
-    then raises its ``TypeError`` (``RecursionError`` for a cycle) after the chunks already
-    written; the command line writes no such document.
+    A dict key other than str and a value of any other type raise ``TypeError``, a cycle
+    ``RecursionError``, and an int with more digits than ``sys.get_int_max_str_digits()``
+    ``DomainError``; the text up to the last array leaf rendered is then already written.
     """
-    out = _Chunks(fh)
-    try:
-        _encode(doc, 0, out)
-    except (TypeError, RecursionError):
-        if fh is not None:
-            raise
-        return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    out = []
+    _encode(doc, 0, out, fh)
     out.append("\n")
-    if fh is None:
-        return "".join(out)
-    out.flush()
-    return None
+    fh.write("".join(out))

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -222,7 +223,9 @@ class TestAlignedAndHomotopy:
 
     def test_shift_bundle_roundtrip_preserves_alignment(self, golden_witness):
         shift = build_from_se(golden_witness)
-        again = shift_from_json(json.loads(dump_json(shift_to_json(shift))))
+        text = io.StringIO()
+        dump_json(shift_to_json(shift), text)
+        again = shift_from_json(json.loads(text.getvalue()))
         assert verify_aligned(again)
 
     def test_homotopy_bundle_embedded_without_out(self, capsys, tmp_path, golden_witness):
@@ -550,6 +553,33 @@ class TestBadInputs:
         assert code == 65
         assert report is None
         assert "too large" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 100000 + "]" * 100000, "JSON nested too deeply to read"),
+            ('{"rows": 1, "cols": 1, "entries": ' + "[" * 100000 + "]" * 100000 + "}", "JSON nested too deeply to read"),
+            (
+                '{"rows": 1, "cols": 1, "entries": [[' + "1" * 5001 + "]]}",
+                f"a number has more than {sys.get_int_max_str_digits()} digits, too many to read",
+            ),
+        ],
+        ids=["deep", "deep entries", "long literal"],
+    )
+    def test_json_the_decoder_refuses_is_data_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "a.json"
+        path.write_text(text)
+        code, report, err = run(capsys, ["invariants", "--a", str(path)])
+        assert (code, report) == (65, None)
+        assert err == f"shiftcalc: {path}: {message}\n"
+
+    def test_an_integer_too_long_to_write_is_data_error(self, capsys, tmp_path):
+        # Its 3001-digit entries are read; the constant term of the characteristic
+        # polynomial, 10**6000 - 1, cannot be written.
+        a = write(tmp_path / "a.json", mat([[10**3000, 1], [1, 10**3000]]))
+        code, report, err = run(capsys, ["invariants", "--a", a])
+        assert (code, report) == (65, None)
+        assert err == f"shiftcalc: an integer has more than {sys.get_int_max_str_digits()} digits, too many to write\n"
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
     def test_bad_tol_flag_is_usage_error(self, files, capsys, tol):

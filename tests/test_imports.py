@@ -1,5 +1,6 @@
 """Unused imports, unused private names and unread public names in the
-package, and the names the benchmark tracer rebinds.
+package, calls of the stdlib's JSON writer, and the names the benchmark
+tracer rebinds.
 
 No linter is installed, so ``ast`` stands in.
 """
@@ -41,6 +42,41 @@ def test_the_check_sees_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def stdlib_json_writes(source: str) -> list[int]:
+    """Lines that call ``json.dump`` or ``json.dumps`` (under any name the module
+    gives ``json``), or import either from ``json``."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "json"
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            target = node.func.value
+            if node.func.attr in ("dump", "dumps") and isinstance(target, ast.Name) and target.id in modules:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            if {alias.name for alias in node.names} & {"dump", "dumps"}:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_a_stdlib_json_writer():
+    source = "import json\njson.loads('1')\njson.dumps(1)\nfrom json import dump as d\nd(1, f)\njson.dump(1, f)\n"
+    assert stdlib_json_writes(source) == [3, 4, 6]
+    assert stdlib_json_writes("import json as _j\n_j.dumps(1)\n") == [2]
+    assert stdlib_json_writes("from json.encoder import encode_basestring_ascii\nx.dumps(1)\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_dump_json_is_the_one_writer(path):
+    assert stdlib_json_writes(path.read_text(encoding="utf-8")) == []
 
 
 def definitions(source: str) -> set[str]:

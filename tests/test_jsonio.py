@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from itertools import chain
 
 import numpy as np
@@ -38,6 +39,13 @@ def stdlib_dump(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
+def dumps(doc) -> str:
+    """The text ``dump_json`` writes for ``doc``."""
+    fh = io.StringIO()
+    dump_json(doc, fh)
+    return fh.getvalue()
+
+
 numbers = st.one_of(
     st.integers(-(10**30), 10**30),
     st.floats(allow_nan=True, allow_infinity=True),
@@ -63,7 +71,7 @@ class TestDumpJson:
     @given(documents)
     @settings(max_examples=400, deadline=None)
     def test_matches_the_stdlib_rendering(self, doc):
-        assert dump_json(doc) == stdlib_dump(doc)
+        assert dumps(doc) == stdlib_dump(doc)
 
     @pytest.mark.parametrize(
         "doc",
@@ -74,28 +82,39 @@ class TestDumpJson:
             [[], []],
             [[1, 2], [3]],
             [[0.0] * 3] * 2,
-            {1: [1], 2: "b"},
-            {None: 0},
+            {"": [[np.float64("nan")]], "\u00e9": []},
+            [(), {}, [[]]],
             [[True, 1.0]],
             [[float("nan"), 1.0], [1.0, 2.0]],
         ],
     )
     def test_matches_the_stdlib_on_special_values(self, doc):
-        assert dump_json(doc) == stdlib_dump(doc)
+        assert dumps(doc) == stdlib_dump(doc)
 
-    @pytest.mark.parametrize("doc", [{"a": {1, 2}}, [np.int64(1)], {"a": 1, 2: "b"}, [[10**5000]]])
+    @pytest.mark.parametrize("doc", [{"a": {1, 2}}, [np.int64(1)], [b"bytes"], [1j]])
     def test_unencodable_documents_raise_as_the_stdlib(self, doc):
         with pytest.raises(Exception) as expected:
             stdlib_dump(doc)
         with pytest.raises(type(expected.value)) as got:
-            dump_json(doc)
+            dumps(doc)
         assert str(got.value) == str(expected.value)
 
-    def test_cycles_raise_as_the_stdlib(self):
+    @pytest.mark.parametrize("doc", [{1: [1], 2: "b"}, {None: 0}, {"a": 1, 2: "b"}, [{"a": {(1, 2): 0}}]])
+    def test_keys_other_than_str_raise(self, doc):
+        # The stdlib would write an int or None key as a string; no document of the package has one.
+        with pytest.raises(TypeError, match="dump_json writes only str keys"):
+            dumps(doc)
+
+    def test_cycles_raise(self):
         doc = {"a": []}
         doc["a"].append(doc)
-        with pytest.raises(ValueError, match="Circular reference detected"):
-            dump_json(doc)
+        with pytest.raises(RecursionError):
+            dumps(doc)
+
+    def test_an_int_too_long_to_print_is_a_domain_error(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(DomainError, match=f"^an integer has more than {limit} digits, too many to write$"):
+            dumps([[10**5000]])
 
 
 class _Str(str):
@@ -132,8 +151,8 @@ class TestScalars:
     @settings(max_examples=400, deadline=None)
     def test_are_spelled_as_the_stdlib_spells_them(self, x):
         # Subclasses too: the stdlib ignores their own repr and str.
-        assert dump_json(x) == json.dumps(x) + "\n"
-        assert dump_json([x, {"k": x}]) == stdlib_dump([x, {"k": x}])
+        assert dumps(x) == json.dumps(x) + "\n"
+        assert dumps([x, {"k": x}]) == stdlib_dump([x, {"k": x}])
 
 
 def to_lists(doc):
@@ -201,7 +220,7 @@ class TestArrayLeaves:
     @given(nested_leaves())
     @settings(max_examples=300, deadline=None)
     def test_match_the_stdlib_rendering_of_their_lists(self, doc):
-        assert dump_json(doc) == stdlib_dump(to_lists(doc))
+        assert dumps(doc) == stdlib_dump(to_lists(doc))
 
     def test_only_leaves_of_plus_zero_and_one_take_the_pair_texts(self):
         perm = np.eye(3, dtype=complex)[[2, 0, 1]]
@@ -220,51 +239,55 @@ class TestArrayLeaves:
             assert repr(leaf.tolist()) == repr(_complex_matrix_to_json(block))
 
     def test_other_arrays_are_left_to_the_stdlib(self):
-        for doc in ([np.arange(3)], {"a": np.zeros(2, dtype=complex)}, [np.zeros(2), {1: 2}]):
-            with pytest.raises(TypeError, match="not JSON serializable"):
-                dump_json(doc)
+        # Raised with the stdlib's own message.
+        for doc in ([np.arange(3)], {"a": np.zeros(2, dtype=complex)}, [np.zeros(2), np.ones(2, dtype=np.float32)]):
+            with pytest.raises(TypeError, match="^Object of type ndarray is not JSON serializable$"):
+                dumps(doc)
 
 
 class _Writes(io.StringIO):
-    """A text file that records the length of each write."""
+    """A text file that records the text of each write."""
 
     def __init__(self):
         super().__init__()
-        self.lengths = []
+        self.writes = []
 
     def write(self, text):
-        self.lengths.append(len(text))
+        self.writes.append(text)
         return super().write(text)
 
 
+def leaf_texts(doc, level=0):
+    """The text of each array leaf of ``doc``, in the order it is written: its
+    list's stdlib rendering, indented to the leaf's nesting level."""
+    if isinstance(doc, np.ndarray):
+        yield stdlib_dump(doc.tolist())[:-1].replace("\n", "\n" + " " * level)
+    elif isinstance(doc, dict):
+        for key in sorted(doc):
+            yield from leaf_texts(doc[key], level + 1)
+    elif isinstance(doc, (list, tuple)):
+        for x in doc:
+            yield from leaf_texts(x, level + 1)
+
+
 class TestStream:
-    """``dump_json(doc, fh)`` writes the text of ``dump_json(doc)`` in chunks."""
+    """``dump_json(doc, fh)`` writes each array leaf as it renders it."""
 
-    @pytest.mark.parametrize("chunk", [1, 7, 4096])
     @given(doc=st.lists(nested_leaves() | documents, max_size=4))
-    @settings(max_examples=150, deadline=None)
-    def test_writes_the_text_of_the_string_form(self, chunk, doc):
-        fh = io.StringIO()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(jsonio, "_CHUNK_BYTES", chunk)
-            assert dump_json(doc, fh) is None
-        assert fh.getvalue() == dump_json(doc)
-
-    def test_a_chunk_is_written_once_its_leaves_pass_the_chunk_size(self, monkeypatch):
-        leaf = np.full((2, 2, 2), 0.5)
-        doc = {"a": [leaf, leaf], "b": leaf, "c": 1}
+    @settings(max_examples=300, deadline=None)
+    def test_one_write_per_array_leaf_and_one_for_the_rest(self, doc):
         fh = _Writes()
-        dump_json(doc, fh)
-        assert fh.lengths == [len(dump_json(doc))]
-        monkeypatch.setattr(jsonio, "_CHUNK_BYTES", 1)
-        fh = _Writes()
-        dump_json(doc, fh)
-        # One write after each leaf, one for the rest.
-        assert len(fh.lengths) == 4 and fh.getvalue() == dump_json(doc)
+        assert dump_json(doc, fh) is None
+        assert fh.getvalue() == stdlib_dump(to_lists(doc))
+        leaves = list(leaf_texts(doc))
+        assert len(fh.writes) == len(leaves) + 1
+        # Each write ends with its leaf, so none holds the text of two.
+        for text, leaf in zip(fh.writes, leaves):
+            assert text.endswith(leaf)
 
     @pytest.mark.parametrize("doc", [{1: [1]}, {"a": {1, 2}}, [np.int64(1)]])
     def test_what_is_left_to_the_stdlib_raises(self, doc):
-        with pytest.raises(TypeError, match="left to the stdlib encoder"):
+        with pytest.raises(TypeError, match="str keys|not JSON serializable"):
             dump_json(doc, io.StringIO())
 
 
