@@ -285,6 +285,34 @@ class TestStream:
         for text, leaf in zip(fh.writes, leaves):
             assert text.endswith(leaf)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @given(doc=st.lists(nested_leaves() | documents, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_writes_the_text_of_the_string_form(self, chunk, doc):
+        # A real file as the command line opens one, its buffer `chunk` bytes:
+        # the bytes that reach it are the stdlib's string form of the lists.
+        raw = io.BytesIO()
+        fh = io.TextIOWrapper(io.BufferedWriter(raw, buffer_size=chunk), encoding="utf-8")
+        assert dump_json(doc, fh) is None
+        fh.flush()
+        assert raw.getvalue() == stdlib_dump(to_lists(doc)).encode("utf-8")
+
+    def test_a_chunk_is_written_once_its_leaves_pass_the_chunk_size(self):
+        # The chunk now ends at every array leaf: the pieces up to and
+        # including a leaf are written as soon as that leaf is rendered.
+        leaf = np.full((2, 2, 2), 0.5)
+        doc = {"a": [leaf, leaf], "b": leaf, "c": 1}
+        fh = _Writes()
+        dump_json(doc, fh)
+        text = stdlib_dump(to_lists(doc))
+        assert fh.getvalue() == text
+        ends, start = [], 0
+        for leaf_text in leaf_texts(doc):
+            start = text.index(leaf_text, start) + len(leaf_text)
+            ends.append(start)
+        assert len(ends) == 3
+        assert fh.writes == [text[i:j] for i, j in zip([0, *ends], [*ends, len(text)])]
+
     @pytest.mark.parametrize("doc", [{1: [1]}, {"a": {1, 2}}, [np.int64(1)]])
     def test_what_is_left_to_the_stdlib_raises(self, doc):
         with pytest.raises(TypeError, match="str keys|not JSON serializable"):
