@@ -356,7 +356,7 @@ class OneArrow:
         phi : Y (x) F  ->  F (x) X
 
     between the two dynamics.  Construction checks that phi's endpoints are
-    exactly the canonical tensor products.
+    exactly the canonical tensor products, and through them F's labels.
     """
 
     source: ObjectPair
@@ -365,10 +365,6 @@ class OneArrow:
     phi: BlockUnitary
 
     def __post_init__(self):
-        if self.f.left_index != self.target.algebra_index:
-            raise ShapeError("arrow correspondence must be indexed by the target on the left")
-        if self.f.right_index != self.source.algebra_index:
-            raise ShapeError("arrow correspondence must be indexed by the source on the right")
         if self.phi.source != tensor(self.target.x, self.f):
             raise ShapeError("phi must start at Y (x) F with the canonical basis")
         if self.phi.target != tensor(self.f, self.source.x):

@@ -7,8 +7,8 @@ logarithm of U0* U1.  A homotopy of arrows is represented fiberwise: a fixed
 correspondence, a sampled unitary path for the intertwiner component, and
 endpoint 2-arrows tying the t = 0 and t = 1 fibers to the two given arrows.
 
-Verification is sampled, not symbolic: the generator gives the path in closed
-form, the sample list is what gets checked.
+Verification is sampled: building a homotopy checks every sample's time and
+endpoints, and ``homotopy_failure`` their unitarity and the two endpoint squares.
 """
 
 from __future__ import annotations
@@ -46,22 +46,16 @@ _SAMPLES_BYTES = 1 << 30
 class UnitaryPath:
     """A path of block unitaries from ``source`` to ``target``.
 
-    ``samples`` lists (t, unitary) with strictly increasing t from 0 to 1.
-    ``generator`` holds the blockwise skew-Hermitian H with
-    U(t) = U(0) exp(tH), so the samples are determined by it.
+    ``samples`` lists (t, unitary) with strictly increasing t from 0 to 1.  A path
+    is data: the ``ArrowHomotopy`` carrying it checks its times and endpoints.
+    ``generator`` holds the blockwise skew-Hermitian H with U(t) = U(0) exp(tH),
+    so the samples are determined by it.
     """
 
     source: BlockUnitary
     target: BlockUnitary
     samples: tuple
     generator: dict
-
-    def __post_init__(self):
-        if len(self.samples) < 2:
-            raise ShapeError("a path needs at least its two endpoint samples")
-        ts = [t for t, _ in self.samples]
-        if ts[0] != 0.0 or ts[-1] != 1.0 or any(a >= b for a, b in zip(ts, ts[1:])):
-            raise ShapeError("sample times must increase strictly from 0 to 1")
 
 
 def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> UnitaryPath:
@@ -114,7 +108,8 @@ class ArrowHomotopy:
     """A fiberwise homotopy between two parallel arrows.
 
     The fiber at time t is the arrow [fiber, U(t)]; ``h0`` and ``h1`` are the
-    endpoint 2-arrows onto ``f_arrow`` and ``g_arrow``.
+    endpoint 2-arrows onto ``f_arrow`` and ``g_arrow``.  Construction checks the
+    shapes, every sample's too; :func:`homotopy_failure` checks the numbers.
     """
 
     f_arrow: OneArrow
@@ -127,12 +122,16 @@ class ArrowHomotopy:
     def __post_init__(self):
         if self.f_arrow.source != self.g_arrow.source or self.f_arrow.target != self.g_arrow.target:
             raise ShapeError("homotopy endpoints must be parallel arrows")
-        y_corr = self.f_arrow.target.x
-        x_corr = self.f_arrow.source.x
-        if self.path.source.source != tensor(y_corr, self.fiber):
-            raise ShapeError("path unitaries must start at Y (x) fiber")
-        if self.path.source.target != tensor(self.fiber, x_corr):
-            raise ShapeError("path unitaries must end at fiber (x) X")
+        ts = [t for t, _ in self.path.samples]
+        if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0 or any(a >= b for a, b in zip(ts, ts[1:])):
+            raise ShapeError("a path needs two or more samples at times increasing strictly from 0 to 1")
+        start, end = tensor(self.f_arrow.target.x, self.fiber), tensor(self.fiber, self.f_arrow.source.x)
+        # Samples that share their endpoint objects, as a geodesic's all do, are compared once.
+        for u in {(id(u.source), id(u.target)): u for _, u in self.path.samples}.values():
+            if u.source != start:
+                raise ShapeError("path unitaries must start at Y (x) fiber")
+            if u.target != end:
+                raise ShapeError("path unitaries must end at fiber (x) X")
         if not (self.h0.source.same_shape(self.fiber) and self.h0.target.same_shape(self.f_arrow.f)):
             raise ShapeError("h0 must map the fiber onto the first arrow's correspondence")
         if not (self.h1.source.same_shape(self.fiber) and self.h1.target.same_shape(self.g_arrow.f)):
@@ -168,8 +167,8 @@ def homotopy_failure(h: ArrowHomotopy, tol: float = DEFAULT_TOL) -> Optional[str
 
 
 def verify_homotopy(h: ArrowHomotopy, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every sample is unitary and both endpoint squares commute
-    within ``tol``."""
+    """True iff every sample is unitary and both endpoint squares commute within
+    ``tol``; every sample's time and endpoints were checked at construction."""
     return homotopy_failure(h, tol) is None
 
 

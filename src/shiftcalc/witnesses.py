@@ -189,10 +189,13 @@ def search_se(
 ) -> Optional[SEWitness]:
     """Exhaustive bounded search for a witness between two essential matrices.
 
-    Candidate R with AR = RB and S with BS = SA are enumerated first (the
-    linear equations prune the box dramatically), then the factorization
-    equations A^m = RS and B^m = SR are checked.  Returns the first verified
-    witness in lexicographic order of (R entries, S entries), or None.
+    Candidate R with AR = RB and entries at most min(bound, max A^m), and S
+    with BS = SA and entries at most min(bound, max B^m), are enumerated first;
+    then A^m = RS and B^m = SR are checked.  The box loses no witness: B^m = SR
+    has no zero row, so neither has S, and a j with s_kj >= 1 gives
+    r_ik <= (RS)_ij = (A^m)_ij (S likewise); an entry clipped at the cap reads
+    cap + 1 > bound.  Returns the first verified witness in lexicographic order
+    of (R entries, S entries), or None.
     """
     if not is_essential(a) or not is_essential(b):
         raise DomainError("search_se requires essential matrices")
@@ -204,16 +207,15 @@ def search_se(
     # Entries of RS and SR are at most rows * bound^2: capped, the powers compare exactly at any lag.
     am = mat_pow(a, lag, cap=b.rows * entry_bound**2)
     bm = mat_pow(b, lag, cap=a.rows * entry_bound**2)
+    r_bound, s_bound = (min(entry_bound, max(map(max, p.entries))) for p in (am, bm))
     s_candidates = None
-    for r in _bounded_intertwiners(a, b, a.rows, b.rows, entry_bound):
+    for r in _bounded_intertwiners(a, b, a.rows, b.rows, r_bound):
         # A^m = RS forces every row of A^m to vanish where R's row is zero;
         # essential A^m has no zero rows, so R must not either.
         if any(all(x == 0 for x in r.row(i)) for i in range(r.rows)):
             continue
         if s_candidates is None:
-            s_candidates = list(
-                _bounded_intertwiners(b, a, b.rows, a.rows, entry_bound)
-            )
+            s_candidates = list(_bounded_intertwiners(b, a, b.rows, a.rows, s_bound))
         for s in s_candidates:
             if mat_mul(r, s) == am and mat_mul(s, r) == bm:
                 return SEWitness(a, b, r, s, lag)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from shiftcalc import (
     AlignedShiftData,
     CompositionError,
     ContractError,
+    DomainError,
     SEWitness,
+    ShapeError,
     alignment_residuals,
     build_from_se,
     compose_one_arrows,
@@ -134,6 +137,29 @@ class TestConcreteShift:
             AlignedShiftData(d.x_obj, d.y_obj, d.m_arrow, d.n_arrow, psi_x, d.psi_y, 2)
         with pytest.raises(ShapeError, match="psi_y must end at the lag-th tensor power of Y"):
             AlignedShiftData(d.x_obj, d.y_obj, d.m_arrow, d.n_arrow, d.psi_x, psi_y, 2)
+
+    def test_a_lag_below_one_is_refused(self):
+        d = build_from_se(golden_lag(1))
+        for lag in (0, -1):
+            with pytest.raises(DomainError, match="^shift lag must be a positive integer$"):
+                AlignedShiftData(d.x_obj, d.y_obj, d.m_arrow, d.n_arrow, d.psi_x, d.psi_y, lag)
+
+    def test_m_arrow_must_point_from_y_to_x(self):
+        d = build_from_se(golden_lag(1))
+        with pytest.raises(ShapeError, match="^m_arrow must point from the Y object to the X object$"):
+            AlignedShiftData(d.x_obj, d.y_obj, d.n_arrow, d.n_arrow, d.psi_x, d.psi_y, 1)
+
+    def test_n_arrow_must_point_from_x_to_y(self):
+        d = build_from_se(golden_lag(1))
+        with pytest.raises(ShapeError, match="^n_arrow must point from the X object to the Y object$"):
+            AlignedShiftData(d.x_obj, d.y_obj, d.m_arrow, d.m_arrow, d.psi_x, d.psi_y, 1)
+
+    def test_psi_sources_other_than_the_canonical_products_are_refused(self):
+        d = build_from_se(golden_lag(1))
+        with pytest.raises(ShapeError, match=re.escape("psi_x must start at M (x) N with the canonical basis")):
+            AlignedShiftData(d.x_obj, d.y_obj, d.m_arrow, d.n_arrow, d.psi_y, d.psi_y, 1)
+        with pytest.raises(ShapeError, match=re.escape("psi_y must start at N (x) M with the canonical basis")):
+            AlignedShiftData(d.x_obj, d.y_obj, d.m_arrow, d.n_arrow, d.psi_x, d.psi_x, 1)
 
     def test_the_power_check_agrees_with_the_built_power(self):
         from shiftcalc import from_matrix, object_pair, tensor

@@ -1,4 +1,5 @@
 import random
+import re
 from functools import reduce
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from shiftcalc import (
     BlockUnitary,
     DomainError,
+    ObjectPair,
+    OneArrow,
     ShapeError,
     canonical_assoc,
     canonical_identification,
@@ -181,6 +184,52 @@ class TestTensor:
     def test_index_mismatch(self):
         with pytest.raises(ShapeError):
             tensor(from_matrix(from_rows([[1, 1]])), from_matrix(from_rows([[1, 1]])))
+
+
+class TestConstructorRefusals:
+    """Each refusal of ``ObjectPair``, ``BlockUnitary`` and ``OneArrow``, with its message."""
+
+    def test_an_object_must_be_indexed_by_its_vertex_set(self):
+        x = from_matrix(from_rows([[1, 1], [1, 1]]), (0, 1), ("a", "b"))
+        with pytest.raises(ShapeError, match="^object correspondence must be indexed by the object's vertex set$"):
+            ObjectPair((0, 1), x)
+
+    def test_an_object_must_have_essential_dims(self):
+        with pytest.raises(DomainError, match="^object correspondence must have essential dims$"):
+            ObjectPair((0, 1), from_matrix(from_rows([[1, 1], [0, 0]])))
+
+    def test_a_block_unitary_needs_equal_dims(self):
+        with pytest.raises(ShapeError, match="^source and target of a block unitary must have equal dims$"):
+            BlockUnitary(from_matrix(from_rows([[1]])), from_matrix(from_rows([[2]])), {(0, 0): [[1]]})
+
+    def test_a_block_of_the_wrong_size_is_refused(self):
+        c = from_matrix(from_rows([[2]]))
+        with pytest.raises(ShapeError, match=re.escape("block (0, 0) must be 2x2, got (1, 1)")):
+            BlockUnitary(c, c, {(0, 0): [[1]]})
+
+    def test_phi_must_start_and_end_at_the_canonical_products(self):
+        # Same dims [[4]] as X (x) X, but one factor where it has two.
+        obj = object_pair(from_rows([[2]]))
+        arrow = power_arrow(obj, 1)
+        other = from_matrix(from_rows([[4]]))
+        with pytest.raises(ShapeError, match=re.escape("phi must start at Y (x) F with the canonical basis")):
+            OneArrow(obj, obj, arrow.f, canonical_identification(other, arrow.phi.target))
+        with pytest.raises(ShapeError, match=re.escape("phi must end at F (x) X with the canonical basis")):
+            OneArrow(obj, obj, arrow.f, canonical_identification(arrow.phi.source, other))
+
+    def test_a_mislabelled_f_has_no_canonical_products(self):
+        # F must be indexed by the target on the left and the source on the right;
+        # a label off on either side leaves one of phi's tensors undefined.
+        obj = object_pair(from_rows([[2]]))
+        off_left = from_matrix(from_rows([[2]]), ("a",), (0,))
+        off_right = from_matrix(from_rows([[2]]), (0,), ("a",))
+        # Each phi is an identity on the one product its F can form.
+        for f, phi in (
+            (off_left, identity_unitary(tensor(off_left, obj.x))),
+            (off_right, identity_unitary(tensor(obj.x, off_right))),
+        ):
+            with pytest.raises(ShapeError, match="^tensor factors must share their middle index set$"):
+                OneArrow(obj, obj, f, phi)
 
 
 class TestAssociator:

@@ -1,3 +1,4 @@
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -11,6 +12,7 @@ from shiftcalc import (
     SEWitness,
     ShapeError,
     UnitaryPath,
+    canonical_identification,
     compose_unitaries,
     conjugate_arrow,
     connect_unitaries,
@@ -290,6 +292,82 @@ class TestVerifyHomotopy:
         joined = concatenate_homotopies(reverse_homotopy(h), h)
         assert verify_homotopy(joined)
         assert joined.f_arrow is h.g_arrow and joined.g_arrow is h.g_arrow
+
+
+class TestConstruction:
+    """Each refusal of ``ArrowHomotopy``, the one place a path is checked."""
+
+    @staticmethod
+    def geodesic() -> ArrowHomotopy:
+        obj = object_pair(from_rows([[2]]))
+        return homotopy_to_identity(power_arrow(obj, 1).phi, obj, 1, steps=4)
+
+    @staticmethod
+    def with_samples(h: ArrowHomotopy, samples, path_type=UnitaryPath) -> ArrowHomotopy:
+        if path_type is UnitaryPath:
+            path = UnitaryPath(h.path.source, h.path.target, tuple(samples), h.path.generator)
+        else:
+            path = SampledPath(h.path.source, h.path.target, tuple(samples))
+        return ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, path, h.h0, h.h1)
+
+    def test_a_path_is_data(self):
+        # A path alone checks nothing; the homotopy carrying it refuses it.
+        h = self.geodesic()
+        empty = UnitaryPath(h.path.source, h.path.target, (), {})
+        with pytest.raises(ShapeError, match=re.escape("a path needs two or more samples at times increasing strictly from 0 to 1")):
+            ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, empty, h.h0, h.h1)
+
+    def test_ends_must_be_parallel(self):
+        h = self.geodesic()
+        other = power_arrow(object_pair(from_rows([[3]])), 1)
+        with pytest.raises(ShapeError, match="^homotopy endpoints must be parallel arrows$"):
+            ArrowHomotopy(h.f_arrow, other, h.fiber, h.path, h.h0, h.h1)
+
+    @pytest.mark.parametrize("path_type", [UnitaryPath, SampledPath], ids=["unitary-path", "sample-only"])
+    @pytest.mark.parametrize(
+        "times",
+        [(0.0,), (0.0, 0.5, 0.25, 1.0), (0.0, 1 / 3, 2 / 3, 0.9), (0.1, 1 / 3, 2 / 3, 1.0), (0.0, 0.5, 0.5, 1.0)],
+        ids=["one sample", "out of order", "not ending at 1", "not starting at 0", "a repeated time"],
+    )
+    def test_sample_times_must_increase_strictly_from_0_to_1(self, times, path_type):
+        h = self.geodesic()
+        samples = [(t, u) for t, (_, u) in zip(times, h.path.samples)]
+        with pytest.raises(ShapeError, match=re.escape("a path needs two or more samples at times increasing strictly from 0 to 1")):
+            self.with_samples(h, samples, path_type)
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    def test_a_stray_sample_is_refused(self, index):
+        # Sample ``index`` is a Haar unitary on a correspondence of dims [[3]], not
+        # on the fiber's X (x) X of dims [[4]]; it is unitary, so only the shape
+        # check can see it.
+        h = self.geodesic()
+        samples = list(h.path.samples)
+        stray = random_block_unitary(from_matrix(from_rows([[3]])), np.random.default_rng(21))
+        samples[index] = (samples[index][0], stray)
+        with pytest.raises(ShapeError, match=re.escape("path unitaries must start at Y (x) fiber")):
+            self.with_samples(h, samples)
+
+    def test_a_sample_ending_elsewhere_is_refused(self):
+        # Same dims [[4]] as fiber (x) X, but one factor where it has two.
+        h = self.geodesic()
+        samples = list(h.path.samples)
+        t, u = samples[2]
+        samples[2] = (t, canonical_identification(u.source, from_matrix(from_rows([[4]]))))
+        with pytest.raises(ShapeError, match=re.escape("path unitaries must end at fiber (x) X")):
+            self.with_samples(h, samples)
+
+    def test_samples_of_a_geodesic_share_their_endpoints(self):
+        # So construction compares one source and one target, whatever the steps.
+        h = self.geodesic()
+        assert len({(id(u.source), id(u.target)) for _, u in h.path.samples}) == 1
+
+    def test_endpoint_two_arrows_must_fit(self):
+        h = self.geodesic()
+        wrong = identity_unitary(from_matrix(from_rows([[3]])))
+        with pytest.raises(ShapeError, match="^h0 must map the fiber onto the first arrow's correspondence$"):
+            ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, h.path, wrong, h.h1)
+        with pytest.raises(ShapeError, match="^h1 must map the fiber onto the second arrow's correspondence$"):
+            ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, h.path, h.h0, wrong)
 
 
 class TestFromWitness:

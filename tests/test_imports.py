@@ -1,6 +1,6 @@
 """Unused imports, unused private names and unread public names in the
-package, calls of the stdlib's JSON writer, and the names the benchmark
-tracer rebinds.
+package, calls of the stdlib's JSON writer, the names the benchmark tracer
+rebinds, and constructor refusals of the numerical layer that no test names.
 
 No linter is installed, so ``ast`` stands in.
 """
@@ -183,3 +183,66 @@ def test_every_public_name_is_read():
     ]
     assert sum(len(public_definitions(source)) for source in package.values()) > 0
     assert unread_public_names(package, readers) == []
+
+
+def constructor_refusals(source: str) -> list[str]:
+    """The message of each ``raise`` in a class's ``__init__`` or ``__post_init__``,
+    in source order: a string literal as written, an f-string by its longest
+    constant part."""
+    messages = []
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not (isinstance(method, ast.FunctionDef) and method.name in ("__init__", "__post_init__")):
+                continue
+            for node in sorted(ast.walk(method), key=lambda node: getattr(node, "lineno", 0)):
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                    message = node.exc.args[0]
+                    if isinstance(message, ast.JoinedStr):
+                        parts = [v.value for v in message.values if isinstance(v, ast.Constant)]
+                        messages.append(max(parts, key=len, default=""))
+                    elif isinstance(message, ast.Constant) and isinstance(message.value, str):
+                        messages.append(message.value)
+    return messages
+
+
+def unpinned_refusals(package: dict[str, str], tests: list[str]) -> list[str]:
+    """``module: message`` for each constructor refusal that no test source spells out."""
+    return sorted(
+        f"{module}: {message}"
+        for module, source in package.items()
+        for message in constructor_refusals(source)
+        if not any(message in test for test in tests)
+    )
+
+
+def test_the_check_sees_an_unpinned_refusal():
+    package = {
+        "a": (
+            "class Box:\n"
+            "    def __post_init__(self):\n"
+            "        if self.n < 0:\n"
+            "            raise ValueError('n must be nonnegative')\n"
+            "        raise KeyError(f'missing key {self.k} in {self.name}')\n"
+            "class Pair:\n"
+            "    def __init__(self, x):\n"
+            "        raise TypeError('x must be a pair')\n"
+            "    def swap(self):\n"
+            "        raise ValueError('not a constructor')\n"
+            "def build():\n"
+            "    raise ValueError('not a class')\n"
+        )
+    }
+    assert constructor_refusals(package["a"]) == ["n must be nonnegative", "missing key ", "x must be a pair"]
+    tests = ["with pytest.raises(ValueError, match='^n must be nonnegative$'):\n", "match='missing key 3'"]
+    assert unpinned_refusals(package, tests) == ["a: x must be a pair"]
+
+
+def test_every_constructor_refusal_of_the_numerical_layer_is_pinned():
+    root = pathlib.Path(__file__).parent.parent
+    package = {name: (root / "src" / "shiftcalc" / f"{name}.py").read_text(encoding="utf-8") for name in ("corr", "aligned", "homotopy")}
+    # This module's own self-test does not count as pinning a message.
+    tests = [path.read_text(encoding="utf-8") for path in sorted((root / "tests").glob("*.py")) if path.name != "test_imports.py"]
+    assert sum(len(constructor_refusals(source)) for source in package.values()) > 0
+    assert unpinned_refusals(package, tests) == []

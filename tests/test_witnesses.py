@@ -195,6 +195,52 @@ class TestSearch:
             search_se(from_rows([[0]]), from_rows([[1]]), 1, 1)
 
 
+def reference_search_se(a, b, lag, bound):
+    """Reference: the search over the whole box [0, bound], with uncapped powers."""
+    from shiftcalc.witnesses import _bounded_intertwiners
+
+    am, bm = mat_pow(a, lag), mat_pow(b, lag)
+    s_candidates = list(_bounded_intertwiners(b, a, b.rows, a.rows, bound))
+    for r in _bounded_intertwiners(a, b, a.rows, b.rows, bound):
+        for s in s_candidates:
+            if mat_mul(r, s) == am and mat_mul(s, r) == bm:
+                return SEWitness(a, b, r, s, lag)
+    return None
+
+
+class TestSearchBoxes:
+    """R's entries are at most max A^m and S's at most max B^m in any witness, so
+    ``search_se`` enumerates no further, whatever the bound."""
+
+    def test_the_boxes_lose_no_witness(self):
+        rng = random.Random(2116)
+        found = 0
+        for case in range(150):
+            a = random_essential(rng, max_size=2, max_entry=2)
+            lag = rng.randint(1, 2)
+            if case % 2:
+                # A recovery case: the end of a random chain, searched at its witness's largest entry or more.
+                w = fold_chain(random_sse_chain(a, lag, seed=case))
+                b = w.b if w.b.rows <= 3 else a
+            else:
+                b = random_essential(rng, max_size=2, max_entry=2)
+            bound = rng.randint(0, 3)
+            expected = reference_search_se(a, b, lag, bound)
+            got = search_se(a, b, lag, bound)
+            if expected is None:
+                assert got is None
+            else:
+                assert (got.r, got.s) == (expected.r, expected.s)
+                found += 1
+        assert found >= 20
+
+    @pytest.mark.parametrize("bound", [20, 40, 10**6])
+    def test_a_refutation_does_not_grow_with_the_bound(self, bound):
+        # Witnesses here have entries at most 2 = max A = max B, so a bound of a
+        # million enumerates what a bound of 2 does.
+        assert search_se(from_rows([[2, 0], [0, 2]]), from_rows([[1, 1], [1, 1]]), 1, bound) is None
+
+
 class TestBoundedIntertwiners:
     def test_matches_brute_force_box_filter(self):
         # Oracle: enumerate the whole box and filter; the pruned DFS must
