@@ -14,7 +14,7 @@ verification, the invariant factors of the Smith normal form, over Z or
 modulo an integer, for cokernel invariants (the diagonal only; the
 unimodular transforms are never built), the characteristic polynomial from
 traces of powers and Newton's identities, the adjugate of I - A from it, and
-the fraction-free (Bareiss) rank.
+the rank as the number of nonzero invariant factors.
 
 All values are immutable; every function returns fresh objects and is safe to
 call concurrently.
@@ -170,7 +170,7 @@ def is_essential(a: IntMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Smith normal form and rank
 # ---------------------------------------------------------------------------
 
 
@@ -252,8 +252,13 @@ def smith_normal_form(m: IntMatrix, modulus: int = 0) -> tuple[int, ...]:
     return tuple(diag)
 
 
+def rank(a: IntMatrix) -> int:
+    """Rank over the rationals: the number of nonzero invariant factors."""
+    return sum(1 for d in smith_normal_form(a) if d)
+
+
 # ---------------------------------------------------------------------------
-# Characteristic polynomial and rank, fraction-free
+# Characteristic polynomial
 # ---------------------------------------------------------------------------
 
 
@@ -586,28 +591,3 @@ def _crt(residues: list[list[int]], moduli: list[int]) -> list[int]:
         values = [x + modulus * ((r - x) * inv % q) for x, r in zip(values, rs)]
         modulus *= q
     return [x - modulus if 2 * x > modulus else x for x in values]
-
-
-def rank(a: IntMatrix) -> int:
-    """Rank over the rationals, via fraction-free Bareiss elimination."""
-    work = a.to_lists()
-    r, c = a.rows, a.cols
-    prev = 1
-    row = 0
-    rk = 0
-    for col in range(c):
-        piv = next((i for i in range(row, r) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        if piv != row:
-            _swap_rows(work, row, piv)
-        for i in range(row + 1, r):
-            for j in range(col + 1, c):
-                work[i][j] = (work[i][j] * work[row][col] - work[i][col] * work[row][j]) // prev
-            work[i][col] = 0
-        prev = work[row][col]
-        row += 1
-        rk += 1
-        if row == r:
-            break
-    return rk

@@ -3,9 +3,13 @@
 The space of block unitaries on a finite correspondence is a product of
 finite-dimensional unitary groups, hence path connected: any two unitaries
 are joined by the geodesic U(t) = U0 exp(tH) with H a blockwise matrix
-logarithm of U0* U1.  A homotopy of arrows is represented fiberwise: a fixed
-correspondence, a sampled unitary path for the intertwiner component, and
-endpoint 2-arrows tying the t = 0 and t = 1 fibers to the two given arrows.
+logarithm of U0* U1.  A path keeps its samples and H alone: from a Schur form
+U0* U1 = Z T Z* with eigenvalue arguments theta, the sample at time t is the
+one product (U0 Z) diag(exp(i theta t)) Z* per block, and a block's samples
+are slices of one array, whose size ``_SAMPLES_BYTES`` bounds.  A homotopy of
+arrows is represented fiberwise: a fixed correspondence, a sampled unitary path
+for the intertwiner component, and endpoint 2-arrows tying the t = 0 and t = 1
+fibers to the two given arrows.
 
 Verification is sampled: building a homotopy checks every sample's time and
 endpoints, and ``homotopy_failure`` their unitarity and the two endpoint squares.
@@ -36,15 +40,15 @@ from .corr import (
 from .errors import DomainError, ShapeError
 from .witnesses import SEWitness
 
-#: Bytes the samples of one path may take: ``connect_unitaries`` predicts their size
-#: from the endpoint's blocks before making any, and refuses a larger path with a
+#: Bytes the sample arrays of one path may take: ``connect_unitaries`` predicts their
+#: size from the endpoint's blocks before making any, and refuses a larger path with a
 #: ``DomainError``.  The command line's paths take a few MB (16 samples at lag 6).
 _SAMPLES_BYTES = 1 << 30
 
 
 @dataclass(frozen=True, eq=False)
 class UnitaryPath:
-    """A path of block unitaries from ``source`` to ``target``.
+    """A sampled path of block unitaries.
 
     ``samples`` lists (t, unitary) with strictly increasing t from 0 to 1.  A path
     is data: the ``ArrowHomotopy`` carrying it checks its times and endpoints.
@@ -52,8 +56,6 @@ class UnitaryPath:
     so the samples are determined by it.
     """
 
-    source: BlockUnitary
-    target: BlockUnitary
     samples: tuple
     generator: dict
 
@@ -61,12 +63,14 @@ class UnitaryPath:
 def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> UnitaryPath:
     """Geodesic path between two same-shaped block unitaries.
 
-    Per block, H = log(U0* U1) is taken through the spectral decomposition
-    with eigenvalue arguments in (-pi, pi] (an eigenvalue at -1 gets +pi, also
-    when rounding puts its computed argument within a few ulp of -pi; this
+    Per block, H = log(U0* U1) is taken through the Schur form U0* U1 = Z T Z*
+    with eigenvalue arguments theta in (-pi, pi] (an eigenvalue at -1 gets +pi,
+    also when rounding puts its computed argument within a few ulp of -pi; this
     fixed branch is a representation choice, discontinuous only on that
-    measure-zero set).  Samples are taken at t = k/(steps-1).  A path whose
-    samples would take more than ``_SAMPLES_BYTES`` is refused before any is made.
+    measure-zero set).  Sample k, at t = k/(steps-1), is the one product
+    (U0 Z) diag(exp(i theta t)) Z*, written into slice k of one (steps, d, d)
+    array per block, so the samples are views of those arrays.  A path whose
+    arrays would take more than ``_SAMPLES_BYTES`` is refused before any is made.
     """
     if steps < 2:
         raise DomainError("need at least two samples")
@@ -80,27 +84,25 @@ def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> Unitary
     # Imported on first use: it is slow to load, and the exact layer never needs it.
     import scipy.linalg
 
-    rotations = {}
+    times = [k / (steps - 1) for k in range(steps)]
     generator = {}
+    arrays = {}
     for ij, m0 in u0.blocks.items():
-        w = m0.conj().T @ u1.blocks[ij]
-        t_mat, z = scipy.linalg.schur(w, output="complex")
+        t_mat, z = scipy.linalg.schur(m0.conj().T @ u1.blocks[ij], output="complex")
         theta = np.angle(np.diag(t_mat))
         # A Schur diagonal entry at -1 can carry a -0.0 or tiny negative
         # imaginary part, which np.angle sends to -pi or just above it.
         theta[theta <= -np.pi + 4 * np.spacing(np.pi)] = np.pi
-        rotations[ij] = (z, theta)
-        generator[ij] = (z * (1j * theta)) @ z.conj().T
-
-    samples = []
-    for k in range(steps):
-        t = k / (steps - 1)
-        blocks = {
-            ij: u0.blocks[ij] @ ((z * np.exp(1j * theta * t)) @ z.conj().T)
-            for ij, (z, theta) in rotations.items()
-        }
-        samples.append((t, BlockUnitary(u0.source, u0.target, blocks)))
-    return UnitaryPath(u0, u1, tuple(samples), generator)
+        start, back = m0 @ z, z.conj().T
+        generator[ij] = (z * (1j * theta)) @ back
+        arrays[ij] = out = np.empty((steps, *m0.shape), dtype=complex)
+        for k, t in enumerate(times):
+            np.matmul(start * np.exp(1j * theta * t), back, out=out[k])
+    samples = tuple(
+        (t, BlockUnitary(u0.source, u0.target, {ij: a[k] for ij, a in arrays.items()}))
+        for k, t in enumerate(times)
+    )
+    return UnitaryPath(samples, generator)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,26 +204,13 @@ def homotopy_shift_equivalence_from_se(
 
     whose endpoint 2-arrows are the identity and the inverse Psi.
     """
-    shift = build_from_se(w)  # raises ContractError on an unverified witness
-    hom_x = _side_homotopy(
-        shift.x_obj, shift.m_arrow, shift.n_arrow, shift.psi_x, w.lag, steps
-    )
-    hom_y = _side_homotopy(
-        shift.y_obj, shift.n_arrow, shift.m_arrow, shift.psi_y, w.lag, steps
-    )
-    return shift, hom_x, hom_y
-
-
-def _side_homotopy(
-    obj: ObjectPair,
-    first: OneArrow,
-    second: OneArrow,
-    psi: BlockUnitary,
-    m: int,
-    steps: int,
-) -> ArrowHomotopy:
-    composite = compose_one_arrows(first, second)
-    # Conjugate the composite intertwiner onto the tensor-power fiber.
-    base = homotopy_to_identity(conjugate_arrow(composite, psi).phi, obj, m, steps)
-    # Retarget the t = 1 end at the composite arrow through psi^{-1}.
-    return replace(base, g_arrow=composite, h1=psi.adjoint())
+    d = build_from_se(w)  # raises ContractError on an unverified witness
+    sides = ((d.x_obj, d.m_arrow, d.n_arrow, d.psi_x), (d.y_obj, d.n_arrow, d.m_arrow, d.psi_y))
+    homotopies = []
+    for obj, first, second, psi in sides:
+        composite = compose_one_arrows(first, second)
+        # Conjugate the composite intertwiner onto the tensor-power fiber, then
+        # retarget the t = 1 end at the composite arrow through psi^{-1}.
+        base = homotopy_to_identity(conjugate_arrow(composite, psi).phi, obj, w.lag, steps)
+        homotopies.append(replace(base, g_arrow=composite, h1=psi.adjoint()))
+    return d, *homotopies

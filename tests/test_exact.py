@@ -63,6 +63,20 @@ def faddeev_leverrier(a):
     return poly(reversed(coeffs))
 
 
+class TestConstructorRefusals:
+    """Each refusal of ``IntMatrix``, with its message."""
+
+    @pytest.mark.parametrize("rows, cols, entries", [(0, 2, ()), (2, 0, ((), ()))], ids=["no row", "no column"])
+    def test_a_matrix_needs_a_row_and_a_column(self, rows, cols, entries):
+        with pytest.raises(ShapeError, match=f"^matrix must be at least 1x1, got {rows}x{cols}$"):
+            IntMatrix(rows, cols, entries)
+
+    @pytest.mark.parametrize("entries", [((1, 2),), ((1, 2), (3,))], ids=["too few rows", "a short row"])
+    def test_the_entry_grid_must_match_the_shape(self, entries):
+        with pytest.raises(ShapeError, match="^entry grid does not match declared shape$"):
+            IntMatrix(2, 2, entries)
+
+
 class TestMatMul:
     def test_fibonacci_square(self):
         fib = from_rows([[1, 1], [1, 0]])

@@ -46,8 +46,6 @@ class SampledPath(NamedTuple):
     """A path known by its samples alone, as gluing two geodesics leaves it:
     no single generator describes it."""
 
-    source: BlockUnitary
-    target: BlockUnitary
     samples: tuple
 
 
@@ -56,21 +54,21 @@ def reverse_path(p: UnitaryPath) -> UnitaryPath:
     starting point."""
     samples = tuple((1.0 - t, u) for t, u in reversed(p.samples))
     generator = {ij: -h for ij, h in p.generator.items()}
-    return UnitaryPath(p.target, p.source, samples, generator)
+    return UnitaryPath(samples, generator)
 
 
 def concatenate_paths(p1, p2) -> SampledPath:
     """Run p1 on [0, 1/2] and p2 on [1/2, 1]; sample-only (no generator)."""
     first = tuple((t / 2, u) for t, u in p1.samples)
     second = tuple((0.5 + t / 2, u) for t, u in p2.samples if t > 0.0)
-    return SampledPath(p1.source, p2.target, first + second)
+    return SampledPath(first + second)
 
 
 def constant_homotopy(arrow: OneArrow) -> ArrowHomotopy:
     """The reflexivity homotopy: the fiber is the arrow itself at every time."""
     samples = ((0.0, arrow.phi), (1.0, arrow.phi))
     zero_gen = {ij: np.zeros_like(m) for ij, m in arrow.phi.blocks.items()}
-    path = UnitaryPath(arrow.phi, arrow.phi, samples, zero_gen)
+    path = UnitaryPath(samples, zero_gen)
     ident = identity_unitary(arrow.f)
     return ArrowHomotopy(arrow, arrow, arrow.f, path, ident, ident)
 
@@ -96,7 +94,7 @@ def concatenate_homotopies(h1: ArrowHomotopy, h2: ArrowHomotopy) -> ArrowHomotop
     transported = tuple(
         (t, conjugate_arrow(h2.fiber_arrow(k), back).phi) for k, (t, _) in enumerate(h2.path.samples)
     )
-    p2 = SampledPath(transported[0][1], transported[-1][1], transported)
+    p2 = SampledPath(transported)
     path = concatenate_paths(h1.path, p2)
     h1_end = compose_unitaries(connect, h2.h1)
     return ArrowHomotopy(h1.f_arrow, h2.g_arrow, h1.fiber, path, h1.h0, h1_end)
@@ -120,6 +118,38 @@ class TestConnectUnitaries:
         p = connect_unitaries(u0, u1, 9)
         for t, sample in p.samples:
             assert abs(sample.block(0, 0)[0, 0] - np.exp(1j * np.pi * t / 2)) < 1e-12
+
+    def test_the_samples_of_a_block_share_one_array(self):
+        c = from_matrix(from_rows([[3, 1], [2, 5]]))
+        rng = np.random.default_rng(3)
+        p = connect_unitaries(random_block_unitary(c, rng), random_block_unitary(c, rng), 5)
+        for ij in c.blocks():
+            d = c.block_dim(*ij)
+            bases = {id(sample.blocks[ij].base) for _, sample in p.samples}
+            assert len(bases) == 1 and p.samples[0][1].blocks[ij].base.shape == (5, d, d)
+
+    @pytest.mark.parametrize("dims", [[[1]], [[3, 1], [2, 5]], [[16]], [[4, 2], [2, 9]]], ids=str)
+    def test_every_sample_is_the_start_times_the_exponential(self, dims):
+        # Oracle: U0 expm(tH), with scipy's Pade expm of the path's own generator
+        # and no Schur form.  Ten seeded Haar pairs per dims; the first block of
+        # U0* U1 has an eigenvalue at -1.
+        import scipy.linalg
+
+        c = from_matrix(from_rows(dims))
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            u0, w = random_block_unitary(c, rng), random_block_unitary(c, rng)
+            first, q = next(iter(w.blocks.items()))
+            spectrum = np.exp(1j * rng.uniform(-np.pi, np.pi, len(q)))
+            spectrum[0] = -1.0
+            rotations = {**w.blocks, first: (q * spectrum) @ q.conj().T}
+            u1 = BlockUnitary(c, c, {ij: u0.blocks[ij] @ m for ij, m in rotations.items()})
+            p = connect_unitaries(u0, u1, 9)
+            assert [t for t, _ in p.samples] == [k / 8 for k in range(9)]
+            for t, sample in p.samples:
+                for ij, h in p.generator.items():
+                    expected = u0.blocks[ij] @ scipy.linalg.expm(t * h)
+                    assert np.linalg.norm(sample.blocks[ij] - expected, 2) < 1e-12
 
     def test_branch_at_minus_one(self):
         # An eigenvalue at exactly -1 takes the +pi branch: midpoint is +i.
@@ -224,7 +254,7 @@ class TestVerifyHomotopy:
         for corrupted, tol in ((block * 1.5, TOL), (np.full_like(block, np.nan), 1e300)):
             samples = list(h.path.samples)
             samples[3] = (t, bad_sample.replace_block(0, 0, corrupted))
-            bad_path = UnitaryPath(h.path.source, h.path.target, tuple(samples), h.path.generator)
+            bad_path = UnitaryPath(tuple(samples), h.path.generator)
             bad = ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, bad_path, h.h0, h.h1)
             assert not verify_homotopy(bad, tol)
             assert "sample 3" in homotopy_failure(bad, tol)
@@ -305,15 +335,15 @@ class TestConstruction:
     @staticmethod
     def with_samples(h: ArrowHomotopy, samples, path_type=UnitaryPath) -> ArrowHomotopy:
         if path_type is UnitaryPath:
-            path = UnitaryPath(h.path.source, h.path.target, tuple(samples), h.path.generator)
+            path = UnitaryPath(tuple(samples), h.path.generator)
         else:
-            path = SampledPath(h.path.source, h.path.target, tuple(samples))
+            path = SampledPath(tuple(samples))
         return ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, path, h.h0, h.h1)
 
     def test_a_path_is_data(self):
         # A path alone checks nothing; the homotopy carrying it refuses it.
         h = self.geodesic()
-        empty = UnitaryPath(h.path.source, h.path.target, (), {})
+        empty = UnitaryPath((), {})
         with pytest.raises(ShapeError, match=re.escape("a path needs two or more samples at times increasing strictly from 0 to 1")):
             ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, empty, h.h0, h.h1)
 

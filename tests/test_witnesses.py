@@ -9,6 +9,8 @@ from shiftcalc import (
     ContractError,
     DomainError,
     SEWitness,
+    ShapeError,
+    SSEChain,
     compose_se,
     failing_equation,
     fold_chain,
@@ -79,6 +81,45 @@ def uncapped_failing_equation(w):
         (mat_mul(w.a, w.r), mat_mul(w.r, w.b)),
     )
     return next((name for name, (lhs, rhs) in zip(SE_EQUATIONS, checks) if lhs != rhs), None)
+
+
+class TestConstructorRefusals:
+    """Each refusal of ``SEWitness`` and ``SSEChain``, with its message."""
+
+    ONE = from_rows([[1]])
+
+    def test_endpoints_must_be_square(self):
+        with pytest.raises(ShapeError, match="^witness endpoints must be square matrices$"):
+            SEWitness(from_rows([[1, 1]]), self.ONE, self.ONE, self.ONE, 1)
+        with pytest.raises(ShapeError, match="^witness endpoints must be square matrices$"):
+            SEWitness(self.ONE, from_rows([[1], [1]]), self.ONE, self.ONE, 1)
+
+    def test_r_must_map_b_rows_to_a_rows(self):
+        a = identity(2)
+        with pytest.raises(ShapeError, match="^R must be 2x1, got 1x2$"):
+            SEWitness(a, self.ONE, from_rows([[1, 1]]), from_rows([[1, 1]]), 1)
+
+    def test_s_must_map_a_rows_to_b_rows(self):
+        a = identity(2)
+        with pytest.raises(ShapeError, match="^S must be 1x2, got 2x1$"):
+            SEWitness(a, self.ONE, from_rows([[1], [1]]), from_rows([[1], [1]]), 1)
+
+    @pytest.mark.parametrize("name", ["a", "b", "r", "s"])
+    def test_a_negative_entry_is_refused(self, name):
+        matrices = {key: self.ONE for key in "abrs"}
+        matrices[name] = from_rows([[-1]])
+        with pytest.raises(DomainError, match=f"^witness matrix {name} has a negative entry$"):
+            SEWitness(**matrices, lag=1)
+
+    def test_chain_steps_must_have_lag_1(self):
+        step = SEWitness(self.ONE, self.ONE, self.ONE, self.ONE, 2)
+        with pytest.raises(DomainError, match="^chain steps must have lag 1$"):
+            SSEChain((identity_witness(self.ONE), step))
+
+    def test_consecutive_steps_must_share_an_endpoint(self):
+        steps = (identity_witness(self.ONE), identity_witness(from_rows([[2]])))
+        with pytest.raises(CompositionError, match="^consecutive chain steps do not share an endpoint$"):
+            SSEChain(steps)
 
 
 class TestCappedPowers:
