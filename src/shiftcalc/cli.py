@@ -245,83 +245,56 @@ def _cmd_selftest(run: _Run, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+
+# One row per subcommand, in the order ``shiftcalc -h`` lists them.  A leaf row
+# holds its words, its help, its handler and its flags, each flag with the
+# keywords ``add_argument`` takes; a group row holds its word and its help, and
+# the rows after it whose words begin with that word are its subcommands.  The
+# words are also the ``command`` each report names.
+_COMMANDS = (
+    ("verify-se", "check the four witness equations exactly", _cmd_verify_se,
+     {"--a": _REQUIRED, "--b": _REQUIRED, "--r": _REQUIRED, "--s": _REQUIRED, "--lag": _REQUIRED_INT}),
+    ("search-se", "bounded search for a witness", _cmd_search_se,
+     {"--a": _REQUIRED, "--b": _REQUIRED, "--lag": _REQUIRED_INT, "--bound": _REQUIRED_INT}),
+    ("invariants", "invariant battery of one matrix", _cmd_invariants, {"--a": _REQUIRED}),
+    ("compare", "compare invariant batteries of two matrices", _cmd_compare, {"--a": _REQUIRED, "--b": _REQUIRED}),
+    ("corr", "correspondence calculus"),
+    ("corr tensor", "tensor product of two edge correspondences", _cmd_corr_tensor,
+     {"--r": _REQUIRED, "--s": _REQUIRED}),
+    ("corr check-2arrow", "check the intertwining square of psi", _cmd_corr_check_two_arrow,
+     {"--psi": _REQUIRED, "--f": _REQUIRED, "--g": _REQUIRED}),
+    ("aligned", "concrete and aligned shifts"),
+    ("aligned verify", "verify a shift bundle", _cmd_aligned_verify, {"--data": _REQUIRED}),
+    ("aligned from-se", "build a shift bundle from a witness", _cmd_aligned_from_se,
+     {"--witness": _REQUIRED, "--phi-m": {}, "--phi-n": {}, "--psi-x": {}, "--psi-y": {}, "--out": {}}),
+    ("homotopy", "homotopies of arrows"),
+    ("homotopy from-se", "homotopy shift equivalence from a witness", _cmd_homotopy_from_se,
+     {"--witness": _REQUIRED, "--steps": {"type": int, "default": 16}, "--out": {}}),
+    ("selftest", "run the acceptance properties at field sizes within --tol", _cmd_selftest, {}),
+)
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="shiftcalc", description=__doc__)
     parser.add_argument("--verbose", action="store_true", help="human-readable notes and timing on stderr")
     parser.add_argument("--tol", type=float, default=None, help="numerical tolerance (default from SHIFTCALC_TOL or 1e-9)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-se", help="check the four witness equations exactly")
-    for flag in ("--a", "--b", "--r", "--s"):
-        p.add_argument(flag, required=True)
-    p.add_argument("--lag", type=int, required=True)
-    p.set_defaults(fn=_cmd_verify_se)
-
-    p = sub.add_parser("search-se", help="bounded search for a witness")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--lag", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(fn=_cmd_search_se)
-
-    p = sub.add_parser("invariants", help="invariant battery of one matrix")
-    p.add_argument("--a", required=True)
-    p.set_defaults(fn=_cmd_invariants)
-
-    p = sub.add_parser("compare", help="compare invariant batteries of two matrices")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(fn=_cmd_compare)
-
-    p = sub.add_parser("corr", help="correspondence calculus")
-    corr_sub = p.add_subparsers(dest="corr_command", required=True)
-    q = corr_sub.add_parser("tensor", help="tensor product of two edge correspondences")
-    q.add_argument("--r", required=True)
-    q.add_argument("--s", required=True)
-    q.set_defaults(fn=_cmd_corr_tensor)
-    q = corr_sub.add_parser("check-2arrow", help="check the intertwining square of psi")
-    q.add_argument("--psi", required=True)
-    q.add_argument("--f", required=True)
-    q.add_argument("--g", required=True)
-    q.set_defaults(fn=_cmd_corr_check_two_arrow)
-
-    p = sub.add_parser("aligned", help="concrete and aligned shifts")
-    al_sub = p.add_subparsers(dest="aligned_command", required=True)
-    q = al_sub.add_parser("verify", help="verify a shift bundle")
-    q.add_argument("--data", required=True)
-    q.set_defaults(fn=_cmd_aligned_verify)
-    q = al_sub.add_parser("from-se", help="build a shift bundle from a witness")
-    q.add_argument("--witness", required=True)
-    q.add_argument("--phi-m", dest="phi_m")
-    q.add_argument("--phi-n", dest="phi_n")
-    q.add_argument("--psi-x", dest="psi_x")
-    q.add_argument("--psi-y", dest="psi_y")
-    q.add_argument("--out")
-    q.set_defaults(fn=_cmd_aligned_from_se)
-
-    p = sub.add_parser("homotopy", help="homotopies of arrows")
-    h_sub = p.add_subparsers(dest="homotopy_command", required=True)
-    q = h_sub.add_parser("from-se", help="homotopy shift equivalence from a witness")
-    q.add_argument("--witness", required=True)
-    q.add_argument("--steps", type=int, default=16)
-    q.add_argument("--out")
-    q.set_defaults(fn=_cmd_homotopy_from_se)
-
-    p = sub.add_parser("selftest", help="run the acceptance properties at field sizes within --tol")
-    p.set_defaults(fn=_cmd_selftest)
-
+    # argparse names a missing subcommand by its dest, so each group keeps "<group>_command".
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, help_text, *leaf in _COMMANDS:
+        group, _, word = words.rpartition(" ")
+        p = subparsers[group].add_parser(word, help=help_text)
+        if not leaf:
+            subparsers[words] = p.add_subparsers(dest=f"{words}_command", required=True)
+            continue
+        fn, flags = leaf
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(fn=fn, name=words)
     return parser
-
-
-def _command_name(args) -> str:
-    name = args.command
-    for attr in ("corr_command", "aligned_command", "homotopy_command"):
-        extra = getattr(args, attr, None)
-        if extra:
-            name = f"{name} {extra}"
-    return name
 
 
 def main(argv=None) -> int:
@@ -337,7 +310,7 @@ def main(argv=None) -> int:
     if not (math.isfinite(tol) and tol >= 0):
         print(f"shiftcalc: the tolerance must be finite and nonnegative, got {tol}", file=sys.stderr)
         return EXIT_USAGE
-    run = _Run(_command_name(args), tol, args.verbose)
+    run = _Run(args.name, tol, args.verbose)
     try:
         return args.fn(run, args)
     except (OSError, UnicodeDecodeError, ShiftcalcError) as exc:

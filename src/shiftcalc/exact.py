@@ -174,10 +174,6 @@ def is_essential(a: IntMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-
-
 def smith_normal_form(m: IntMatrix, modulus: int = 0) -> tuple[int, ...]:
     """Invariant factors of ``m`` over the integers: the diagonal of its Smith
     normal form, min(rows, cols) entries d1 | d2 | ..., nonnegative, zeros
@@ -211,7 +207,7 @@ def smith_normal_form(m: IntMatrix, modulus: int = 0) -> tuple[int, ...]:
                         break
             if not p:  # the trailing block is zero, and stays zero
                 return (*diag, *[h] * (n - t))
-            _swap_rows(work, t, pi)
+            work[t], work[pi] = work[pi], work[t]
             pivot_row = work[t]
             pj = next(j for j in range(t, c) if abs(pivot_row[j]) == p)
             if pj != t:

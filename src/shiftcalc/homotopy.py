@@ -6,10 +6,11 @@ are joined by the geodesic U(t) = U0 exp(tH) with H a blockwise matrix
 logarithm of U0* U1.  A path keeps its samples and H alone: from a Schur form
 U0* U1 = Z T Z* with eigenvalue arguments theta, the sample at time t is the
 one product (U0 Z) diag(exp(i theta t)) Z* per block, and a block's samples
-are slices of one array, whose size ``_SAMPLES_BYTES`` bounds.  A homotopy of
-arrows is represented fiberwise: a fixed correspondence, a sampled unitary path
-for the intertwiner component, and endpoint 2-arrows tying the t = 0 and t = 1
-fibers to the two given arrows.
+are slices of one array.  ``_SAMPLES_BYTES`` bounds those arrays together with
+what each sample holds besides.  A homotopy of arrows is represented
+fiberwise: a fixed correspondence, a sampled unitary path for the intertwiner
+component, and endpoint 2-arrows tying the t = 0 and t = 1 fibers to the two
+given arrows.
 
 Verification is sampled: building a homotopy checks every sample's time and
 endpoints, and ``homotopy_failure`` their unitarity and the two endpoint squares.
@@ -40,10 +41,17 @@ from .corr import (
 from .errors import DomainError, ShapeError
 from .witnesses import SEWitness
 
-#: Bytes the sample arrays of one path may take: ``connect_unitaries`` predicts their
-#: size from the endpoint's blocks before making any, and refuses a larger path with a
+#: Bytes the samples of one path may take: ``connect_unitaries`` predicts their size
+#: from the endpoint's blocks before making any, and refuses a larger path with a
 #: ``DomainError``.  The command line's paths take a few MB (16 samples at lag 6).
 _SAMPLES_BYTES = 1 << 30
+#: What a sample holds besides its arrays, counted in that prediction: its time, its
+#: tuple, its ``BlockUnitary`` and that unitary's dict, one array view per block, and
+#: the bundle entry ``homotopy from-se`` makes of it.  Measured as RSS growth per step
+#: of ``homotopy from-se --out`` (Python 3.11, x86-64): about 1.8 KiB per sample of a
+#: one-block path, and about 0.5 KiB more for each further block.
+_SAMPLE_OVERHEAD_BYTES = 2048
+_BLOCK_OVERHEAD_BYTES = 640
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,13 +78,14 @@ def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> Unitary
     measure-zero set).  Sample k, at t = k/(steps-1), is the one product
     (U0 Z) diag(exp(i theta t)) Z*, written into slice k of one (steps, d, d)
     array per block, so the samples are views of those arrays.  A path whose
-    arrays would take more than ``_SAMPLES_BYTES`` is refused before any is made.
+    samples would take more than ``_SAMPLES_BYTES``, counting their arrays and
+    what each sample holds besides, is refused before any is made.
     """
     if steps < 2:
         raise DomainError("need at least two samples")
     if u0.source != u1.source or u0.target != u1.target:
         raise ShapeError("endpoints must share source and target correspondences")
-    predicted = steps * sum(m.nbytes for m in u0.blocks.values())
+    predicted = steps * (_SAMPLE_OVERHEAD_BYTES + sum(_BLOCK_OVERHEAD_BYTES + m.nbytes for m in u0.blocks.values()))
     if predicted > _SAMPLES_BYTES:
         raise DomainError(
             f"{steps} samples would take {predicted} bytes, above the {_SAMPLES_BYTES} a path may take"

@@ -107,6 +107,73 @@ class TestUsageAndParsing:
             main([])
         assert exc.value.code == 64
 
+    # Written out by hand, apart from the table the parser is built from: every
+    # flag a subcommand cannot run without.
+    REQUIRED_FLAGS = {
+        "verify-se": ["--a", "--b", "--r", "--s", "--lag"],
+        "search-se": ["--a", "--b", "--lag", "--bound"],
+        "invariants": ["--a"],
+        "compare": ["--a", "--b"],
+        "corr tensor": ["--r", "--s"],
+        "corr check-2arrow": ["--psi", "--f", "--g"],
+        "aligned verify": ["--data"],
+        "aligned from-se": ["--witness"],
+        "homotopy from-se": ["--witness"],
+    }
+
+    @staticmethod
+    def argv(command, flags):
+        return [*command.split(), *(x for flag in flags for x in (flag, "1"))]
+
+    def test_twenty_required_flags(self):
+        from shiftcalc.cli import _build_parser
+
+        assert sum(map(len, self.REQUIRED_FLAGS.values())) == 20
+        for command, flags in self.REQUIRED_FLAGS.items():
+            assert _build_parser().parse_args(self.argv(command, flags)).name == command
+
+    @pytest.mark.parametrize(
+        "command, flag", [(command, flag) for command, flags in REQUIRED_FLAGS.items() for flag in flags]
+    )
+    def test_each_required_flag_omitted_is_usage_error(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(self.argv(command, [f for f in self.REQUIRED_FLAGS[command] if f != flag]))
+        assert exc.value.code == 64
+        assert capsys.readouterr().err.endswith(f"error: the following arguments are required: {flag}\n")
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("verify-se", "--lag"), ("search-se", "--lag"), ("search-se", "--bound"), ("homotopy from-se", "--steps")],
+    )
+    @pytest.mark.parametrize("value", ["x", "1.5"])
+    def test_integer_flags_refuse_other_values(self, capsys, command, flag, value):
+        argv = self.argv(command, [f for f in self.REQUIRED_FLAGS[command] if f != flag])
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 64
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: invalid int value: '{value}'\n")
+
+    def test_steps_default_to_sixteen(self):
+        from shiftcalc.cli import _build_parser
+
+        assert _build_parser().parse_args(["homotopy", "from-se", "--witness", "w.json"]).steps == 16
+
+    def test_every_readme_command_line_reaches_a_handler(self):
+        import shlex
+        from pathlib import Path
+
+        from shiftcalc.cli import _build_parser
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+        lines = block.splitlines()
+        assert len(lines) == 10
+        for line in lines:
+            words = shlex.split(line)
+            assert words[0] == "shiftcalc"
+            args = _build_parser().parse_args(words[1:])
+            assert args.fn.__name__.startswith("_cmd_"), line
+
     def test_missing_entries_field(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"rows": 1, "cols": 1}))
@@ -320,7 +387,7 @@ def test_a_lag_6_bundle_is_written_without_holding_its_text(capsys, tmp_path):
 
 
 def test_huge_steps_are_refused_before_sampling(capsys, tmp_path):
-    # 3 * 10**6 samples of the 32 x 32 block at lag 4 would take 49 GB.
+    # 3 * 10**6 samples of the 32 x 32 block at lag 4 would take 57 GB.
     witness_path = write(tmp_path / "w.json", witness_to_json(bundle_witness(4)))
     start = time.perf_counter()
     code, report, err = run(
@@ -328,7 +395,19 @@ def test_huge_steps_are_refused_before_sampling(capsys, tmp_path):
     )
     assert time.perf_counter() - start < 1.0
     assert code == 65 and report is None
-    assert err == "shiftcalc: 3000000 samples would take 49152000000 bytes, above the 1073741824 a path may take\n"
+    assert err == "shiftcalc: 3000000 samples would take 57216000000 bytes, above the 1073741824 a path may take\n"
+
+
+def test_steps_of_small_blocks_are_refused_by_what_each_sample_holds(capsys, tmp_path):
+    # 2**25 samples of the identity witness's 1 x 1 blocks hold 512 MiB of arrays,
+    # yet each sample's objects and bundle entry would take about 90 GB more.
+    one = from_rows([[1]])
+    witness_path = write(tmp_path / "w.json", witness_to_json(SEWitness(one, one, one, one, 1)))
+    start = time.perf_counter()
+    code, report, err = run(capsys, ["homotopy", "from-se", "--witness", witness_path, "--steps", str(2**25)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 65 and report is None
+    assert err.startswith(f"shiftcalc: {2**25} samples would take ") and err.count("\n") == 1
 
 
 class TestCheckTwoArrow:
