@@ -230,8 +230,6 @@ def slide_past_powers(arrow: OneArrow, n: int) -> BlockUnitary:
     """
     if n < 0:
         raise DomainError("slide exponent must be nonnegative")
-    x_corr = arrow.source.x
-    y_corr = arrow.target.x
     if n == 0:
         zero_y = power_correspondence(arrow.target, 0)
         zero_x = power_correspondence(arrow.source, 0)

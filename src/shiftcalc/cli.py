@@ -26,10 +26,10 @@ import traceback
 
 from . import jsonio
 from .aligned import alignment_report, build_from_se
-from .corr import DEFAULT_TOL, from_matrix, tensor, two_arrow_residual
+from .corr import DEFAULT_TOL, two_arrow_residual
 from .errors import ShiftcalcError
-from .exact import IntMatrix
-from .homotopy import homotopy_shift_equivalence_from_se, verify_homotopy
+from .exact import IntMatrix, mat_mul
+from .homotopy import homotopy_failure, homotopy_shift_equivalence_from_se, verify_homotopy
 from .invariants import INVARIANT_NAMES, compare, compute_invariants
 from .selftest import run_selftest
 from .witnesses import SEWitness, failing_equation, search_se
@@ -157,12 +157,12 @@ def _cmd_compare(run: _Run, args) -> int:
 def _cmd_corr_tensor(run: _Run, args) -> int:
     r = _load_matrix(run, args.r)
     s = _load_matrix(run, args.s)
-    t = tensor(from_matrix(r), from_matrix(s))
+    dims = mat_mul(r, s)
     verdict = {
-        "dims": [list(row) for row in t.dims.entries],
-        "basis_size": t.total_dim,
-        "left_index": list(t.left_index),
-        "right_index": list(t.right_index),
+        "dims": [list(row) for row in dims.entries],
+        "basis_size": sum(map(sum, dims.entries)),
+        "left_index": list(range(r.rows)),
+        "right_index": list(range(s.cols)),
     }
     return run.emit(verdict, EXIT_OK)
 
@@ -213,6 +213,9 @@ def _cmd_homotopy_from_se(run: _Run, args) -> int:
     shift, hom_x, hom_y = homotopy_shift_equivalence_from_se(witness, steps=args.steps)
     ok_x = verify_homotopy(hom_x, run.tol)
     ok_y = verify_homotopy(hom_y, run.tol)
+    for side, ok, hom in (("x", ok_x, hom_x), ("y", ok_y, hom_y)):
+        if not ok:
+            run.note(f"homotopy {side}: {homotopy_failure(hom, run.tol)}")
     leaf = jsonio._complex_matrix_array
     bundle = {
         "schema": jsonio.SCHEMA,

@@ -18,7 +18,7 @@ that one convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,22 +33,21 @@ Path = tuple
 DEFAULT_TOL = 1e-9
 
 
+@dataclass(frozen=True, slots=True)
 class GraphCorrespondence:
     """The edge bimodule of an integer matrix, or a tensor product of such.
 
-    Immutable.  ``dims`` records the block dimensions, ``factors`` the atomic
-    (left labels, right labels, matrix) triples multiplied together, and
-    ``ends[i]`` the right index at which each path out of i ends, in basis order.
+    Immutable, and equal and hashed by labels, dims and factors.  ``dims`` records
+    the block dimensions, ``factors`` the atomic (left labels, right labels, matrix)
+    triples multiplied together, and ``ends[i]``, derived from them, the right index
+    at which each path out of i ends, in basis order.
     """
 
-    __slots__ = ("left_index", "right_index", "dims", "factors", "ends")
-
-    def __init__(self, left_index, right_index, dims: IntMatrix, factors, ends):
-        self.left_index = tuple(left_index)
-        self.right_index = tuple(right_index)
-        self.dims = dims
-        self.factors = factors
-        self.ends = ends
+    left_index: tuple
+    right_index: tuple
+    dims: IntMatrix
+    factors: tuple
+    ends: tuple = field(compare=False)
 
     # -- structure ---------------------------------------------------------
 
@@ -93,11 +92,6 @@ class GraphCorrespondence:
             and self.right_index == other.right_index
             and self.dims == other.dims
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, GraphCorrespondence):
-            return NotImplemented
-        return self.same_shape(other) and self.factors == other.factors
 
     def __repr__(self):
         return (
@@ -322,7 +316,7 @@ def random_block_unitary(src: GraphCorrespondence, rng: np.random.Generator) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ObjectPair:
     """An object of the calculus: a vertex set V with an essential V-by-V
     correspondence over it."""
@@ -335,11 +329,6 @@ class ObjectPair:
             raise ShapeError("object correspondence must be indexed by the object's vertex set")
         if not is_essential(self.x.dims):
             raise DomainError("object correspondence must have essential dims")
-
-    def __eq__(self, other):
-        if not isinstance(other, ObjectPair):
-            return NotImplemented
-        return self.algebra_index == other.algebra_index and self.x == other.x
 
 
 def object_pair(a: IntMatrix, labels: Optional[Sequence] = None) -> ObjectPair:
@@ -369,9 +358,6 @@ class OneArrow:
             raise ShapeError("phi must start at Y (x) F with the canonical basis")
         if self.phi.target != tensor(self.f, self.source.x):
             raise ShapeError("phi must end at F (x) X with the canonical basis")
-
-    def __eq__(self, other):
-        return self is other
 
 
 def identity_arrow(obj: ObjectPair) -> OneArrow:

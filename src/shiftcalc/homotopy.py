@@ -68,6 +68,15 @@ class UnitaryPath:
     generator: dict
 
 
+def _refuse_oversized_path(u0: BlockUnitary, steps: int) -> None:
+    """Refuse ``steps`` samples of a path from ``u0`` if their arrays and objects would exceed ``_SAMPLES_BYTES``."""
+    predicted = steps * (_SAMPLE_OVERHEAD_BYTES + sum(_BLOCK_OVERHEAD_BYTES + m.nbytes for m in u0.blocks.values()))
+    if predicted > _SAMPLES_BYTES:
+        raise DomainError(
+            f"{steps} samples would take {predicted} bytes, above the {_SAMPLES_BYTES} a path may take"
+        )
+
+
 def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> UnitaryPath:
     """Geodesic path between two same-shaped block unitaries.
 
@@ -85,11 +94,7 @@ def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> Unitary
         raise DomainError("need at least two samples")
     if u0.source != u1.source or u0.target != u1.target:
         raise ShapeError("endpoints must share source and target correspondences")
-    predicted = steps * (_SAMPLE_OVERHEAD_BYTES + sum(_BLOCK_OVERHEAD_BYTES + m.nbytes for m in u0.blocks.values()))
-    if predicted > _SAMPLES_BYTES:
-        raise DomainError(
-            f"{steps} samples would take {predicted} bytes, above the {_SAMPLES_BYTES} a path may take"
-        )
+    _refuse_oversized_path(u0, steps)
     # Imported on first use: it is slow to load, and the exact layer never needs it.
     import scipy.linalg
 
@@ -214,12 +219,17 @@ def homotopy_shift_equivalence_from_se(
     whose endpoint 2-arrows are the identity and the inverse Psi.
     """
     d = build_from_se(w)  # raises ContractError on an unverified witness
-    sides = ((d.x_obj, d.m_arrow, d.n_arrow, d.psi_x), (d.y_obj, d.n_arrow, d.m_arrow, d.psi_y))
-    homotopies = []
-    for obj, first, second, psi in sides:
+    sides = []
+    for obj, first, second, psi in ((d.x_obj, d.m_arrow, d.n_arrow, d.psi_x), (d.y_obj, d.n_arrow, d.m_arrow, d.psi_y)):
         composite = compose_one_arrows(first, second)
-        # Conjugate the composite intertwiner onto the tensor-power fiber, then
-        # retarget the t = 1 end at the composite arrow through psi^{-1}.
-        base = homotopy_to_identity(conjugate_arrow(composite, psi).phi, obj, w.lag, steps)
+        # Conjugate the composite intertwiner onto the tensor-power fiber; either
+        # path that would not fit is refused before any sample is made.
+        phi = conjugate_arrow(composite, psi).phi
+        _refuse_oversized_path(phi, steps)
+        sides.append((obj, composite, psi, phi))
+    homotopies = []
+    for obj, composite, psi, phi in sides:
+        # Retarget the t = 1 end at the composite arrow through psi^{-1}.
+        base = homotopy_to_identity(phi, obj, w.lag, steps)
         homotopies.append(replace(base, g_arrow=composite, h1=psi.adjoint()))
     return d, *homotopies

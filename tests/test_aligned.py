@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -498,14 +499,40 @@ class TestReverseCompose:
 
     def test_compose_requires_chainable(self, golden_witness):
         d = build_from_se(golden_witness)
-        with pytest.raises(CompositionError):
+        with pytest.raises(CompositionError, match="^shifts are not chainable: middle objects differ$"):
             compose_shifts(d, d)
 
     def test_compose_requires_aligned(self, golden_witness):
         d = build_from_se(golden_witness)
         bad = phase_twist(d, 0.9)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="^compose_shifts requires aligned inputs$"):
             compose_shifts(bad, reverse_shift(d))
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (
+                lambda d: reverse_shift(replace(d, psi_x=d.psi_x.replace_block(0, 0, 2.0 * d.psi_x.block(0, 0)))),
+                ContractError,
+                "reverse_shift requires a verified concrete shift",
+            ),
+            (
+                lambda d: conjugate_shift(d, identity_unitary(d.n_arrow.f), identity_unitary(d.n_arrow.f)),
+                ShapeError,
+                "u must be an automorphism of M",
+            ),
+            (
+                lambda d: conjugate_shift(d, identity_unitary(d.m_arrow.f), identity_unitary(d.m_arrow.f)),
+                ShapeError,
+                "v must be an automorphism of N",
+            ),
+            (lambda d: slide_past_powers(d.n_arrow, -1), DomainError, "slide exponent must be nonnegative"),
+        ],
+        ids=["reverse", "conjugate u", "conjugate v", "slide"],
+    )
+    def test_refusal_names_its_reason(self, golden_witness, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(build_from_se(golden_witness))
 
 
 class TestSlide:
@@ -534,8 +561,8 @@ class TestSlide:
         from shiftcalc import conjugate_arrow, random_block_unitary as rbu
 
         arrow = conjugate_arrow(arrow, rbu(arrow.f, rng))
-        for n in (1, 2, 3):
+        for n in (0, 1, 2, 3):
             left = compose_one_arrows(power_arrow(arrow.target, n), arrow)
             right = compose_one_arrows(arrow, power_arrow(arrow.source, n))
             residual = two_arrow_residual(slide_past_powers(arrow, n), left, right)
-            assert residual < n * 4 * TOL
+            assert residual < max(n, 1) * 4 * TOL

@@ -247,6 +247,35 @@ class TestSearchAndTensor:
         assert report["verdict"]["dims"] == [[2]]
         assert report["verdict"]["basis_size"] == 2
 
+    @pytest.mark.parametrize(
+        "r, s, dims",
+        [
+            ([[10**20]], [[1]], [[10**20]]),
+            ([[2**62]], [[1]], [[2**62]]),
+            ([[1000000]], [[1000]], [[1000000000]]),
+            ([[100000, 1], [1, 100000]], [[100000, 1], [1, 100000]], [[10000000001, 200000], [200000, 10000000001]]),
+        ],
+        ids=["10^20", "2^62", "10^6 by 10^3", "2x2 squared"],
+    )
+    def test_tensor_of_large_entries_is_read_from_the_dims(self, capsys, tmp_path, r, s, dims):
+        # Such tensors have more basis paths than memory holds; the report needs only R S.
+        r_path, s_path = write(tmp_path / "r.json", mat(r)), write(tmp_path / "s.json", mat(s))
+        start = time.perf_counter()
+        code, report, err = run(capsys, ["corr", "tensor", "--r", r_path, "--s", s_path])
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert report["verdict"] == {
+            "dims": dims,
+            "basis_size": sum(map(sum, dims)),
+            "left_index": list(range(len(r))),
+            "right_index": list(range(len(s[0]))),
+        }
+
+    def test_tensor_of_a_mismatched_inner_dimension_is_data_error(self, files, capsys):
+        code, report, err = run(capsys, ["corr", "tensor", "--r", files["r"], "--s", files["r"]])
+        assert (code, report) == (65, None)
+        assert err.startswith("shiftcalc: ") and err.count("\n") == 1
+
 
 class TestAlignedAndHomotopy:
     def test_from_se_then_verify_roundtrip(self, files, capsys, tmp_path, golden_witness):
@@ -396,6 +425,31 @@ def test_huge_steps_are_refused_before_sampling(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == 65 and report is None
     assert err == "shiftcalc: 3000000 samples would take 57216000000 bytes, above the 1073741824 a path may take\n"
+
+
+def test_both_paths_are_refused_before_either_is_sampled(capsys, tmp_path, golden_witness):
+    # The X path alone (883200000 bytes) would fit; the Y path does not.
+    witness_path = write(tmp_path / "w.json", witness_to_json(golden_witness))
+    start = time.perf_counter()
+    code, report, err = run(capsys, ["homotopy", "from-se", "--witness", witness_path, "--steps", "300000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 65 and report is None
+    assert err == "shiftcalc: 300000 samples would take 1459200000 bytes, above the 1073741824 a path may take\n"
+
+
+def test_a_failed_homotopy_names_its_first_defect_per_side(capsys, tmp_path):
+    # At tol 1e-300 the first sample of each side already has a rounding defect.
+    from shiftcalc import fold_chain, random_sse_chain
+
+    witness = fold_chain(random_sse_chain(from_rows([[2, 1], [1, 2]]), 2, seed=0))
+    witness_path = write(tmp_path / "w.json", witness_to_json(witness))
+    argv = ["--tol", "1e-300", "homotopy", "from-se", "--witness", witness_path, "--steps", "4", "--out", str(tmp_path / "h.json")]
+    code, report, err = run(capsys, argv)
+    assert code == 1
+    assert report["verdict"] == {"verified_x": False, "verified_y": False, "steps": 4, "out": str(tmp_path / "h.json")}
+    x_line, y_line = err.splitlines()
+    assert x_line.startswith("homotopy x: sample 0 (t=0) is not unitary: defect ")
+    assert y_line.startswith("homotopy y: sample 0 (t=0) is not unitary: defect ")
 
 
 def test_steps_of_small_blocks_are_refused_by_what_each_sample_holds(capsys, tmp_path):
@@ -617,17 +671,12 @@ class TestBadInputs:
         assert f"lag {lag} does not fit the bundle" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("entry", [10**20, 2**62])
-    @pytest.mark.parametrize("command", ["corr tensor", "aligned from-se", "homotopy from-se"])
+    @pytest.mark.parametrize("command", ["aligned from-se", "homotopy from-se"])
     def test_oversized_entry_is_data_error(self, capsys, tmp_path, command, entry):
         # Too large for a basis of edges: 10**20 overflows a machine integer,
         # 2**62 edges do not fit in an array.  The witness itself is valid.
-        big = write(tmp_path / "big.json", mat([[entry]]))
-        one = write(tmp_path / "one.json", mat([[1]]))
-        if command == "corr tensor":
-            argv = ["corr", "tensor", "--r", big, "--s", one]
-        else:
-            w = {"a": mat([[entry]]), "b": mat([[entry]]), "r": mat([[1]]), "s": mat([[entry]]), "lag": 1}
-            argv = [*command.split(), "--witness", write(tmp_path / "w.json", w)]
+        w = {"a": mat([[entry]]), "b": mat([[entry]]), "r": mat([[1]]), "s": mat([[entry]]), "lag": 1}
+        argv = [*command.split(), "--witness", write(tmp_path / "w.json", w)]
         code, report, err = run(capsys, argv)
         assert code == 65
         assert report is None

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from functools import reduce
@@ -150,8 +151,31 @@ class TestFromMatrix:
         assert c.total_dim == 2
 
     def test_negative_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^correspondence matrices must be nonnegative$"):
             from_matrix(from_rows([[-1]]))
+
+
+class TestRecords:
+    """Correspondences, objects and arrows are immutable records; the first two
+    compare and hash by value, an arrow by identity."""
+
+    def test_a_correspondence_is_immutable(self):
+        c = from_matrix(from_rows([[2]]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.dims = from_rows([[3]])
+
+    def test_equal_correspondences_and_objects_hash_equal(self):
+        a, b = (from_rows([[1, 1], [1, 0]]) for _ in range(2))
+        assert tensor(from_matrix(a), from_matrix(a)) == tensor(from_matrix(b), from_matrix(b))
+        assert hash(tensor(from_matrix(a), from_matrix(a))) == hash(tensor(from_matrix(b), from_matrix(b)))
+        assert object_pair(a) == object_pair(b) and hash(object_pair(a)) == hash(object_pair(b))
+        assert from_matrix(a) != from_matrix(a, "pq", "pq") and object_pair(a) != object_pair(a, "pq")
+
+    def test_an_arrow_is_equal_only_to_itself(self):
+        obj = object_pair(from_rows([[2]]))
+        first, second = power_arrow(obj, 1), power_arrow(obj, 1)
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
 
 
 class TestTensor:
@@ -230,6 +254,55 @@ class TestConstructorRefusals:
         ):
             with pytest.raises(ShapeError, match="^tensor factors must share their middle index set$"):
                 OneArrow(obj, obj, f, phi)
+
+
+ONE, TWO, THREE = (from_matrix(from_rows([[k]])) for k in (1, 2, 3))
+TWO_ARROW = power_arrow(object_pair(from_rows([[2]])), 1)
+
+
+class TestOperationRefusals:
+    """Each refusal of the correspondence operations, with its message."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: from_matrix(from_rows([[1]]), (0, 1)), ShapeError, "index label lists must match the matrix shape"),
+            (
+                lambda: from_matrix(from_rows([[10**20]])),
+                DomainError,
+                "correspondence block dimensions are too large to hold a basis",
+            ),
+            (
+                lambda: unitary_distance(identity_unitary(ONE), identity_unitary(TWO)),
+                ShapeError,
+                "cannot compare block maps of different shapes",
+            ),
+            (
+                lambda: compose_unitaries(identity_unitary(ONE), identity_unitary(TWO)),
+                ShapeError,
+                "cannot compose: middle correspondences differ in shape",
+            ),
+            (
+                lambda: power_correspondence(TWO_ARROW.source, -1),
+                DomainError,
+                "tensor powers need a nonnegative exponent",
+            ),
+            (
+                lambda: two_arrow_residual(identity_unitary(THREE), TWO_ARROW, TWO_ARROW),
+                ShapeError,
+                "psi endpoints must match the arrows' correspondences",
+            ),
+            (
+                lambda: conjugate_arrow(TWO_ARROW, identity_unitary(THREE)),
+                ShapeError,
+                "u must start at the arrow's correspondence",
+            ),
+        ],
+        ids=["labels", "too large", "distance", "compose", "power", "psi endpoints", "conjugate"],
+    )
+    def test_refusal_names_its_reason(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestAssociator:
@@ -471,7 +544,7 @@ class TestArrows:
 
     def test_arrow_composition_mismatch(self, golden_witness):
         arrow = arrow_from_witness(golden_witness)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^arrows are not composable: middle objects differ$"):
             compose_one_arrows(arrow, arrow)
 
 
@@ -525,7 +598,7 @@ class TestTwoArrows:
     def test_non_parallel_arrows_rejected(self, golden_witness):
         arrow = arrow_from_witness(golden_witness)
         unit = identity_arrow(arrow.source)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^two-arrow check needs parallel arrows$"):
             two_arrow_residual(identity_unitary(arrow.f), arrow, unit)
 
     def test_vertical_composition_of_two_arrows(self):

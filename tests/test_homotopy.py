@@ -208,8 +208,13 @@ class TestConnectUnitaries:
     def test_needs_two_steps(self):
         c = from_matrix(from_rows([[1]]))
         u = identity_unitary(c)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^need at least two samples$"):
             connect_unitaries(u, u, 1)
+
+    def test_endpoints_must_share_their_correspondences(self):
+        one, two = (identity_unitary(from_matrix(from_rows([[k]]))) for k in (1, 2))
+        with pytest.raises(ShapeError, match="^endpoints must share source and target correspondences$"):
+            connect_unitaries(one, two, 2)
 
 
 class TestHomotopyToIdentity:

@@ -1,6 +1,7 @@
-"""Unused imports, unused private names and unread public names in the
-package, calls of the stdlib's JSON writer, the names the benchmark tracer
-rebinds, and constructor refusals of the numerical layer that no test names.
+"""Unused imports, unused private names, unread public names and unread locals
+in the package, calls of the stdlib's JSON writer, the names the benchmark
+tracer rebinds, and refusals that no test names: the constructors', and every
+one of the numerical layer.
 
 No linter is installed, so ``ast`` stands in.
 """
@@ -185,64 +186,119 @@ def test_every_public_name_is_read():
     assert unread_public_names(package, readers) == []
 
 
-def constructor_refusals(source: str) -> list[str]:
+#: Modules every one of whose refusals a test must name; elsewhere only constructors' must be.
+NUMERICAL_LAYER = ("aligned", "corr", "homotopy")
+
+
+def refusals(source: str, everywhere: bool = False) -> list[str]:
     """The message of each ``raise`` in a class's ``__init__`` or ``__post_init__``,
-    in source order: a string literal as written, an f-string by its longest
-    constant part."""
+    or with ``everywhere`` in the whole module, in source order: a string literal
+    as written, an f-string by its longest constant part."""
+    tree = ast.parse(source)
+    scopes = [tree] if everywhere else [
+        method
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name in ("__init__", "__post_init__")
+    ]
     messages = []
-    for cls in ast.parse(source).body:
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        for method in cls.body:
-            if not (isinstance(method, ast.FunctionDef) and method.name in ("__init__", "__post_init__")):
-                continue
-            for node in sorted(ast.walk(method), key=lambda node: getattr(node, "lineno", 0)):
-                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
-                    message = node.exc.args[0]
-                    if isinstance(message, ast.JoinedStr):
-                        parts = [v.value for v in message.values if isinstance(v, ast.Constant)]
-                        messages.append(max(parts, key=len, default=""))
-                    elif isinstance(message, ast.Constant) and isinstance(message.value, str):
-                        messages.append(message.value)
+    for scope in scopes:
+        for node in sorted(ast.walk(scope), key=lambda node: getattr(node, "lineno", 0)):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                message = node.exc.args[0]
+                if isinstance(message, ast.JoinedStr):
+                    parts = [v.value for v in message.values if isinstance(v, ast.Constant)]
+                    messages.append(max(parts, key=len, default=""))
+                elif isinstance(message, ast.Constant) and isinstance(message.value, str):
+                    messages.append(message.value)
     return messages
 
 
-def unpinned_refusals(package: dict[str, str], tests: list[str]) -> list[str]:
-    """``module: message`` for each constructor refusal that no test source spells out."""
+def unpinned_refusals(messages: dict[str, list[str]], tests: list[str]) -> list[str]:
+    """``module: message`` for each refusal message that no test source spells out."""
     return sorted(
         f"{module}: {message}"
-        for module, source in package.items()
-        for message in constructor_refusals(source)
+        for module, found in messages.items()
+        for message in found
         if not any(message in test for test in tests)
     )
 
 
 def test_the_check_sees_an_unpinned_refusal():
-    package = {
-        "a": (
-            "class Box:\n"
-            "    def __post_init__(self):\n"
-            "        if self.n < 0:\n"
-            "            raise ValueError('n must be nonnegative')\n"
-            "        raise KeyError(f'missing key {self.k} in {self.name}')\n"
-            "class Pair:\n"
-            "    def __init__(self, x):\n"
-            "        raise TypeError('x must be a pair')\n"
-            "    def swap(self):\n"
-            "        raise ValueError('not a constructor')\n"
-            "def build():\n"
-            "    raise ValueError('not a class')\n"
-        )
-    }
-    assert constructor_refusals(package["a"]) == ["n must be nonnegative", "missing key ", "x must be a pair"]
+    source = (
+        "class Box:\n"
+        "    def __post_init__(self):\n"
+        "        if self.n < 0:\n"
+        "            raise ValueError('n must be nonnegative')\n"
+        "        raise KeyError(f'missing key {self.k} in {self.name}')\n"
+        "class Pair:\n"
+        "    def __init__(self, x):\n"
+        "        raise TypeError('x must be a pair')\n"
+        "    def swap(self):\n"
+        "        raise ValueError('not a constructor')\n"
+        "def build():\n"
+        "    raise ValueError('not a class')\n"
+    )
+    assert refusals(source) == ["n must be nonnegative", "missing key ", "x must be a pair"]
+    assert refusals(source, everywhere=True) == [
+        "n must be nonnegative", "missing key ", "x must be a pair", "not a constructor", "not a class",
+    ]
     tests = ["with pytest.raises(ValueError, match='^n must be nonnegative$'):\n", "match='missing key 3'"]
-    assert unpinned_refusals(package, tests) == ["a: x must be a pair"]
+    assert unpinned_refusals({"a": refusals(source)}, tests) == ["a: x must be a pair"]
 
 
 def test_every_constructor_refusal_is_pinned():
+    """Every constructor refusal of the package, and every refusal of its numerical layer."""
     root = pathlib.Path(__file__).parent.parent
-    package = {path.stem: path.read_text(encoding="utf-8") for path in sorted((root / "src" / "shiftcalc").glob("*.py"))}
+    messages = {
+        path.stem: refusals(path.read_text(encoding="utf-8"), everywhere=path.stem in NUMERICAL_LAYER)
+        for path in sorted((root / "src" / "shiftcalc").glob("*.py"))
+    }
     # This module's own self-test does not count as pinning a message.
     tests = [path.read_text(encoding="utf-8") for path in sorted((root / "tests").glob("*.py")) if path.name != "test_imports.py"]
-    assert sum(len(constructor_refusals(source)) for source in package.values()) > 0
-    assert unpinned_refusals(package, tests) == []
+    assert all(messages[module] for module in NUMERICAL_LAYER)
+    assert unpinned_refusals(messages, tests) == []
+
+
+def unread_locals(source: str) -> list[str]:
+    """``function.name`` for each local a function assigns and never reads, counting
+    reads in the functions nested in it; ``_`` is a placeholder, not a local."""
+    found = set()
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = set(), set()
+        for node in ast.walk(function):
+            if isinstance(node, ast.Name):
+                (stored if isinstance(node.ctx, ast.Store) else read).add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        found |= {f"{function.name}.{name}" for name in stored - read - {"_"}}
+    return sorted(found)
+
+
+def test_the_check_sees_an_unread_local():
+    source = (
+        "def f(a):\n"
+        "    x = a.x\n"
+        "    y, _ = a\n"
+        "    for k, v in a:\n"
+        "        print(v)\n"
+        "    total = 0\n"
+        "    total += 1\n"
+        "    def g():\n"
+        "        return y\n"
+        "    return g\n"
+        "def h():\n"
+        "    global seen\n"
+        "    seen = 1\n"
+        "    with open('p') as fh:\n"
+        "        pass\n"
+    )
+    assert unread_locals(source) == ["f.k", "f.total", "f.x", "h.fh"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_every_local_is_read(path):
+    assert unread_locals(path.read_text(encoding="utf-8")) == []
