@@ -32,6 +32,12 @@ Path = tuple
 
 DEFAULT_TOL = 1e-9
 
+#: Atomic factors a tensor power may hold: ``power_correspondence`` refuses more before making
+#: any tensor, as X^(x)m holds m copies of X's factors even when every block is 1x1.  At this
+#: bound, on the [[1]] witness, ``aligned from-se`` takes 0.4 s and 66 MB and ``homotopy from-se
+#: --steps 2`` 1.2 s and 178 MB (Python 3.11, x86-64).
+_POWER_FACTORS = 1 << 20
+
 
 @dataclass(frozen=True, slots=True)
 class GraphCorrespondence:
@@ -367,10 +373,12 @@ def identity_arrow(obj: ObjectPair) -> OneArrow:
 
 
 def power_correspondence(obj: ObjectPair, m: int) -> GraphCorrespondence:
-    """The m-fold tensor power of the object correspondence; m = 0 gives the
-    identity-matrix correspondence."""
+    """The m-fold tensor power of the object correspondence, refused above ``_POWER_FACTORS``
+    atomic factors; m = 0 gives the identity-matrix correspondence."""
     if m < 0:
         raise DomainError("tensor powers need a nonnegative exponent")
+    if (factors := m * len(obj.x.factors)) > _POWER_FACTORS:
+        raise DomainError(f"a tensor power of {factors} factors exceeds the {_POWER_FACTORS} one may hold")
     if m == 0:
         n = len(obj.algebra_index)
         return from_matrix(int_identity(n), obj.algebra_index, obj.algebra_index)

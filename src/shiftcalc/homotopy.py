@@ -39,11 +39,12 @@ from .corr import (
     unitarity_defect,
 )
 from .errors import DomainError, ShapeError
+from .exact import IntMatrix, mat_mul
 from .witnesses import SEWitness
 
-#: Bytes the samples of one path may take: ``connect_unitaries`` predicts their size
-#: from the endpoint's blocks before making any, and refuses a larger path with a
-#: ``DomainError``.  The command line's paths take a few MB (16 samples at lag 6).
+#: Bytes the samples of one path may take: their size is predicted from the block dims
+#: before any is made, and a larger path is refused with a ``DomainError``.  The
+#: command line's paths take a few MB (16 samples at lag 6).
 _SAMPLES_BYTES = 1 << 30
 #: What a sample holds besides its arrays, counted in that prediction: its time, its
 #: tuple, its ``BlockUnitary`` and that unitary's dict, one array view per block, and
@@ -68,13 +69,12 @@ class UnitaryPath:
     generator: dict
 
 
-def _refuse_oversized_path(u0: BlockUnitary, steps: int) -> None:
-    """Refuse ``steps`` samples of a path from ``u0`` if their arrays and objects would exceed ``_SAMPLES_BYTES``."""
-    predicted = steps * (_SAMPLE_OVERHEAD_BYTES + sum(_BLOCK_OVERHEAD_BYTES + m.nbytes for m in u0.blocks.values()))
+def _refuse_oversized_path(dims: IntMatrix, steps: int) -> None:
+    """Refuse ``steps`` samples on blocks of ``dims`` if their arrays and objects would exceed ``_SAMPLES_BYTES``."""
+    per_block = (_BLOCK_OVERHEAD_BYTES + 16 * d * d for row in dims.entries for d in row if d)  # complex128 entries
+    predicted = steps * (_SAMPLE_OVERHEAD_BYTES + sum(per_block))
     if predicted > _SAMPLES_BYTES:
-        raise DomainError(
-            f"{steps} samples would take {predicted} bytes, above the {_SAMPLES_BYTES} a path may take"
-        )
+        raise DomainError(f"{steps} samples would take {predicted} bytes, above the {_SAMPLES_BYTES} a path may take")
 
 
 def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> UnitaryPath:
@@ -94,7 +94,7 @@ def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> Unitary
         raise DomainError("need at least two samples")
     if u0.source != u1.source or u0.target != u1.target:
         raise ShapeError("endpoints must share source and target correspondences")
-    _refuse_oversized_path(u0, steps)
+    _refuse_oversized_path(u0.source.dims, steps)
     # Imported on first use: it is slow to load, and the exact layer never needs it.
     import scipy.linalg
 
@@ -219,17 +219,14 @@ def homotopy_shift_equivalence_from_se(
     whose endpoint 2-arrows are the identity and the inverse Psi.
     """
     d = build_from_se(w)  # raises ContractError on an unverified witness
-    sides = []
+    # Both paths are refused before either side is built: X (x) X^(x)m has dims A R S, Y's B S R.
+    _refuse_oversized_path(mat_mul(w.a, d.psi_x.source.dims), steps)
+    _refuse_oversized_path(mat_mul(w.b, d.psi_y.source.dims), steps)
+    homotopies = []
     for obj, first, second, psi in ((d.x_obj, d.m_arrow, d.n_arrow, d.psi_x), (d.y_obj, d.n_arrow, d.m_arrow, d.psi_y)):
         composite = compose_one_arrows(first, second)
-        # Conjugate the composite intertwiner onto the tensor-power fiber; either
-        # path that would not fit is refused before any sample is made.
-        phi = conjugate_arrow(composite, psi).phi
-        _refuse_oversized_path(phi, steps)
-        sides.append((obj, composite, psi, phi))
-    homotopies = []
-    for obj, composite, psi, phi in sides:
-        # Retarget the t = 1 end at the composite arrow through psi^{-1}.
-        base = homotopy_to_identity(phi, obj, w.lag, steps)
+        # Conjugate the composite intertwiner onto the tensor-power fiber, homotope it
+        # to the identity, and retarget the t = 1 end at the composite through psi^{-1}.
+        base = homotopy_to_identity(conjugate_arrow(composite, psi).phi, obj, w.lag, steps)
         homotopies.append(replace(base, g_arrow=composite, h1=psi.adjoint()))
     return d, *homotopies

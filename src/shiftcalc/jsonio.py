@@ -408,10 +408,8 @@ def _encode(o, level: int, out: list, fh):
             out.append(_join([_join(row, level + 1) for row in pairs.tolist()], level))
         else:
             text = _nested_format(o.shape, level) % tuple(o.ravel().tolist())
-            if "n" in text:  # only nan and inf print an "n"; json spells them NaN, Infinity
-                _encode(o.tolist(), level, out, fh)
-            else:
-                out.append(text)
+            # Only nan and inf print an "n"; json spells them NaN and Infinity.
+            out.append(text.replace("nan", "NaN").replace("inf", "Infinity"))
         fh.write("".join(out))
         out.clear()
         return

@@ -464,6 +464,91 @@ def test_steps_of_small_blocks_are_refused_by_what_each_sample_holds(capsys, tmp
     assert err.startswith(f"shiftcalc: {2**25} samples would take ") and err.count("\n") == 1
 
 
+def test_paths_are_refused_before_either_side_is_built(capsys, tmp_path, golden_witness, monkeypatch):
+    # Both paths are sized from the witness's dims: no composite arrow or
+    # conjugated intertwiner is made before the Y path is refused.
+    from shiftcalc import homotopy
+
+    def unreachable(*args):
+        raise AssertionError("a side was built before both paths were sized")
+
+    monkeypatch.setattr(homotopy, "compose_one_arrows", unreachable)
+    monkeypatch.setattr(homotopy, "conjugate_arrow", unreachable)
+    witness_path = write(tmp_path / "w.json", witness_to_json(golden_witness))
+    code, report, err = run(capsys, ["homotopy", "from-se", "--witness", witness_path, "--steps", "300000"])
+    assert code == 65 and report is None
+    assert err == "shiftcalc: 300000 samples would take 1459200000 bytes, above the 1073741824 a path may take\n"
+
+
+def run_in_two_gigabytes(calls):
+    """(exit code, seconds, stderr) of ``main`` on each argv of ``calls``, in turn, in one
+    child process limited to 2 GiB of address space: a call that would run the host short
+    of memory fails there with a ``MemoryError`` (exit 70) instead."""
+    import resource
+
+    import shiftcalc
+
+    src = os.path.dirname(os.path.dirname(shiftcalc.__file__))
+    code = (
+        "import contextlib, io, json, sys, time\n"
+        "from shiftcalc.cli import main\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    err, start = io.StringIO(), time.perf_counter()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    results.append((code, time.perf_counter() - start, err.getvalue()))\n"
+        "print(json.dumps(results))\n"
+    )
+    limit = 2 << 30
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(calls)],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return json.loads(out)
+
+
+def test_steps_are_refused_from_dims_before_the_sides_are_built(tmp_path):
+    # X (x) X^(x)12 has one 8192 x 8192 block: 1 GiB per sample.  Building the
+    # composite arrows to read that size ran out of memory.
+    big = mat([[64]])
+    w = {"a": mat([[2]]), "b": mat([[2]]), "r": big, "s": big, "lag": 12}
+    witness_path = write(tmp_path / "w.json", w)
+    results = run_in_two_gigabytes(
+        [["homotopy", "from-se", "--witness", witness_path, "--steps", steps] for steps in ("16", "2")]
+    )
+    assert [(code, err) for code, _, err in results] == [
+        (65, "shiftcalc: 16 samples would take 17179912192 bytes, above the 1073741824 a path may take\n"),
+        (65, "shiftcalc: 2 samples would take 2147489024 bytes, above the 1073741824 a path may take\n"),
+    ]
+
+
+def test_a_tensor_power_of_too_many_factors_is_refused_at_once(tmp_path):
+    # Every dims entry is 1 or 0, yet X^(x)lag would hold lag copies of X's factor.
+    swap = mat([[0, 1], [1, 0]])
+    one = mat([[1]])
+    swap_witness = {"a": swap, "b": swap, "r": mat([[1, 0], [0, 1]]), "s": swap, "lag": 2**30 + 1}
+    swap_path = write(tmp_path / "swap.json", swap_witness)
+    one_path = write(tmp_path / "one.json", {"a": one, "b": one, "r": one, "s": one, "lag": 2**30})
+    bundle = shift_to_json(build_from_se(SEWitness(*[from_rows([[1]])] * 4, 1)))
+    bundle["lag"] = 2**30
+    bundle_path = write(tmp_path / "shift.json", bundle)
+    results = run_in_two_gigabytes(
+        [
+            ["aligned", "from-se", "--witness", swap_path],
+            ["homotopy", "from-se", "--steps", "2", "--witness", one_path],
+            ["aligned", "verify", "--data", bundle_path],
+        ]
+    )
+    for (code, seconds, err), factors in zip(results, (2**30 + 1, 2**30, 2**30)):
+        assert code == 65 and seconds < 1.0
+        assert err == f"shiftcalc: a tensor power of {factors} factors exceeds the 1048576 one may hold\n"
+
+
 class TestCheckTwoArrow:
     @pytest.fixture
     def arrow_files(self, tmp_path):

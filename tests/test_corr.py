@@ -288,6 +288,11 @@ class TestOperationRefusals:
                 "tensor powers need a nonnegative exponent",
             ),
             (
+                lambda: power_correspondence(TWO_ARROW.source, 2**20 + 1),
+                DomainError,
+                "a tensor power of 1048577 factors exceeds the 1048576 one may hold",
+            ),
+            (
                 lambda: two_arrow_residual(identity_unitary(THREE), TWO_ARROW, TWO_ARROW),
                 ShapeError,
                 "psi endpoints must match the arrows' correspondences",
@@ -298,11 +303,18 @@ class TestOperationRefusals:
                 "u must start at the arrow's correspondence",
             ),
         ],
-        ids=["labels", "too large", "distance", "compose", "power", "psi endpoints", "conjugate"],
+        ids=["labels", "too large", "distance", "compose", "power", "power factors", "psi endpoints", "conjugate"],
     )
     def test_refusal_names_its_reason(self, call, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()
+
+    def test_a_tensor_power_may_hold_up_to_its_factor_bound(self):
+        # The bound counts atomic factors, however small the blocks: X([[1]])^(x)m holds m.
+        obj = object_pair(from_rows([[1]]))
+        assert len(power_correspondence(obj, 2**20).factors) == 2**20
+        with pytest.raises(DomainError, match="^a tensor power of 1048577 factors exceeds"):
+            power_correspondence(obj, 2**20 + 1)
 
 
 class TestAssociator:

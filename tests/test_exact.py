@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -75,6 +76,46 @@ class TestConstructorRefusals:
     def test_the_entry_grid_must_match_the_shape(self, entries):
         with pytest.raises(ShapeError, match="^entry grid does not match declared shape$"):
             IntMatrix(2, 2, entries)
+
+
+class TestOperationRefusals:
+    """Each refusal of the exact operations, with its message."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: from_rows([]), ShapeError, "matrix must have at least one row and one column"),
+            (lambda: mat_sub(from_rows([[1]]), from_rows([[1, 2]])), ShapeError, "cannot subtract 1x1 and 1x2"),
+            (lambda: mat_mul(from_rows([[1, 2]]), from_rows([[1, 2]])), ShapeError, "cannot multiply 1x2 by 1x2"),
+            (lambda: mat_pow(from_rows([[1, 2]]), 2), ShapeError, "matrix power requires a square matrix"),
+            (lambda: mat_pow(from_rows([[1]]), -1), DomainError, "matrix power requires a nonnegative exponent"),
+            (lambda: is_essential(from_rows([[1, 2]])), ShapeError, "essentiality is defined for square matrices"),
+            (lambda: is_essential(from_rows([[-1]])), DomainError, "essentiality is defined for nonnegative matrices"),
+            (
+                lambda: poly_eval_matrix(poly([1]), from_rows([[1, 2]])),
+                ShapeError,
+                "polynomial evaluation requires a square matrix",
+            ),
+            (
+                # Size class 2**15 has no prime q > 2**15 with 2**30 (q - 1)**2 < 2**53.
+                lambda: exact._moduli(2**14, 2),
+                DomainError,
+                "a 16384x16384 matrix with these entries is too large for exact float64 residue arithmetic",
+            ),
+            (
+                lambda: exact._char_poly_and_adjugate(from_rows([[1]]), from_rows([[1], [1]])),
+                ShapeError,
+                "adjugate product needs B with as many rows as A",
+            ),
+        ],
+        ids=[
+            "no row", "subtract", "multiply", "power shape", "power exponent", "essential shape",
+            "essential sign", "polynomial", "residue size", "adjugate rows",
+        ],
+    )
+    def test_refusal_names_its_reason(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestMatMul:

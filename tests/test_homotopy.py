@@ -23,6 +23,7 @@ from shiftcalc import (
     homotopy_to_identity,
     identity_unitary,
     identity_witness,
+    mat_mul,
     mat_pow,
     object_pair,
     power_arrow,
@@ -204,6 +205,17 @@ class TestConnectUnitaries:
         p = connect_unitaries(random_block_unitary(c, rng), random_block_unitary(c, rng), 4)
         for h in p.generator.values():
             assert np.allclose(h + h.conj().T, 0.0, atol=1e-12)
+
+    def test_a_path_is_sized_by_what_its_blocks_hold(self):
+        # The refusal predicts from dims alone the bytes the blocks of u hold.
+        from shiftcalc import homotopy
+
+        u = random_block_unitary(from_matrix(from_rows([[2, 0], [1, 3]])), np.random.default_rng(15))
+        steps = 2**40
+        each = sum(homotopy._BLOCK_OVERHEAD_BYTES + m.nbytes for m in u.blocks.values())
+        held = steps * (homotopy._SAMPLE_OVERHEAD_BYTES + each)
+        with pytest.raises(DomainError, match=f"^{steps} samples would take {held} bytes, above the "):
+            connect_unitaries(u, u, steps)
 
     def test_needs_two_steps(self):
         c = from_matrix(from_rows([[1]]))
@@ -459,6 +471,9 @@ class TestFromWitness:
             assert verify_homotopy(hy), homotopy_failure(hy)
             assert hx.fiber.dims == mat_pow(w.a, w.lag)
             assert hy.fiber.dims == mat_pow(w.b, w.lag)
+            # The dims both paths are sized from before either side is built.
+            assert hx.path.samples[0][1].source.dims == mat_mul(w.a, mat_mul(w.r, w.s))
+            assert hy.path.samples[0][1].source.dims == mat_mul(w.b, mat_mul(w.s, w.r))
             for h in (hx, hy):
                 # U(1) is the composite conjugated onto the tensor-power fiber.
                 end = conjugate_arrow(h.g_arrow, h.h1.adjoint()).phi

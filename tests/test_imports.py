@@ -1,7 +1,6 @@
 """Unused imports, unused private names, unread public names and unread locals
 in the package, calls of the stdlib's JSON writer, the names the benchmark
-tracer rebinds, and refusals that no test names: the constructors', and every
-one of the numerical layer.
+tracer rebinds, and refusals that no test names.
 
 No linter is installed, so ``ast`` stands in.
 """
@@ -186,8 +185,8 @@ def test_every_public_name_is_read():
     assert unread_public_names(package, readers) == []
 
 
-#: Modules every one of whose refusals a test must name; elsewhere only constructors' must be.
-NUMERICAL_LAYER = ("aligned", "corr", "homotopy")
+#: Modules that refuse inputs, in name order; each must yield a message, so none drops out of the check unnoticed.
+REFUSING = ("aligned", "corr", "exact", "homotopy", "invariants", "jsonio", "witnesses")
 
 
 def refusals(source: str, everywhere: bool = False) -> list[str]:
@@ -249,15 +248,15 @@ def test_the_check_sees_an_unpinned_refusal():
 
 
 def test_every_constructor_refusal_is_pinned():
-    """Every constructor refusal of the package, and every refusal of its numerical layer."""
+    """Every refusal of the package, constructors' and operations' alike."""
     root = pathlib.Path(__file__).parent.parent
     messages = {
-        path.stem: refusals(path.read_text(encoding="utf-8"), everywhere=path.stem in NUMERICAL_LAYER)
+        path.stem: refusals(path.read_text(encoding="utf-8"), everywhere=True)
         for path in sorted((root / "src" / "shiftcalc").glob("*.py"))
     }
     # This module's own self-test does not count as pinning a message.
     tests = [path.read_text(encoding="utf-8") for path in sorted((root / "tests").glob("*.py")) if path.name != "test_imports.py"]
-    assert all(messages[module] for module in NUMERICAL_LAYER)
+    assert [module for module, found in messages.items() if found] == list(REFUSING)
     assert unpinned_refusals(messages, tests) == []
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -357,6 +358,21 @@ class TestBowenFranksGeneral:
     def test_rejects_non_unit_constant_term(self):
         with pytest.raises(DomainError):
             bowen_franks_general(from_rows([[2]]), poly([2, 1]))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: compute_invariants(from_rows([[1, 0], [0, 0]])), "invariants are defined for essential matrices"),
+            (
+                lambda: bowen_franks_general(from_rows([[2]]), poly([2, 1])),
+                "generalized Bowen-Franks groups need p(0) in {1, -1}",
+            ),
+        ],
+        ids=["inessential", "constant term"],
+    )
+    def test_refusal_names_its_reason(self, call, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_invariant_along_sse_chains(self):
         rng = random.Random(77)

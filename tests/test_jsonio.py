@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 from itertools import chain
 
@@ -184,7 +185,7 @@ def array_leaves(draw):
     0.0 into -0.0), or a non-contiguous view itself.  Its entries are
     arbitrary finite values, or all 0.0 and 1.0 (at times a permutation
     block), which take the pair-text path; at times one entry is set to
-    another value, non-finite ones taking the list path."""
+    another value, a non-finite one spelled as the stdlib spells it."""
     d = draw(st.integers(1, 8))
     entries = draw(st.sampled_from(["any", "0/1", "permutation"]))
     if entries == "permutation":
@@ -238,6 +239,11 @@ class TestArrayLeaves:
             assert leaf.shape == (2, 2, 2) and leaf.dtype == np.float64
             assert repr(leaf.tolist()) == repr(_complex_matrix_to_json(block))
 
+    def test_a_leaf_of_nan_and_both_infinities_is_spelled_as_the_stdlib_spells_it(self):
+        # The generated leaves hold at most one non-finite entry.
+        leaf = np.array([[[float("nan"), float("inf")], [-float("inf"), -0.0]], [[5e-324, 1e16], [1.5, 0.1]]])
+        assert dumps({"leaf": leaf}) == stdlib_dump({"leaf": leaf.tolist()})
+
     def test_other_arrays_are_left_to_the_stdlib(self):
         # Raised with the stdlib's own message.
         for doc in ([np.arange(3)], {"a": np.zeros(2, dtype=complex)}, [np.zeros(2), np.ones(2, dtype=np.float32)]):
@@ -268,6 +274,30 @@ def leaf_texts(doc, level=0):
     elif isinstance(doc, (list, tuple)):
         for x in doc:
             yield from leaf_texts(x, level + 1)
+
+
+class TestFileRefusals:
+    """Each refusal of the file readers names the file and its fault."""
+
+    def test_a_negative_entry_is_named_by_its_place(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [[1, -2]]}))
+        with pytest.raises(DomainError, match=f"^{re.escape(f'{path}: entry (0, 1) is negative (-2)')}$"):
+            jsonio.nonnegative_matrix_from_file(str(path))
+
+    def test_json_nested_too_deeply_to_decode(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: JSON nested too deeply to read')}$"):
+            jsonio.load_json(str(path))
+
+    def test_a_number_too_long_to_decode(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text("[" + "1" * 5001 + "]")
+        limit = sys.get_int_max_str_digits()
+        message = f"{path}: a number has more than {limit} digits, too many to read"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            jsonio.load_json(str(path))
 
 
 class TestStream:
@@ -598,6 +628,11 @@ class TestBlockKeys:
     def test_reader_refuses_labels_whose_keys_collide(self):
         with pytest.raises(DomainError, match="two blocks share the key '0,1,1'"):
             jsonio.shift_from_json(colliding_bundle())
+
+    def test_the_refusal_names_the_key_and_the_rule(self):
+        message = """two blocks share the key '0,1,1': index labels must give distinct "v,w" keys"""
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            jsonio.shift_to_json(colliding_shift())
 
     def test_duplicate_labels_collide(self):
         corr = from_matrix(from_rows([[1, 1], [1, 1]]), ["a", "a"], ["a", "a"])

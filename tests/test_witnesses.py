@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +121,45 @@ class TestConstructorRefusals:
         steps = (identity_witness(self.ONE), identity_witness(from_rows([[2]])))
         with pytest.raises(CompositionError, match="^consecutive chain steps do not share an endpoint$"):
             SSEChain(steps)
+
+
+ONE = from_rows([[1]])
+UNVERIFIED = SEWitness(from_rows([[2]]), from_rows([[3]]), ONE, from_rows([[2]]), 1)
+
+
+class TestOperationRefusals:
+    """Each refusal of the witness operations, with its message."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: reverse_se(UNVERIFIED), ContractError, "reverse_se requires a verified witness"),
+            (lambda: compose_se(UNVERIFIED, UNVERIFIED), CompositionError, "compose_se requires w1.b == w2.a"),
+            (
+                lambda: compose_se(UNVERIFIED, identity_witness(UNVERIFIED.b)),
+                ContractError,
+                "compose_se requires verified witnesses",
+            ),
+            (lambda: fold_chain(SSEChain(())), DomainError, "cannot fold an empty chain"),
+            (
+                lambda: search_se(from_rows([[0]]), ONE, 1, 1),
+                DomainError,
+                "search_se requires essential matrices",
+            ),
+            (lambda: search_se(ONE, ONE, 1, -1), DomainError, "entry bound must be nonnegative"),
+            (
+                lambda: random_sse_chain(from_rows([[1, 0], [0, 0]]), 1, seed=0),
+                DomainError,
+                "random_sse_chain requires an essential matrix",
+            ),
+        ],
+        ids=[
+            "reverse", "compose ends", "compose verified", "fold", "search essential", "search bound", "random chain",
+        ],
+    )
+    def test_refusal_names_its_reason(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestCappedPowers:
