@@ -50,8 +50,15 @@ from .corr import (
     unitary_distance,
 )
 from .errors import CompositionError, ContractError, DomainError, ShapeError
-from .exact import power_equals
+from .exact import mat_mul, power_equals
 from .witnesses import SEWitness, identity_witness, verify_se
+
+#: Bytes the four structure maps of one shift may take: their size is predicted from the
+#: integer dims before any map is made, and a larger shift is refused with a ``DomainError``.
+#: Each map keeps a complex entry (16 bytes) per basis pair of a block, and a canonical
+#: identification first holds the float64 identity it is made from (8 more), so 24 bytes
+#: are counted per entry.  The golden witness's maps take 6.6 MB at lag 8.
+_MAPS_BYTES = 1 << 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +180,14 @@ def assemble_shift(
 ) -> AlignedShiftData:
     """The shift of lag ``lag`` from X to Y through M and N whose structure maps are
     ``make(name, source, target)``, called for "phi_m", "phi_n", "psi_x" and "psi_y"
-    in that order: the one place a shift's maps get their endpoints."""
+    in that order: the one place a shift's maps get their endpoints.  Maps that would take
+    more than ``_MAPS_BYTES`` are refused before the first is made."""
+    # X (x) M, Y (x) N, M (x) N and N (x) M have dims A R, B S, R S and S R.
+    a, b, r, s = x_obj.x.dims, y_obj.x.dims, m_corr.dims, n_corr.dims
+    dims = (mat_mul(a, r), mat_mul(b, s), mat_mul(r, s), mat_mul(s, r))
+    predicted = 24 * sum(d * d for m in dims for row in m.entries for d in row)
+    if predicted > _MAPS_BYTES:
+        raise DomainError(f"the structure maps would take {predicted} bytes, above the {_MAPS_BYTES} a shift may take")
     m_arrow = arrow_with(y_obj, x_obj, m_corr, lambda src, tgt: make("phi_m", src, tgt))
     n_arrow = arrow_with(x_obj, y_obj, n_corr, lambda src, tgt: make("phi_n", src, tgt))
     psi_x = make("psi_x", tensor(m_corr, n_corr), power_correspondence(x_obj, lag))

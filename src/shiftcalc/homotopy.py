@@ -3,11 +3,13 @@
 The space of block unitaries on a finite correspondence is a product of
 finite-dimensional unitary groups, hence path connected: any two unitaries
 are joined by the geodesic U(t) = U0 exp(tH) with H a blockwise matrix
-logarithm of U0* U1.  A path keeps its samples and H alone: from a Schur form
-U0* U1 = Z T Z* with eigenvalue arguments theta, the sample at time t is the
+logarithm of U0* U1.  A path keeps its samples and H alone: from unitary
+eigenvectors Z of U0* U1 = Z diag(exp(i theta)) Z*, the sample at time t is the
 one product (U0 Z) diag(exp(i theta t)) Z* per block, and a block's samples
-are slices of one array.  ``_SAMPLES_BYTES`` bounds those arrays together with
-what each sample holds besides.  A homotopy of arrows is represented
+are slices of one array.  When U0* U1 is a permutation, as it is for every
+path the command line makes, Z and theta come in closed form, cycle by cycle;
+any other block takes a Schur form.  ``_SAMPLES_BYTES`` bounds those arrays
+together with what each sample holds besides.  A homotopy of arrows is represented
 fiberwise: a fixed correspondence, a sampled unitary path for the intertwiner
 component, and endpoint 2-arrows tying the t = 0 and t = 1 fibers to the two
 given arrows.
@@ -77,36 +79,78 @@ def _refuse_oversized_path(dims: IntMatrix, steps: int) -> None:
         raise DomainError(f"{steps} samples would take {predicted} bytes, above the {_SAMPLES_BYTES} a path may take")
 
 
+def _permutation_eig(w: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Unitary eigenvectors Z and arguments theta in (-pi, pi] with w = Z diag(exp(i theta)) Z*,
+    or None unless w is exactly a permutation matrix: real 0/1 entries, one 1 in each row and column.
+
+    A cycle c_0 -> ... -> c_(L-1) -> c_0 of w carries the DFT vectors sum_m exp(-2 pi i km/L) e_(c_m) / sqrt(L)
+    with eigenvalues exp(2 pi i k/L), k < L (Higham, *Functions of Matrices*, ch. 11); the angle 2 pi k/L is
+    folded into (-pi, pi], and k = L/2 gets exactly +pi.
+    """
+    real = w.real
+    if w.imag.any() or not ((real == 0) | (real == 1)).all():
+        return None
+    if (real.sum(axis=0) != 1).any() or (real.sum(axis=1) != 1).any():
+        return None
+    image = real.argmax(axis=0)  # column j holds its 1 in row image[j]
+    d = len(image)
+    z, theta = np.zeros((d, d), dtype=complex), np.empty(d)
+    seen, col = np.zeros(d, dtype=bool), 0
+    for start in range(d):
+        if seen[start]:
+            continue
+        cycle = [start]
+        while image[cycle[-1]] != start:
+            cycle.append(image[cycle[-1]])
+        seen[cycle] = True
+        size = len(cycle)
+        k = np.arange(size)
+        z[np.ix_(cycle, col + k)] = np.exp(-2j * np.pi * (np.outer(k, k) % size) / size) / np.sqrt(size)
+        theta[col:col + size] = np.pi * (2 * np.where(2 * k > size, k - size, k) / size)
+        col += size
+    return z, theta
+
+
+def _schur_eig(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Schur vectors Z and eigenvalue arguments theta in (-pi, pi] of a unitary w."""
+    # Imported on first use: it is slow to load, and no permutation needs it.
+    import scipy.linalg
+
+    t_mat, z = scipy.linalg.schur(w, output="complex")
+    theta = np.angle(np.diag(t_mat))
+    # A Schur diagonal entry at -1 can carry a -0.0 or tiny negative
+    # imaginary part, which np.angle sends to -pi or just above it.
+    theta[theta <= -np.pi + 4 * np.spacing(np.pi)] = np.pi
+    return z, theta
+
+
 def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> UnitaryPath:
     """Geodesic path between two same-shaped block unitaries.
 
-    Per block, H = log(U0* U1) is taken through the Schur form U0* U1 = Z T Z*
-    with eigenvalue arguments theta in (-pi, pi] (an eigenvalue at -1 gets +pi,
-    also when rounding puts its computed argument within a few ulp of -pi; this
-    fixed branch is a representation choice, discontinuous only on that
-    measure-zero set).  Sample k, at t = k/(steps-1), is the one product
-    (U0 Z) diag(exp(i theta t)) Z*, written into slice k of one (steps, d, d)
-    array per block, so the samples are views of those arrays.  A path whose
-    samples would take more than ``_SAMPLES_BYTES``, counting their arrays and
-    what each sample holds besides, is refused before any is made.
+    Per block, H = log(U0* U1) has eigenvalue arguments theta in (-pi, pi] (an
+    eigenvalue at -1 gets +pi; this fixed branch is a representation choice,
+    discontinuous only on a measure-zero set).  When U0* U1 is exactly a
+    permutation, its eigenvectors Z and angles are the closed form of
+    :func:`_permutation_eig`, so the identity gives H = 0 and samples equal to
+    U0; any other block takes the Schur form U0* U1 = Z T Z*, where an argument
+    that rounding puts within a few ulp of -pi also gets +pi.  Sample k, at
+    t = k/(steps-1), is the one product (U0 Z) diag(exp(i theta t)) Z*,
+    written into slice k of one (steps, d, d) array per block, so the samples
+    are views of those arrays.  A path whose samples would take more than
+    ``_SAMPLES_BYTES``, counting their arrays and what each sample holds
+    besides, is refused before any is made.
     """
     if steps < 2:
         raise DomainError("need at least two samples")
     if u0.source != u1.source or u0.target != u1.target:
         raise ShapeError("endpoints must share source and target correspondences")
     _refuse_oversized_path(u0.source.dims, steps)
-    # Imported on first use: it is slow to load, and the exact layer never needs it.
-    import scipy.linalg
-
     times = [k / (steps - 1) for k in range(steps)]
     generator = {}
     arrays = {}
     for ij, m0 in u0.blocks.items():
-        t_mat, z = scipy.linalg.schur(m0.conj().T @ u1.blocks[ij], output="complex")
-        theta = np.angle(np.diag(t_mat))
-        # A Schur diagonal entry at -1 can carry a -0.0 or tiny negative
-        # imaginary part, which np.angle sends to -pi or just above it.
-        theta[theta <= -np.pi + 4 * np.spacing(np.pi)] = np.pi
+        w = m0.conj().T @ u1.blocks[ij]
+        z, theta = _permutation_eig(w) or _schur_eig(w)
         start, back = m0 @ z, z.conj().T
         generator[ij] = (z * (1j * theta)) @ back
         arrays[ij] = out = np.empty((steps, *m0.shape), dtype=complex)

@@ -180,6 +180,28 @@ class TestConcreteShift:
                 built = power_correspondence(obj, lag)
                 assert [_is_power(c, obj, lag) for c in candidates] == [c == built for c in candidates]
 
+    @pytest.mark.parametrize("case", ["golden3", *range(6)])
+    def test_the_maps_are_sized_by_what_they_hold(self, case, monkeypatch):
+        # 24 bytes per entry: the 16 each complex map keeps, and the 8 of the float64
+        # identity it is made from.  A bound one byte below the prediction refuses the shift.
+        from shiftcalc import aligned
+
+        if case == "golden3":
+            w = golden_lag(3)
+        else:
+            rng = random.Random(case)
+            base = random_essential(rng, max_size=3, max_entry=2)
+            w = fold_chain(random_sse_chain(base, rng.randint(1, 2), seed=rng.randrange(10**6)))
+        d = build_from_se(w)
+        held = sum(m.nbytes for u in (d.m_arrow.phi, d.n_arrow.phi, d.psi_x, d.psi_y) for m in u.blocks.values())
+        predicted = held // 16 * 24
+        monkeypatch.setattr(aligned, "_MAPS_BYTES", predicted)
+        assert build_from_se(w).lag == w.lag
+        monkeypatch.setattr(aligned, "_MAPS_BYTES", predicted - 1)
+        refusal = f"the structure maps would take {predicted} bytes, above the {predicted - 1} a shift may take"
+        with pytest.raises(DomainError, match=f"^{refusal}$"):
+            build_from_se(w)
+
 
 class TestAlignment:
     def test_trivial_shift_aligned(self):

@@ -401,7 +401,7 @@ def test_a_lag_6_bundle_is_written_without_holding_its_text(capsys, tmp_path):
 
     witness_path = write(tmp_path / "w.json", witness_to_json(bundle_witness(6)))
     out_path = tmp_path / "bundle.json"
-    # The first run loads scipy, which the traced run should not count.
+    # A warm-up run, so that what is made once per process is not counted in the traced run.
     assert main(["homotopy", "from-se", "--witness", witness_path, "--steps", "2"]) == 0
     capsys.readouterr()
     tracemalloc.start()
@@ -525,6 +525,22 @@ def test_steps_are_refused_from_dims_before_the_sides_are_built(tmp_path):
         (65, "shiftcalc: 16 samples would take 17179912192 bytes, above the 1073741824 a path may take\n"),
         (65, "shiftcalc: 2 samples would take 2147489024 bytes, above the 1073741824 a path may take\n"),
     ]
+
+
+def test_structure_maps_are_refused_from_dims_before_any_is_made(capsys, tmp_path):
+    # M (x) N and N (x) M each have one 16384 x 16384 block: 4 GiB of complex entries
+    # apiece, which ran out of memory while the first identity was made.
+    big = mat([[128]])
+    w = {"a": mat([[2]]), "b": mat([[2]]), "r": big, "s": big, "lag": 14}
+    witness_path = write(tmp_path / "w.json", w)
+    refusal = "shiftcalc: the structure maps would take 12888047616 bytes, above the 1073741824 a shift may take\n"
+    # The bounded child first: without the refusal, this process would try to allocate them.
+    [(code, seconds, err)] = run_in_two_gigabytes([["aligned", "from-se", "--witness", witness_path]])
+    assert (code, err) == (65, refusal) and seconds < 1.0
+    start = time.perf_counter()
+    code, report, err = run(capsys, ["aligned", "from-se", "--witness", witness_path])
+    assert time.perf_counter() - start < 1.0
+    assert (code, report, err) == (65, None, refusal)
 
 
 def test_a_tensor_power_of_too_many_factors_is_refused_at_once(tmp_path):
@@ -1065,37 +1081,65 @@ def test_one_process_answers_as_fresh_processes(files, capsys, monkeypatch):
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
-def test_importing_the_cli_builds_no_prime_table():
-    # char_poly's prime tables are built on first use, never at import.
+def run_in_child(code: str, *args: str) -> str:
+    """The stdout of ``python -c code args`` in a fresh interpreter that imports this package."""
     import shiftcalc
 
     src = os.path.dirname(os.path.dirname(shiftcalc.__file__))
-    code = "import shiftcalc.cli, shiftcalc.exact; print(shiftcalc.exact._PRIME_TABLES)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
     ).stdout
+
+
+def test_importing_the_cli_builds_no_prime_table():
+    # char_poly's prime tables are built on first use, never at import.
+    out = run_in_child("import shiftcalc.cli, shiftcalc.exact; print(shiftcalc.exact._PRIME_TABLES)")
     assert out == "{}\n"
 
 
 def test_importing_the_cli_leaves_scipy_linalg_and_sympy_unloaded():
-    # Only connect_unitaries uses scipy.linalg, so the exact-layer commands
-    # must not pay for loading it; sympy is a test-only oracle.
-    import shiftcalc
-
-    src = os.path.dirname(os.path.dirname(shiftcalc.__file__))
-    code = "import sys, shiftcalc.cli; print({'scipy.linalg', 'sympy'} & set(sys.modules))"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
+    # Only a log of a dense unitary uses scipy.linalg, so the commands must not pay
+    # for loading it on import; sympy is a test-only oracle.
+    out = run_in_child("import sys, shiftcalc.cli; print({'scipy.linalg', 'sympy'} & set(sys.modules))")
     assert out == "set()\n"
+
+
+def test_homotopies_of_canonical_shifts_leave_scipy_linalg_unloaded(tmp_path):
+    # Every log the command line takes is of a permutation, and has a closed form.  The
+    # folded chain's 28 nonzero generators all have the eigenvalue -1, whose angle is +pi.
+    from shiftcalc import fold_chain, random_sse_chain
+
+    chain = fold_chain(random_sse_chain(from_rows([[2, 1], [1, 2]]), 3, seed=0))
+    witnesses = [write(tmp_path / f"{name}.json", witness_to_json(w)) for name, w in (("lag4", bundle_witness(4)), ("chain", chain))]
+    code = (
+        "import contextlib, io, sys\n"
+        "import numpy as np\n"
+        "from shiftcalc import homotopy_shift_equivalence_from_se\n"
+        "from shiftcalc.cli import main\n"
+        "from shiftcalc.jsonio import load_json, witness_from_json\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['homotopy', 'from-se', '--witness', path]) for path in sys.argv[1:]]\n"
+        "_, hx, hy = homotopy_shift_equivalence_from_se(witness_from_json(load_json(sys.argv[2])), steps=2)\n"
+        "angles = [np.linalg.eigvalsh(-1j * g) for h in (hx, hy) for g in h.path.generator.values() if g.any()]\n"
+        "print(codes, len(angles), sum(abs(a.max() - np.pi) < 1e-12 and a.min() > -np.pi + 1e-6 for a in angles), {'scipy.linalg'} & set(sys.modules))\n"
+    )
+    assert run_in_child(code, *witnesses) == "[0, 0] 28 28 set()\n"
+
+
+def test_a_dense_unitary_still_takes_a_schur_form():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from shiftcalc import from_rows, homotopy_to_identity, object_pair, random_block_unitary, tensor, verify_homotopy\n"
+        "obj = object_pair(from_rows([[2]]))\n"
+        "phi = random_block_unitary(tensor(obj.x, obj.x), np.random.default_rng(0))\n"
+        "print(verify_homotopy(homotopy_to_identity(phi, obj, 1, steps=4)), 'scipy.linalg' in sys.modules)\n"
+    )
+    assert run_in_child(code) == "True True\n"
 
 
 #: The values a mutated leaf of a corpus document may take.

@@ -3,6 +3,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftcalc import (
     ArrowHomotopy,
@@ -227,6 +229,98 @@ class TestConnectUnitaries:
         one, two = (identity_unitary(from_matrix(from_rows([[k]]))) for k in (1, 2))
         with pytest.raises(ShapeError, match="^endpoints must share source and target correspondences$"):
             connect_unitaries(one, two, 2)
+
+
+def schur_log(w: np.ndarray) -> np.ndarray:
+    """The documented branch of log(w) through a dense Schur form, as the closed form's
+    oracle: arguments in (-pi, pi], and one within 4 ulp of -pi taken as +pi."""
+    import scipy.linalg
+
+    t_mat, z = scipy.linalg.schur(w, output="complex")
+    theta = np.angle(np.diag(t_mat))
+    theta[theta <= -np.pi + 4 * np.spacing(np.pi)] = np.pi
+    return (z * (1j * theta)) @ z.conj().T
+
+
+@st.composite
+def permutations(draw) -> tuple[np.ndarray, list[int]]:
+    """A permutation matrix of size 1-40 with at least one even cycle, and its cycle lengths."""
+    lengths = [draw(st.sampled_from([2, 4, 6, 8, 10]))]
+    for size in draw(st.lists(st.integers(1, 12), max_size=6)):
+        if sum(lengths) + size <= 40:
+            lengths.append(size)
+    labels = draw(st.permutations(range(sum(lengths))))
+    image, first = {}, 0
+    for size in lengths:
+        cycle = labels[first:first + size]
+        image.update(zip(cycle, cycle[1:] + cycle[:1]))
+        first += size
+    w = np.zeros((len(labels), len(labels)), dtype=complex)
+    w[[image[j] for j in range(len(labels))], range(len(labels))] = 1.0
+    return w, lengths
+
+
+def on_one_block(*blocks: np.ndarray) -> list[BlockUnitary]:
+    """Each d x d block as the block unitary on the correspondence of [[d]]."""
+    c = from_matrix(from_rows([[len(blocks[0])]]))
+    return [BlockUnitary(c, c, {(0, 0): m}) for m in blocks]
+
+
+class TestPermutationLogs:
+    """The closed-form log of a permutation, against a dense Schur form."""
+
+    @given(permutations())
+    @settings(max_examples=80, deadline=None)
+    def test_the_closed_form_agrees_with_schur(self, drawn):
+        w, _ = drawn
+        u0, u1 = on_one_block(np.eye(len(w)), w)
+        p = connect_unitaries(u0, u1, 2)
+        # Both are the one log of the normal w on the branch, each within a few d eps.
+        assert np.linalg.norm(p.generator[(0, 0)] - schur_log(w), 2) <= 16 * len(w) * np.finfo(float).eps
+        assert unitary_distance(p.samples[-1][1], u1) <= 1e-12
+
+    @given(permutations())
+    @settings(max_examples=80, deadline=None)
+    def test_angles_lie_in_the_branch_and_minus_one_gets_exactly_pi(self, drawn):
+        from shiftcalc.homotopy import _permutation_eig
+
+        w, lengths = drawn
+        z, theta = _permutation_eig(w)
+        assert np.abs(z.conj().T @ z - np.eye(len(w))).max() <= 8 * len(w) * np.finfo(float).eps
+        assert theta.min() > -np.pi and theta.max() <= np.pi
+        # A cycle of length L has the eigenvalue -1 exactly when L is even.
+        assert np.count_nonzero(theta == np.pi) == sum(size % 2 == 0 for size in lengths) >= 1
+
+    @given(st.permutations(range(12)), st.lists(st.sampled_from([1.0, -1.0]), min_size=12, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_the_identity_has_a_zero_generator_and_samples_equal_to_the_start(self, order, signs):
+        # U0 is a signed permutation, so U0* U1 = U0* U0 is exactly the identity.
+        u0 = np.zeros((12, 12), dtype=complex)
+        u0[order, range(12)] = signs
+        [start] = on_one_block(u0)
+        p = connect_unitaries(start, start, 5)
+        assert not p.generator[(0, 0)].any()
+        for _, sample in p.samples:
+            assert sample.block(0, 0).tobytes() == u0.tobytes()
+
+    @pytest.mark.parametrize(
+        "w",
+        [np.diag([1.0 - 2.0**-52, 1, 1, 1]), np.diag([1.0 + 1e-300j, 1, 1, 1]), np.eye(4)[[0, 0, 2, 3]], np.eye(4)[:, [0, 0, 2, 3]]],
+        ids=["entry 1 - 2^-52", "imaginary part 1e-300", "a column with two 1s", "a row with two 1s"],
+    )
+    def test_a_near_permutation_takes_the_schur_form(self, w, monkeypatch):
+        import scipy.linalg
+
+        from shiftcalc.homotopy import _permutation_eig
+
+        calls = []
+        schur = scipy.linalg.schur
+        monkeypatch.setattr(scipy.linalg, "schur", lambda *args, **kwargs: calls.append(args) or schur(*args, **kwargs))
+        assert _permutation_eig(w) is None
+        connect_unitaries(*on_one_block(np.eye(4), w), 2)
+        assert len(calls) == 1
+        connect_unitaries(*on_one_block(np.eye(4), np.eye(4)[[1, 2, 3, 0]]), 2)
+        assert len(calls) == 1
 
 
 class TestHomotopyToIdentity:
