@@ -195,11 +195,15 @@ def assemble_shift(
     return AlignedShiftData(x_obj, y_obj, m_arrow, n_arrow, psi_x, psi_y, lag)
 
 
-def build_from_se(w: SEWitness, given: Optional[Callable] = None) -> AlignedShiftData:
+def build_from_se(
+    w: SEWitness, given: Optional[Callable] = None, *, before_maps: Optional[Callable] = None
+) -> AlignedShiftData:
     """Concrete shift induced by a verified witness (A, B, R, S, m).
 
     M and N are the edge correspondences of R and S.  Only once the witness
-    verifies, each structure map is ``given(name, source, target)``, called as
+    verifies and they are built, ``before_maps()`` runs, if given, so that a
+    caller can refuse what it would build from the shift before any map is
+    made.  Each structure map is then ``given(name, source, target)``, called as
     :func:`assemble_shift` calls its ``make``; where ``given`` is omitted or
     returns None, the map is the canonical identification that matches sorted
     path bases in order -- legitimate because the witness equations make the
@@ -218,6 +222,8 @@ def build_from_se(w: SEWitness, given: Optional[Callable] = None) -> AlignedShif
         u = given(name, src, tgt) if given else None
         return canonical_identification(src, tgt) if u is None else u
 
+    if before_maps:
+        before_maps()
     return assemble_shift(x_obj, y_obj, m_corr, n_corr, w.lag, make)
 
 

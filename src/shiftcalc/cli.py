@@ -222,8 +222,8 @@ def _cmd_homotopy_from_se(run: _Run, args) -> int:
         "witness": jsonio.witness_to_json(witness),
         "steps": args.steps,
         "shift": jsonio.shift_to_json(shift, _leaf=leaf),
-        "homotopy_x": jsonio.homotopy_to_json(hom_x, _leaf=leaf),
-        "homotopy_y": jsonio.homotopy_to_json(hom_y, _leaf=leaf),
+        "homotopy_x": jsonio.homotopy_to_json(hom_x, _leaf=leaf, _stream=True),
+        "homotopy_y": jsonio.homotopy_to_json(hom_y, _leaf=leaf, _stream=True),
     }
     verdict = {"verified_x": ok_x, "verified_y": ok_y, "steps": args.steps}
     _write_or_embed(verdict, "bundle", bundle, args.out)

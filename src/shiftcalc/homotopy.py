@@ -3,16 +3,17 @@
 The space of block unitaries on a finite correspondence is a product of
 finite-dimensional unitary groups, hence path connected: any two unitaries
 are joined by the geodesic U(t) = U0 exp(tH) with H a blockwise matrix
-logarithm of U0* U1.  A path keeps its samples and H alone: from unitary
-eigenvectors Z of U0* U1 = Z diag(exp(i theta)) Z*, the sample at time t is the
-one product (U0 Z) diag(exp(i theta t)) Z* per block, and a block's samples
-are slices of one array.  When U0* U1 is a permutation, as it is for every
-path the command line makes, Z and theta come in closed form, cycle by cycle;
-any other block takes a Schur form.  ``_SAMPLES_BYTES`` bounds those arrays
-together with what each sample holds besides.  A homotopy of arrows is represented
-fiberwise: a fixed correspondence, a sampled unitary path for the intertwiner
-component, and endpoint 2-arrows tying the t = 0 and t = 1 fibers to the two
-given arrows.
+logarithm of W = U0* U1.  A geodesic holds no sample: it keeps its endpoints'
+correspondences, its times and, per block, U0 Z, Z* and theta from unitary
+eigenvectors of W = Z diag(exp(i theta)) Z*, and makes the sample at t, the
+one product (U0 Z) diag(exp(i theta t)) Z* per block, when that sample is
+asked for.  When W is the identity, every sample is a copy of U0; when it is
+any other permutation, Z and theta come in closed form, cycle by cycle; any
+other block takes a Schur form.  ``_SAMPLES_BYTES`` bounds the samples a path
+makes, checks and writes, counted as if all were held at once.  A homotopy of
+arrows is represented fiberwise: a fixed correspondence, a unitary path for the
+intertwiner component, and endpoint 2-arrows tying the t = 0 and t = 1 fibers
+to the two given arrows.
 
 Verification is sampled: building a homotopy checks every sample's time and
 endpoints, and ``homotopy_failure`` their unitarity and the two endpoint squares.
@@ -20,6 +21,7 @@ endpoints, and ``homotopy_failure`` their unitarity and the two endpoint squares
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -44,14 +46,16 @@ from .errors import DomainError, ShapeError
 from .exact import IntMatrix, mat_mul
 from .witnesses import SEWitness
 
-#: Bytes the samples of one path may take: their size is predicted from the block dims
-#: before any is made, and a larger path is refused with a ``DomainError``.  The
-#: command line's paths take a few MB (16 samples at lag 6).
+#: Bytes the samples of one path may take all together.  A path makes each sample when it
+#: is asked for and holds none, so this bounds what a run makes, checks and writes of it
+#: (the sample payload of a bundle), not what it holds at once.  The bytes are predicted
+#: from the block dims before any sample is made, and a larger path is refused with a
+#: ``DomainError``.  The command line's paths take a few MB (16 samples at lag 6).
 _SAMPLES_BYTES = 1 << 30
-#: What a sample holds besides its arrays, counted in that prediction: its time, its
-#: tuple, its ``BlockUnitary`` and that unitary's dict, one array view per block, and
-#: the bundle entry ``homotopy from-se`` makes of it.  Measured as RSS growth per step
-#: of ``homotopy from-se --out`` (Python 3.11, x86-64): about 1.8 KiB per sample of a
+#: What a sample counts besides its arrays in that prediction: its time, its tuple, its
+#: ``BlockUnitary`` and that unitary's dict, one array per block, and the bundle entry
+#: ``homotopy from-se`` makes of it.  Measured as RSS growth per step of ``homotopy from-se
+#: --out`` when every sample was held (Python 3.11, x86-64): about 1.8 KiB per sample of a
 #: one-block path, and about 0.5 KiB more for each further block.
 _SAMPLE_OVERHEAD_BYTES = 2048
 _BLOCK_OVERHEAD_BYTES = 640
@@ -61,14 +65,70 @@ _BLOCK_OVERHEAD_BYTES = 640
 class UnitaryPath:
     """A sampled path of block unitaries.
 
-    ``samples`` lists (t, unitary) with strictly increasing t from 0 to 1.  A path
-    is data: the ``ArrowHomotopy`` carrying it checks its times and endpoints.
+    ``samples`` is a sequence of (t, unitary) with strictly increasing t from 0 to 1;
+    a geodesic's makes each sample when it is asked for.  A path is data: the
+    ``ArrowHomotopy`` carrying it checks its :meth:`times` and :meth:`ends`.
     ``generator`` holds the blockwise skew-Hermitian H with U(t) = U(0) exp(tH),
     so the samples are determined by it.
     """
 
-    samples: tuple
+    samples: Sequence
     generator: dict
+
+    def times(self) -> list:
+        """The samples' times, in order."""
+        return [t for t, _ in self.samples]
+
+    def ends(self) -> list:
+        """(source, target) of the samples' unitaries, once for each pair of objects they share."""
+        return list({(id(u.source), id(u.target)): (u.source, u.target) for _, u in self.samples}.values())
+
+
+@dataclass(frozen=True, eq=False)
+class _Rotation:
+    """U0 exp(tH) on one block, from W = U0* U1 = Z diag(exp(i theta)) Z*: the one product
+    (U0 Z) diag(exp(i theta t)) Z*, with ``start`` = U0 Z and ``back`` = Z*.  Without
+    ``back``, W is the identity and ``start`` is U0, which every sample copies."""
+
+    start: np.ndarray
+    back: Optional[np.ndarray] = None
+    theta: Optional[np.ndarray] = None
+
+    def at(self, t: float) -> np.ndarray:
+        if self.back is None:
+            return self.start.copy()
+        return (self.start * np.exp(1j * self.theta * t)) @ self.back
+
+
+@dataclass(frozen=True, eq=False)
+class _Geodesic(Sequence):
+    """The samples (t, U0 exp(tH)) of a geodesic, each made when it is asked for.  It holds
+    its endpoints' correspondences, which every sample shares, its times and one
+    ``_Rotation`` per block."""
+
+    source: GraphCorrespondence
+    target: GraphCorrespondence
+    times: list
+    rotations: dict
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, k: int) -> tuple:
+        t = self.times[k]
+        return t, BlockUnitary(self.source, self.target, {ij: r.at(t) for ij, r in self.rotations.items()})
+
+
+@dataclass(frozen=True, eq=False)
+class _GeodesicPath(UnitaryPath):
+    """A path whose samples are a ``_Geodesic``: its times and its one pair of ends are read
+    without making a sample."""
+
+    def times(self) -> list:
+        return self.samples.times
+
+    def ends(self) -> list:
+        return [(self.samples.source, self.samples.target)]
 
 
 def _refuse_oversized_path(dims: IntMatrix, steps: int) -> None:
@@ -125,42 +185,37 @@ def _schur_eig(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> UnitaryPath:
-    """Geodesic path between two same-shaped block unitaries.
+    """Geodesic path between two same-shaped block unitaries, sampled at t = k/(steps-1).
 
-    Per block, H = log(U0* U1) has eigenvalue arguments theta in (-pi, pi] (an
-    eigenvalue at -1 gets +pi; this fixed branch is a representation choice,
-    discontinuous only on a measure-zero set).  When U0* U1 is exactly a
-    permutation, its eigenvectors Z and angles are the closed form of
-    :func:`_permutation_eig`, so the identity gives H = 0 and samples equal to
-    U0; any other block takes the Schur form U0* U1 = Z T Z*, where an argument
-    that rounding puts within a few ulp of -pi also gets +pi.  Sample k, at
-    t = k/(steps-1), is the one product (U0 Z) diag(exp(i theta t)) Z*,
-    written into slice k of one (steps, d, d) array per block, so the samples
-    are views of those arrays.  A path whose samples would take more than
-    ``_SAMPLES_BYTES``, counting their arrays and what each sample holds
-    besides, is refused before any is made.
+    Per block, H = log(W), W = U0* U1, has eigenvalue arguments theta in (-pi, pi]
+    (an eigenvalue at -1 gets +pi; this fixed branch is a representation choice,
+    discontinuous only on a measure-zero set).  The path holds no sample: it keeps
+    the times and, per block, U0 Z, Z* and theta, and makes sample k, the one
+    product (U0 Z) diag(exp(i theta t)) Z*, when it is asked for, so a path takes
+    the memory of its endpoints whatever ``steps`` is.  When W is exactly the
+    identity, H = 0 and every sample is a copy of U0; when it is any other
+    permutation, Z and theta are the closed form of :func:`_permutation_eig`;
+    any other block takes the Schur form W = Z T Z*, where an argument that
+    rounding puts within a few ulp of -pi also gets +pi.  A path whose samples
+    would take more than ``_SAMPLES_BYTES`` all together, counting their arrays
+    and what each sample holds besides, is refused before any is made.
     """
     if steps < 2:
         raise DomainError("need at least two samples")
     if u0.source != u1.source or u0.target != u1.target:
         raise ShapeError("endpoints must share source and target correspondences")
     _refuse_oversized_path(u0.source.dims, steps)
-    times = [k / (steps - 1) for k in range(steps)]
-    generator = {}
-    arrays = {}
+    rotations, generator = {}, {}
     for ij, m0 in u0.blocks.items():
         w = m0.conj().T @ u1.blocks[ij]
+        if (w == np.eye(len(w))).all():
+            rotations[ij], generator[ij] = _Rotation(m0), np.zeros_like(m0)
+            continue
         z, theta = _permutation_eig(w) or _schur_eig(w)
-        start, back = m0 @ z, z.conj().T
-        generator[ij] = (z * (1j * theta)) @ back
-        arrays[ij] = out = np.empty((steps, *m0.shape), dtype=complex)
-        for k, t in enumerate(times):
-            np.matmul(start * np.exp(1j * theta * t), back, out=out[k])
-    samples = tuple(
-        (t, BlockUnitary(u0.source, u0.target, {ij: a[k] for ij, a in arrays.items()}))
-        for k, t in enumerate(times)
-    )
-    return UnitaryPath(samples, generator)
+        back = z.conj().T
+        rotations[ij], generator[ij] = _Rotation(m0 @ z, back, theta), (z * (1j * theta)) @ back
+    times = [k / (steps - 1) for k in range(steps)]
+    return _GeodesicPath(_Geodesic(u0.source, u0.target, times, rotations), generator)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +224,8 @@ class ArrowHomotopy:
 
     The fiber at time t is the arrow [fiber, U(t)]; ``h0`` and ``h1`` are the
     endpoint 2-arrows onto ``f_arrow`` and ``g_arrow``.  Construction checks the
-    shapes, every sample's too; :func:`homotopy_failure` checks the numbers.
+    shapes, every sample's too (a geodesic's once, as its samples share them);
+    :func:`homotopy_failure` checks the numbers.
     """
 
     f_arrow: OneArrow
@@ -182,15 +238,14 @@ class ArrowHomotopy:
     def __post_init__(self):
         if self.f_arrow.source != self.g_arrow.source or self.f_arrow.target != self.g_arrow.target:
             raise ShapeError("homotopy endpoints must be parallel arrows")
-        ts = [t for t, _ in self.path.samples]
+        ts = self.path.times()
         if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0 or any(a >= b for a, b in zip(ts, ts[1:])):
             raise ShapeError("a path needs two or more samples at times increasing strictly from 0 to 1")
         start, end = tensor(self.f_arrow.target.x, self.fiber), tensor(self.fiber, self.f_arrow.source.x)
-        # Samples that share their endpoint objects, as a geodesic's all do, are compared once.
-        for u in {(id(u.source), id(u.target)): u for _, u in self.path.samples}.values():
-            if u.source != start:
+        for source, target in self.path.ends():
+            if source != start:
                 raise ShapeError("path unitaries must start at Y (x) fiber")
-            if u.target != end:
+            if target != end:
                 raise ShapeError("path unitaries must end at fiber (x) X")
         if not (self.h0.source.same_shape(self.fiber) and self.h0.target.same_shape(self.f_arrow.f)):
             raise ShapeError("h0 must map the fiber onto the first arrow's correspondence")
@@ -209,7 +264,7 @@ class ArrowHomotopy:
 
 def homotopy_failure(h: ArrowHomotopy, tol: float = DEFAULT_TOL) -> Optional[str]:
     """Description of the first defect found, or None if the homotopy checks out:
-    the samples in order, then h0 and h1, each for unitarity before its square."""
+    the samples in order, one at a time, then h0 and h1, each for unitarity before its square."""
     for idx, (t, u) in enumerate(h.path.samples):
         defect = unitarity_defect(u, tol)
         if not defect <= tol:
@@ -262,10 +317,15 @@ def homotopy_shift_equivalence_from_se(
 
     whose endpoint 2-arrows are the identity and the inverse Psi.
     """
-    d = build_from_se(w)  # raises ContractError on an unverified witness
-    # Both paths are refused before either side is built: X (x) X^(x)m has dims A R S, Y's B S R.
-    _refuse_oversized_path(mat_mul(w.a, d.psi_x.source.dims), steps)
-    _refuse_oversized_path(mat_mul(w.b, d.psi_y.source.dims), steps)
+
+    def refuse_oversized_paths():
+        # X (x) X^(x)m has dims A R S, Y (x) Y^(x)m has B S R.
+        _refuse_oversized_path(mat_mul(w.a, mat_mul(w.r, w.s)), steps)
+        _refuse_oversized_path(mat_mul(w.b, mat_mul(w.s, w.r)), steps)
+
+    # Raises ContractError on an unverified witness; once it verifies, both paths are
+    # refused before any structure map is made.
+    d = build_from_se(w, before_maps=refuse_oversized_paths)
     homotopies = []
     for obj, first, second, psi in ((d.x_obj, d.m_arrow, d.n_arrow, d.psi_x), (d.y_obj, d.n_arrow, d.m_arrow, d.psi_y)):
         composite = compose_one_arrows(first, second)

@@ -23,8 +23,10 @@ value by value, and each scalar gets the stdlib's text without a
 
 ``dump_json(doc, fh)`` is the package's one JSON writer.  It writes each
 array leaf to ``fh`` as soon as it renders it, with the small pieces before
-it, so a bundle takes memory for one block's text, not for the document.
-What it cannot render raises; nothing falls back to the stdlib encoder.
+it, so a bundle takes memory for one block's text, not for the document.  The
+samples of a streamed homotopy document reach it as a generator, each made as
+it is written.  What it cannot render raises; nothing falls back to the stdlib
+encoder.
 
 ``load_json`` turns every fault of the decoder (bad syntax, nesting too deep,
 a number too long) into a ``ParseError`` naming the file; the readers raise
@@ -43,6 +45,7 @@ from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import isfinite
+from types import GeneratorType
 
 import numpy as np
 
@@ -318,14 +321,17 @@ def shift_from_json(doc) -> AlignedShiftData:
     )
 
 
-def homotopy_to_json(h: ArrowHomotopy, *, _leaf=None) -> dict:
-    """The homotopy document; ``_leaf`` converts each complex block, as in :func:`block_unitary_to_json`."""
+def homotopy_to_json(h: ArrowHomotopy, *, _leaf=None, _stream=False) -> dict:
+    """The homotopy document; ``_leaf`` converts each complex block, as in :func:`block_unitary_to_json`.
+
+    With ``_stream``, "samples" is a generator that ``dump_json`` streams: each sample is made,
+    written and dropped in turn, so the document never holds the path's samples, and it can
+    be written only once (a second ``dump_json`` writes its "samples" as ``[]``)."""
+    samples = ({"t": t, "unitary": block_unitary_to_json(u, _leaf=_leaf)} for t, u in h.path.samples)
     return {
         "schema": SCHEMA,
         "fiber_dims": matrix_to_json(h.fiber.dims),
-        "samples": [
-            {"t": t, "unitary": block_unitary_to_json(u, _leaf=_leaf)} for t, u in h.path.samples
-        ],
+        "samples": samples if _stream else list(samples),
         "h0": block_unitary_to_json(h.h0, _leaf=_leaf),
         "h1": block_unitary_to_json(h.h1, _leaf=_leaf),
     }
@@ -417,16 +423,16 @@ def _encode(o, level: int, out: list, fh):
         if not all(type(key) is str for key in o):
             raise TypeError("dump_json writes only str keys")
         items, brackets = [(encode_basestring_ascii(k) + ": ", o[k]) for k in sorted(o)], "{}"
-    elif isinstance(o, (list, tuple)):
-        items, brackets = [("", x) for x in o], "[]"
+    elif isinstance(o, (list, tuple, GeneratorType)):
+        items, brackets = (("", x) for x in o), "[]"
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-    sep = brackets[0] + "\n" + " " * (level + 1)
+    first = sep = brackets[0] + "\n" + " " * (level + 1)
     for prefix, x in items:
         out.append(sep + prefix)
         _encode(x, level + 1, out, fh)
         sep = "," + sep[1:]
-    out.append("\n" + " " * level + brackets[1] if items else brackets)
+    out.append(brackets if sep is first else "\n" + " " * level + brackets[1])
 
 
 def dump_json(doc, fh) -> None:
@@ -440,9 +446,11 @@ def dump_json(doc, fh) -> None:
     the text is never held whole; every list is rendered value by value, and every scalar as
     the stdlib spells it.  The rest and the final newline go in one last write.
 
-    A dict key other than str and a value of any other type raise ``TypeError``, a cycle
-    ``RecursionError``, and an int with more digits than ``sys.get_int_max_str_digits()``
-    ``DomainError``; the text up to the last array leaf rendered is then already written.
+    A generator is written as the list it yields, item by item, so the samples of a streamed
+    ``homotopy_to_json`` are made as they are written.  A dict key other than str and a value of any
+    other type raise ``TypeError``, a cycle ``RecursionError``, and an int with more digits
+    than ``sys.get_int_max_str_digits()`` ``DomainError``; the text up to the last array
+    leaf rendered is then already written.
     """
     out = []
     _encode(doc, 0, out, fh)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -396,7 +397,8 @@ def test_homotopy_bundle_bytes_are_the_stdlib_rendering(capsys, tmp_path, lag):
 
 def test_a_lag_6_bundle_is_written_without_holding_its_text(capsys, tmp_path):
     # The bundle is 25.4 MiB.  Its text built whole, joined and encoded would take
-    # a few times that; streamed, the samples of the two homotopies set the peak.
+    # a few times that, and the samples of the two paths 10.6 MiB if they were held;
+    # streamed, with each sample made as it is checked or written, the peak is 5.0 MiB.
     import tracemalloc
 
     witness_path = write(tmp_path / "w.json", witness_to_json(bundle_witness(6)))
@@ -413,6 +415,66 @@ def test_a_lag_6_bundle_is_written_without_holding_its_text(capsys, tmp_path):
     assert code == 0
     assert capsys.readouterr().out
     assert peak < out_path.stat().st_size
+    assert peak <= 7 << 20
+
+
+def traced_peak(argv) -> int:
+    """The tracemalloc peak, in bytes, of ``main(argv)``, which must exit 0."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def eager_homotopy_bundle(w: SEWitness, steps: int) -> str:
+    """The ``homotopy from-se`` bundle text with every sample made by the dense formula
+    U0 expm(t H), H the Schur-form log of W = U0* U1 per block, all held before writing."""
+    import scipy.linalg
+
+    from shiftcalc import BlockUnitary, conjugate_arrow
+    from shiftcalc.jsonio import _complex_matrix_array, block_unitary_to_json, homotopy_to_json
+    from tests.test_homotopy import schur_log
+
+    shift, *homotopies = homotopy_shift_equivalence_from_se(w, steps=steps)
+    bundle = {"schema": SCHEMA, "witness": witness_to_json(w), "steps": steps,
+              "shift": shift_to_json(shift, _leaf=_complex_matrix_array)}
+    for side, h in zip(("homotopy_x", "homotopy_y"), homotopies):
+        u0, u1 = h.f_arrow.phi, conjugate_arrow(h.g_arrow, h.h1.adjoint()).phi
+        logs = {ij: schur_log(m.conj().T @ u1.blocks[ij]) for ij, m in u0.blocks.items()}
+        samples = [
+            (k / (steps - 1), {ij: m @ scipy.linalg.expm(k / (steps - 1) * logs[ij]) for ij, m in u0.blocks.items()})
+            for k in range(steps)
+        ]
+        doc = homotopy_to_json(h, _leaf=_complex_matrix_array)
+        doc["samples"] = [
+            {"t": t, "unitary": block_unitary_to_json(BlockUnitary(u0.source, u0.target, blocks), _leaf=_complex_matrix_array)}
+            for t, blocks in samples
+        ]
+        bundle[side] = doc
+    text = io.StringIO()
+    dump_json(bundle, text)
+    return text.getvalue()
+
+
+def test_homotopy_memory_is_flat_in_steps_and_its_bundles_are_the_eager_ones(capsys, tmp_path):
+    # A path makes each sample when it is checked or written, so 64 steps take what 16 do;
+    # and the bundles at the benchmark's lags are those of samples made and held up front.
+    witness_path = write(tmp_path / "w.json", witness_to_json(bundle_witness(5)))
+    argv = ["homotopy", "from-se", "--witness", witness_path, "--out", str(tmp_path / "h.json"), "--steps"]
+    traced_peak([*argv, "2"])  # what is made once per process is not counted below
+    sixteen, sixty_four = traced_peak([*argv, "16"]), traced_peak([*argv, "64"])
+    assert abs(sixty_four - sixteen) <= 1 << 20, (sixteen, sixty_four)
+    for lag in (4, 5, 6):
+        w = bundle_witness(lag)
+        witness_path = write(tmp_path / "w.json", witness_to_json(w))
+        assert main(["homotopy", "from-se", "--witness", witness_path, "--steps", "16", "--out", str(tmp_path / "h.json")]) == 0
+        assert (tmp_path / "h.json").read_text() == eager_homotopy_bundle(w, 16)
+    capsys.readouterr()
 
 
 def test_huge_steps_are_refused_before_sampling(capsys, tmp_path):
@@ -480,24 +542,30 @@ def test_paths_are_refused_before_either_side_is_built(capsys, tmp_path, golden_
     assert err == "shiftcalc: 300000 samples would take 1459200000 bytes, above the 1073741824 a path may take\n"
 
 
-def run_in_two_gigabytes(calls):
+def run_in_two_gigabytes(calls, trace=False):
     """(exit code, seconds, stderr) of ``main`` on each argv of ``calls``, in turn, in one
     child process limited to 2 GiB of address space: a call that would run the host short
-    of memory fails there with a ``MemoryError`` (exit 70) instead."""
+    of memory fails there with a ``MemoryError`` (exit 70) instead.  With ``trace``, each
+    call's tracemalloc peak in bytes follows, traced in that child only then."""
     import resource
 
     import shiftcalc
 
     src = os.path.dirname(os.path.dirname(shiftcalc.__file__))
     code = (
-        "import contextlib, io, json, sys, time\n"
+        "import contextlib, io, json, sys, time, tracemalloc\n"
         "from shiftcalc.cli import main\n"
+        f"trace = {trace}\n"
         "results = []\n"
+        "if trace:\n"
+        "    tracemalloc.start()\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    err, start = io.StringIO(), time.perf_counter()\n"
+        "    tracemalloc.reset_peak()\n"
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
         "        code = main(argv)\n"
-        "    results.append((code, time.perf_counter() - start, err.getvalue()))\n"
+        "    result = [code, time.perf_counter() - start, err.getvalue()]\n"
+        "    results.append(result + [tracemalloc.get_traced_memory()[1]] if trace else result)\n"
         "print(json.dumps(results))\n"
     )
     limit = 2 << 30
@@ -514,17 +582,29 @@ def run_in_two_gigabytes(calls):
 
 def test_steps_are_refused_from_dims_before_the_sides_are_built(tmp_path):
     # X (x) X^(x)12 has one 8192 x 8192 block: 1 GiB per sample.  Building the
-    # composite arrows to read that size ran out of memory.
+    # composite arrows to read that size ran out of memory, and the shift's four
+    # structure maps would take 641 MiB traced: the paths are sized before those are made.
     big = mat([[64]])
     w = {"a": mat([[2]]), "b": mat([[2]]), "r": big, "s": big, "lag": 12}
     witness_path = write(tmp_path / "w.json", w)
     results = run_in_two_gigabytes(
-        [["homotopy", "from-se", "--witness", witness_path, "--steps", steps] for steps in ("16", "2")]
+        [["homotopy", "from-se", "--witness", witness_path, "--steps", steps] for steps in ("16", "2")], trace=True
     )
-    assert [(code, err) for code, _, err in results] == [
+    assert [(code, err) for code, _, err, _ in results] == [
         (65, "shiftcalc: 16 samples would take 17179912192 bytes, above the 1073741824 a path may take\n"),
         (65, "shiftcalc: 2 samples would take 2147489024 bytes, above the 1073741824 a path may take\n"),
     ]
+    assert all(peak < 64 << 20 for *_, peak in results)
+
+
+@pytest.mark.parametrize("steps", ["1", "2", "16", "300000"])
+def test_an_unverified_witness_is_refused_before_its_paths_are_sized(capsys, tmp_path, golden_witness, steps):
+    # Whatever --steps is, even one the paths would refuse, the witness is checked first.
+    doc = witness_to_json(golden_witness)
+    doc["lag"] = 2
+    code, report, err = run(capsys, ["homotopy", "from-se", "--witness", write(tmp_path / "w.json", doc), "--steps", steps])
+    assert (code, report) == (65, None)
+    assert err == "shiftcalc: build_from_se requires a verified witness\n"
 
 
 def test_structure_maps_are_refused_from_dims_before_any_is_made(capsys, tmp_path):

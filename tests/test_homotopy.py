@@ -1,5 +1,5 @@
 import re
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -45,11 +45,12 @@ TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 
-class SampledPath(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class SampledPath(UnitaryPath):
     """A path known by its samples alone, as gluing two geodesics leaves it:
     no single generator describes it."""
 
-    samples: tuple
+    generator: None = None
 
 
 def reverse_path(p: UnitaryPath) -> UnitaryPath:
@@ -122,14 +123,17 @@ class TestConnectUnitaries:
         for t, sample in p.samples:
             assert abs(sample.block(0, 0)[0, 0] - np.exp(1j * np.pi * t / 2)) < 1e-12
 
-    def test_the_samples_of_a_block_share_one_array(self):
+    def test_each_sample_is_made_when_asked_for(self):
+        # A geodesic holds no sample: each lookup makes the sample anew, in arrays of its own.
         c = from_matrix(from_rows([[3, 1], [2, 5]]))
         rng = np.random.default_rng(3)
         p = connect_unitaries(random_block_unitary(c, rng), random_block_unitary(c, rng), 5)
+        assert len(p.samples) == 5 and p.samples[-1][0] == 1.0
+        (t, first), (again_t, again) = p.samples[2], p.samples[2]
+        assert t == again_t == 0.5 and first is not again
         for ij in c.blocks():
-            d = c.block_dim(*ij)
-            bases = {id(sample.blocks[ij].base) for _, sample in p.samples}
-            assert len(bases) == 1 and p.samples[0][1].blocks[ij].base.shape == (5, d, d)
+            assert first.blocks[ij].base is None and again.blocks[ij].base is None
+            assert first.blocks[ij].tobytes() == again.blocks[ij].tobytes()
 
     @pytest.mark.parametrize("dims", [[[1]], [[3, 1], [2, 5]], [[16]], [[4, 2], [2, 9]]], ids=str)
     def test_every_sample_is_the_start_times_the_exponential(self, dims):
@@ -323,6 +327,65 @@ class TestPermutationLogs:
         assert len(calls) == 1
 
 
+def folded_chain(k: int) -> SEWitness:
+    """The lag-k witness folded from the seeded chain of [[2, 1], [1, 2]]: its homotopies
+    have nonzero generators, and eigenvalues -1."""
+    from shiftcalc import fold_chain, random_sse_chain
+
+    return fold_chain(random_sse_chain(from_rows([[2, 1], [1, 2]]), k, seed=0))
+
+
+class TestPermutationSamples:
+    """A geodesic's samples on blocks whose W = U0* U1 is a permutation, against the
+    dense oracle U0 expm(tH) with H the Schur-form log of W."""
+
+    @given(permutations(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_every_sample_of_a_permutation_or_a_signed_one_is_the_exponential(self, drawn, rnd):
+        # A signed permutation U0 is no 0/1 permutation, but keeps W = U0* U1 exact.
+        import scipy.linalg
+
+        w, _ = drawn
+        d = len(w)
+        h_log = schur_log(w)
+        order = rnd.sample(range(d), d)
+        signs = [rnd.choice([1.0, -1.0]) for _ in range(d)]
+        for start in (np.eye(d)[order], np.eye(d)[order] * signs):
+            p = connect_unitaries(*on_one_block(start, start @ w), 5)
+            for t, sample in p.samples:
+                expected = start @ scipy.linalg.expm(t * h_log)
+                assert np.linalg.norm(sample.block(0, 0) - expected, 2) <= 16 * d * np.finfo(float).eps
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_every_sample_is_the_start_times_the_exponential_of_the_schur_log(self, k):
+        import scipy.linalg
+
+        from shiftcalc.homotopy import _permutation_eig
+
+        eps = np.finfo(float).eps
+        _, hx, hy = homotopy_shift_equivalence_from_se(folded_chain(k), steps=5)
+        rotated = at_pi = 0
+        for h in (hx, hy):
+            u0, u1 = h.f_arrow.phi, conjugate_arrow(h.g_arrow, h.h1.adjoint()).phi
+            samples = list(h.path.samples)
+            for ij, m0 in u0.blocks.items():
+                w = m0.conj().T @ u1.blocks[ij]
+                _, angles = _permutation_eig(w)
+                if not angles.any():
+                    # An identity block: every sample is U0, bit for bit.
+                    assert all(u.blocks[ij].tobytes() == m0.tobytes() for _, u in samples)
+                    continue
+                rotated += 1
+                # The angle at -1 is exactly +pi, never -pi or a rounding of pi.
+                assert angles.min() > -np.pi and angles.max() <= np.pi
+                at_pi += angles.max() == np.pi
+                h_log = schur_log(w)
+                for t, u in samples:
+                    expected = m0 @ scipy.linalg.expm(t * h_log)
+                    assert np.linalg.norm(u.blocks[ij] - expected, 2) <= 16 * len(w) * eps
+        assert rotated >= 10 and at_pi >= 5
+
+
 class TestHomotopyToIdentity:
     def test_identity_phi_gives_constant_homotopy(self):
         obj = object_pair(from_rows([[1, 1], [1, 1]]))
@@ -501,6 +564,14 @@ class TestConstruction:
         # So construction compares one source and one target, whatever the steps.
         h = self.geodesic()
         assert len({(id(u.source), id(u.target)) for _, u in h.path.samples}) == 1
+
+    def test_a_path_gives_its_times_and_its_ends_once_per_pair_of_objects(self):
+        # A geodesic reads them without making a sample; the same samples listed agree.
+        h = self.geodesic()
+        listed = UnitaryPath(tuple(h.path.samples), h.path.generator)
+        [(source, target)] = h.path.ends()
+        assert h.path.times() == listed.times() == [0.0, 1 / 3, 2 / 3, 1.0]
+        assert [(a is source, b is target) for a, b in listed.ends()] == [(True, True)]
 
     def test_endpoint_two_arrows_must_fit(self):
         h = self.geodesic()

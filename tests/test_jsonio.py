@@ -343,6 +343,35 @@ class TestStream:
         assert len(ends) == 3
         assert fh.writes == [text[i:j] for i, j in zip([0, *ends], [*ends, len(text)])]
 
+    @given(doc=st.lists(nested_leaves() | documents, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_a_generator_is_written_as_the_list_it_yields_one_item_at_a_time(self, doc):
+        fh, writes_before = _Writes(), []
+
+        def items():
+            for x in doc:
+                writes_before.append(len(fh.writes))
+                yield x
+
+        dump_json({"a": items(), "b": (x for x in ())}, fh)
+        assert fh.getvalue() == stdlib_dump({"a": to_lists(doc), "b": []})
+        # Each item is made only once every array leaf before it is written.
+        leaves = [len(list(leaf_texts(x))) for x in doc]
+        assert writes_before == [sum(leaves[:k]) for k in range(len(doc))]
+
+    def test_a_streamed_homotopy_is_written_as_the_listed_one_and_only_once(self):
+        from shiftcalc import homotopy_shift_equivalence_from_se
+
+        _, h, _ = homotopy_shift_equivalence_from_se(GOLDEN_WITNESS, steps=3)
+        listed, streamed = (jsonio.homotopy_to_json(h, _leaf=_complex_matrix_array, _stream=s) for s in (False, True))
+        assert isinstance(listed["samples"], list) and len(listed["samples"]) == 3
+        once, again = io.StringIO(), io.StringIO()
+        dump_json(streamed, once)
+        assert once.getvalue() == stdlib_dump(to_lists(listed))
+        # Its samples are a generator, spent by the first write.
+        dump_json(streamed, again)
+        assert again.getvalue() == stdlib_dump(to_lists({**listed, "samples": []}))
+
     @pytest.mark.parametrize("doc", [{1: [1]}, {"a": {1, 2}}, [np.int64(1)]])
     def test_what_is_left_to_the_stdlib_raises(self, doc):
         with pytest.raises(TypeError, match="str keys|not JSON serializable"):
