@@ -52,11 +52,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-
-
 class _Run:
     """Collects the run report and handles emission."""
 
@@ -67,9 +62,16 @@ class _Run:
         self.inputs: dict[str, str] = {}
         self.started = time.perf_counter()
 
-    def track(self, path: str) -> str:
-        self.inputs[path] = _digest(path)
-        return path
+    def track(self, path: str):
+        """The ``on_read`` of a reader of ``path``: records the digest of the bytes it decodes."""
+
+        def record(data: bytes):
+            self.inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
+
+        return record
+
+    def load(self, path: str):
+        return jsonio.load_json(path, on_read=self.track(path))
 
     def note(self, message: str):
         print(message, file=sys.stderr)
@@ -90,8 +92,7 @@ class _Run:
 
 
 def _load_matrix(run: _Run, path: str) -> IntMatrix:
-    run.track(path)
-    return jsonio.nonnegative_matrix_from_file(path)
+    return jsonio.nonnegative_matrix_from_file(path, on_read=run.track(path))
 
 
 def _write_or_embed(verdict: dict, key: str, bundle: dict, out) -> None:
@@ -168,9 +169,9 @@ def _cmd_corr_tensor(run: _Run, args) -> int:
 
 
 def _cmd_corr_check_two_arrow(run: _Run, args) -> int:
-    f = jsonio.arrow_from_json(jsonio.load_json(run.track(args.f)))
-    g = jsonio.arrow_from_json(jsonio.load_json(run.track(args.g)))
-    psi = jsonio.block_unitary_from_json(jsonio.load_json(run.track(args.psi)), f.f, g.f)
+    f = jsonio.arrow_from_json(run.load(args.f))
+    g = jsonio.arrow_from_json(run.load(args.g))
+    psi = jsonio.block_unitary_from_json(run.load(args.psi), f.f, g.f)
     residual = two_arrow_residual(psi, f, g)
     ok = residual <= run.tol
     verdict = {"two_arrow": ok, "residual": residual}
@@ -178,7 +179,7 @@ def _cmd_corr_check_two_arrow(run: _Run, args) -> int:
 
 
 def _cmd_aligned_verify(run: _Run, args) -> int:
-    shift = jsonio.shift_from_json(jsonio.load_json(run.track(args.data)))
+    shift = jsonio.shift_from_json(run.load(args.data))
     report = alignment_report(shift, run.tol)
     if not report.concrete:
         run.note("not a concrete shift: some structure map is not unitary")
@@ -193,12 +194,12 @@ def _cmd_aligned_verify(run: _Run, args) -> int:
 
 
 def _cmd_aligned_from_se(run: _Run, args) -> int:
-    witness = jsonio.witness_from_json(jsonio.load_json(run.track(args.witness)))
+    witness = jsonio.witness_from_json(run.load(args.witness))
 
     def given(name, src, tgt):
         path = getattr(args, name)
         if path is not None:
-            return jsonio.block_unitary_from_json(jsonio.load_json(run.track(path)), src, tgt)
+            return jsonio.block_unitary_from_json(run.load(path), src, tgt)
 
     shift = build_from_se(witness, given)
     bundle = jsonio.shift_to_json(shift, _leaf=jsonio._complex_matrix_array)
@@ -209,7 +210,7 @@ def _cmd_aligned_from_se(run: _Run, args) -> int:
 
 
 def _cmd_homotopy_from_se(run: _Run, args) -> int:
-    witness = jsonio.witness_from_json(jsonio.load_json(run.track(args.witness)))
+    witness = jsonio.witness_from_json(run.load(args.witness))
     shift, hom_x, hom_y = homotopy_shift_equivalence_from_se(witness, steps=args.steps)
     ok_x = verify_homotopy(hom_x, run.tol)
     ok_y = verify_homotopy(hom_y, run.tol)
@@ -316,7 +317,7 @@ def main(argv=None) -> int:
     run = _Run(args.name, tol, args.verbose)
     try:
         return args.fn(run, args)
-    except (OSError, UnicodeDecodeError, ShiftcalcError) as exc:
+    except (OSError, ShiftcalcError) as exc:
         # A missing, unreadable or undecodable input is bad data, not a
         # refutation: exit 65 with one line on stderr.
         print(f"shiftcalc: {exc}", file=sys.stderr)

@@ -28,16 +28,23 @@ samples of a streamed homotopy document reach it as a generator, each made as
 it is written.  What it cannot render raises; nothing falls back to the stdlib
 encoder.
 
-``load_json`` turns every fault of the decoder (bad syntax, nesting too deep,
-a number too long) into a ``ParseError`` naming the file; the readers raise
-``ParseError`` naming the first fault they meet.  A stored block is read in
-one pass, row by row: only a row that fails its check, or holds an int, is
-walked entry by entry to name its first offending entry, and finiteness is
-checked once over the whole block.
+``load_json`` reads a file once and decodes it with the cyclic GC paused (a
+decoded document holds no reference cycles, so a collection would only walk
+it).  As each JSON object holding a "blocks" object closes, the decoder turns
+every square block of [re, im] float pairs there into its complex array, so a
+bundle holds the list tree of at most one map while it is decoded.  Any other
+block is left as decoded.  Every fault of the decoder (bytes that are not
+UTF-8, bad syntax, nesting too deep, a number too long) becomes a
+``ParseError`` naming the file; the readers raise ``ParseError`` naming the
+first fault they meet.  The block reader checks an array's size and
+finiteness; a list goes through the same whole-block conversion, and only a
+list that fails it (an int, a bool, a ragged row) is walked entry by entry to
+name its first offending entry.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from collections import Counter
@@ -111,17 +118,17 @@ def matrix_from_json(doc) -> IntMatrix:
     return from_rows(entries)
 
 
-def parse_matrix_file(path: str) -> IntMatrix:
-    """Load a matrix JSON file; ``load_json`` names the line and column of bad JSON."""
-    doc = load_json(path)
+def parse_matrix_file(path: str, *, on_read=None) -> IntMatrix:
+    """Load a matrix JSON file; ``load_json`` names the line and column of bad JSON and calls ``on_read``."""
+    doc = load_json(path, on_read=on_read)
     try:
         return matrix_from_json(doc)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def nonnegative_matrix_from_file(path: str) -> IntMatrix:
-    m = parse_matrix_file(path)
+def nonnegative_matrix_from_file(path: str, *, on_read=None) -> IntMatrix:
+    m = parse_matrix_file(path, on_read=on_read)
     for i, row in enumerate(m.entries):
         if min(row) < 0:
             j, x = next((j, x) for j, x in enumerate(row) if x < 0)
@@ -165,27 +172,44 @@ def _complex_matrix_to_json(m: np.ndarray) -> list:
     return _complex_matrix_array(m).tolist()
 
 
-def _complex_matrix_from_json(doc, d: int, where: str) -> np.ndarray:
-    """The d x d complex block of d rows of d [re, im] pairs, read in one pass (see the module docstring)."""
-    _require(isinstance(doc, list) and len(doc) == d, f"{where}: block must have {d} rows")
-    values = []
-    for i, row in enumerate(doc):
+def _float_block(rows) -> np.ndarray | None:
+    """The d x d complex array of ``rows``, a list of d lists of d [re, im] pairs of floats; None for anything else."""
+    if type(rows) is not list or {*map(type, rows)} != {list} or {*map(len, rows)} != {len(rows)}:
+        return None
+    pairs = [*chain.from_iterable(rows)]
+    if {*map(type, pairs)} != {list} or {*map(len, pairs)} != {2}:
+        return None
+    values = [*chain.from_iterable(pairs)]
+    if {*map(type, values)} != {float}:
+        return None
+    return np.array(values, dtype=np.float64).view(complex).reshape(len(rows), len(rows))
+
+
+def _float_rows(rows: list, d: int, where: str) -> list:
+    """``rows`` with each entry as an [re, im] pair of floats; names the first row or entry that cannot be one."""
+    out = []
+    for i, row in enumerate(rows):
         _require(isinstance(row, list) and len(row) == d, f"{where}: row {i} must have {d} entries")
-        pairs = {*map(type, row)} <= {list} and {*map(len, row)} <= {2}
-        flat = [*chain.from_iterable(row)] if pairs else None
-        if flat is None or not {*map(type, flat)} <= {float}:
-            # Name the row's first bad entry; an int may be too large for a float.
-            for j, pair in enumerate(row):
-                ok = type(pair) is list and len(pair) == 2 and {*map(type, pair)} <= {int, float}
-                _require(ok, f"{where}: entry ({i}, {j}) must be an [re, im] pair of numbers")
-                try:
-                    complex(*pair)
-                except OverflowError:
-                    raise ParseError(f"{where}: entry ({i}, {j}) is too large") from None
-        values += flat
-    out = np.array(values, dtype=np.float64).view(complex).reshape(d, d)
-    _require(np.isfinite(out).all(), f"{where}: entries must be finite")
+        out.append([])
+        for j, pair in enumerate(row):
+            ok = type(pair) is list and len(pair) == 2 and {*map(type, pair)} <= {int, float}
+            _require(ok, f"{where}: entry ({i}, {j}) must be an [re, im] pair of numbers")
+            try:
+                out[-1].append([*map(float, pair)])
+            except OverflowError:
+                raise ParseError(f"{where}: entry ({i}, {j}) is too large") from None
     return out
+
+
+def _complex_matrix_from_json(doc, d: int, where: str) -> np.ndarray:
+    """The d x d complex block of d rows of d [re, im] pairs, or the array ``load_json`` made of them."""
+    if isinstance(doc, list) and len(doc) == d:
+        block = _float_block(doc)
+        doc = _float_block(_float_rows(doc, d, where)) if block is None else block
+    ok = type(doc) is np.ndarray and doc.dtype == complex and doc.shape == (d, d)
+    _require(ok, f"{where}: block must have {d} rows")
+    _require(np.isfinite(doc).all(), f"{where}: entries must be finite")
+    return doc
 
 
 def _block_keys(c: GraphCorrespondence) -> dict:
@@ -337,11 +361,36 @@ def homotopy_to_json(h: ArrowHomotopy, *, _leaf=None, _stream=False) -> dict:
     }
 
 
-def load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _blocks_as_arrays(obj: dict) -> dict:
+    """The decoder's object hook: each square block of [re, im] float pairs under ``obj``'s "blocks", as its array."""
+    stored = obj.get("blocks")
+    if type(stored) is dict:
+        for key, rows in stored.items():
+            block = _float_block(rows)
+            if block is not None:
+                stored[key] = block
+    return obj
+
+
+def load_json(path: str, *, on_read=None):
+    """The JSON document in the file ``path``, its blocks decoded to arrays (see the module docstring).
+
+    The file is read once; ``on_read``, if given, is called with its bytes before they are
+    decoded.  The cyclic GC is paused while the document is decoded, and its state is restored
+    on every exit."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if on_read is not None:
+        on_read(data)
     try:
-        return json.loads(text)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded") from None
+    del data
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text, object_hook=_blocks_as_arrays)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except RecursionError:
@@ -349,6 +398,9 @@ def load_json(path: str) -> dict:
     except ValueError:  # the decoder's only other fault: an int literal past the digit limit
         limit = sys.get_int_max_str_digits()
         raise ParseError(f"{path}: a number has more than {limit} digits, too many to read") from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _join(items: list, level: int) -> str:

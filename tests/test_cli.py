@@ -1,4 +1,6 @@
+import builtins
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -743,6 +745,29 @@ class TestDeterminism:
         monkeypatch.setenv("SHIFTCALC_TOL", "1e-6")
         code, report, _ = run(capsys, ["--tol", "1e-12", "invariants", "--a", files["two"]])
         assert report["tolerances"]["tol"] == 1e-12
+
+    def test_each_input_is_read_once_and_digested_as_decoded(self, files, capsys, tmp_path, golden_witness, monkeypatch):
+        shift = write(tmp_path / "shift.json", shift_to_json(build_from_se(golden_witness)))
+        matrices = [files["two"], files["pair"], files["r"], files["s"]]
+        calls = [
+            (["verify-se", "--a", matrices[0], "--b", matrices[1], "--r", matrices[2], "--s", matrices[3], "--lag", "1"],
+             matrices),
+            (["aligned", "verify", "--data", shift], [shift]),
+        ]
+        digests = {p: "sha256:" + hashlib.sha256(open(p, "rb").read()).hexdigest() for p in [*matrices, shift]}
+        opened, real_open = [], builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        for argv, paths in calls:
+            opened.clear()
+            code, report, _ = run(capsys, argv)
+            assert code == 0
+            assert opened == paths
+            assert report["inputs"] == {p: digests[p] for p in paths}
 
 
 class TestBadInputs:

@@ -1,7 +1,9 @@
+import gc
 import io
 import json
 import re
 import sys
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -16,11 +18,13 @@ from shiftcalc import (
     alignment_residuals,
     build_from_se,
     canonical_identification,
+    compose_se,
     conjugate_shift,
     from_matrix,
     from_rows,
     identity,
     identity_unitary,
+    identity_witness,
     object_pair,
     random_block_unitary,
 )
@@ -299,6 +303,51 @@ class TestFileRefusals:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             jsonio.load_json(str(path))
 
+    def test_bytes_that_are_not_utf_8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"rows": "\xe9"}')
+        message = f"{path}: not UTF-8 text: byte 10 cannot be decoded"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            jsonio.load_json(str(path))
+
+    def test_on_read_gets_the_bytes_that_are_decoded(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"rows": 1, "cols": 1, "entries": [[2]]}')
+        seen = []
+        assert jsonio.load_json(str(path), on_read=seen.append) == {"rows": 1, "cols": 1, "entries": [[2]]}
+        assert seen == [path.read_bytes()]
+        seen.clear()
+        assert jsonio.nonnegative_matrix_from_file(str(path), on_read=seen.append) == from_rows([[2]])
+        assert seen == [path.read_bytes()]
+
+
+GC_CASES = {
+    "a bundle": json.dumps(jsonio.block_unitary_to_json(identity_unitary(from_matrix(from_rows([[2]]))))).encode(),
+    "bad JSON": b"{\n  broken\n}",
+    "nested too deeply": b"[" * 100000 + b"]" * 100000,
+    "a number too long": b"[" + b"1" * 5001 + b"]",
+    "bad UTF-8": b'{"rows": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
+@pytest.mark.parametrize("case", GC_CASES)
+def test_load_json_leaves_the_gc_as_it_found_it(tmp_path, enabled, case):
+    path = tmp_path / "doc.json"
+    path.write_bytes(GC_CASES[case])
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        try:
+            jsonio.load_json(str(path))
+        except ParseError:
+            assert case != "a bundle"
+        else:
+            assert case == "a bundle"
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
 
 class TestStream:
     """``dump_json(doc, fh)`` writes each array leaf as it renders it."""
@@ -421,12 +470,18 @@ def reference_complex_matrix_from_json(doc, d: int, where: str) -> np.ndarray:
     raise ParseError(f"{where}: entries must be finite")
 
 
-def outcome(read, doc, d):
-    """The bits of the block ``read`` returns, or the type and message of what it raises."""
+def outcome(read, *args):
+    """The bits of the block ``read(*args)`` returns, or the type and message of what it raises."""
     try:
-        return np.ascontiguousarray(read(doc, d, "block 'x'")).tobytes()
+        return np.ascontiguousarray(read(*args)).tobytes()
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def read_one_block(load, source, d: int) -> np.ndarray:
+    """The block of the one-block unitary of dimension ``d`` that ``load(source)`` gives."""
+    corr = from_matrix(from_rows([[d]]))
+    return jsonio.block_unitary_from_json(load(source), corr, corr).blocks[(0, 0)]
 
 
 block_values = st.one_of(
@@ -492,9 +547,16 @@ class TestComplexMatrices:
 
     @given(mutated_blocks())
     @settings(max_examples=600, deadline=None)
-    def test_reader_matches_the_two_path_reference(self, block):
+    def test_reader_matches_the_two_path_reference(self, tmp_path_factory, block):
         doc, d = block
-        assert outcome(_complex_matrix_from_json, doc, d) == outcome(reference_complex_matrix_from_json, doc, d)
+        where = "block 'x'"
+        expected = outcome(reference_complex_matrix_from_json, doc, d, where)
+        assert outcome(_complex_matrix_from_json, doc, d, where) == expected
+        # Through a file, the decoder's hook must give what json.loads and the reader give.
+        text = json.dumps({"left_index": [0], "right_index": [0], "dims": [[d]], "blocks": {"0,0": doc}})
+        path = tmp_path_factory.getbasetemp() / "block-unitary.json"
+        path.write_text(text)
+        assert outcome(read_one_block, jsonio.load_json, str(path), d) == outcome(read_one_block, json.loads, text, d)
 
     def test_reader_roundtrips_the_writer(self, unitary):
         for m in unitary.blocks.values():
@@ -535,6 +597,80 @@ class TestComplexMatrices:
     def test_reader_names_bad_shapes(self, doc, message):
         with pytest.raises(ParseError, match=message):
             _complex_matrix_from_json(doc, 2, "block 'x'")
+
+
+def dense_shift(lag: int):
+    """The golden witness lifted to ``lag`` by identity witnesses, its shift conjugated by
+    Haar-random block unitaries drawn from seed 101: a bundle with dense blocks."""
+    w = GOLDEN_WITNESS
+    while w.lag < lag:
+        w = compose_se(w, identity_witness(w.b))
+    shift, rng = build_from_se(w), np.random.default_rng(101)
+    return conjugate_shift(shift, random_block_unitary(shift.m_arrow.f, rng), random_block_unitary(shift.n_arrow.f, rng))
+
+
+def shift_blocks(d) -> list:
+    return [m for u in (d.m_arrow.phi, d.n_arrow.phi, d.psi_x, d.psi_y) for m in u.blocks.values()]
+
+
+def traced_peak(read):
+    """What ``read()`` returns, and the peak of the memory it traced while it ran."""
+    tracemalloc.start()
+    try:
+        return read(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlocksDecodedAsArrays:
+    def test_only_square_blocks_of_float_pairs_become_arrays(self, tmp_path):
+        blocks = {
+            "float": [[[1.0, 0.0], [0.5, -0.0]], [[0.0, 2.0], [1e-300, 3.0]]],
+            "nan": [[[float("nan"), 0.0]]],
+            "int": [[[1, 0.0]]],
+            "bool": [[[True, 0.0]]],
+            "ragged": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]],
+            "not square": [[[1.0, 0.0], [1.0, 0.0]]],
+            "triple": [[[1.0, 0.0, 0.0]]],
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"u": {"blocks": blocks}, "blocks": [[[1.0, 0.0]]], "other": {"0,0": [[[1.0, 0.0]]]}}))
+        doc = jsonio.load_json(str(path))
+        decoded = doc["u"]["blocks"]
+        assert {key for key, block in decoded.items() if isinstance(block, np.ndarray)} == {"float", "nan"}
+        assert decoded["float"].dtype == complex and decoded["float"].shape == (2, 2)
+        assert np.signbit(decoded["float"][0, 1].imag) and decoded["float"][1, 0] == 2j
+        assert {key: decoded[key] for key in blocks.keys() - {"float", "nan"}} == {
+            key: blocks[key] for key in blocks.keys() - {"float", "nan"}
+        }
+        assert doc["blocks"] == [[[1.0, 0.0]]] and doc["other"] == {"0,0": [[[1.0, 0.0]]]}
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ([[[1.0, 0.0]] * 3] * 3, "block must have 2 rows"),
+            ([[[1.0, 0.0]]], "block must have 2 rows"),
+            ([[[1.0, 0.0], [float("nan"), 0.0]], [[1.0, 0.0]] * 2], "entries must be finite"),
+            ([[[1.0, 0.0], [0.0, 1e400]], [[1.0, 0.0]] * 2], "entries must be finite"),
+        ],
+    )
+    def test_an_array_is_refused_as_its_lists_are(self, tmp_path, block, message):
+        text = json.dumps({"left_index": [0], "right_index": [0], "dims": [[2]], "blocks": {"0,0": block}})
+        path = tmp_path / "u.json"
+        path.write_text(text)
+        for doc in (json.loads(text), jsonio.load_json(str(path))):
+            with pytest.raises(ParseError, match=f"^block '0,0': {message}$"):
+                read_one_block(lambda doc: doc, doc, 2)
+
+    def test_reading_a_dense_bundle_peaks_below_three_quarters_of_its_list_tree(self, tmp_path):
+        path = tmp_path / "dense-shift-lag7.json"
+        path.write_text(json.dumps(jsonio.shift_to_json(dense_shift(7))))
+        listed, list_peak = traced_peak(lambda: jsonio.shift_from_json(json.loads(path.read_text())))
+        decoded, peak = traced_peak(lambda: jsonio.shift_from_json(jsonio.load_json(str(path))))
+        assert peak <= 0.75 * list_peak, (peak, list_peak)
+        pairs = [*zip(shift_blocks(decoded), shift_blocks(listed), strict=True)]
+        assert max(len(m) for m, _ in pairs) == 128
+        assert all(m.dtype == n.dtype and m.shape == n.shape and m.tobytes() == n.tobytes() for m, n in pairs)
 
 
 def json_paths(doc, prefix=()):
