@@ -40,6 +40,7 @@ from .corr import (
     conjugate_arrow,
     from_matrix,
     identity_unitary,
+    is_power,
     object_pair,
     power_arrow,
     power_correspondence,
@@ -50,7 +51,7 @@ from .corr import (
     unitary_distance,
 )
 from .errors import CompositionError, ContractError, DomainError, ShapeError
-from .exact import mat_mul, power_equals
+from .exact import mat_mul
 from .witnesses import SEWitness, identity_witness, verify_se
 
 #: Bytes the four structure maps of one shift may take: their size is predicted from the
@@ -88,26 +89,12 @@ class AlignedShiftData:
             raise ShapeError("n_arrow must point from the X object to the Y object")
         if self.psi_x.source != tensor(self.m_arrow.f, self.n_arrow.f):
             raise ShapeError("psi_x must start at M (x) N with the canonical basis")
-        if not _is_power(self.psi_x.target, self.x_obj, self.lag):
+        if not is_power(self.psi_x.target, self.x_obj, self.lag):
             raise ShapeError("psi_x must end at the lag-th tensor power of X")
         if self.psi_y.source != tensor(self.n_arrow.f, self.m_arrow.f):
             raise ShapeError("psi_y must start at N (x) M with the canonical basis")
-        if not _is_power(self.psi_y.target, self.y_obj, self.lag):
+        if not is_power(self.psi_y.target, self.y_obj, self.lag):
             raise ShapeError("psi_y must end at the lag-th tensor power of Y")
-
-
-def _is_power(c: GraphCorrespondence, obj: ObjectPair, lag: int) -> bool:
-    """``c == power_correspondence(obj, lag)``, decided without building the power: the
-    labels, the factor sequence (the object's, ``lag`` times over) and the dims against
-    A^lag.  The length is compared first, so a huge ``lag`` builds no long sequence."""
-    factors = obj.x.factors
-    return (
-        c.left_index == obj.algebra_index
-        and c.right_index == obj.algebra_index
-        and len(c.factors) == lag * len(factors)
-        and c.factors == factors * lag
-        and power_equals(obj.x.dims, lag, c.dims)
-    )
 
 
 def verify_concrete_shift(d: AlignedShiftData, tol: float = DEFAULT_TOL) -> bool:

@@ -13,7 +13,9 @@ path's (node, alpha) itinerary.  That order is derived from the sequence of
 atomic factors, never stored, and never depends on the bracketing, so every
 associativity isomorphism is the identity permutation and equality compares
 factor sequences.  All the coherence bookkeeping in this module rests on
-that one convention.
+that one convention.  Only this module reads a sequence.  It keeps it as runs
+(factor, count), a new run starting only where the factor changes, so any
+bracketing gives one spelling, and X^(x)m of an edge correspondence is one run.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .exact import IntMatrix, is_essential, is_nonnegative, mat_mul
+from .exact import IntMatrix, is_essential, is_nonnegative, mat_mul, power_equals
 from .exact import identity as int_identity
 
 #: A basis vector: a path of edges (source label, alpha, target label).
@@ -32,21 +34,15 @@ Path = tuple
 
 DEFAULT_TOL = 1e-9
 
-#: Atomic factors a tensor power may hold: ``power_correspondence`` refuses more before making
-#: any tensor, as X^(x)m holds m copies of X's factors even when every block is 1x1.  At this
-#: bound, on the [[1]] witness, ``aligned from-se`` takes 0.4 s and 66 MB and ``homotopy from-se
-#: --steps 2`` 1.2 s and 178 MB (Python 3.11, x86-64).
-_POWER_FACTORS = 1 << 20
-
 
 @dataclass(frozen=True, slots=True)
 class GraphCorrespondence:
     """The edge bimodule of an integer matrix, or a tensor product of such.
 
-    Immutable, and equal and hashed by labels, dims and factors.  ``dims`` records
+    Immutable, and equal and hashed by labels, dims and factor runs.  ``dims`` records
     the block dimensions, ``factors`` the atomic (left labels, right labels, matrix)
-    triples multiplied together, and ``ends[i]``, derived from them, the right index
-    at which each path out of i ends, in basis order.
+    triples multiplied together, as runs (triple, count), and ``ends[i]``, derived from
+    them, the right index at which each path out of i ends, in basis order.
     """
 
     left_index: tuple
@@ -64,7 +60,7 @@ class GraphCorrespondence:
         """Basis paths of block (i, j): the paths out of i, each factor's
         row taken in (target, alpha) order, that end at j."""
         paths = [((), i)]
-        for left, right, r in self.factors:
+        for left, right, r in (atom for atom, count in self.factors for _ in range(count)):
             paths = [
                 (p + ((left[u], alpha, right[w]),), w)
                 for p, u in paths
@@ -123,7 +119,7 @@ def from_matrix(r: IntMatrix, v: Optional[Sequence] = None, w: Optional[Sequence
         ends = tuple(np.repeat(np.arange(r.cols), r.row(i)) for i in range(r.rows))
     except (OverflowError, ValueError, MemoryError):
         raise DomainError("correspondence block dimensions are too large to hold a basis") from None
-    return GraphCorrespondence(v, w, r, ((v, w, r),), ends)
+    return GraphCorrespondence(v, w, r, (((v, w, r), 1),), ends)
 
 
 def tensor(x: GraphCorrespondence, y: GraphCorrespondence) -> GraphCorrespondence:
@@ -140,8 +136,14 @@ def tensor(x: GraphCorrespondence, y: GraphCorrespondence) -> GraphCorrespondenc
         np.concatenate([y.ends[u] for u in row]) if row.size else row for row in x.ends
     )
     return GraphCorrespondence(
-        x.left_index, y.right_index, mat_mul(x.dims, y.dims), x.factors + y.factors, ends
+        x.left_index, y.right_index, mat_mul(x.dims, y.dims), _join(x.factors, y.factors), ends
     )
+
+
+def _join(a: tuple, b: tuple) -> tuple:
+    """Factor runs ``a`` then ``b``, the two runs at the seam merged if their factors agree."""
+    (last, p), (first, q) = a[-1], b[0]
+    return a[:-1] + (((last, p + q),) if last == first else ((last, p), (first, q))) + b[1:]
 
 
 def _pair_positions(row_ends: np.ndarray, col: np.ndarray, u: int) -> np.ndarray:
@@ -373,25 +375,34 @@ def identity_arrow(obj: ObjectPair) -> OneArrow:
 
 
 def power_correspondence(obj: ObjectPair, m: int) -> GraphCorrespondence:
-    """The m-fold tensor power of the object correspondence, refused above ``_POWER_FACTORS``
-    atomic factors; m = 0 gives the identity-matrix correspondence."""
+    """The m-fold tensor power of the object correspondence, the identity matrix's for m = 0,
+    by repeated squaring in O(log m) tensors.  For essential A each has dims at most A^m,
+    which the caller sizes: the command line checks A^m = R S, and bounds R S, first."""
     if m < 0:
         raise DomainError("tensor powers need a nonnegative exponent")
-    if (factors := m * len(obj.x.factors)) > _POWER_FACTORS:
-        raise DomainError(f"a tensor power of {factors} factors exceeds the {_POWER_FACTORS} one may hold")
     if m == 0:
         n = len(obj.algebra_index)
         return from_matrix(int_identity(n), obj.algebra_index, obj.algebra_index)
-    # Repeated squaring: tensor concatenates factor sequences and ends arrays
-    # and multiplies dims, all associative, so every bracketing agrees.
-    acc, square = None, obj.x
-    while m:
-        if m & 1:
-            acc = square if acc is None else tensor(acc, square)
-        m >>= 1
-        if m:
-            square = tensor(square, square)
-    return acc
+    if m == 1:
+        return obj.x
+    half = power_correspondence(obj, m // 2)
+    square = tensor(half, half)
+    return tensor(square, obj.x) if m & 1 else square
+
+
+def is_power(c: GraphCorrespondence, obj: ObjectPair, m: int) -> bool:
+    """``c == power_correspondence(obj, m)`` for m >= 1, without building the power: labels,
+    dims against A^m, and factors.  Words commute exactly when both are powers of one word
+    (Lyndon-Schutzenberger), so c's factors are X's m times over exactly when c (x) X and
+    X (x) c have the same runs and c holds m times X's factor count, in time independent of m."""
+    runs = obj.x.factors
+    return (
+        c.left_index == obj.algebra_index
+        and c.right_index == obj.algebra_index
+        and _join(c.factors, runs) == _join(runs, c.factors)
+        and sum(n for _, n in c.factors) == m * sum(n for _, n in runs)
+        and power_equals(obj.x.dims, m, c.dims)
+    )
 
 
 def arrow_with(source: ObjectPair, target: ObjectPair, f: GraphCorrespondence, make=None) -> OneArrow:

@@ -334,8 +334,8 @@ def shift_from_json(doc) -> AlignedShiftData:
     y_obj = object_from_json(y)
     m_corr = from_matrix(matrix_from_json(m_dims), x_obj.algebra_index, y_obj.algebra_index)
     n_corr = from_matrix(matrix_from_json(n_dims), y_obj.algebra_index, x_obj.algebra_index)
-    # X^(x)lag has dims A^lag, which psi_x needs equal to those of M (x) N, R S
-    # (likewise for Y): check that before building any power, however large lag is.
+    # psi_x needs X^(x)lag, of dims A^lag, to have the dims R S of M (x) N (likewise for Y):
+    # checked before any power is built, this keeps its basis within R S, which the preflight bounds.
     sides = (("A^lag = R S", x_obj, m_corr, n_corr), ("B^lag = S R", y_obj, n_corr, m_corr))
     for equation, obj, left, right in sides:
         if not power_equals(obj.x.dims, lag, mat_mul(left.dims, right.dims)):

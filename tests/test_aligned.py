@@ -163,22 +163,47 @@ class TestConcreteShift:
             AlignedShiftData(d.x_obj, d.y_obj, d.m_arrow, d.n_arrow, d.psi_x, d.psi_x, 1)
 
     def test_the_power_check_agrees_with_the_built_power(self):
-        from shiftcalc import from_matrix, object_pair, tensor
-        from shiftcalc.aligned import _is_power
+        from shiftcalc import ObjectPair, from_matrix, object_pair, tensor
+        from shiftcalc.corr import is_power
 
         x = object_pair(from_rows([[2]]))
         y = object_pair(from_rows([[1, 1], [1, 1]]))
-        candidates = [power_correspondence(obj, k) for obj in (x, y) for k in range(1, 5)]
-        candidates += [
+        a, b = from_matrix(from_rows([[1, 1], [1, 0]])), from_matrix(from_rows([[0, 1], [1, 1]]))
+        objects = [
+            x,
+            y,
+            # Two different atomic factors, 1x2 then 2x1: runs R, S.
+            ObjectPair((0,), tensor(from_matrix(from_rows([[1, 1]])), from_matrix(from_rows([[1], [1]])))),
+            # One factor with itself: one run of two, whose powers are those of y.
+            ObjectPair((0, 1), tensor(y.x, y.x)),
+            # First and last factors agree, so the powers' seams merge: runs A, B, A.
+            ObjectPair((0, 1), tensor(tensor(a, b), a)),
+        ]
+        powers = [power_correspondence(obj, k) for obj in objects for k in range(1, 5)]
+        candidates = powers + [
             tensor(from_matrix(from_rows([[1]])), from_matrix(from_rows([[4]]))),
             from_matrix(from_rows([[4]])),
             power_correspondence(object_pair(from_rows([[2]]), ["a"]), 2),
             power_correspondence(object_pair(from_rows([[1, 1], [1, 1]]), [1, 0]), 2),
         ]
-        for obj in (x, y):
+        # Same labels and dims as a power, but one run one factor longer or shorter,
+        # or one factor moved between two runs of the same factor.
+        for power in powers:
+            runs = power.factors
+            for i, (atom, count) in enumerate(runs):
+                for delta in (-1, 1):
+                    if count + delta:
+                        candidates.append(replace(power, factors=runs[:i] + ((atom, count + delta),) + runs[i + 1:]))
+                for j in range(i + 1, len(runs)):
+                    if runs[j][0] == atom and count > 1:
+                        moved = list(runs)
+                        moved[i], moved[j] = (atom, count - 1), (atom, runs[j][1] + 1)
+                        candidates.append(replace(power, factors=tuple(moved)))
+        assert power_correspondence(objects[3], 2) == power_correspondence(y, 4)
+        for obj in objects:
             for lag in range(1, 5):
                 built = power_correspondence(obj, lag)
-                assert [_is_power(c, obj, lag) for c in candidates] == [c == built for c in candidates]
+                assert [is_power(c, obj, lag) for c in candidates] == [c == built for c in candidates]
 
     @pytest.mark.parametrize("case", ["golden3", *range(6)])
     def test_the_maps_are_sized_by_what_they_hold(self, case, monkeypatch):

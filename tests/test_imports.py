@@ -1,6 +1,7 @@
 """Unused imports, unused private names, unread public names and unread locals
 in the package, calls of the stdlib's JSON writer, the names the benchmark
-tracer rebinds, and refusals that no test names.
+tracer rebinds, refusals that no test names, and reads of the factor runs
+outside ``corr``.
 
 No linter is installed, so ``ast`` stands in.
 """
@@ -77,6 +78,29 @@ def test_the_check_sees_a_stdlib_json_writer():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_dump_json_is_the_one_writer(path):
     assert stdlib_json_writes(path.read_text(encoding="utf-8")) == []
+
+
+def attribute_reads(source: str, name: str) -> list[int]:
+    """Lines that read an attribute called ``name``, of whatever object."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == name and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_the_check_sees_an_attribute_read():
+    source = "n = len(c.factors)\nc.factors = ()\nfactors = 2\nx.y.factors.count(1)\nc.factors_of(2)\n"
+    assert attribute_reads(source, "factors") == [1, 4]
+
+
+NOT_CORR = sorted(path for path in pathlib.Path(shiftcalc.__file__).parent.glob("*.py") if path.name != "corr.py")
+
+
+@pytest.mark.parametrize("path", NOT_CORR, ids=[path.name for path in NOT_CORR])
+def test_only_corr_reads_the_factor_runs(path):
+    # How a correspondence stores its factor sequence is corr's own business.
+    assert attribute_reads(path.read_text(encoding="utf-8"), "factors") == []
 
 
 def definitions(source: str) -> set[str]:
