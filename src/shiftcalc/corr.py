@@ -246,18 +246,27 @@ def unitarity_defect(u: BlockUnitary, tol: float = 0.0) -> float:
 def unitary_distance(u1: BlockUnitary, u2: BlockUnitary) -> float:
     """Largest blockwise operator-norm difference of two same-shaped maps.
 
-    A full SVD per block: ``aligned verify`` and ``corr check-2arrow`` print this
-    value as a residual, so a bound in its place would change their reports.
-    A block whose difference holds nan or inf has distance nan, which no
-    ``<= tol`` accepts.
+    Per block, the square root of the largest eigenvalue of D*D for the
+    difference D.  ``aligned verify`` and ``corr check-2arrow`` print this
+    value as a residual, so a bound in its place would change their reports,
+    and an SVD of D gave last bits that changed with the BLAS thread count on
+    dense blocks, where ``eigvalsh`` of D*D gave the same bits at 1, 2 and 4
+    threads.  A block whose D*D holds nan or inf (from a nan, or from an
+    overflow at distances above about 1e154) has distance nan, which no
+    ``<= tol`` accepts; below about 1e-154, D*D underflows and the distance
+    loses digits (it reads 0 below about 1e-162).
     """
     if not (u1.source.same_shape(u2.source) and u1.target.same_shape(u2.target)):
         raise ShapeError("cannot compare block maps of different shapes")
     worst = 0.0
     for ij, m in u1.blocks.items():
         diff = m - u2.blocks[ij]
-        # The SVD need not converge on a nan or inf.
-        distance = np.linalg.norm(diff, ord=2) if np.isfinite(diff).all() else np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = diff.conj().T @ diff
+        if np.isfinite(gram).all():
+            distance = np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
+        else:
+            distance = np.nan  # eigvalsh need not converge on it
         worst = np.maximum(worst, distance)  # unlike max(), keeps a nan
     return float(worst)
 

@@ -179,20 +179,42 @@ def smith_normal_form(m: IntMatrix, modulus: int = 0) -> tuple[int, ...]:
     normal form, min(rows, cols) entries d1 | d2 | ..., nonnegative, zeros
     trailing.  The chain is unique, so no transforms are kept.
 
-    With ``modulus`` h >= 1 the same elimination runs over Z/hZ and returns
-    gcd(d_i, h) for each i (so h where d_i = 0): the invariant factors of the
-    lattice im(m) + hZ^rows.  Every entry stays reduced modulo h, and a pivot
-    whose column is clear becomes gcd(pivot, h), which the column h e_t of that
-    lattice allows, so the pivots divide h and keep their divisibility chain.
-    The default 0 is Z itself (gcd(d, 0) = d).
+    With ``modulus`` h >= 1 it returns gcd(d_i, h) for each i (so h where
+    d_i = 0): the invariant factors of the lattice im(m) + hZ^rows.
 
-    Pivots are chosen as the smallest-absolute-value nonzero entry of the
-    remaining block, ties broken by (row, col) position.
+    * h = 1: every gcd is 1, so m is not read.
+    * h = 2: the odd d_i come first in the chain, and there are r of them,
+      r the rank of m over GF(2) (reduced modulo 2, the unimodular transforms
+      stay invertible).  The rank is found by XOR elimination on one integer
+      bitmask per row, the bits of its odd entries.
+    * Any other h: the elimination below runs over Z/hZ.  Every entry stays
+      reduced modulo h, and a pivot whose column is clear becomes
+      gcd(pivot, h), which the column h e_t of that lattice allows, so the
+      pivots divide h and keep their divisibility chain.
+
+    The default 0 is Z itself (gcd(d, 0) = d).  Pivots are chosen as the
+    smallest-absolute-value nonzero entry of the remaining block, ties broken
+    by (row, col) position.
     """
     h = modulus
+    n = min(m.rows, m.cols)
+    if h == 1:
+        return (1,) * n
+    if h == 2:
+        # Each row kept in ``pivots`` under its lowest set bit; XOR with it
+        # clears that bit and changes only higher ones, so every reduction ends.
+        pivots = {}
+        for row in m.entries:
+            mask = sum(1 << j for j, x in enumerate(row) if x & 1)
+            while mask:
+                low = mask & -mask
+                if low not in pivots:
+                    pivots[low] = mask
+                    break
+                mask ^= pivots[low]
+        return (1,) * len(pivots) + (2,) * (n - len(pivots))
     work = [[x % h for x in row] for row in m.entries] if h else m.to_lists()
     r, c = m.rows, m.cols
-    n = min(r, c)
     diag = []
     for t in range(n):
         while True:

@@ -23,9 +23,7 @@ from .exact import (
     IntPolynomial,
     _char_poly_and_adjugate,
     from_rows,
-    identity,
     is_essential,
-    mat_sub,
     poly,
     poly_eval_matrix,
     poly_strip_t,
@@ -42,8 +40,10 @@ class DimensionInvariants:
     coker(I - A), taken from D = chi_A(1) = det(I - A), adj(I - A) = q(A) for
     q(t) = (chi_A(t) - D) / (t - 1), and the Smith form modulo
     h = gcd(D, adj(I - A) B), where chi_A and q(A) B come from one table of
-    powers of A; only h = 0, that is D = 0 and adj(I - A) B = 0, takes the
-    Smith form over Z (see :func:`compute_invariants`);
+    powers of A.  At h = 1 that Smith form is all ones without any work, at
+    h = 2 it is a rank over GF(2), and only h = 0, that is D = 0 and
+    adj(I - A) B = 0, takes the Smith form over Z (see
+    :func:`compute_invariants`);
     ``eventual_rank`` is the rank of A^n for n the matrix size,
     which counts the nonzero eigenvalues with multiplicity and so is the
     degree of ``nonzero_char_poly``.  Being derived from that polynomial, it
@@ -107,7 +107,9 @@ def compute_invariants(a: IntMatrix) -> DimensionInvariants:
       and (1, ..., n), and h divides D.
     * h != 0: the Smith form modulo h gives gcd(di, h) = di for i < n, since
       di | g | h, and dn = |D| / (d1 ... d(n-1)), which is 0 when D = 0 (rank
-      n - 1, one free summand).  For h = 1 that is one pass over M.
+      n - 1, one free summand).  For h = 1 the Smith form reads nothing of M,
+      and for h = 2 it is the rank of M over GF(2) (see
+      :func:`~shiftcalc.exact.smith_normal_form`); other h eliminate modulo h.
     * h = 0 only when D = 0 and adj M B = 0; the same call, modulo 0, then
       takes the Smith form over Z.
     """
@@ -115,7 +117,10 @@ def compute_invariants(a: IntMatrix) -> DimensionInvariants:
         raise DomainError("invariants are defined for essential matrices")
     chi, adjugate = _char_poly_and_adjugate(a, from_rows([[1, j] for j in range(1, a.rows + 1)]))
     stripped, _ = poly_strip_t(chi)
-    m = mat_sub(identity(a.rows), a)
+    # I - A in one pass: A's entries are already valid ints.
+    m = IntMatrix(
+        a.rows, a.rows, tuple(tuple((i == j) - x for j, x in enumerate(row)) for i, row in enumerate(a.entries))
+    )
     det = sum(chi.coeffs)
     h = abs(det)
     for y in chain.from_iterable(adjugate.entries):

@@ -773,6 +773,36 @@ class TestDeterminism:
             assert opened == paths
             assert report["inputs"] == {p: digests[p] for p in paths}
 
+    def test_aligned_verify_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # The golden lag-7 shift conjugated by Haar-random factors, as the
+        # dense-homotopy bench builds its fixtures: its residuals are operator
+        # norms of dense 128 x 128 and 256 x 256 differences, whose SVD gave
+        # other last bits on 2 and 4 OpenBLAS threads than on 1.
+        import shiftcalc
+        from shiftcalc.aligned import conjugate_shift
+        from shiftcalc.corr import random_block_unitary
+
+        rng = np.random.default_rng(101)
+        shift = build_from_se(bundle_witness(7))
+        dense = conjugate_shift(
+            shift, random_block_unitary(shift.m_arrow.f, rng), random_block_unitary(shift.n_arrow.f, rng)
+        )
+        data = tmp_path / "dense.json"
+        with open(data, "w", encoding="utf-8") as f:
+            dump_json(shift_to_json(dense), f)
+        src = os.path.dirname(os.path.dirname(shiftcalc.__file__))
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "shiftcalc.cli", "aligned", "verify", "--data", str(data)],
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t},
+                capture_output=True,
+                text=True,
+            )
+            for t in ("1", "2", "4")
+        ]
+        assert {(r.returncode, r.stdout, r.stderr) for r in runs} == {(runs[0].returncode, runs[0].stdout, "")}
+        assert runs[0].returncode == 0 and json.loads(runs[0].stdout)["verdict"]["aligned"] is True
+
 
 class TestBadInputs:
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import re
 import time
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -426,6 +427,27 @@ class TestBlockUnitaries:
             # Every block position, so a nan after a finite block is kept too.
             assert np.isnan(unitary_distance(u, v)) and np.isnan(unitary_distance(v, u))
         assert unitary_distance(u, u) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-15, 1e-9, 1.0, 1e150])
+    def test_the_distance_is_the_largest_singular_value(self, scale):
+        # sqrt(max eigvalsh(D*D)) against the SVD, to a few ulps of the norm,
+        # from residuals near rounding up to far outside every tolerance.
+        rng = np.random.default_rng(11)
+        c = from_matrix(from_rows([[16, 1], [3, 7]]))
+        u = random_block_unitary(c, rng)
+        v = BlockUnitary(c, c, {ij: m + scale * random_block_unitary(c, rng).blocks[ij] for ij, m in u.blocks.items()})
+        svd = max(np.linalg.norm(v.blocks[ij] - m, 2) for ij, m in u.blocks.items())
+        assert unitary_distance(u, v) == pytest.approx(svd, rel=64 * np.finfo(float).eps)
+
+    def test_an_overflowing_difference_has_distance_nan_without_a_warning(self):
+        # Finite entries whose D*D overflows: nan, which no tolerance accepts,
+        # and no floating-point warning on stderr.
+        c = from_matrix(from_rows([[3]]))
+        u = identity_unitary(c)
+        v = u.replace_block(0, 0, np.full((3, 3), 1e200 + 0j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(unitary_distance(u, v)) and np.isnan(unitary_distance(v, u))
 
     def test_compose_with_inverse_is_identity(self):
         rng = np.random.default_rng(1)

@@ -171,6 +171,17 @@ def sympy_bowen_franks(a):
     return tuple(d for d in factors if d not in (0, 1)) + (0,) * factors.count(0)
 
 
+@pytest.fixture
+def smith_moduli(monkeypatch):
+    """The moduli that ``compute_invariants`` passes to the Smith form, in call order."""
+    moduli = []
+    smith = invariants.smith_normal_form
+    monkeypatch.setattr(
+        invariants, "smith_normal_form", lambda m, modulus=0: moduli.append(modulus) or smith(m, modulus)
+    )
+    return moduli
+
+
 class TestBowenFranksThroughTheAdjugate:
     """``compute_invariants`` takes coker(I - A) from det(I - A) = chi_A(1), the
     adjugate chi-quotient q(A) and the Smith form modulo the gcd h; the oracles
@@ -198,21 +209,15 @@ class TestBowenFranksThroughTheAdjugate:
         self._check(essential_of_size(random.Random(40), 40, 10**30))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 40])
-    def test_permutations_are_singular(self, n, monkeypatch):
+    def test_permutations_are_singular(self, n, smith_moduli):
         # det(I - P) = 0: one free summand per cycle.  A single n-cycle has
         # adj(I - P) = J, so h = gcd(0, adj(I - P) B) = gcd(n, n(n + 1)/2) != 0
         # and the Smith form runs modulo h; with two or more cycles
         # adj(I - P) = 0, so h = 0 and it runs over Z.
-        moduli = []
-        smith = invariants.smith_normal_form
-        monkeypatch.setattr(
-            invariants, "smith_normal_form", lambda m, modulus=0: moduli.append(modulus) or smith(m, modulus)
-        )
-
         def check(p):
-            moduli.clear()
+            smith_moduli.clear()
             bf = self._check(p)  # compute_invariants first, then the oracles
-            return bf, moduli[0]
+            return bf, smith_moduli[0]
 
         cycle = from_rows([[int(j == (i + 1) % n) for j in range(n)] for i in range(n)])
         assert check(cycle) == ((0,), math.gcd(n, n * (n + 1) // 2))
@@ -226,6 +231,23 @@ class TestBowenFranksThroughTheAdjugate:
             p = permutation(rng, n)
             bf = self._check(p)
             assert bf and set(bf) == {0}
+
+    def test_every_class_of_modulus(self, smith_moduli):
+        # The Smith form modulo h = 1 reads nothing, modulo 2 it is a rank over
+        # GF(2), and any other h eliminates modulo h.  Random essential
+        # matrices up to 12 x 12 are drawn, each checked against sympy, until
+        # every class has come up three times.
+        rng = random.Random(30)
+        seen = {1: 0, 2: 0, "h > 2": 0}
+        for _ in range(500):
+            smith_moduli.clear()
+            self._check(essential_of_size(rng, rng.randint(1, 12), rng.choice([1, 3])))
+            h = smith_moduli[0]
+            if h:
+                seen[h if h < 3 else "h > 2"] += 1
+            if min(seen.values()) >= 3:
+                break
+        assert min(seen.values()) >= 3, seen
 
     @pytest.mark.parametrize("n", [2, 6, 12, 40])
     def test_unit_determinant(self, n):
@@ -315,6 +337,29 @@ class TestSmithNormalFormModulo:
     @example(from_rows([[5, 3]]), 1)
     @settings(max_examples=300, deadline=None)
     def test_is_gcd_with_the_factors_over_z(self, m, h):
+        assert smith_normal_form(m, modulus=h) == tuple(math.gcd(d, h) for d in smith_normal_form(m))
+
+    @given(
+        st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+            lambda rc: st.lists(
+                st.just([0] * rc[1])
+                | st.lists(st.integers(-4, 4) | st.integers(-10**30, 10**30), min_size=rc[1], max_size=rc[1]),
+                min_size=rc[0],
+                max_size=rc[0],
+            )
+        ).map(from_rows),
+        st.sampled_from([1, 2]),
+    )
+    @example(from_rows([[0, 0, 0]]), 2)
+    @example(from_rows([[3, -5, 0, 7]]), 2)
+    @example(from_rows([[2, -4, 6]]), 2)
+    @example(from_rows([[-3, 5]]), 1)
+    @example(from_rows([[1], [-1], [0]]), 2)
+    @example(from_rows([[1, 1], [1, -1], [0, 0]]), 2)
+    @settings(max_examples=300, deadline=None)
+    def test_moduli_one_and_two_are_gcds_with_the_factors_over_z(self, m, h):
+        # Rectangular shapes, 1 x k rows, zero rows and negative entries; the
+        # small entries make odd and even ones meet often.
         assert smith_normal_form(m, modulus=h) == tuple(math.gcd(d, h) for d in smith_normal_form(m))
 
     @pytest.mark.parametrize("h", [1, 2, 12, 50])
