@@ -29,8 +29,8 @@ c4 = from_matrix(from_rows([[4]]))
 rng = np.random.default_rng(0)
 u0, u1 = random_block_unitary(c4, rng), random_block_unitary(c4, rng)
 path = connect_unitaries(u0, u1, steps=8)
-print("endpoint error:", unitary_distance(path.samples[-1][1], u1))
-print("worst sample defect:", max(unitarity_defect(u) for _, u in path.samples))
+print("endpoint error:", unitary_distance(path[-1][1], u1))
+print("worst sample defect:", max(unitarity_defect(u) for _, u in path))
 
 # The branch convention: for a scalar block, the path from 1 to i runs
 # through exp(i pi t / 2).
@@ -40,7 +40,7 @@ quarter = connect_unitaries(
     identity_unitary(c1).replace_block(0, 0, np.array([[1j]])),
     steps=5,
 )
-print("quarter-turn samples:", [complex(np.round(u.block(0, 0)[0, 0], 6)) for _, u in quarter.samples])
+print("quarter-turn samples:", [complex(np.round(u.block(0, 0)[0, 0], 6)) for _, u in quarter])
 
 # A witness becomes a homotopy shift equivalence: the composite unitary on
 # each side is conjugated onto the tensor-power fiber and homotoped to the
@@ -55,12 +55,12 @@ w = SEWitness(
 shift, hom_x, hom_y = homotopy_shift_equivalence_from_se(w, steps=16)
 print("X-side homotopy verifies:", verify_homotopy(hom_x))
 print("Y-side homotopy verifies:", verify_homotopy(hom_y))
-print("fiber dims (X side):", hom_x.fiber.dims, "samples:", len(hom_x.path.samples))
+print("fiber dims (X side):", hom_x.fiber.dims, "samples:", len(hom_x.path))
 
 # For the identity self-witness the composite maps are already identities,
 # so both homotopies are constant paths.
 from shiftcalc import identity_witness
 
 _, hx, _ = homotopy_shift_equivalence_from_se(identity_witness(from_rows([[3]])), steps=4)
-spread = max(unitary_distance(u, hx.path.samples[0][1]) for _, u in hx.path.samples)
+spread = max(unitary_distance(u, hx.path[0][1]) for _, u in hx.path)
 print("identity witness gives a constant path, spread:", spread)

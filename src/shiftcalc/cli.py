@@ -16,6 +16,7 @@ its traceback).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import math
@@ -96,13 +97,30 @@ def _load_matrix(run: _Run, path: str) -> IntMatrix:
 
 
 def _write_or_embed(verdict: dict, key: str, bundle: dict, out) -> None:
-    """Write ``bundle`` to ``out`` and name the file in ``verdict``, or embed it under ``key``."""
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            jsonio.dump_json(bundle, fh)
-        verdict["out"] = out
-    else:
+    """Write ``bundle`` to ``out`` and name the file in ``verdict``, or embed it under ``key``.
+
+    A file is written beside ``out`` and renamed onto it once complete, so a failed write
+    leaves no file and an existing one unchanged; a target that exists and is no regular
+    file, such as ``/dev/null``, is written in place."""
+    if not out:
         verdict[key] = bundle
+        return
+    target = os.path.realpath(out)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as fh:
+            jsonio.dump_json(bundle, fh)
+    else:
+        partial = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.partial")
+        fh = open(partial, "x", encoding="utf-8")  # mode 0666 less the umask, as open(out, "w") gives
+        try:
+            with fh:
+                jsonio.dump_json(bundle, fh)
+            os.replace(partial, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(partial)
+            raise
+    verdict["out"] = out
 
 
 # ---------------------------------------------------------------------------

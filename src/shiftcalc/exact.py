@@ -105,12 +105,6 @@ def is_nonnegative(a: IntMatrix) -> bool:
     return min(map(min, a.entries)) >= 0
 
 
-def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ShapeError(f"cannot subtract {a.rows}x{a.cols} and {b.rows}x{b.cols}")
-    return from_rows([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)])
-
-
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact matrix product.
 

@@ -3,17 +3,18 @@
 The space of block unitaries on a finite correspondence is a product of
 finite-dimensional unitary groups, hence path connected: any two unitaries
 are joined by the geodesic U(t) = U0 exp(tH) with H a blockwise matrix
-logarithm of W = U0* U1.  A geodesic holds no sample: it keeps its endpoints'
-correspondences, its times and, per block, U0 Z, Z* and theta from unitary
-eigenvectors of W = Z diag(exp(i theta)) Z*, and makes the sample at t, the
-one product (U0 Z) diag(exp(i theta t)) Z* per block, when that sample is
-asked for.  When W is the identity, every sample is a copy of U0; when it is
-any other permutation, Z and theta come in closed form, cycle by cycle; any
-other block takes a Schur form.  ``_SAMPLES_BYTES`` bounds the samples a path
-makes, checks and writes, counted as if all were held at once.  A homotopy of
-arrows is represented fiberwise: a fixed correspondence, a unitary path for the
-intertwiner component, and endpoint 2-arrows tying the t = 0 and t = 1 fibers
-to the two given arrows.
+logarithm of W = U0* U1.  A ``UnitaryPath`` is that geodesic and holds no
+sample: it keeps its endpoints' correspondences, its times and, per block,
+U0 Z, Z* and theta from unitary eigenvectors of W = Z diag(exp(i theta)) Z*,
+and makes the sample at t, the one product (U0 Z) diag(exp(i theta t)) Z* per
+block, when that sample is indexed.  It stores no generator either: H = Z
+diag(i theta) Z* is made on each read.  When W is the identity, every sample
+is a copy of U0 and H is zero; when it is any other permutation, Z and theta
+come in closed form, cycle by cycle; any other block takes a Schur form.
+``_SAMPLES_BYTES`` bounds the samples a path makes, checks and writes, counted
+as if all were held at once.  A homotopy of arrows is represented fiberwise: a
+fixed correspondence, a unitary path for the intertwiner component, and
+endpoint 2-arrows tying the t = 0 and t = 1 fibers to the two given arrows.
 
 Verification is sampled: building a homotopy checks every sample's time and
 endpoints, and ``homotopy_failure`` their unitarity and the two endpoint squares.
@@ -62,49 +63,14 @@ _BLOCK_OVERHEAD_BYTES = 640
 
 
 @dataclass(frozen=True, eq=False)
-class UnitaryPath:
-    """A sampled path of block unitaries.
+class UnitaryPath(Sequence):
+    """A geodesic of block unitaries, as the sequence of its samples (t, U(t)).
 
-    ``samples`` is a sequence of (t, unitary) with strictly increasing t from 0 to 1;
-    a geodesic's makes each sample when it is asked for.  A path is data: the
-    ``ArrowHomotopy`` carrying it checks its :meth:`times` and :meth:`ends`.
-    ``generator`` holds the blockwise skew-Hermitian H with U(t) = U(0) exp(tH),
-    so the samples are determined by it.
+    Every sample shares ``source`` and ``target``, and ``times`` increase from 0 to 1.
+    ``rotations`` holds (U0 Z, Z*, theta) per block, or (U0, None, None) where W is the
+    identity.  A path is data: the ``ArrowHomotopy`` carrying it checks its ``times`` and
+    :meth:`ends`.
     """
-
-    samples: Sequence
-    generator: dict
-
-    def times(self) -> list:
-        """The samples' times, in order."""
-        return [t for t, _ in self.samples]
-
-    def ends(self) -> list:
-        """(source, target) of the samples' unitaries, once for each pair of objects they share."""
-        return list({(id(u.source), id(u.target)): (u.source, u.target) for _, u in self.samples}.values())
-
-
-@dataclass(frozen=True, eq=False)
-class _Rotation:
-    """U0 exp(tH) on one block, from W = U0* U1 = Z diag(exp(i theta)) Z*: the one product
-    (U0 Z) diag(exp(i theta t)) Z*, with ``start`` = U0 Z and ``back`` = Z*.  Without
-    ``back``, W is the identity and ``start`` is U0, which every sample copies."""
-
-    start: np.ndarray
-    back: Optional[np.ndarray] = None
-    theta: Optional[np.ndarray] = None
-
-    def at(self, t: float) -> np.ndarray:
-        if self.back is None:
-            return self.start.copy()
-        return (self.start * np.exp(1j * self.theta * t)) @ self.back
-
-
-@dataclass(frozen=True, eq=False)
-class _Geodesic(Sequence):
-    """The samples (t, U0 exp(tH)) of a geodesic, each made when it is asked for.  It holds
-    its endpoints' correspondences, which every sample shares, its times and one
-    ``_Rotation`` per block."""
 
     source: GraphCorrespondence
     target: GraphCorrespondence
@@ -116,19 +82,23 @@ class _Geodesic(Sequence):
 
     def __getitem__(self, k: int) -> tuple:
         t = self.times[k]
-        return t, BlockUnitary(self.source, self.target, {ij: r.at(t) for ij, r in self.rotations.items()})
-
-
-@dataclass(frozen=True, eq=False)
-class _GeodesicPath(UnitaryPath):
-    """A path whose samples are a ``_Geodesic``: its times and its one pair of ends are read
-    without making a sample."""
-
-    def times(self) -> list:
-        return self.samples.times
+        blocks = {
+            ij: start.copy() if back is None else (start * np.exp(1j * theta * t)) @ back
+            for ij, (start, back, theta) in self.rotations.items()
+        }
+        return t, BlockUnitary(self.source, self.target, blocks)
 
     def ends(self) -> list:
-        return [(self.samples.source, self.samples.target)]
+        """(source, target) of the samples' unitaries, read without making a sample."""
+        return [(self.source, self.target)]
+
+    @property
+    def generator(self) -> dict:
+        """The blockwise skew-Hermitian H with U(t) = U0 exp(tH), made anew on each read."""
+        return {
+            ij: np.zeros_like(start) if back is None else (back.conj().T * (1j * theta)) @ back
+            for ij, (start, back, theta) in self.rotations.items()
+        }
 
 
 def _refuse_oversized_path(dims: IntMatrix, steps: int) -> None:
@@ -185,37 +155,29 @@ def _schur_eig(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> UnitaryPath:
-    """Geodesic path between two same-shaped block unitaries, sampled at t = k/(steps-1).
+    """The geodesic from ``u0`` to ``u1``, two same-shaped block unitaries, sampled at t = k/(steps-1).
 
-    Per block, H = log(W), W = U0* U1, has eigenvalue arguments theta in (-pi, pi]
-    (an eigenvalue at -1 gets +pi; this fixed branch is a representation choice,
-    discontinuous only on a measure-zero set).  The path holds no sample: it keeps
-    the times and, per block, U0 Z, Z* and theta, and makes sample k, the one
-    product (U0 Z) diag(exp(i theta t)) Z*, when it is asked for, so a path takes
-    the memory of its endpoints whatever ``steps`` is.  When W is exactly the
-    identity, H = 0 and every sample is a copy of U0; when it is any other
-    permutation, Z and theta are the closed form of :func:`_permutation_eig`;
-    any other block takes the Schur form W = Z T Z*, where an argument that
-    rounding puts within a few ulp of -pi also gets +pi.  A path whose samples
-    would take more than ``_SAMPLES_BYTES`` all together, counting their arrays
-    and what each sample holds besides, is refused before any is made.
+    Per block, H = log(W), W = U0* U1, has eigenvalue arguments theta in (-pi, pi]: an
+    eigenvalue at -1, or an argument that rounding puts within a few ulp of -pi, gets +pi
+    (this fixed branch is a representation choice, discontinuous only on a measure-zero
+    set).  A path whose samples would take more than ``_SAMPLES_BYTES`` all together,
+    counting their arrays and what each sample holds besides, is refused before any is made.
     """
     if steps < 2:
         raise DomainError("need at least two samples")
     if u0.source != u1.source or u0.target != u1.target:
         raise ShapeError("endpoints must share source and target correspondences")
     _refuse_oversized_path(u0.source.dims, steps)
-    rotations, generator = {}, {}
+    rotations = {}
     for ij, m0 in u0.blocks.items():
         w = m0.conj().T @ u1.blocks[ij]
         if (w == np.eye(len(w))).all():
-            rotations[ij], generator[ij] = _Rotation(m0), np.zeros_like(m0)
+            rotations[ij] = m0, None, None
             continue
         z, theta = _permutation_eig(w) or _schur_eig(w)
-        back = z.conj().T
-        rotations[ij], generator[ij] = _Rotation(m0 @ z, back, theta), (z * (1j * theta)) @ back
+        rotations[ij] = m0 @ z, z.conj().T, theta
     times = [k / (steps - 1) for k in range(steps)]
-    return _GeodesicPath(_Geodesic(u0.source, u0.target, times, rotations), generator)
+    return UnitaryPath(u0.source, u0.target, times, rotations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +200,7 @@ class ArrowHomotopy:
     def __post_init__(self):
         if self.f_arrow.source != self.g_arrow.source or self.f_arrow.target != self.g_arrow.target:
             raise ShapeError("homotopy endpoints must be parallel arrows")
-        ts = self.path.times()
+        ts = self.path.times
         if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0 or any(a >= b for a, b in zip(ts, ts[1:])):
             raise ShapeError("a path needs two or more samples at times increasing strictly from 0 to 1")
         start, end = tensor(self.f_arrow.target.x, self.fiber), tensor(self.fiber, self.f_arrow.source.x)
@@ -258,25 +220,25 @@ class ArrowHomotopy:
             self.f_arrow.source,
             self.f_arrow.target,
             self.fiber,
-            self.path.samples[index][1],
+            self.path[index][1],
         )
 
 
 def homotopy_failure(h: ArrowHomotopy, tol: float = DEFAULT_TOL) -> Optional[str]:
     """Description of the first defect found, or None if the homotopy checks out:
     the samples in order, one at a time, then h0 and h1, each for unitarity before its square."""
-    for idx, (t, u) in enumerate(h.path.samples):
+    for idx, (t, u) in enumerate(h.path):
         defect = unitarity_defect(u, tol)
         if not defect <= tol:
             return f"sample {idx} (t={t:g}) is not unitary: defect {defect:.3e}"
-    last = len(h.path.samples) - 1
+    last = len(h.path) - 1
     for name, psi, index, arrow in (("h0", h.h0, 0, h.f_arrow), ("h1", h.h1, last, h.g_arrow)):
         defect = unitarity_defect(psi, tol)
         if not defect <= tol:
             return f"endpoint 2-arrow {name} is not unitary: defect {defect:.3e}"
         residual = two_arrow_residual(psi, h.fiber_arrow(index), arrow)
         if not residual <= tol:
-            t = h.path.samples[index][0]
+            t = h.path.times[index]
             return f"{name} fails the 2-arrow square at t={t:g}: residual {residual:.3e}"
     return None
 

@@ -351,7 +351,7 @@ def homotopy_to_json(h: ArrowHomotopy, *, _leaf=None, _stream=False) -> dict:
     With ``_stream``, "samples" is a generator that ``dump_json`` streams: each sample is made,
     written and dropped in turn, so the document never holds the path's samples, and it can
     be written only once (a second ``dump_json`` writes its "samples" as ``[]``)."""
-    samples = ({"t": t, "unitary": block_unitary_to_json(u, _leaf=_leaf)} for t, u in h.path.samples)
+    samples = ({"t": t, "unitary": block_unitary_to_json(u, _leaf=_leaf)} for t, u in h.path)
     return {
         "schema": SCHEMA,
         "fiber_dims": matrix_to_json(h.fiber.dims),

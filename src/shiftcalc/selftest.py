@@ -318,7 +318,7 @@ def homotopy_roundtrip(size: int, tol: float) -> float:
     _, hom_x, hom_y = homotopy_shift_equivalence_from_se(GOLDEN_WITNESS, steps=size)
     worst = 0.0
     for side, hom in (("x", hom_x), ("y", hom_y)):
-        _expect(len(hom.path.samples) == size, f"homotopy {side}: {len(hom.path.samples)} samples")
+        _expect(len(hom.path) == size, f"homotopy {side}: {len(hom.path)} samples")
         failure = homotopy_failure(hom, tol)
         _expect(failure is None, f"homotopy {side}: {failure}")
         endpoint0 = two_arrow_residual(hom.h0, hom.fiber_arrow(0), hom.f_arrow)

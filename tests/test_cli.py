@@ -544,6 +544,81 @@ def test_paths_are_refused_before_either_side_is_built(capsys, tmp_path, golden_
     assert err == "shiftcalc: 300000 samples would take 1459200000 bytes, above the 1073741824 a path may take\n"
 
 
+def run_with_file_size_limit(argv, limit: int, umask: int = 0o027):
+    """``main(argv)`` in a child process that may write files of at most ``limit`` bytes and
+    runs under ``umask``; returns (exit code, stderr)."""
+    import shiftcalc
+
+    code = (
+        "import os, resource, sys\n"
+        "from shiftcalc.cli import main\n"
+        f"os.umask({umask})\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(shiftcalc.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+    )
+    return done.returncode, done.stderr
+
+
+class TestOutIsCompleteOrAbsent:
+    """A bundle is written beside its target and renamed onto it only once complete."""
+
+    @staticmethod
+    def argv(tmp_path, golden_witness, steps: int, out) -> list:
+        witness_path = write(tmp_path / "w.json", witness_to_json(golden_witness))
+        return ["homotopy", "from-se", "--witness", witness_path, "--steps", str(steps), "--out", str(out)]
+
+    def test_a_write_past_the_file_size_limit_leaves_no_file(self, tmp_path, golden_witness):
+        # 4000 samples of the golden witness render to more than 1 MB; the limit is 200 KiB.
+        argv = self.argv(tmp_path, golden_witness, 4000, tmp_path / "big.json")
+        assert run_with_file_size_limit(argv, 200 << 10) == (65, "shiftcalc: [Errno 27] File too large\n")
+        assert sorted(os.listdir(tmp_path)) == ["w.json"]
+
+    def test_a_failed_write_leaves_an_existing_bundle_byte_identical(self, tmp_path, golden_witness):
+        out = tmp_path / "h.json"
+        assert run_with_file_size_limit(self.argv(tmp_path, golden_witness, 8, out), 200 << 10) == (0, "")
+        before = out.read_bytes()
+        code, err = run_with_file_size_limit(self.argv(tmp_path, golden_witness, 4000, out), 200 << 10)
+        assert (code, err) == (65, "shiftcalc: [Errno 27] File too large\n")
+        assert out.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["h.json", "w.json"]
+
+    def test_a_written_bundle_takes_its_mode_from_the_umask(self, tmp_path, golden_witness):
+        out = tmp_path / "h.json"
+        assert run_with_file_size_limit(self.argv(tmp_path, golden_witness, 8, out), 200 << 10, 0o027) == (0, "")
+        assert out.stat().st_mode & 0o777 == 0o640
+
+    def test_an_interrupted_write_leaves_no_file(self, tmp_path, golden_witness, monkeypatch):
+        from shiftcalc import jsonio
+
+        def interrupted(doc, fh):
+            fh.write("{")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(jsonio, "dump_json", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(self.argv(tmp_path, golden_witness, 8, tmp_path / "h.json"))
+        assert sorted(os.listdir(tmp_path)) == ["w.json"]
+
+    def test_a_symlinked_target_keeps_its_link(self, capsys, tmp_path, golden_witness):
+        # The bundle replaces the file the link names, as writing through the link did.
+        (tmp_path / "link.json").symlink_to("real.json")
+        code, _, _ = run(capsys, self.argv(tmp_path, golden_witness, 8, tmp_path / "link.json"))
+        assert code == 0 and (tmp_path / "link.json").is_symlink()
+        assert json.loads((tmp_path / "real.json").read_text())["steps"] == 8
+
+    def test_a_device_is_written_in_place(self, capsys, tmp_path, golden_witness):
+        code, report, _ = run(capsys, self.argv(tmp_path, golden_witness, 8, os.devnull))
+        assert code == 0 and report["verdict"]["out"] == os.devnull
+        assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+
 def run_in_two_gigabytes(calls, trace=False):
     """(exit code, seconds, stderr, stdout) of ``main`` on each argv of ``calls``, in turn, in
     one child process limited to 2 GiB of address space: a call that would run the host short

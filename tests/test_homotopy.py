@@ -1,5 +1,8 @@
+import random
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from shiftcalc import (
     ArrowHomotopy,
     BlockUnitary,
     DomainError,
+    GraphCorrespondence,
     OneArrow,
     SEWitness,
     ShapeError,
@@ -31,6 +35,7 @@ from shiftcalc import (
     power_arrow,
     random_block_unitary,
     tensor,
+    transpose,
     unitarity_defect,
     unitary_distance,
     verify_homotopy,
@@ -46,33 +51,49 @@ TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class SampledPath(UnitaryPath):
-    """A path known by its samples alone, as gluing two geodesics leaves it:
-    no single generator describes it."""
+class ListedPath(Sequence):
+    """A path given by its samples (t, unitary), as gluing or editing geodesics leaves it,
+    with the members ``ArrowHomotopy`` reads of a ``UnitaryPath``.  ``generator`` is None
+    when no single generator describes the samples."""
 
-    generator: None = None
+    samples: tuple
+    generator: Optional[dict] = None
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __getitem__(self, k: int) -> tuple:
+        return self.samples[k]
+
+    @property
+    def times(self) -> list:
+        return [t for t, _ in self.samples]
+
+    def ends(self) -> list:
+        """(source, target) of the samples' unitaries, once for each pair of objects they share."""
+        return list({(id(u.source), id(u.target)): (u.source, u.target) for _, u in self.samples}.values())
 
 
-def reverse_path(p: UnitaryPath) -> UnitaryPath:
+def reverse_path(p) -> ListedPath:
     """Time reversal t -> 1 - t; the generator flips sign relative to the new
     starting point."""
-    samples = tuple((1.0 - t, u) for t, u in reversed(p.samples))
+    samples = tuple((1.0 - t, u) for t, u in reversed(p))
     generator = {ij: -h for ij, h in p.generator.items()}
-    return UnitaryPath(samples, generator)
+    return ListedPath(samples, generator)
 
 
-def concatenate_paths(p1, p2) -> SampledPath:
+def concatenate_paths(p1, p2) -> ListedPath:
     """Run p1 on [0, 1/2] and p2 on [1/2, 1]; sample-only (no generator)."""
-    first = tuple((t / 2, u) for t, u in p1.samples)
-    second = tuple((0.5 + t / 2, u) for t, u in p2.samples if t > 0.0)
-    return SampledPath(first + second)
+    first = tuple((t / 2, u) for t, u in p1)
+    second = tuple((0.5 + t / 2, u) for t, u in p2 if t > 0.0)
+    return ListedPath(first + second)
 
 
 def constant_homotopy(arrow: OneArrow) -> ArrowHomotopy:
     """The reflexivity homotopy: the fiber is the arrow itself at every time."""
     samples = ((0.0, arrow.phi), (1.0, arrow.phi))
     zero_gen = {ij: np.zeros_like(m) for ij, m in arrow.phi.blocks.items()}
-    path = UnitaryPath(samples, zero_gen)
+    path = ListedPath(samples, zero_gen)
     ident = identity_unitary(arrow.f)
     return ArrowHomotopy(arrow, arrow, arrow.f, path, ident, ident)
 
@@ -96,9 +117,9 @@ def concatenate_homotopies(h1: ArrowHomotopy, h2: ArrowHomotopy) -> ArrowHomotop
     connect = compose_unitaries(h1.h1, h2.h0.adjoint())  # fiber1 -> fiber2
     back = connect.adjoint()
     transported = tuple(
-        (t, conjugate_arrow(h2.fiber_arrow(k), back).phi) for k, (t, _) in enumerate(h2.path.samples)
+        (t, conjugate_arrow(h2.fiber_arrow(k), back).phi) for k, t in enumerate(h2.path.times)
     )
-    p2 = SampledPath(transported)
+    p2 = ListedPath(transported)
     path = concatenate_paths(h1.path, p2)
     h1_end = compose_unitaries(connect, h2.h1)
     return ArrowHomotopy(h1.f_arrow, h2.g_arrow, h1.fiber, path, h1.h0, h1_end)
@@ -111,7 +132,7 @@ class TestConnectUnitaries:
         p = connect_unitaries(u, u, 4)
         for ij, h in p.generator.items():
             assert np.allclose(h, 0.0)
-        for _, sample in p.samples:
+        for _, sample in p:
             assert unitary_distance(sample, u) < 1e-12
 
     def test_scalar_quarter_turn(self):
@@ -120,7 +141,7 @@ class TestConnectUnitaries:
         u0 = identity_unitary(c)
         u1 = BlockUnitary(c, c, {(0, 0): np.array([[1j]])})
         p = connect_unitaries(u0, u1, 9)
-        for t, sample in p.samples:
+        for t, sample in p:
             assert abs(sample.block(0, 0)[0, 0] - np.exp(1j * np.pi * t / 2)) < 1e-12
 
     def test_each_sample_is_made_when_asked_for(self):
@@ -128,8 +149,8 @@ class TestConnectUnitaries:
         c = from_matrix(from_rows([[3, 1], [2, 5]]))
         rng = np.random.default_rng(3)
         p = connect_unitaries(random_block_unitary(c, rng), random_block_unitary(c, rng), 5)
-        assert len(p.samples) == 5 and p.samples[-1][0] == 1.0
-        (t, first), (again_t, again) = p.samples[2], p.samples[2]
+        assert len(p) == 5 and p[-1][0] == 1.0
+        (t, first), (again_t, again) = p[2], p[2]
         assert t == again_t == 0.5 and first is not again
         for ij in c.blocks():
             assert first.blocks[ij].base is None and again.blocks[ij].base is None
@@ -152,8 +173,8 @@ class TestConnectUnitaries:
             rotations = {**w.blocks, first: (q * spectrum) @ q.conj().T}
             u1 = BlockUnitary(c, c, {ij: u0.blocks[ij] @ m for ij, m in rotations.items()})
             p = connect_unitaries(u0, u1, 9)
-            assert [t for t, _ in p.samples] == [k / 8 for k in range(9)]
-            for t, sample in p.samples:
+            assert [t for t, _ in p] == [k / 8 for k in range(9)]
+            for t, sample in p:
                 for ij, h in p.generator.items():
                     expected = u0.blocks[ij] @ scipy.linalg.expm(t * h)
                     assert np.linalg.norm(sample.blocks[ij] - expected, 2) < 1e-12
@@ -164,7 +185,7 @@ class TestConnectUnitaries:
         u0 = identity_unitary(c)
         u1 = BlockUnitary(c, c, {(0, 0): np.array([[-1.0 + 0.0j]])})
         p = connect_unitaries(u0, u1, 3)
-        assert abs(p.samples[1][1].block(0, 0)[0, 0] - 1j) < 1e-12
+        assert abs(p[1][1].block(0, 0)[0, 0] - 1j) < 1e-12
 
     @pytest.mark.parametrize(
         "block",
@@ -181,7 +202,7 @@ class TestConnectUnitaries:
         assert angles.min() > -np.pi + 1e-6
         assert angles.max() <= np.pi + 1e-9
         assert np.isclose(angles.max(), np.pi)
-        assert unitary_distance(p.samples[-1][1], u1) <= 1e-12
+        assert unitary_distance(p[-1][1], u1) <= 1e-12
 
     def test_random_endpoints_reproduced(self):
         rng = np.random.default_rng(12)
@@ -190,9 +211,9 @@ class TestConnectUnitaries:
             a = random_block_unitary(c, rng)
             b = random_block_unitary(c, rng)
             p = connect_unitaries(a, b, 6)
-            assert unitary_distance(p.samples[0][1], a) <= 1e-10
-            assert unitary_distance(p.samples[-1][1], b) <= 1e-10
-            for _, sample in p.samples:
+            assert unitary_distance(p[0][1], a) <= 1e-10
+            assert unitary_distance(p[-1][1], b) <= 1e-10
+            for _, sample in p:
                 assert unitarity_defect(sample) <= 1e-10
 
     def test_large_block_budget(self):
@@ -203,7 +224,7 @@ class TestConnectUnitaries:
         a = random_block_unitary(c, rng)
         b = random_block_unitary(c, rng)
         p = connect_unitaries(a, b, 3)
-        assert unitary_distance(p.samples[-1][1], b) <= 1e-10
+        assert unitary_distance(p[-1][1], b) <= 1e-10
 
     def test_generator_is_skew_hermitian(self):
         rng = np.random.default_rng(14)
@@ -281,7 +302,7 @@ class TestPermutationLogs:
         p = connect_unitaries(u0, u1, 2)
         # Both are the one log of the normal w on the branch, each within a few d eps.
         assert np.linalg.norm(p.generator[(0, 0)] - schur_log(w), 2) <= 16 * len(w) * np.finfo(float).eps
-        assert unitary_distance(p.samples[-1][1], u1) <= 1e-12
+        assert unitary_distance(p[-1][1], u1) <= 1e-12
 
     @given(permutations())
     @settings(max_examples=80, deadline=None)
@@ -304,7 +325,7 @@ class TestPermutationLogs:
         [start] = on_one_block(u0)
         p = connect_unitaries(start, start, 5)
         assert not p.generator[(0, 0)].any()
-        for _, sample in p.samples:
+        for _, sample in p:
             assert sample.block(0, 0).tobytes() == u0.tobytes()
 
     @pytest.mark.parametrize(
@@ -352,7 +373,7 @@ class TestPermutationSamples:
         signs = [rnd.choice([1.0, -1.0]) for _ in range(d)]
         for start in (np.eye(d)[order], np.eye(d)[order] * signs):
             p = connect_unitaries(*on_one_block(start, start @ w), 5)
-            for t, sample in p.samples:
+            for t, sample in p:
                 expected = start @ scipy.linalg.expm(t * h_log)
                 assert np.linalg.norm(sample.block(0, 0) - expected, 2) <= 16 * d * np.finfo(float).eps
 
@@ -367,7 +388,7 @@ class TestPermutationSamples:
         rotated = at_pi = 0
         for h in (hx, hy):
             u0, u1 = h.f_arrow.phi, conjugate_arrow(h.g_arrow, h.h1.adjoint()).phi
-            samples = list(h.path.samples)
+            samples = list(h.path)
             for ij, m0 in u0.blocks.items():
                 w = m0.conj().T @ u1.blocks[ij]
                 _, angles = _permutation_eig(w)
@@ -386,13 +407,113 @@ class TestPermutationSamples:
         assert rotated >= 10 and at_pi >= 5
 
 
+def held_bytes(obj, seen=None) -> int:
+    """Bytes of the numpy arrays ``obj`` holds through its fields, dicts, lists and tuples,
+    each array once; correspondences hold none and are not walked."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, GraphCorrespondence):
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        return sum(held_bytes(v, seen) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(held_bytes(v, seen) for v in obj)
+    return sum(held_bytes(v, seen) for v in vars(obj).values()) if hasattr(obj, "__dict__") else 0
+
+
+def identity_pair() -> list:
+    # U0 is a signed permutation, so W = U0* U0 is exactly the identity.
+    u0 = np.zeros((12, 12), dtype=complex)
+    u0[np.random.default_rng(4).permutation(12), range(12)] = [1.0, -1.0] * 6
+    [start] = on_one_block(u0)
+    return [(connect_unitaries(start, start, 5), start, start)]
+
+
+def folded_chain_pairs() -> list:
+    _, hx, hy = homotopy_shift_equivalence_from_se(folded_chain(2), steps=5)
+    return [(h.path, h.f_arrow.phi, conjugate_arrow(h.g_arrow, h.h1.adjoint()).phi) for h in (hx, hy)]
+
+
+def haar_pair() -> list:
+    c = from_matrix(from_rows([[3, 1], [2, 5]]))
+    rng = np.random.default_rng(3)
+    u0, u1 = random_block_unitary(c, rng), random_block_unitary(c, rng)
+    return [(connect_unitaries(u0, u1, 5), u0, u1)]
+
+
+class TestDerivedGenerator:
+    """A geodesic holds U0 Z, Z* and theta per block, or U0 alone where W = U0* U1 is the
+    identity, and makes its generator on each read."""
+
+    @pytest.mark.parametrize(
+        "pairs, budget",
+        [
+            (identity_pair, lambda d: 0.0),
+            (folded_chain_pairs, lambda d: 16 * d * np.finfo(float).eps),
+            (haar_pair, lambda d: 1e-12),
+        ],
+        ids=["identity block", "permutation blocks of a folded chain", "Haar pair"],
+    )
+    def test_a_path_holds_no_generator_and_its_generator_exponentiates_to_w(self, pairs, budget):
+        import scipy.linalg
+
+        rotated = 0
+        for path, u0, u1 in pairs():
+            ws = {ij: m0.conj().T @ u1.blocks[ij] for ij, m0 in u0.blocks.items()}
+            identities = [(w == np.eye(len(w))).all() for w in ws.values()]
+            rotated += identities.count(False)
+            # One d x d complex array where W is the identity, else two and theta.
+            allowed = sum(16 * len(w) ** 2 if same else 32 * len(w) ** 2 + 8 * len(w) for w, same in zip(ws.values(), identities))
+            assert held_bytes(path) <= allowed
+            generator = path.generator
+            assert path.generator is not generator
+            for ij, w in ws.items():
+                assert np.linalg.norm(scipy.linalg.expm(generator[ij]) - w, 2) <= budget(len(w))
+        assert rotated >= (0 if pairs is identity_pair else 4)
+
+
+def relabeled(w: SEWitness, seed: int) -> SEWitness:
+    """(P A P^T, Q B Q^T, P R Q^T, Q S P^T) for permutation matrices P and Q drawn from ``seed``."""
+    rnd = random.Random(seed)
+
+    def permutation(n: int):
+        order = rnd.sample(range(n), n)
+        return from_rows([[int(j == order[i]) for j in range(n)] for i in range(n)])
+
+    def conjugated(left, m, right):
+        return mat_mul(mat_mul(left, m), transpose(right))
+
+    p, q = permutation(w.a.rows), permutation(w.b.rows)
+    return SEWitness(conjugated(p, w.a, p), conjugated(q, w.b, q), conjugated(p, w.r, q), conjugated(q, w.s, p), w.lag)
+
+
+class TestRelabeling:
+    """Relabeling the vertices of a witness relabels its homotopies: the verdicts stay."""
+
+    def test_a_relabeled_folded_chain_keeps_its_verdicts_and_its_defects_within_tol(self):
+        w = folded_chain(2)
+        moved = relabeled(w, 3)
+        assert (moved.a, moved.b) != (w.a, w.b)
+        verdicts = []
+        for witness in (w, moved):
+            _, hx, hy = homotopy_shift_equivalence_from_se(witness, steps=4)
+            verdicts.append((verify_homotopy(hx), verify_homotopy(hy)))
+            for h in (hx, hy):
+                # Some block of W is a permutation other than the identity.
+                assert any(g.any() for g in h.path.generator.values())
+                assert max(unitarity_defect(u) for _, u in h.path) <= TOL
+        assert verdicts[1] == verdicts[0] == (True, True)
+
+
 class TestHomotopyToIdentity:
     def test_identity_phi_gives_constant_homotopy(self):
         obj = object_pair(from_rows([[1, 1], [1, 1]]))
         phi = power_arrow(obj, 2).phi
         h = homotopy_to_identity(phi, obj, 2, steps=5)
         assert verify_homotopy(h)
-        for _, sample in h.path.samples:
+        for _, sample in h.path:
             assert unitary_distance(sample, phi) < 1e-12
 
     def test_random_phi_on_full_shift(self):
@@ -411,7 +532,7 @@ class TestHomotopyToIdentity:
         phi = power_arrow(obj, m).phi
         h = homotopy_to_identity(phi, obj, m, steps=3)
         cube = mat_pow(a, m + 1)
-        for (i, j), block in h.path.samples[0][1].blocks.items():
+        for (i, j), block in h.path[0][1].blocks.items():
             assert block.shape == (cube[i, j], cube[i, j])
 
 
@@ -422,13 +543,13 @@ class TestVerifyHomotopy:
         square = tensor(obj.x, obj.x)
         phi = random_block_unitary(square, rng)
         h = homotopy_to_identity(phi, obj, 1, steps=6)
-        t, bad_sample = h.path.samples[3]
+        t, bad_sample = h.path[3]
         block = bad_sample.block(0, 0)
         # A nan defect fails as a large one does, whatever the tolerance.
         for corrupted, tol in ((block * 1.5, TOL), (np.full_like(block, np.nan), 1e300)):
-            samples = list(h.path.samples)
+            samples = list(h.path)
             samples[3] = (t, bad_sample.replace_block(0, 0, corrupted))
-            bad_path = UnitaryPath(tuple(samples), h.path.generator)
+            bad_path = ListedPath(tuple(samples))
             bad = ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, bad_path, h.h0, h.h1)
             assert not verify_homotopy(bad, tol)
             assert "sample 3" in homotopy_failure(bad, tol)
@@ -507,17 +628,13 @@ class TestConstruction:
         return homotopy_to_identity(power_arrow(obj, 1).phi, obj, 1, steps=4)
 
     @staticmethod
-    def with_samples(h: ArrowHomotopy, samples, path_type=UnitaryPath) -> ArrowHomotopy:
-        if path_type is UnitaryPath:
-            path = UnitaryPath(tuple(samples), h.path.generator)
-        else:
-            path = SampledPath(tuple(samples))
-        return ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, path, h.h0, h.h1)
+    def with_samples(h: ArrowHomotopy, samples) -> ArrowHomotopy:
+        return ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, ListedPath(tuple(samples)), h.h0, h.h1)
 
     def test_a_path_is_data(self):
         # A path alone checks nothing; the homotopy carrying it refuses it.
         h = self.geodesic()
-        empty = UnitaryPath((), {})
+        empty = UnitaryPath(h.path.source, h.path.target, [], {})
         with pytest.raises(ShapeError, match=re.escape("a path needs two or more samples at times increasing strictly from 0 to 1")):
             ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, empty, h.h0, h.h1)
 
@@ -527,17 +644,21 @@ class TestConstruction:
         with pytest.raises(ShapeError, match="^homotopy endpoints must be parallel arrows$"):
             ArrowHomotopy(h.f_arrow, other, h.fiber, h.path, h.h0, h.h1)
 
-    @pytest.mark.parametrize("path_type", [UnitaryPath, SampledPath], ids=["unitary-path", "sample-only"])
+    @pytest.mark.parametrize("retimed", ["unitary-path", "sample-only"])
     @pytest.mark.parametrize(
         "times",
         [(0.0,), (0.0, 0.5, 0.25, 1.0), (0.0, 1 / 3, 2 / 3, 0.9), (0.1, 1 / 3, 2 / 3, 1.0), (0.0, 0.5, 0.5, 1.0)],
         ids=["one sample", "out of order", "not ending at 1", "not starting at 0", "a repeated time"],
     )
-    def test_sample_times_must_increase_strictly_from_0_to_1(self, times, path_type):
+    def test_sample_times_must_increase_strictly_from_0_to_1(self, times, retimed):
+        # The geodesic with its times replaced, or its samples listed at those times.
         h = self.geodesic()
-        samples = [(t, u) for t, (_, u) in zip(times, h.path.samples)]
-        with pytest.raises(ShapeError, match=re.escape("a path needs two or more samples at times increasing strictly from 0 to 1")):
-            self.with_samples(h, samples, path_type)
+        message = re.escape("a path needs two or more samples at times increasing strictly from 0 to 1")
+        with pytest.raises(ShapeError, match=message):
+            if retimed == "unitary-path":
+                ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, replace(h.path, times=list(times)), h.h0, h.h1)
+            else:
+                self.with_samples(h, [(t, u) for t, (_, u) in zip(times, h.path)])
 
     @pytest.mark.parametrize("index", [0, 1, 3])
     def test_a_stray_sample_is_refused(self, index):
@@ -545,7 +666,7 @@ class TestConstruction:
         # on the fiber's X (x) X of dims [[4]]; it is unitary, so only the shape
         # check can see it.
         h = self.geodesic()
-        samples = list(h.path.samples)
+        samples = list(h.path)
         stray = random_block_unitary(from_matrix(from_rows([[3]])), np.random.default_rng(21))
         samples[index] = (samples[index][0], stray)
         with pytest.raises(ShapeError, match=re.escape("path unitaries must start at Y (x) fiber")):
@@ -554,7 +675,7 @@ class TestConstruction:
     def test_a_sample_ending_elsewhere_is_refused(self):
         # Same dims [[4]] as fiber (x) X, but one factor where it has two.
         h = self.geodesic()
-        samples = list(h.path.samples)
+        samples = list(h.path)
         t, u = samples[2]
         samples[2] = (t, canonical_identification(u.source, from_matrix(from_rows([[4]]))))
         with pytest.raises(ShapeError, match=re.escape("path unitaries must end at fiber (x) X")):
@@ -563,14 +684,14 @@ class TestConstruction:
     def test_samples_of_a_geodesic_share_their_endpoints(self):
         # So construction compares one source and one target, whatever the steps.
         h = self.geodesic()
-        assert len({(id(u.source), id(u.target)) for _, u in h.path.samples}) == 1
+        assert len({(id(u.source), id(u.target)) for _, u in h.path}) == 1
 
     def test_a_path_gives_its_times_and_its_ends_once_per_pair_of_objects(self):
         # A geodesic reads them without making a sample; the same samples listed agree.
         h = self.geodesic()
-        listed = UnitaryPath(tuple(h.path.samples), h.path.generator)
+        listed = ListedPath(tuple(h.path))
         [(source, target)] = h.path.ends()
-        assert h.path.times() == listed.times() == [0.0, 1 / 3, 2 / 3, 1.0]
+        assert h.path.times == listed.times == [0.0, 1 / 3, 2 / 3, 1.0]
         assert [(a is source, b is target) for a, b in listed.ends()] == [(True, True)]
 
     def test_endpoint_two_arrows_must_fit(self):
@@ -588,14 +709,14 @@ class TestFromWitness:
         _, hx, hy = homotopy_shift_equivalence_from_se(w, steps=4)
         for h in (hx, hy):
             assert verify_homotopy(h)
-            first = h.path.samples[0][1]
-            for _, sample in h.path.samples:
+            first = h.path[0][1]
+            for _, sample in h.path:
                 assert unitary_distance(sample, first) < 1e-12
 
     def test_golden_witness_end_to_end(self, golden_witness):
         shift, hx, hy = homotopy_shift_equivalence_from_se(golden_witness, steps=16)
         assert verify_homotopy(hx) and verify_homotopy(hy)
-        assert len(hx.path.samples) == 16
+        assert len(hx.path) == 16
         # Lag and dims bookkeeping carried through the bundle.
         assert shift.lag == 1
         assert hx.fiber.dims == golden_witness.a
@@ -637,12 +758,12 @@ class TestFromWitness:
             assert hx.fiber.dims == mat_pow(w.a, w.lag)
             assert hy.fiber.dims == mat_pow(w.b, w.lag)
             # The dims both paths are sized from before either side is built.
-            assert hx.path.samples[0][1].source.dims == mat_mul(w.a, mat_mul(w.r, w.s))
-            assert hy.path.samples[0][1].source.dims == mat_mul(w.b, mat_mul(w.s, w.r))
+            assert hx.path[0][1].source.dims == mat_mul(w.a, mat_mul(w.r, w.s))
+            assert hy.path[0][1].source.dims == mat_mul(w.b, mat_mul(w.s, w.r))
             for h in (hx, hy):
                 # U(1) is the composite conjugated onto the tensor-power fiber.
                 end = conjugate_arrow(h.g_arrow, h.h1.adjoint()).phi
-                assert unitary_distance(h.path.samples[-1][1], end) <= 10 * TOL
+                assert unitary_distance(h.path[-1][1], end) <= 10 * TOL
             angles = np.concatenate(
                 [np.linalg.eigvalsh(-1j * g) for h in (hx, hy) for g in h.path.generator.values()]
             )

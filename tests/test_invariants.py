@@ -23,10 +23,10 @@ from shiftcalc import (
     smith_normal_form,
     transpose,
 )
-from shiftcalc.exact import _char_poly_and_adjugate, _coefficient_bound, mat_sub
+from shiftcalc.exact import _char_poly_and_adjugate, _coefficient_bound
 from shiftcalc.invariants import ONE_MINUS_T, ONE_MINUS_T_SQUARED, ONE_PLUS_T, cokernel_invariant_factors
 from shiftcalc import invariants
-from tests.conftest import random_essential
+from tests.conftest import mat_sub, random_essential
 
 
 class TestComputeInvariants:
