@@ -30,7 +30,7 @@ from .aligned import alignment_report, build_from_se
 from .corr import DEFAULT_TOL, two_arrow_residual
 from .errors import ShiftcalcError
 from .exact import IntMatrix, mat_mul
-from .homotopy import homotopy_failure, homotopy_shift_equivalence_from_se, verify_homotopy
+from .homotopy import homotopy_failure, homotopy_shift_equivalence_from_se
 from .invariants import INVARIANT_NAMES, compare, compute_invariants
 from .selftest import run_selftest
 from .witnesses import SEWitness, failing_equation, search_se
@@ -220,33 +220,30 @@ def _cmd_aligned_from_se(run: _Run, args) -> int:
             return jsonio.block_unitary_from_json(run.load(path), src, tgt)
 
     shift = build_from_se(witness, given)
-    bundle = jsonio.shift_to_json(shift, _leaf=jsonio._complex_matrix_array)
     report = alignment_report(shift, run.tol)
     verdict = {"concrete": report.concrete, "aligned": report.aligned}
-    _write_or_embed(verdict, "shift", bundle, args.out)
+    _write_or_embed(verdict, "shift", jsonio.shift_to_json(shift, _arrays=True), args.out)
     return run.emit(verdict, EXIT_OK if report.concrete else EXIT_REFUTED)
 
 
 def _cmd_homotopy_from_se(run: _Run, args) -> int:
     witness = jsonio.witness_from_json(run.load(args.witness))
     shift, hom_x, hom_y = homotopy_shift_equivalence_from_se(witness, steps=args.steps)
-    ok_x = verify_homotopy(hom_x, run.tol)
-    ok_y = verify_homotopy(hom_y, run.tol)
-    for side, ok, hom in (("x", ok_x, hom_x), ("y", ok_y, hom_y)):
-        if not ok:
-            run.note(f"homotopy {side}: {homotopy_failure(hom, run.tol)}")
-    leaf = jsonio._complex_matrix_array
+    failures = [homotopy_failure(hom, run.tol) for hom in (hom_x, hom_y)]
+    for side, failure in zip("xy", failures):
+        if failure is not None:
+            run.note(f"homotopy {side}: {failure}")
     bundle = {
         "schema": jsonio.SCHEMA,
         "witness": jsonio.witness_to_json(witness),
         "steps": args.steps,
-        "shift": jsonio.shift_to_json(shift, _leaf=leaf),
-        "homotopy_x": jsonio.homotopy_to_json(hom_x, _leaf=leaf, _stream=True),
-        "homotopy_y": jsonio.homotopy_to_json(hom_y, _leaf=leaf, _stream=True),
+        "shift": jsonio.shift_to_json(shift, _arrays=True),
+        "homotopy_x": jsonio.homotopy_to_json(hom_x, _arrays=True),
+        "homotopy_y": jsonio.homotopy_to_json(hom_y, _arrays=True),
     }
-    verdict = {"verified_x": ok_x, "verified_y": ok_y, "steps": args.steps}
+    verdict = {"verified_x": failures[0] is None, "verified_y": failures[1] is None, "steps": args.steps}
     _write_or_embed(verdict, "bundle", bundle, args.out)
-    return run.emit(verdict, EXIT_OK if ok_x and ok_y else EXIT_REFUTED)
+    return run.emit(verdict, EXIT_OK if failures == [None, None] else EXIT_REFUTED)
 
 
 def _cmd_selftest(run: _Run, args) -> int:

@@ -11,10 +11,11 @@ block, when that sample is indexed.  It stores no generator either: H = Z
 diag(i theta) Z* is made on each read.  When W is the identity, every sample
 is a copy of U0 and H is zero; when it is any other permutation, Z and theta
 come in closed form, cycle by cycle; any other block takes a Schur form.
-``_SAMPLES_BYTES`` bounds the samples a path makes, checks and writes, counted
-as if all were held at once.  A homotopy of arrows is represented fiberwise: a
-fixed correspondence, a unitary path for the intertwiner component, and
-endpoint 2-arrows tying the t = 0 and t = 1 fibers to the two given arrows.
+``_SAMPLES_BYTES`` bounds what a path's samples make and write, summed over all
+of them, though each is dropped once it is checked or written.  A homotopy of
+arrows is represented fiberwise: a fixed correspondence, a unitary path for the
+intertwiner component, and endpoint 2-arrows tying the t = 0 and t = 1 fibers
+to the two given arrows.
 
 Verification is sampled: building a homotopy checks every sample's time and
 endpoints, and ``homotopy_failure`` their unitarity and the two endpoint squares.
@@ -53,11 +54,13 @@ from .witnesses import SEWitness
 #: from the block dims before any sample is made, and a larger path is refused with a
 #: ``DomainError``.  The command line's paths take a few MB (16 samples at lag 6).
 _SAMPLES_BYTES = 1 << 30
-#: What a sample counts besides its arrays in that prediction: its time, its tuple, its
-#: ``BlockUnitary`` and that unitary's dict, one array per block, and the bundle entry
-#: ``homotopy from-se`` makes of it.  Measured as RSS growth per step of ``homotopy from-se
-#: --out`` when every sample was held (Python 3.11, x86-64): about 1.8 KiB per sample of a
-#: one-block path, and about 0.5 KiB more for each further block.
+#: What a sample is charged besides its arrays in that prediction, per sample and per block:
+#: the objects it makes (its time, its tuple, its ``BlockUnitary`` and that unitary's dict) and
+#: the bundle text ``homotopy from-se`` writes of it.  They are a margin, not a measurement: the
+#: golden lag-1 witness writes 2411 B of bundle per step for both sides together against 7808 B
+#: charged, and the ``[[1]]`` identity witness 658 B against 5408 B (``--steps`` 1000 against
+#: 2000).  Without them, the golden Y path (four 2x2 blocks) would be charged 76.8 MB at
+#: 300000 steps and accepted.
 _SAMPLE_OVERHEAD_BYTES = 2048
 _BLOCK_OVERHEAD_BYTES = 640
 
@@ -67,15 +70,24 @@ class UnitaryPath(Sequence):
     """A geodesic of block unitaries, as the sequence of its samples (t, U(t)).
 
     Every sample shares ``source`` and ``target``, and ``times`` increase from 0 to 1.
-    ``rotations`` holds (U0 Z, Z*, theta) per block, or (U0, None, None) where W is the
-    identity.  A path is data: the ``ArrowHomotopy`` carrying it checks its ``times`` and
-    :meth:`ends`.
+    ``rotations`` holds (U0 Z, Z*, theta) per nonempty block of ``source``, or (U0, None, None)
+    where W is the identity; construction checks that each fits its block.  The
+    ``ArrowHomotopy`` carrying the path checks its ``times`` and :meth:`ends`.
     """
 
     source: GraphCorrespondence
     target: GraphCorrespondence
     times: list
     rotations: dict
+
+    def __post_init__(self):
+        if set(self.rotations) != set(self.source.blocks()):
+            raise ShapeError("a path needs one rotation per nonempty block of its source")
+        for ij, rotation in self.rotations.items():
+            d = self.source.block_dim(*ij)
+            shapes = [None if x is None else np.shape(x) for x in rotation]
+            if shapes not in ([(d, d), None, None], [(d, d), (d, d), (d,)]):
+                raise ShapeError(f"the rotation of block {ij} does not fit a {d}x{d} block")
 
     def __len__(self) -> int:
         return len(self.times)

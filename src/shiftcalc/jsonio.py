@@ -10,36 +10,13 @@ bases are rebuilt on load, so only atomic (edge) correspondences travel
 through files.  The readers supply only the stored maps: ``corr.arrow_with``
 and ``aligned.assemble_shift`` decide the endpoints each map is read against.
 
-The public ``*_to_json`` functions return plain JSON values (nested lists).
-Inside the package, the command line builds its large bundles with *array
-leaves* instead: each block is the (d, d, 2) float64 array of its [re, im]
-pairs, which ``dump_json`` renders to the same text without building the
-nested lists.  A block whose entries are all +0.0 and 1.0 (every canonical
-identification, a permutation) formats no float at all: each of its pairs is
-one of four cached texts.  Array leaves are the writer's only fast path; a
-list (an integer matrix, or a block of the public functions) is written
-value by value, and each scalar gets the stdlib's text without a
-``json.dumps`` call.
-
-``dump_json(doc, fh)`` is the package's one JSON writer.  It writes each
-array leaf to ``fh`` as soon as it renders it, with the small pieces before
-it, so a bundle takes memory for one block's text, not for the document.  The
-samples of a streamed homotopy document reach it as a generator, each made as
-it is written.  What it cannot render raises; nothing falls back to the stdlib
-encoder.
-
-``load_json`` reads a file once and decodes it with the cyclic GC paused (a
-decoded document holds no reference cycles, so a collection would only walk
-it).  As each JSON object holding a "blocks" object closes, the decoder turns
-every square block of [re, im] float pairs there into its complex array, so a
-bundle holds the list tree of at most one map while it is decoded.  Any other
-block is left as decoded.  Every fault of the decoder (bytes that are not
-UTF-8, bad syntax, nesting too deep, a number too long) becomes a
-``ParseError`` naming the file; the readers raise ``ParseError`` naming the
-first fault they meet.  The block reader checks an array's size and
-finiteness; a list goes through the same whole-block conversion, and only a
-list that fails it (an int, a bool, a ragged row) is walked entry by entry to
-name its first offending entry.
+The ``*_to_json`` functions return plain JSON values (nested lists).  With
+the private switch ``_arrays``, the command line gets its large bundles in the
+form ``dump_json`` writes fastest: each block is the (d, d, 2) float64 array
+of its [re, im] pairs, and a homotopy's "samples" is a generator that makes
+each sample as it is written.  ``dump_json`` writes either form to the same
+text, and ``load_json`` reads it back with its blocks as complex arrays.  The
+readers raise a ``ParseError`` naming the first fault they meet.
 """
 
 from __future__ import annotations
@@ -113,22 +90,19 @@ def matrix_from_json(doc) -> IntMatrix:
     # Entry by entry, so the error names the first offending row.
     for i, row in enumerate(entries):
         _require(isinstance(row, list) and len(row) == cols, f"row {i} has the wrong length")
-        for x in row:
-            _require(_is_int(x), f"row {i} has a non-integer entry")
+        _require(all(map(_is_int, row)), f"row {i} has a non-integer entry")
     return from_rows(entries)
 
 
-def parse_matrix_file(path: str, *, on_read=None) -> IntMatrix:
-    """Load a matrix JSON file; ``load_json`` names the line and column of bad JSON and calls ``on_read``."""
+def nonnegative_matrix_from_file(path: str, *, on_read=None) -> IntMatrix:
+    """The matrix in the JSON file ``path``, whose entries must be nonnegative; every fault names the file.
+
+    ``load_json`` names the line and column of bad JSON and calls ``on_read``."""
     doc = load_json(path, on_read=on_read)
     try:
-        return matrix_from_json(doc)
+        m = matrix_from_json(doc)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def nonnegative_matrix_from_file(path: str, *, on_read=None) -> IntMatrix:
-    m = parse_matrix_file(path, on_read=on_read)
     for i, row in enumerate(m.entries):
         if min(row) < 0:
             j, x = next((j, x) for j, x in enumerate(row) if x < 0)
@@ -168,10 +142,6 @@ def _complex_matrix_array(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(m, dtype=complex).view(np.float64).reshape(*m.shape, 2)
 
 
-def _complex_matrix_to_json(m: np.ndarray) -> list:
-    return _complex_matrix_array(m).tolist()
-
-
 def _float_block(rows) -> np.ndarray | None:
     """The d x d complex array of ``rows``, a list of d lists of d [re, im] pairs of floats; None for anything else."""
     if type(rows) is not list or {*map(type, rows)} != {list} or {*map(len, rows)} != {len(rows)}:
@@ -202,7 +172,11 @@ def _float_rows(rows: list, d: int, where: str) -> list:
 
 
 def _complex_matrix_from_json(doc, d: int, where: str) -> np.ndarray:
-    """The d x d complex block of d rows of d [re, im] pairs, or the array ``load_json`` made of them."""
+    """The d x d complex block of d rows of d [re, im] pairs, or the array ``load_json`` made of them.
+
+    An array's size and finiteness are checked.  A list goes through the same whole-block
+    conversion, and only a list that fails it (an int, a bool, a ragged row) is walked entry
+    by entry, so that the ``ParseError`` names its first offending row or entry."""
     if isinstance(doc, list) and len(doc) == d:
         block = _float_block(doc)
         doc = _float_block(_float_rows(doc, d, where)) if block is None else block
@@ -222,17 +196,16 @@ def _block_keys(c: GraphCorrespondence) -> dict:
     return keys
 
 
-def block_unitary_to_json(u: BlockUnitary, *, _leaf=None) -> dict:
-    """The block unitary document; ``_leaf`` converts each complex block (default: nested lists)."""
-    leaf = _leaf or _complex_matrix_to_json
+def block_unitary_to_json(u: BlockUnitary, *, _arrays=False) -> dict:
+    """The block unitary document: each block as nested lists, or with ``_arrays`` as its array leaf."""
     src = u.source
-    blocks = {key: leaf(u.blocks[ij]) for ij, key in _block_keys(src).items()}
+    blocks = {key: _complex_matrix_array(u.blocks[ij]) for ij, key in _block_keys(src).items()}
     return {
         "schema": SCHEMA,
         "left_index": list(src.left_index),
         "right_index": list(src.right_index),
         "dims": [list(r) for r in src.dims.entries],
-        "blocks": blocks,
+        "blocks": blocks if _arrays else {key: leaf.tolist() for key, leaf in blocks.items()},
     }
 
 
@@ -307,11 +280,8 @@ def arrow_from_json(doc) -> OneArrow:
     return arrow_with(source, target, f, lambda src, tgt: block_unitary_from_json(phi, src, tgt))
 
 
-def shift_to_json(d: AlignedShiftData, *, _leaf=None) -> dict:
-    """Serialize a shift whose M and N are atomic correspondences.
-
-    ``_leaf`` converts each complex block, as in :func:`block_unitary_to_json`.
-    """
+def shift_to_json(d: AlignedShiftData, *, _arrays=False) -> dict:
+    """Serialize a shift whose M and N are atomic correspondences; ``_arrays`` as in :func:`block_unitary_to_json`."""
     return {
         "schema": SCHEMA,
         "x": object_to_json(d.x_obj),
@@ -319,10 +289,10 @@ def shift_to_json(d: AlignedShiftData, *, _leaf=None) -> dict:
         "lag": d.lag,
         "m_dims": matrix_to_json(d.m_arrow.f.dims),
         "n_dims": matrix_to_json(d.n_arrow.f.dims),
-        "phi_m": block_unitary_to_json(d.m_arrow.phi, _leaf=_leaf),
-        "phi_n": block_unitary_to_json(d.n_arrow.phi, _leaf=_leaf),
-        "psi_x": block_unitary_to_json(d.psi_x, _leaf=_leaf),
-        "psi_y": block_unitary_to_json(d.psi_y, _leaf=_leaf),
+        "phi_m": block_unitary_to_json(d.m_arrow.phi, _arrays=_arrays),
+        "phi_n": block_unitary_to_json(d.n_arrow.phi, _arrays=_arrays),
+        "psi_x": block_unitary_to_json(d.psi_x, _arrays=_arrays),
+        "psi_y": block_unitary_to_json(d.psi_y, _arrays=_arrays),
     }
 
 
@@ -345,19 +315,19 @@ def shift_from_json(doc) -> AlignedShiftData:
     )
 
 
-def homotopy_to_json(h: ArrowHomotopy, *, _leaf=None, _stream=False) -> dict:
-    """The homotopy document; ``_leaf`` converts each complex block, as in :func:`block_unitary_to_json`.
+def homotopy_to_json(h: ArrowHomotopy, *, _arrays=False) -> dict:
+    """The homotopy document; ``_arrays`` as in :func:`block_unitary_to_json`.
 
-    With ``_stream``, "samples" is a generator that ``dump_json`` streams: each sample is made,
-    written and dropped in turn, so the document never holds the path's samples, and it can
-    be written only once (a second ``dump_json`` writes its "samples" as ``[]``)."""
-    samples = ({"t": t, "unitary": block_unitary_to_json(u, _leaf=_leaf)} for t, u in h.path)
+    With ``_arrays``, "samples" is also a generator that ``dump_json`` streams: each sample is
+    made, written and dropped in turn, so the document never holds the path's samples, and it
+    can be written only once (a second ``dump_json`` writes its "samples" as ``[]``)."""
+    samples = ({"t": t, "unitary": block_unitary_to_json(u, _arrays=_arrays)} for t, u in h.path)
     return {
         "schema": SCHEMA,
         "fiber_dims": matrix_to_json(h.fiber.dims),
-        "samples": samples if _stream else list(samples),
-        "h0": block_unitary_to_json(h.h0, _leaf=_leaf),
-        "h1": block_unitary_to_json(h.h1, _leaf=_leaf),
+        "samples": samples if _arrays else list(samples),
+        "h0": block_unitary_to_json(h.h0, _arrays=_arrays),
+        "h1": block_unitary_to_json(h.h1, _arrays=_arrays),
     }
 
 
@@ -373,11 +343,14 @@ def _blocks_as_arrays(obj: dict) -> dict:
 
 
 def load_json(path: str, *, on_read=None):
-    """The JSON document in the file ``path``, its blocks decoded to arrays (see the module docstring).
+    """The JSON document in the file ``path``, each square block of [re, im] float pairs as its complex array.
 
     The file is read once; ``on_read``, if given, is called with its bytes before they are
-    decoded.  The cyclic GC is paused while the document is decoded, and its state is restored
-    on every exit."""
+    decoded.  As each object holding "blocks" closes, its blocks are converted, so a bundle
+    holds the list tree of at most one map while it is decoded; any other block is left as
+    decoded.  The cyclic GC is paused meanwhile (a decoded document holds no reference cycles),
+    and its state is restored on every exit.  Every fault of the decoder (bytes that are not
+    UTF-8, bad syntax, nesting too deep, a number too long) is a ``ParseError`` naming the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     if on_read is not None:
@@ -498,11 +471,11 @@ def dump_json(doc, fh) -> None:
     the text is never held whole; every list is rendered value by value, and every scalar as
     the stdlib spells it.  The rest and the final newline go in one last write.
 
-    A generator is written as the list it yields, item by item, so the samples of a streamed
-    ``homotopy_to_json`` are made as they are written.  A dict key other than str and a value of any
-    other type raise ``TypeError``, a cycle ``RecursionError``, and an int with more digits
-    than ``sys.get_int_max_str_digits()`` ``DomainError``; the text up to the last array
-    leaf rendered is then already written.
+    A generator is written as the list it yields, item by item, so the samples of
+    ``homotopy_to_json(h, _arrays=True)`` are made as they are written.  A dict key other than
+    str and a value of any other type raise ``TypeError``, a cycle ``RecursionError``, and an
+    int with more digits than ``sys.get_int_max_str_digits()`` ``DomainError``; the text up to
+    the last array leaf rendered is then already written.
     """
     out = []
     _encode(doc, 0, out, fh)

@@ -19,7 +19,7 @@ from shiftcalc.jsonio import (
     homotopy_to_json,
     matrix_from_json,
     matrix_to_json,
-    parse_matrix_file,
+    nonnegative_matrix_from_file,
     shift_from_json,
     shift_to_json,
     witness_to_json,
@@ -181,19 +181,19 @@ class TestUsageAndParsing:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"rows": 1, "cols": 1}))
         with pytest.raises(ParseError, match="entries"):
-            parse_matrix_file(str(path))
+            nonnegative_matrix_from_file(str(path))
 
     def test_ragged_rows_named(self, tmp_path):
         path = tmp_path / "ragged.json"
         path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [[1, 2], [3]]}))
         with pytest.raises(ParseError, match="row 1"):
-            parse_matrix_file(str(path))
+            nonnegative_matrix_from_file(str(path))
 
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "syntax.json"
         path.write_text("{\n  broken\n}")
         with pytest.raises(ParseError, match="line 2"):
-            parse_matrix_file(str(path))
+            nonnegative_matrix_from_file(str(path))
 
     def test_scalar_matrix_roundtrip(self):
         doc = {"rows": 1, "cols": 1, "entries": [[2]]}
@@ -439,12 +439,12 @@ def eager_homotopy_bundle(w: SEWitness, steps: int) -> str:
     import scipy.linalg
 
     from shiftcalc import BlockUnitary, conjugate_arrow
-    from shiftcalc.jsonio import _complex_matrix_array, block_unitary_to_json, homotopy_to_json
+    from shiftcalc.jsonio import block_unitary_to_json, homotopy_to_json
     from tests.test_homotopy import schur_log
 
     shift, *homotopies = homotopy_shift_equivalence_from_se(w, steps=steps)
     bundle = {"schema": SCHEMA, "witness": witness_to_json(w), "steps": steps,
-              "shift": shift_to_json(shift, _leaf=_complex_matrix_array)}
+              "shift": shift_to_json(shift, _arrays=True)}
     for side, h in zip(("homotopy_x", "homotopy_y"), homotopies):
         u0, u1 = h.f_arrow.phi, conjugate_arrow(h.g_arrow, h.h1.adjoint()).phi
         logs = {ij: schur_log(m.conj().T @ u1.blocks[ij]) for ij, m in u0.blocks.items()}
@@ -452,9 +452,9 @@ def eager_homotopy_bundle(w: SEWitness, steps: int) -> str:
             (k / (steps - 1), {ij: m @ scipy.linalg.expm(k / (steps - 1) * logs[ij]) for ij, m in u0.blocks.items()})
             for k in range(steps)
         ]
-        doc = homotopy_to_json(h, _leaf=_complex_matrix_array)
+        doc = homotopy_to_json(h, _arrays=True)
         doc["samples"] = [
-            {"t": t, "unitary": block_unitary_to_json(BlockUnitary(u0.source, u0.target, blocks), _leaf=_complex_matrix_array)}
+            {"t": t, "unitary": block_unitary_to_json(BlockUnitary(u0.source, u0.target, blocks), _arrays=True)}
             for t, blocks in samples
         ]
         bundle[side] = doc
@@ -501,14 +501,18 @@ def test_both_paths_are_refused_before_either_is_sampled(capsys, tmp_path, golde
     assert err == "shiftcalc: 300000 samples would take 1459200000 bytes, above the 1073741824 a path may take\n"
 
 
-def test_a_failed_homotopy_names_its_first_defect_per_side(capsys, tmp_path):
-    # At tol 1e-300 the first sample of each side already has a rounding defect.
+def failed_homotopy_run(capsys, tmp_path):
+    """``homotopy from-se`` at tol 1e-300, where the first sample of each side already has a rounding defect."""
     from shiftcalc import fold_chain, random_sse_chain
 
     witness = fold_chain(random_sse_chain(from_rows([[2, 1], [1, 2]]), 2, seed=0))
     witness_path = write(tmp_path / "w.json", witness_to_json(witness))
     argv = ["--tol", "1e-300", "homotopy", "from-se", "--witness", witness_path, "--steps", "4", "--out", str(tmp_path / "h.json")]
-    code, report, err = run(capsys, argv)
+    return run(capsys, argv)
+
+
+def test_a_failed_homotopy_names_its_first_defect_per_side(capsys, tmp_path):
+    code, report, err = failed_homotopy_run(capsys, tmp_path)
     assert code == 1
     assert report["verdict"] == {"verified_x": False, "verified_y": False, "steps": 4, "out": str(tmp_path / "h.json")}
     x_line, y_line = err.splitlines()
@@ -516,9 +520,26 @@ def test_a_failed_homotopy_names_its_first_defect_per_side(capsys, tmp_path):
     assert y_line.startswith("homotopy y: sample 0 (t=0) is not unitary: defect ")
 
 
+def test_each_side_is_checked_once(capsys, tmp_path, monkeypatch):
+    # Its verdict and its stderr line come from one check, whichever name reaches it.
+    from shiftcalc import cli, homotopy
+
+    checked, check = [], homotopy.homotopy_failure
+
+    def counted(h, tol):
+        checked.append(h)
+        return check(h, tol)
+
+    monkeypatch.setattr(homotopy, "homotopy_failure", counted)
+    monkeypatch.setattr(cli, "homotopy_failure", counted)
+    code, report, err = failed_homotopy_run(capsys, tmp_path)
+    assert code == 1 and err.count("\n") == 2
+    assert len(checked) == 2 and checked[0] is not checked[1]
+
+
 def test_steps_of_small_blocks_are_refused_by_what_each_sample_holds(capsys, tmp_path):
-    # 2**25 samples of the identity witness's 1 x 1 blocks hold 512 MiB of arrays,
-    # yet each sample's objects and bundle entry would take about 90 GB more.
+    # 2**25 samples of the identity witness's 1 x 1 blocks make 512 MiB of arrays,
+    # and each sample's objects and bundle text are charged about 90 GB more.
     one = from_rows([[1]])
     witness_path = write(tmp_path / "w.json", witness_to_json(SEWitness(one, one, one, one, 1)))
     start = time.perf_counter()
@@ -1215,21 +1236,23 @@ class TestEachVerdictOnce:
 
 
 class TestBundlesWithoutNestedLists:
-    """The command line writes bundles from array leaves: the nested-list block
-    converter of the public ``*_to_json`` functions is never called."""
+    """The command line writes bundles from array leaves: no block unitary goes
+    through the nested-list form that the public ``*_to_json`` functions return."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        """The shape of each block that a writer turns into nested lists."""
         import shiftcalc.jsonio
 
         calls = []
-        convert = shiftcalc.jsonio._complex_matrix_to_json
+        convert = shiftcalc.jsonio.block_unitary_to_json
 
-        def counted(m):
-            calls.append(m.shape)
-            return convert(m)
+        def counted(u, *, _arrays=False):
+            if not _arrays:
+                calls.extend(m.shape for m in u.blocks.values())
+            return convert(u, _arrays=_arrays)
 
-        monkeypatch.setattr(shiftcalc.jsonio, "_complex_matrix_to_json", counted)
+        monkeypatch.setattr(shiftcalc.jsonio, "block_unitary_to_json", counted)
         return calls
 
     @pytest.mark.parametrize("command", [["homotopy", "from-se", "--steps", "3"], ["aligned", "from-se"]])

@@ -632,11 +632,42 @@ class TestConstruction:
         return ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, ListedPath(tuple(samples)), h.h0, h.h1)
 
     def test_a_path_is_data(self):
-        # A path alone checks nothing; the homotopy carrying it refuses it.
+        # A path alone does not check its times; the homotopy carrying it refuses them.
         h = self.geodesic()
-        empty = UnitaryPath(h.path.source, h.path.target, [], {})
+        empty = replace(h.path, times=[])
         with pytest.raises(ShapeError, match=re.escape("a path needs two or more samples at times increasing strictly from 0 to 1")):
             ArrowHomotopy(h.f_arrow, h.g_arrow, h.fiber, empty, h.h0, h.h1)
+
+    @pytest.mark.parametrize(
+        "rotation",
+        [
+            (np.eye(3), None, None),
+            (np.eye(4), np.eye(3), np.zeros(4)),
+            (np.eye(4), np.eye(4), np.zeros(3)),
+            (np.eye(4), np.eye(4), None),
+            (np.eye(4), None, np.zeros(4)),
+        ],
+        ids=["start too small", "back too small", "too few angles", "a back without angles", "angles without a back"],
+    )
+    def test_each_rotation_must_fit_its_block(self, rotation):
+        # The fiber's one block is 4x4, so none of these could make a sample.
+        h = self.geodesic()
+        with pytest.raises(ShapeError, match=re.escape("the rotation of block (0, 0) does not fit a 4x4 block")):
+            UnitaryPath(h.path.source, h.path.target, h.path.times, {(0, 0): rotation})
+
+    @pytest.mark.parametrize("blocks", [[], [(0, 0), (0, 1)]], ids=["none", "one too many"])
+    def test_there_is_one_rotation_per_nonempty_block(self, blocks):
+        h = self.geodesic()
+        rotations = {ij: (np.eye(4), None, None) for ij in blocks}
+        with pytest.raises(ShapeError, match="^a path needs one rotation per nonempty block of its source$"):
+            UnitaryPath(h.path.source, h.path.target, h.path.times, rotations)
+
+    def test_rotations_that_fit_make_their_samples(self):
+        h = self.geodesic()
+        theta = np.array([0.0, 0.0, np.pi, np.pi])
+        for rotation in [(np.eye(4), None, None), (np.eye(4), np.eye(4), theta)]:
+            path = UnitaryPath(h.path.source, h.path.target, h.path.times, {(0, 0): rotation})
+            assert [u.blocks[(0, 0)].shape for _, u in path] == [(4, 4)] * len(h.path)
 
     def test_ends_must_be_parallel(self):
         h = self.geodesic()

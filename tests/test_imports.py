@@ -1,7 +1,7 @@
 """Unused imports, unused private names, unread public names and unread locals
 in the package, calls of the stdlib's JSON writer, the names the benchmark
-tracer rebinds, refusals that no test names, and reads of the factor runs
-outside ``corr``.
+tracer rebinds, refusals that no test names, reads of the factor runs
+outside ``corr``, and reads of ``jsonio``'s private names outside ``jsonio``.
 
 No linter is installed, so ``ast`` stands in.
 """
@@ -101,6 +101,50 @@ NOT_CORR = sorted(path for path in pathlib.Path(shiftcalc.__file__).parent.glob(
 def test_only_corr_reads_the_factor_runs(path):
     # How a correspondence stores its factor sequence is corr's own business.
     assert attribute_reads(path.read_text(encoding="utf-8"), "factors") == []
+
+
+def private_jsonio_reads(source: str) -> list[int]:
+    """Lines that read a private name of ``jsonio``: an attribute of ``jsonio`` (under any
+    name the module gives it, or reached as ``package.jsonio``), or an import from it."""
+    tree = ast.parse(source)
+    names = set()
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "jsonio":
+            lines += [node.lineno for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name for alias in node.names if alias.name.rpartition(".")[2] == "jsonio"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__"):
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id in names or isinstance(owner, ast.Attribute) and owner.attr == "jsonio":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_a_private_jsonio_read():
+    source = (
+        "from . import jsonio\n"
+        "jsonio.dump_json(x, f)\n"
+        "leaf = jsonio._complex_matrix_array\n"
+        "from .jsonio import SCHEMA, _require\n"
+        "import shiftcalc.jsonio as j\n"
+        "j._float_block(rows)\n"
+        "import shiftcalc.jsonio\n"
+        "shiftcalc.jsonio._join([], 0)\n"
+        "other._private(1)\n"
+        "jsonio.__name__\n"
+    )
+    assert private_jsonio_reads(source) == [3, 4, 6, 8]
+
+
+NOT_JSONIO = sorted(path for path in pathlib.Path(shiftcalc.__file__).parent.glob("*.py") if path.name != "jsonio.py")
+
+
+@pytest.mark.parametrize("path", NOT_JSONIO, ids=[path.name for path in NOT_JSONIO])
+def test_only_jsonio_reads_its_private_names(path):
+    # How a bundle is built for writing is jsonio's own business: callers pass _arrays.
+    assert private_jsonio_reads(path.read_text(encoding="utf-8")) == []
 
 
 def definitions(source: str) -> set[str]:

@@ -33,7 +33,6 @@ from shiftcalc import jsonio
 from shiftcalc.jsonio import (
     _complex_matrix_array,
     _complex_matrix_from_json,
-    _complex_matrix_to_json,
     _require,
     dump_json,
 )
@@ -241,7 +240,7 @@ class TestArrayLeaves:
         for block in (m, m.conj().T):
             leaf = _complex_matrix_array(block)
             assert leaf.shape == (2, 2, 2) and leaf.dtype == np.float64
-            assert repr(leaf.tolist()) == repr(_complex_matrix_to_json(block))
+            assert repr(leaf.tolist()) == repr(_complex_matrix_array(block).tolist())
 
     def test_a_leaf_of_nan_and_both_infinities_is_spelled_as_the_stdlib_spells_it(self):
         # The generated leaves hold at most one non-finite entry.
@@ -412,7 +411,7 @@ class TestStream:
         from shiftcalc import homotopy_shift_equivalence_from_se
 
         _, h, _ = homotopy_shift_equivalence_from_se(GOLDEN_WITNESS, steps=3)
-        listed, streamed = (jsonio.homotopy_to_json(h, _leaf=_complex_matrix_array, _stream=s) for s in (False, True))
+        listed, streamed = (jsonio.homotopy_to_json(h, _arrays=s) for s in (False, True))
         assert isinstance(listed["samples"], list) and len(listed["samples"]) == 3
         once, again = io.StringIO(), io.StringIO()
         dump_json(streamed, once)
@@ -532,7 +531,7 @@ class TestComplexMatrices:
         assert any(np.signbit(m.imag).any() and not m.imag.any() for m in blocks)
         for m in blocks:
             # repr tells -0.0 from 0.0 and prints each float exactly.
-            assert repr(_complex_matrix_to_json(m)) == repr(old_complex_matrix_to_json(m))
+            assert repr(_complex_matrix_array(m).tolist()) == repr(old_complex_matrix_to_json(m))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reader_matches_the_per_entry_complex(self, seed):
@@ -560,7 +559,7 @@ class TestComplexMatrices:
 
     def test_reader_roundtrips_the_writer(self, unitary):
         for m in unitary.blocks.values():
-            doc = json.loads(json.dumps(_complex_matrix_to_json(m)))
+            doc = json.loads(json.dumps(_complex_matrix_array(m).tolist()))
             assert np.array_equal(_complex_matrix_from_json(doc, len(m), "block"), m)
 
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from shiftcalc import (
     random_sse_chain,
     reverse_se,
     search_se,
+    transpose,
     verify_se,
 )
 from shiftcalc.witnesses import SE_EQUATIONS, _random_col_split
@@ -471,3 +473,102 @@ def test_col_split_matches_the_reference_and_its_draws(matrix_seed, seed, max_si
     assert (r, s) == reference_col_split(a, reference_rng)
     assert rng.getstate() == reference_rng.getstate()
     assert mat_mul(r, s) == a
+
+
+# ---------------------------------------------------------------------------
+# The symmetries of shift equivalence as metamorphic relations: each test
+# compares the code's verdict on an input with its verdict on a transformed
+# input, so no second implementation is needed.
+# ---------------------------------------------------------------------------
+
+
+def relabel(m, p, q):
+    """P M Q^T for the permutation matrices P and Q of ``p`` and ``q``: entry (i, j) is m[p[i], q[j]]."""
+    return from_rows([[m[p[i], q[j]] for j in range(m.cols)] for i in range(m.rows)])
+
+
+def transposed(w):
+    """(A^T, B^T, S^T, R^T): its A^m = RS and B^m = SR are the transposes of w's, and its
+    BS = SA and AR = RB are the transposes of w's AR = RB and BS = SA."""
+    return SEWitness(transpose(w.a), transpose(w.b), transpose(w.s), transpose(w.r), w.lag)
+
+
+@st.composite
+def search_problems(draw):
+    """(A, B, lag, bound): essential A and B of size at most 3 and entries at most 2, B drawn
+    apart from A, as the far end of a random lag-1 step from A (so a witness exists at some
+    bound), or as a relabeling of A; lag and bound at most 2."""
+    rng = draw(st.randoms(use_true_random=False))
+    a = random_essential(rng, max_size=3, max_entry=2)
+    kind = draw(st.sampled_from(["apart", "step", "relabeled"]))
+    if kind == "step" and a.rows < 3:
+        b = random_sse_chain(a, 1, seed=rng.randrange(2**32)).steps[0].b
+    elif kind == "relabeled":
+        p = draw(st.permutations(range(a.rows)))
+        b = relabel(a, p, p)
+    else:
+        b = random_essential(rng, max_size=3, max_entry=2)
+    return a, b, draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+
+@st.composite
+def witnesses(draw):
+    """A witness between small essential matrices: the fold of a random chain of one or two
+    steps, which verifies, or that witness with one entry of R or S moved by one, which need not."""
+    rng = draw(st.randoms(use_true_random=False))
+    a = random_essential(rng, max_size=2, max_entry=2)
+    w = fold_chain(random_sse_chain(a, draw(st.integers(1, 2)), seed=rng.randrange(2**32)))
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(["r", "s"]))
+        m = getattr(w, name)
+        i, j = draw(st.integers(0, m.rows - 1)), draw(st.integers(0, m.cols - 1))
+        rows = [list(row) for row in m.entries]
+        rows[i][j] += 1 if rows[i][j] == 0 or draw(st.booleans()) else -1
+        w = replace(w, **{name: from_rows(rows)})
+    return w
+
+
+def found(a, b, lag, bound) -> bool:
+    return search_se(a, b, lag, bound) is not None
+
+
+class TestSymmetries:
+    """Shift equivalence is symmetric and commutes with transposition and with relabeling of
+    vertices, and a witness at lag m gives one at lag m + 1 (Lind & Marcus, section 7.3)."""
+
+    @given(search_problems())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_swap(self, problem):
+        a, b, lag, bound = problem
+        assert found(b, a, lag, bound) == found(a, b, lag, bound)
+
+    @given(search_problems())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_transposition_of_a_search(self, problem):
+        a, b, lag, bound = problem
+        assert found(transpose(a), transpose(b), lag, bound) == found(a, b, lag, bound)
+
+    @given(witnesses())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_transposition_of_a_witness(self, w):
+        assert verify_se(transposed(w)) == verify_se(w)
+
+    @given(search_problems(), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_relabeling_of_a_search(self, problem, data):
+        a, b, lag, bound = problem
+        p, q = (data.draw(st.permutations(range(n))) for n in (a.rows, b.rows))
+        assert found(relabel(a, p, p), relabel(b, q, q), lag, bound) == found(a, b, lag, bound)
+
+    @given(witnesses(), st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_relabeling_of_a_witness(self, w, data):
+        p, q = (data.draw(st.permutations(range(n))) for n in (w.a.rows, w.b.rows))
+        moved = SEWitness(relabel(w.a, p, p), relabel(w.b, q, q), relabel(w.r, p, q), relabel(w.s, q, p), w.lag)
+        assert verify_se(moved) == verify_se(w)
+
+    @given(witnesses())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_lag(self, w):
+        if verify_se(w):
+            assert verify_se(SEWitness(w.a, w.b, mat_mul(w.a, w.r), w.s, w.lag + 1))
