@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .exact import IntMatrix, is_essential, is_nonnegative, mat_mul, power_equals
+from .exact import IntMatrix, is_essential, is_nonnegative, mat_mul
 from .exact import identity as int_identity
 
 #: A basis vector: a path of edges (source label, alpha, target label).
@@ -397,21 +397,6 @@ def power_correspondence(obj: ObjectPair, m: int) -> GraphCorrespondence:
     half = power_correspondence(obj, m // 2)
     square = tensor(half, half)
     return tensor(square, obj.x) if m & 1 else square
-
-
-def is_power(c: GraphCorrespondence, obj: ObjectPair, m: int) -> bool:
-    """``c == power_correspondence(obj, m)`` for m >= 1, without building the power: labels,
-    dims against A^m, and factors.  Words commute exactly when both are powers of one word
-    (Lyndon-Schutzenberger), so c's factors are X's m times over exactly when c (x) X and
-    X (x) c have the same runs and c holds m times X's factor count, in time independent of m."""
-    runs = obj.x.factors
-    return (
-        c.left_index == obj.algebra_index
-        and c.right_index == obj.algebra_index
-        and _join(c.factors, runs) == _join(runs, c.factors)
-        and sum(n for _, n in c.factors) == m * sum(n for _, n in runs)
-        and power_equals(obj.x.dims, m, c.dims)
-    )
 
 
 def arrow_with(source: ObjectPair, target: ObjectPair, f: GraphCorrespondence, make=None) -> OneArrow:

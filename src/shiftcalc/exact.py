@@ -1,20 +1,15 @@
 """Exact arbitrary-precision integer matrices and their normal forms.
 
 Every result is an exact integer.  Matrices live in Python integers, which
-cannot overflow.  One computation runs on residues instead: the
-characteristic polynomial together with the adjugate product adj(I - A) B,
-both from one table of powers of A modulo primes p with 2**(2k) * (p - 1)**2 < 2**53
-for the size class 2**k > n, held as float64: every residue product, and every
-sum of up to n**2 of them, is a nonnegative integer below 2**53, so each BLAS
-product is exact, and a Hadamard bound makes the Chinese-remainder recovery
-exact.  The table is built a few primes at a time, within ``_TABLE_BYTES``.
-The module supplies the engine for the rest of the package -- matrix
-products, powers and the capped power check ``power_equals`` for witness
-verification, the invariant factors of the Smith normal form, over Z or
-modulo an integer, for cokernel invariants (the diagonal only; the
-unimodular transforms are never built), the characteristic polynomial from
-traces of powers and Newton's identities, the adjugate of I - A from it, and
-the rank as the number of nonzero invariant factors.
+cannot overflow.  One computation runs on residues instead, exactly: the
+characteristic polynomial together with the adjugate product adj(I - A) B
+(see :func:`char_poly_and_adjugate`).  The module supplies the engine for the
+rest of the package -- matrix products, powers and the capped power check
+``power_equals`` for witness verification, the invariant factors of the Smith
+normal form, over Z or modulo an integer, for cokernel invariants (the
+diagonal only; the unimodular transforms are never built), the
+characteristic polynomial and the adjugate of I - A, and the rank as the
+number of nonzero invariant factors.
 
 All values are immutable; every function returns fresh objects and is safe to
 call concurrently.
@@ -480,7 +475,7 @@ def _modular_char_poly_and_adjugate(
 ) -> tuple[list[int], list[int]]:
     """c_0, ..., c_n of det(tI - A) and the entries of adj(I - A) B, row by
     row, modulo the product of ``primes``, from their baby and giant powers
-    (see :func:`_char_poly_and_adjugate`); A and B come as :func:`_as_array`
+    (see :func:`char_poly_and_adjugate`); A and B come as :func:`_as_array`
     arrays.  The powers are freed on return."""
     k, n, modulus = len(primes), len(a), math.prod(primes)
     baby, giant = _powers(a, primes, r, g)
@@ -504,14 +499,24 @@ def _modular_char_poly_and_adjugate(
     return chi, _crt(y.astype(np.int64).reshape(k, -1).tolist(), primes)
 
 
-def _char_poly_and_adjugate(a: IntMatrix, b: IntMatrix) -> tuple[IntPolynomial, IntMatrix]:
+def char_poly_and_adjugate(a: IntMatrix, b: IntMatrix) -> tuple[IntPolynomial, IntMatrix]:
     """det(tI - A) and adj(I - A) B, exactly, from one table of powers of A
-    modulo primes (see :func:`char_poly` for the primes and why every product
-    is exact).
+    modulo primes: traces of powers, Newton's identities and the Chinese
+    remainder theorem (Preparata-Sarwate 1978, with baby-step/giant-step traces).
 
-    * Primes: their product M exceeds 2 * :func:`_coefficient_bound` (A) times
-      the largest column sum of |B|, or 1 if that is larger.  They are taken in chunks whose powers
-      fit in ``_TABLE_BYTES``; each chunk, with product M_c, yields chi and
+    * Primes: the largest p with 2**(2k) * (p - 1)**2 < 2**53 for the size
+      class 2**k > n (see :func:`_moduli`), until their product M exceeds
+      2 * :func:`_coefficient_bound` (A) times the largest column sum of |B|,
+      or 1 if that is larger.  Residues lie in [0, p), so every product of two
+      is a nonnegative integer, and every partial sum of up to n**2 < 2**(2k)
+      such products is below 2**53: float64 BLAS products are exact in any
+      order of summation, with or without fused multiply-add.  Each product is
+      reduced by c - floor(c * (1/p)) * p and one correction by +-p (see
+      :func:`_reduce`).  A size class has finitely many such primes, so
+      :class:`DomainError` is raised when the bound outgrows them: for every
+      matrix from n = 2**13 on, and earlier for large entries or large n.
+    * Chunks: the primes are taken in chunks whose powers fit in
+      ``_TABLE_BYTES``; each chunk, with product M_c, yields chi and
       adj(I - A) B modulo M_c (:func:`_modular_char_poly_and_adjugate`), and a
       last CRT over the chunks lifts both into (-M/2, M/2].
     * Table: with r = isqrt(n) + 1, the baby powers A^j, j < r, and the giant
@@ -520,9 +525,9 @@ def _char_poly_and_adjugate(a: IntMatrix, b: IntMatrix) -> tuple[IntPolynomial, 
       (A^j)^T, so every power sum comes from one batched product of the
       flattened giant and baby powers, n**2 terms per sum.  Newton's
       identities k e_k = sum_(i<=k) (-1)**(i-1) e_(k-i) s_i run modulo M_c
-      (each prime exceeds n, so k <= n is invertible), and
-      c_(n-k) = (-1)**k e_k.  Exact, since |c_k| <= :func:`_coefficient_bound` (A)
-      < M/2.
+      (each prime exceeds 2**k > n, so k <= n is invertible), and
+      c_(n-k) = (-1)**k e_k.  Exact, since Hadamard bounds |c_k| by
+      :func:`_coefficient_bound` (A) < M/2.
     * Adjugate: with D = chi(1) = det(I - A) and q(t) = (chi(t) - D) / (t - 1),
       whose coefficients are the suffix sums q_k = sum_(j>k) c_j, Cayley-Hamilton
       gives (I - A) q(A) = D I, so adj(I - A) = q(A).  Each entry of adj(I - A)
@@ -551,27 +556,8 @@ def _char_poly_and_adjugate(a: IntMatrix, b: IntMatrix) -> tuple[IntPolynomial, 
 
 
 def char_poly(a: IntMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(tI - A), exactly, by traces of powers
-    modulo several primes, Newton's identities and the Chinese remainder
-    theorem (Preparata-Sarwate 1978, with the baby-step/giant-step traces).
-
-    * Bound: every coefficient lies within B = prod_i (2 + isqrt(sum_j a_ij**2))
-      (see :func:`_coefficient_bound`).
-    * Primes: the largest primes p with 2**(2k) * (p - 1)**2 < 2**53 for the
-      size class 2**k > n (see :func:`_moduli`), until their product M exceeds
-      2B.  Residues lie in [0, p), so every product of two is a nonnegative
-      integer, and every partial sum of up to n**2 < 2**(2k) such products is
-      below 2**53: float64 BLAS products are exact in any order of summation,
-      with or without fused multiply-add.  Each product is reduced by
-      c - floor(c * (1/p)) * p and one correction by +-p (see :func:`_reduce`).
-      Each prime exceeds 2**k > n, so Newton's divisions by k <= n exist.
-      A size class has finitely many such primes, so :class:`DomainError` is
-      raised when B outgrows them (see :func:`_moduli`): for every matrix from
-      n = 2**13 on, and earlier for large entries or large n.
-    * Powers and recovery: see :func:`_char_poly_and_adjugate`, here with B
-      one zero column, whose column sum counts as 1 and leaves the primes.
-    """
-    return _char_poly_and_adjugate(a, from_rows([[0]] * a.rows))[0]
+    """Characteristic polynomial det(tI - A): :func:`char_poly_and_adjugate` with B one zero column."""
+    return char_poly_and_adjugate(a, from_rows([[0]] * a.rows))[0]
 
 
 def _as_array(a: IntMatrix) -> np.ndarray:
@@ -595,11 +581,9 @@ def _residues(a: np.ndarray, primes: list[int]) -> np.ndarray:
 def _crt(residues: list[list[int]], moduli: list[int]) -> list[int]:
     """The integers in the symmetric range (-M/2, M/2], M the product of the
     pairwise coprime ``moduli``, with ``residues[k]`` modulo ``moduli[k]``,
-    entry by entry."""
-    values = [0] * len(residues[0])
-    modulus = 1
-    for q, rs in zip(moduli, residues):
-        inv = pow(modulus, -1, q)
-        values = [x + modulus * ((r - x) * inv % q) for x, r in zip(values, rs)]
-        modulus *= q
+    entry by entry: sum_k r_k e_k modulo M, lifted, where the weight
+    e_k = (M/m_k) ((M/m_k)^-1 mod m_k) is 1 modulo m_k and 0 modulo the others."""
+    modulus = math.prod(moduli)
+    weights = [modulus // q * pow(modulus // q, -1, q) for q in moduli]
+    values = [sum(map(operator.mul, weights, rs)) % modulus for rs in zip(*residues)]
     return [x - modulus if 2 * x > modulus else x for x in values]

@@ -114,7 +114,10 @@ class UnitaryPath(Sequence):
 
 
 def _refuse_oversized_path(dims: IntMatrix, steps: int) -> None:
-    """Refuse ``steps`` samples on blocks of ``dims`` if their arrays and objects would exceed ``_SAMPLES_BYTES``."""
+    """Refuse ``steps`` samples on blocks of ``dims`` if they are fewer than two or their arrays and objects
+    would exceed ``_SAMPLES_BYTES``."""
+    if steps < 2:
+        raise DomainError("need at least two samples")
     per_block = (_BLOCK_OVERHEAD_BYTES + 16 * d * d for row in dims.entries for d in row if d)  # complex128 entries
     predicted = steps * (_SAMPLE_OVERHEAD_BYTES + sum(per_block))
     if predicted > _SAMPLES_BYTES:
@@ -172,11 +175,9 @@ def connect_unitaries(u0: BlockUnitary, u1: BlockUnitary, steps: int) -> Unitary
     Per block, H = log(W), W = U0* U1, has eigenvalue arguments theta in (-pi, pi]: an
     eigenvalue at -1, or an argument that rounding puts within a few ulp of -pi, gets +pi
     (this fixed branch is a representation choice, discontinuous only on a measure-zero
-    set).  A path whose samples would take more than ``_SAMPLES_BYTES`` all together,
-    counting their arrays and what each sample holds besides, is refused before any is made.
+    set).  Fewer than two samples, or samples that would take more than ``_SAMPLES_BYTES``
+    in all, counting what each holds besides its arrays, are refused before any is made.
     """
-    if steps < 2:
-        raise DomainError("need at least two samples")
     if u0.source != u1.source or u0.target != u1.target:
         raise ShapeError("endpoints must share source and target correspondences")
     _refuse_oversized_path(u0.source.dims, steps)

@@ -21,7 +21,7 @@ from .errors import DomainError
 from .exact import (
     IntMatrix,
     IntPolynomial,
-    _char_poly_and_adjugate,
+    char_poly_and_adjugate,
     from_rows,
     is_essential,
     poly,
@@ -97,7 +97,7 @@ def compute_invariants(a: IntMatrix) -> DimensionInvariants:
     The Bowen-Franks factors d1 | ... | dn of M = I - A come from chi = det(tI - A),
     computed once for the other invariants.  One table of powers of A, with
     primes sized for both, gives chi and adj M B
-    (:func:`~shiftcalc.exact._char_poly_and_adjugate`):
+    (:func:`~shiftcalc.exact.char_poly_and_adjugate`):
 
     * D = chi(1) = det M.
     * adj M = q(A) for q(t) = (chi(t) - D) / (t - 1), by Cayley-Hamilton.
@@ -115,7 +115,7 @@ def compute_invariants(a: IntMatrix) -> DimensionInvariants:
     """
     if not is_essential(a):
         raise DomainError("invariants are defined for essential matrices")
-    chi, adjugate = _char_poly_and_adjugate(a, from_rows([[1, j] for j in range(1, a.rows + 1)]))
+    chi, adjugate = char_poly_and_adjugate(a, from_rows([[1, j] for j in range(1, a.rows + 1)]))
     stripped, _ = poly_strip_t(chi)
     # I - A in one pass: A's entries are already valid ints.
     m = IntMatrix(

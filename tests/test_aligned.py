@@ -163,8 +163,12 @@ class TestConcreteShift:
             AlignedShiftData(d.x_obj, d.y_obj, d.m_arrow, d.n_arrow, d.psi_x, d.psi_x, 1)
 
     def test_the_power_check_agrees_with_the_built_power(self):
-        from shiftcalc import ObjectPair, from_matrix, object_pair, tensor
-        from shiftcalc.corr import is_power
+        # The constructor accepts a psi_x or psi_y target exactly when it equals the built
+        # power: every candidate ends both maps of the shift (X, X, X^(x)lag, I), and is
+        # refused unless it is X^(x)lag; one of another shape ends no map from M (x) N.
+        from shiftcalc import BlockUnitary, ObjectPair, canonical_identification, from_matrix, identity
+        from shiftcalc import object_pair, tensor
+        from shiftcalc.aligned import assemble_shift
 
         x = object_pair(from_rows([[2]]))
         y = object_pair(from_rows([[1, 1], [1, 1]]))
@@ -200,10 +204,45 @@ class TestConcreteShift:
                         moved[i], moved[j] = (atom, count - 1), (atom, runs[j][1] + 1)
                         candidates.append(replace(power, factors=tuple(moved)))
         assert power_correspondence(objects[3], 2) == power_correspondence(y, 4)
+        verdicts = {"accepted": 0, "refused": 0, "other shape": 0}
         for obj in objects:
+            unit = from_matrix(identity(len(obj.algebra_index)), obj.algebra_index, obj.algebra_index)
             for lag in range(1, 5):
                 built = power_correspondence(obj, lag)
-                assert [is_power(c, obj, lag) for c in candidates] == [c == built for c in candidates]
+                d = assemble_shift(obj, obj, built, unit, lag, lambda name, src, tgt: canonical_identification(src, tgt))
+                for c in candidates:
+                    if not c.same_shape(built):
+                        verdicts["other shape"] += 1
+                        with pytest.raises(ShapeError, match="^source and target of a block unitary must have equal dims$"):
+                            BlockUnitary(d.psi_x.source, c, d.psi_x.blocks)
+                        continue
+                    psi_x, psi_y = (BlockUnitary(psi.source, c, psi.blocks) for psi in (d.psi_x, d.psi_y))
+                    if c == built:
+                        verdicts["accepted"] += 1
+                        replace(d, psi_x=psi_x, psi_y=psi_y)
+                        continue
+                    verdicts["refused"] += 1
+                    with pytest.raises(ShapeError, match="^psi_x must end at the lag-th tensor power of X$"):
+                        replace(d, psi_x=psi_x)
+                    with pytest.raises(ShapeError, match="^psi_y must end at the lag-th tensor power of Y$"):
+                        replace(d, psi_y=psi_y)
+        assert verdicts == {"accepted": 24, "refused": 129, "other shape": 1967}
+
+    def test_the_power_check_builds_no_power_larger_than_its_target(self, monkeypatch):
+        # X^(x)40 would need 2**40 basis vectors; A^40 is compared with the targets' dims first.
+        import shiftcalc.aligned
+        from shiftcalc import canonical_identification, from_matrix, object_pair, tensor
+        from shiftcalc.corr import arrow_with
+
+        def refuse(*args):
+            raise AssertionError("power_correspondence called")
+
+        x, one = object_pair(from_rows([[2]])), from_matrix(from_rows([[1]]))
+        arrow = arrow_with(x, x, one)
+        psi = canonical_identification(tensor(one, one), tensor(one, one))
+        monkeypatch.setattr(shiftcalc.aligned, "power_correspondence", refuse)
+        with pytest.raises(ShapeError, match="^psi_x must end at the lag-th tensor power of X$"):
+            AlignedShiftData(x, x, arrow, arrow, psi, psi, 40)
 
     @pytest.mark.parametrize("case", ["golden3", *range(6)])
     def test_the_maps_are_sized_by_what_they_hold(self, case, monkeypatch):
@@ -599,6 +638,13 @@ class TestSlide:
         for n in (2, 3):
             assert unitarity_defect(slide_past_powers(d.n_arrow, n)) < TOL
 
+    def test_a_long_slide_recurses_log_deep(self):
+        # 1x1 blocks at every power: a recursion one factor at a time would pass Python's
+        # recursion limit (1000 frames by default) before n = 2000.
+        arrow = trivial_shift(from_rows([[1]])).m_arrow
+        s = slide_past_powers(arrow, 2000)
+        assert [m.tolist() for m in s.blocks.values()] == [[[1]]]
+
     def test_slide_is_two_arrow_between_power_composites(self, golden_witness):
         from shiftcalc import compose_one_arrows, power_arrow, two_arrow_residual
 
@@ -608,7 +654,7 @@ class TestSlide:
         from shiftcalc import conjugate_arrow, random_block_unitary as rbu
 
         arrow = conjugate_arrow(arrow, rbu(arrow.f, rng))
-        for n in (0, 1, 2, 3):
+        for n in (0, 1, 2, 3, 4, 5):
             left = compose_one_arrows(power_arrow(arrow.target, n), arrow)
             right = compose_one_arrows(arrow, power_arrow(arrow.source, n))
             residual = two_arrow_residual(slide_past_powers(arrow, n), left, right)

@@ -491,6 +491,25 @@ def test_huge_steps_are_refused_before_sampling(capsys, tmp_path):
     assert err == "shiftcalc: 3000000 samples would take 57216000000 bytes, above the 1073741824 a path may take\n"
 
 
+@pytest.mark.parametrize("steps", ["1", "0", "-3"])
+def test_too_few_steps_are_refused_before_the_shift_is_built(capsys, tmp_path, monkeypatch, steps):
+    # The path preflight refuses them with the witness checked, before any structure map is made.
+    import shiftcalc.aligned
+
+    calls = []
+    assemble = shiftcalc.aligned.assemble_shift
+
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(shiftcalc.aligned, "assemble_shift", counted)
+    witness_path = write(tmp_path / "w.json", witness_to_json(bundle_witness(8)))
+    code, report, err = run(capsys, ["homotopy", "from-se", "--witness", witness_path, "--steps", steps])
+    assert (code, report, calls) == (65, None, [])
+    assert err == "shiftcalc: need at least two samples\n"
+
+
 def test_both_paths_are_refused_before_either_is_sampled(capsys, tmp_path, golden_witness):
     # The X path alone (883200000 bytes) would fit; the Y path does not.
     witness_path = write(tmp_path / "w.json", witness_to_json(golden_witness))
@@ -1060,6 +1079,24 @@ class TestBadInputs:
         assert report is None
         assert "tolerance" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("tol", ["abc", ""])
+    def test_non_numeric_tol_env_is_usage_error(self, files, capsys, monkeypatch, tol):
+        monkeypatch.setenv("SHIFTCALC_TOL", tol)
+        code, report, err = run(capsys, ["invariants", "--a", files["two"]])
+        assert (code, report) == (64, None)
+        assert err == "shiftcalc: invalid SHIFTCALC_TOL\n"
+
+    def test_verbose_success_adds_one_timing_line(self, files, capsys):
+        import re
+
+        argv = ["invariants", "--a", files["two"]]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(["--verbose", *argv]) == 0
+        verbose = capsys.readouterr()
+        assert verbose.out == plain.out and plain.err == ""
+        assert re.fullmatch(r"\[invariants\] finished in \d+\.\d ms\n", verbose.err)
+
     def test_zero_tol_is_accepted(self, files, capsys):
         code, report, _ = run(capsys, ["--tol", "0", "invariants", "--a", files["two"]])
         assert code == 0
@@ -1207,9 +1244,11 @@ class TestEachVerdictOnce:
         code, report, _ = run(capsys, ["aligned", "verify", "--data", data])
         assert code == 0
         assert report["verdict"]["aligned"] is True
-        # X^(x)lag and Y^(x)lag, once each for psi_x and psi_y; the constructor checks
-        # those targets without building the powers again.
-        assert counts == {"unitarity_defect": 4, "alignment_residuals": 1, "power_correspondence": 2}
+        # X^(x)lag and Y^(x)lag, once each for psi_x and psi_y, and once more each as the
+        # constructor compares those targets with rebuilt powers: 60-199 us a check at
+        # golden and 3x3 lags 6-8, in process on one core, against 32-90 us for a check
+        # of the factor runs that builds no power.
+        assert counts == {"unitarity_defect": 4, "alignment_residuals": 1, "power_correspondence": 4}
 
     def test_aligned_from_se_with_overrides(self, counts, capsys, tmp_path, golden_witness):
         from shiftcalc.jsonio import block_unitary_to_json
@@ -1231,7 +1270,7 @@ class TestEachVerdictOnce:
             "build_from_se": 1,
             "unitarity_defect": 4,
             "alignment_residuals": 1,
-            "power_correspondence": 2,
+            "power_correspondence": 4,
         }
 
 

@@ -103,7 +103,7 @@ class TestOperationRefusals:
                 "a 16384x16384 matrix with these entries is too large for exact float64 residue arithmetic",
             ),
             (
-                lambda: exact._char_poly_and_adjugate(from_rows([[1]]), from_rows([[1], [1]])),
+                lambda: exact.char_poly_and_adjugate(from_rows([[1]]), from_rows([[1], [1]])),
                 ShapeError,
                 "adjugate product needs B with as many rows as A",
             ),
@@ -467,7 +467,7 @@ def check_against_berkowitz(a):
 def assert_char_poly_and_adjugate(a, b, chi):
     """The shared table gives ``chi``, and its adj(I - A) B passes
     (I - A) adj(I - A) B = det(I - A) B."""
-    got, adjugate = exact._char_poly_and_adjugate(a, b)
+    got, adjugate = exact.char_poly_and_adjugate(a, b)
     assert got == chi
     det = sum(chi.coeffs)
     expected = from_rows([[det * x for x in row] for row in b.entries])

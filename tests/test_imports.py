@@ -1,7 +1,7 @@
 """Unused imports, unused private names, unread public names and unread locals
 in the package, calls of the stdlib's JSON writer, the names the benchmark
 tracer rebinds, refusals that no test names, reads of the factor runs
-outside ``corr``, and reads of ``jsonio``'s private names outside ``jsonio``.
+outside ``corr``, and reads of a module's private names outside that module.
 
 No linter is installed, so ``ast`` stands in.
 """
@@ -103,21 +103,26 @@ def test_only_corr_reads_the_factor_runs(path):
     assert attribute_reads(path.read_text(encoding="utf-8"), "factors") == []
 
 
-def private_jsonio_reads(source: str) -> list[int]:
-    """Lines that read a private name of ``jsonio``: an attribute of ``jsonio`` (under any
-    name the module gives it, or reached as ``package.jsonio``), or an import from it."""
+PACKAGE = sorted(pathlib.Path(shiftcalc.__file__).parent.glob("*.py"))
+
+
+def private_reads(source: str, own: str, modules: set[str]) -> list[int]:
+    """Lines that read a private name of a package module other than ``own``: an attribute of
+    such a module (under any name the source gives it, or reached as ``package.module``), or an
+    import from it.  ``modules`` holds the package's module names."""
+    others = modules - {own}
     tree = ast.parse(source)
     names = set()
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "jsonio":
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] in others:
             lines += [node.lineno for alias in node.names if alias.name.startswith("_")]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names |= {alias.asname or alias.name for alias in node.names if alias.name.rpartition(".")[2] == "jsonio"}
+            names |= {alias.asname or alias.name for alias in node.names if alias.name.rpartition(".")[2] in others}
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__"):
             owner = node.value
-            if isinstance(owner, ast.Name) and owner.id in names or isinstance(owner, ast.Attribute) and owner.attr == "jsonio":
+            if isinstance(owner, ast.Name) and owner.id in names or isinstance(owner, ast.Attribute) and owner.attr in others:
                 lines.append(node.lineno)
     return sorted(lines)
 
@@ -134,17 +139,23 @@ def test_the_check_sees_a_private_jsonio_read():
         "shiftcalc.jsonio._join([], 0)\n"
         "other._private(1)\n"
         "jsonio.__name__\n"
+        "from .exact import _crt, mat_mul\n"
+        "from . import exact as e\n"
+        "e._moduli(3, 10)\n"
+        "from .corr import _join\n"
     )
-    assert private_jsonio_reads(source) == [3, 4, 6, 8]
+    modules = {"corr", "exact", "jsonio"}
+    assert private_reads(source, "cli", modules) == [3, 4, 6, 8, 11, 13, 14]
+    # A module's own private names are its own business.
+    assert private_reads(source, "jsonio", modules) == [11, 13, 14]
+    assert private_reads(source, "exact", modules) == [3, 4, 6, 8, 14]
 
 
-NOT_JSONIO = sorted(path for path in pathlib.Path(shiftcalc.__file__).parent.glob("*.py") if path.name != "jsonio.py")
-
-
-@pytest.mark.parametrize("path", NOT_JSONIO, ids=[path.name for path in NOT_JSONIO])
+@pytest.mark.parametrize("path", PACKAGE, ids=[path.name for path in PACKAGE])
 def test_only_jsonio_reads_its_private_names(path):
-    # How a bundle is built for writing is jsonio's own business: callers pass _arrays.
-    assert private_jsonio_reads(path.read_text(encoding="utf-8")) == []
+    # Each module's private names are its own business, jsonio's among them: callers pass _arrays.
+    modules = {other.stem for other in PACKAGE}
+    assert private_reads(path.read_text(encoding="utf-8"), path.stem, modules) == []
 
 
 def definitions(source: str) -> set[str]:

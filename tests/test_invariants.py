@@ -23,7 +23,7 @@ from shiftcalc import (
     smith_normal_form,
     transpose,
 )
-from shiftcalc.exact import _char_poly_and_adjugate, _coefficient_bound
+from shiftcalc.exact import _coefficient_bound, char_poly_and_adjugate
 from shiftcalc.invariants import ONE_MINUS_T, ONE_MINUS_T_SQUARED, ONE_PLUS_T, cokernel_invariant_factors
 from shiftcalc import invariants
 from tests.conftest import mat_sub, random_essential
@@ -314,7 +314,7 @@ class TestBowenFranksThroughTheAdjugate:
         b = from_rows([[rng.randint(-max_b, max_b) for _ in range(2)] for _ in range(n)])
         adj = (sympy.eye(n) - sympy.Matrix(a.to_lists())).adjugate()
         assert max(map(abs, adj)) <= _coefficient_bound(a)
-        chi, adjugate = _char_poly_and_adjugate(a, b)
+        chi, adjugate = char_poly_and_adjugate(a, b)
         assert chi == char_poly(a) and (sum(chi.coeffs) == 0 or not singular)
         assert adjugate.to_lists() == (adj * sympy.Matrix(b.to_lists())).tolist()
 
