@@ -170,11 +170,15 @@ def assemble_shift(
 ) -> AlignedShiftData:
     """The shift of lag ``lag`` from X to Y through M and N whose structure maps are
     ``make(name, source, target)``, called for "phi_m", "phi_n", "psi_x" and "psi_y"
-    in that order: the one place a shift's maps get their endpoints.  Maps that would take
-    more than ``_MAPS_BYTES`` are refused before the first is made."""
+    in that order: the one place a shift's maps get their endpoints.  A lag that fails
+    A^lag = R S or B^lag = S R, and maps above ``_MAPS_BYTES``, are refused before any is made."""
     # X (x) M, Y (x) N, M (x) N and N (x) M have dims A R, B S, R S and S R.
     a, b, r, s = x_obj.x.dims, y_obj.x.dims, m_corr.dims, n_corr.dims
     dims = (mat_mul(a, r), mat_mul(b, s), mat_mul(r, s), mat_mul(s, r))
+    # psi_x ends at X^(x)lag, of dims A^lag, so A^lag = R S keeps that basis within the bound below.
+    for equation, power, product in (("A^lag = R S", a, dims[2]), ("B^lag = S R", b, dims[3])):
+        if not power_equals(power, lag, product):
+            raise ShapeError(f"lag {lag} does not fit the bundle: {equation} fails")
     predicted = 24 * sum(d * d for m in dims for row in m.entries for d in row)
     if predicted > _MAPS_BYTES:
         raise DomainError(f"the structure maps would take {predicted} bytes, above the {_MAPS_BYTES} a shift may take")

@@ -7,8 +7,9 @@ joined by a comma), each entry as an [re, im] pair; labels that give two
 blocks one key are refused, on writing and on reading.  Shift and arrow
 bundles describe their correspondences by integer matrices; the canonical
 bases are rebuilt on load, so only atomic (edge) correspondences travel
-through files.  The readers supply only the stored maps: ``corr.arrow_with``
-and ``aligned.assemble_shift`` decide the endpoints each map is read against.
+through files.  The readers check the schema, supply the stored maps and decide
+no rule of the calculus: ``corr.arrow_with`` and ``aligned.assemble_shift`` decide
+the endpoints each map is read against, and ``assemble_shift`` whether the lag fits.
 
 The ``*_to_json`` functions return plain JSON values (nested lists).  With
 the private switch ``_arrays``, the command line gets its large bundles in the
@@ -35,8 +36,8 @@ import numpy as np
 
 from .aligned import AlignedShiftData, assemble_shift
 from .corr import BlockUnitary, GraphCorrespondence, ObjectPair, OneArrow, arrow_with, from_matrix, object_pair
-from .errors import DomainError, ParseError, ShapeError
-from .exact import IntMatrix, from_rows, mat_mul, power_equals
+from .errors import DomainError, ParseError
+from .exact import IntMatrix, from_rows
 from .homotopy import ArrowHomotopy
 from .witnesses import SEWitness
 
@@ -304,12 +305,6 @@ def shift_from_json(doc) -> AlignedShiftData:
     y_obj = object_from_json(y)
     m_corr = from_matrix(matrix_from_json(m_dims), x_obj.algebra_index, y_obj.algebra_index)
     n_corr = from_matrix(matrix_from_json(n_dims), y_obj.algebra_index, x_obj.algebra_index)
-    # psi_x needs X^(x)lag, of dims A^lag, to have the dims R S of M (x) N (likewise for Y):
-    # checked before any power is built, this keeps its basis within R S, which the preflight bounds.
-    sides = (("A^lag = R S", x_obj, m_corr, n_corr), ("B^lag = S R", y_obj, n_corr, m_corr))
-    for equation, obj, left, right in sides:
-        if not power_equals(obj.x.dims, lag, mat_mul(left.dims, right.dims)):
-            raise ShapeError(f"lag {lag} does not fit the bundle: {equation} fails")
     return assemble_shift(
         x_obj, y_obj, m_corr, n_corr, lag, lambda name, src, tgt: block_unitary_from_json(doc[name], src, tgt)
     )

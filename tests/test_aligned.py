@@ -244,6 +244,33 @@ class TestConcreteShift:
         with pytest.raises(ShapeError, match="^psi_x must end at the lag-th tensor power of X$"):
             AlignedShiftData(x, x, arrow, arrow, psi, psi, 40)
 
+    @pytest.mark.parametrize(
+        "a, b, lag, equation",
+        [([[2]], [[2]], 2, "A^lag = R S"), ([[2]], [[2]], 40, "A^lag = R S"), ([[2]], [[2]], 64, "A^lag = R S"),
+         ([[1]], [[2]], 2, "B^lag = S R")],
+        ids=["A-lag2", "A-lag40", "A-lag64", "B-lag2"],
+    )
+    def test_the_builder_refuses_a_lag_that_does_not_fit(self, a, b, lag, equation, monkeypatch):
+        # X^(x)40 would need 2**40 basis vectors: the lag is refused before any power or map is made.
+        # The first power or map fails the test, so code that builds first fails here instead of allocating.
+        import time
+
+        import shiftcalc.aligned
+        from shiftcalc import from_matrix, object_pair
+        from shiftcalc.aligned import assemble_shift
+
+        def refuse(name):
+            def call(*args):
+                raise AssertionError(f"{name} called")
+            return call
+
+        monkeypatch.setattr(shiftcalc.aligned, "power_correspondence", refuse("power_correspondence"))
+        x, y, one = object_pair(from_rows(a)), object_pair(from_rows(b)), from_matrix(from_rows([[1]]))
+        started = time.perf_counter()
+        with pytest.raises(ShapeError, match=f"^lag {lag} does not fit the bundle: {re.escape(equation)} fails$"):
+            assemble_shift(x, y, one, one, lag, refuse("make"))
+        assert time.perf_counter() - started < 1.0
+
     @pytest.mark.parametrize("case", ["golden3", *range(6)])
     def test_the_maps_are_sized_by_what_they_hold(self, case, monkeypatch):
         # 24 bytes per entry: the 16 each complex map keeps, and the 8 of the float64

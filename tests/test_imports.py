@@ -103,6 +103,41 @@ def test_only_corr_reads_the_factor_runs(path):
     assert attribute_reads(path.read_text(encoding="utf-8"), "factors") == []
 
 
+ARITHMETIC = ("mat_mul", "mat_pow", "power_equals")
+
+
+def arithmetic_uses(source: str) -> list[int]:
+    """Lines that import one of ``exact``'s ``ARITHMETIC`` functions, or name one, bare or as
+    an attribute of whatever object."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "exact":
+            lines += [node.lineno for alias in node.names if alias.name in ARITHMETIC]
+        elif isinstance(node, ast.Name) and node.id in ARITHMETIC or isinstance(node, ast.Attribute) and node.attr in ARITHMETIC:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_a_reader_that_checks_a_power():
+    source = (
+        "from .exact import from_rows, power_equals\n"
+        "def reader(doc):\n"
+        "    a = from_rows(doc['a'])\n"
+        "    return power_equals(a, doc['lag'], a)\n"
+        "from . import exact as e\n"
+        "e.mat_mul(a, a)\n"
+        "from shiftcalc.exact import mat_pow as p\n"
+        "mat_powers = e.identity(2)\n"
+    )
+    assert arithmetic_uses(source) == [1, 4, 6, 7]
+
+
+def test_jsonio_does_no_arithmetic():
+    # The readers check the schema: aligned.assemble_shift decides whether a lag fits the bundle.
+    source = (pathlib.Path(shiftcalc.__file__).parent / "jsonio.py").read_text(encoding="utf-8")
+    assert arithmetic_uses(source) == []
+
+
 PACKAGE = sorted(pathlib.Path(shiftcalc.__file__).parent.glob("*.py"))
 
 
