@@ -34,12 +34,12 @@ from .corr import (
     ObjectPair,
     OneArrow,
     arrow_with,
+    basis_fits,
     canonical_identification,
     compose_one_arrows,
     compose_unitaries,
     conjugate_arrow,
     from_matrix,
-    identity_unitary,
     object_pair,
     power_arrow,
     power_correspondence,
@@ -114,9 +114,8 @@ def alignment_residuals(d: AlignedShiftData) -> tuple[float, float]:
     sides = ((d.x_obj, d.m_arrow, d.n_arrow, d.psi_x), (d.y_obj, d.n_arrow, d.m_arrow, d.psi_y))
     residuals = []
     for obj, first, second, psi in sides:
-        ident = identity_unitary(obj.x)
-        lhs = compose_unitaries(compose_one_arrows(first, second).phi, tensor_unitaries(psi, ident))
-        residuals.append(unitary_distance(lhs, tensor_unitaries(ident, psi)))
+        lhs = compose_unitaries(compose_one_arrows(first, second).phi, tensor_unitaries(psi, obj.x))
+        residuals.append(unitary_distance(lhs, tensor_unitaries(obj.x, psi)))
     return tuple(residuals)
 
 
@@ -194,19 +193,22 @@ def build_from_se(
 ) -> AlignedShiftData:
     """Concrete shift induced by a verified witness (A, B, R, S, m).
 
-    M and N are the edge correspondences of R and S.  Only once the witness
-    verifies and they are built, ``before_maps()`` runs, if given, so that a
-    caller can refuse what it would build from the shift before any map is
-    made.  Each structure map is then ``given(name, source, target)``, called as
-    :func:`assemble_shift` calls its ``make``; where ``given`` is omitted or
-    returns None, the map is the canonical identification that matches sorted
-    path bases in order -- legitimate because the witness equations make the
-    block dimensions agree (e.g. X(A) (x) X(R) and X(R) (x) X(B) both have dims
-    AR = RB).  Whether the result is *aligned* is not assumed anywhere; run
+    M and N are the edge correspondences of R and S.  Once the witness
+    verifies, and before any edge basis or map is made, ``before_maps()`` runs,
+    if given and every basis fits, so that a caller can refuse what it would
+    build from the witness's dims.  Each structure map is then
+    ``given(name, source, target)``, called as :func:`assemble_shift` calls its
+    ``make``; where ``given`` is omitted or returns None, the map is the
+    canonical identification that matches sorted path bases in order --
+    legitimate because the witness equations make the block dimensions agree
+    (e.g. X(A) (x) X(R) and X(R) (x) X(B) both have dims AR = RB).  Whether the result is *aligned* is not assumed anywhere; run
     ``verify_aligned`` to find out.
     """
     if not verify_se(w):
         raise ContractError("build_from_se requires a verified witness")
+    # A basis numpy cannot index is refused by from_matrix, before anything is allocated.
+    if before_maps and all(map(basis_fits, (w.a, w.b, w.r, w.s))):
+        before_maps()
     x_obj = object_pair(w.a)
     y_obj = object_pair(w.b)
     m_corr = from_matrix(w.r, x_obj.algebra_index, y_obj.algebra_index)
@@ -216,8 +218,6 @@ def build_from_se(
         u = given(name, src, tgt) if given else None
         return canonical_identification(src, tgt) if u is None else u
 
-    if before_maps:
-        before_maps()
     return assemble_shift(x_obj, y_obj, m_corr, n_corr, w.lag, make)
 
 
@@ -251,8 +251,8 @@ def slide_past_powers(arrow: OneArrow, n: int) -> BlockUnitary:
         return arrow.phi
     h, k = n // 2, n - n // 2
     return compose_unitaries(
-        tensor_unitaries(identity_unitary(power_correspondence(arrow.target, h)), slide_past_powers(arrow, k)),
-        tensor_unitaries(slide_past_powers(arrow, h), identity_unitary(power_correspondence(arrow.source, k))),
+        tensor_unitaries(power_correspondence(arrow.target, h), slide_past_powers(arrow, k)),
+        tensor_unitaries(slide_past_powers(arrow, h), power_correspondence(arrow.source, k)),
     )
 
 
@@ -286,13 +286,12 @@ def _composite_psi(
     F (x) inner.source (x) L -> F (x) Y^n (x) L -> F (x) L (x) X^n -> X^(m+n), for
     F = first.f, L = last.f, X and Y the object correspondences of last.source and
     last.target, and n = inner_lag."""
-    f_ident = identity_unitary(first.f)
     return compose_unitaries(
         compose_unitaries(
-            tensor_unitaries(tensor_unitaries(f_ident, inner), identity_unitary(last.f)),
-            tensor_unitaries(f_ident, slide_past_powers(last, inner_lag)),
+            tensor_unitaries(tensor_unitaries(first.f, inner), last.f),
+            tensor_unitaries(first.f, slide_past_powers(last, inner_lag)),
         ),
-        tensor_unitaries(outer, identity_unitary(power_correspondence(last.source, inner_lag))),
+        tensor_unitaries(outer, power_correspondence(last.source, inner_lag)),
     )
 
 

@@ -16,6 +16,8 @@ factor sequences.  All the coherence bookkeeping in this module rests on
 that one convention.  Only this module reads a sequence.  It keeps it as runs
 (factor, count), a new run starting only where the factor changes, so any
 bracketing gives one spelling, and X^(x)m of an edge correspondence is one run.
+Where the calculus tensors a map with an identity, u (x) 1_F, the caller passes
+F itself, and ``tensor_unitaries`` places u's blocks without forming 1_F.
 """
 
 from __future__ import annotations
@@ -120,6 +122,11 @@ def from_matrix(r: IntMatrix, v: Optional[Sequence] = None, w: Optional[Sequence
     except (OverflowError, ValueError, MemoryError):
         raise DomainError("correspondence block dimensions are too large to hold a basis") from None
     return GraphCorrespondence(v, w, r, (((v, w, r), 1),), ends)
+
+
+def basis_fits(r: IntMatrix) -> bool:
+    """Whether numpy can index each row's edges, 8 bytes apiece; :func:`from_matrix` refuses the rest at once."""
+    return all(sum(row) <= np.iinfo(np.intp).max // 8 for row in r.entries)
 
 
 def tensor(x: GraphCorrespondence, y: GraphCorrespondence) -> GraphCorrespondence:
@@ -251,16 +258,19 @@ def unitary_distance(u1: BlockUnitary, u2: BlockUnitary) -> float:
     value as a residual, so a bound in its place would change their reports,
     and an SVD of D gave last bits that changed with the BLAS thread count on
     dense blocks, where ``eigvalsh`` of D*D gave the same bits at 1, 2 and 4
-    threads.  A block whose D*D holds nan or inf (from a nan, or from an
-    overflow at distances above about 1e154) has distance nan, which no
-    ``<= tol`` accepts; below about 1e-154, D*D underflows and the distance
-    loses digits (it reads 0 below about 1e-162).
+    threads.  A block whose D has no nonzero entry has distance 0 with no
+    product and no ``eigvalsh``.  A block whose D*D holds nan or inf (from a
+    nan, or from an overflow at distances above about 1e154) has distance nan,
+    which no ``<= tol`` accepts; below about 1e-154, D*D underflows and the
+    distance loses digits (it reads 0 below about 1e-162).
     """
     if not (u1.source.same_shape(u2.source) and u1.target.same_shape(u2.target)):
         raise ShapeError("cannot compare block maps of different shapes")
     worst = 0.0
     for ij, m in u1.blocks.items():
         diff = m - u2.blocks[ij]
+        if not diff.any():  # nan and inf count as nonzero here
+            continue
         with np.errstate(over="ignore", invalid="ignore"):
             gram = diff.conj().T @ diff
         if np.isfinite(gram).all():
@@ -280,14 +290,16 @@ def compose_unitaries(u1: BlockUnitary, u2: BlockUnitary) -> BlockUnitary:
     )
 
 
-def tensor_unitaries(u1: BlockUnitary, u2: BlockUnitary) -> BlockUnitary:
+def tensor_unitaries(u1: BlockUnitary | GraphCorrespondence, u2: BlockUnitary | GraphCorrespondence) -> BlockUnitary:
     """The map sending each basis pair p (x) q to u1(p) (x) u2(q).
 
-    On every block of the tensor correspondence this is a Kronecker product
-    per middle node, rearranged into the canonical sorted path basis.
+    On every block of the tensor correspondence this is a Kronecker product per middle node,
+    rearranged into the canonical sorted path basis.  A correspondence F in place of one factor
+    stands for 1_F: the other factor's blocks are placed onto their pairs by one indexed
+    assignment, with no identity matrix and no product.
     """
-    x, xp = u1.source, u1.target
-    y, yp = u2.source, u2.target
+    x, xp = (u1, u1) if isinstance(u1, GraphCorrespondence) else (u1.source, u1.target)
+    y, yp = (u2, u2) if isinstance(u2, GraphCorrespondence) else (u2.source, u2.target)
     src = tensor(x, y)
     tgt = tensor(xp, yp)
     y_dims = np.array(y.dims.entries)
@@ -296,12 +308,17 @@ def tensor_unitaries(u1: BlockUnitary, u2: BlockUnitary) -> BlockUnitary:
         d = src.block_dim(i, j)
         out = np.zeros((d, d), dtype=complex)
         for u in range(len(x.right_index)):
-            if x.block_dim(i, u) == 0 or y.block_dim(u, j) == 0:
+            p, q = x.block_dim(i, u), y.block_dim(u, j)
+            if p == 0 or q == 0:
                 continue
-            kron = np.kron(u1.block(i, u), u2.block(u, j))
-            src_pos = _pair_positions(x.ends[i], y_dims[:, j], u)
-            tgt_pos = _pair_positions(xp.ends[i], y_dims[:, j], u)
-            out[np.ix_(tgt_pos, src_pos)] = kron
+            src_pos = _pair_positions(x.ends[i], y_dims[:, j], u).reshape(p, q)
+            tgt_pos = _pair_positions(xp.ends[i], y_dims[:, j], u).reshape(p, q)
+            if u2 is y:  # u1 (x) 1: entry (a, b) of u1's block on each pair (a, k), (b, k)
+                out[tgt_pos[:, None, :], src_pos[None, :, :]] = u1.block(i, u)[:, :, None]
+            elif u1 is x:  # 1 (x) u2: u2's block on the pairs of each p
+                out[tgt_pos[:, :, None], src_pos[:, None, :]] = u2.block(u, j)
+            else:
+                out[np.ix_(tgt_pos.ravel(), src_pos.ravel())] = np.kron(u1.block(i, u), u2.block(u, j))
         blocks[(i, j)] = out
     return BlockUnitary(src, tgt, blocks)
 
@@ -422,8 +439,8 @@ def compose_one_arrows(g: OneArrow, f: OneArrow) -> OneArrow:
     if g.source != f.target:
         raise ShapeError("arrows are not composable: middle objects differ")
     gf = tensor(g.f, f.f)
-    step1 = tensor_unitaries(g.phi, identity_unitary(f.f))
-    step2 = tensor_unitaries(identity_unitary(g.f), f.phi)
+    step1 = tensor_unitaries(g.phi, f.f)
+    step2 = tensor_unitaries(g.f, f.phi)
     return OneArrow(f.source, g.target, gf, compose_unitaries(step1, step2))
 
 
@@ -437,10 +454,8 @@ def two_arrow_residual(psi: BlockUnitary, f: OneArrow, g: OneArrow) -> float:
         raise ShapeError("two-arrow check needs parallel arrows")
     if not (psi.source.same_shape(f.f) and psi.target.same_shape(g.f)):
         raise ShapeError("psi endpoints must match the arrows' correspondences")
-    x = f.source.x
-    y = f.target.x
-    lhs = compose_unitaries(f.phi, tensor_unitaries(psi, identity_unitary(x)))
-    rhs = compose_unitaries(tensor_unitaries(identity_unitary(y), psi), g.phi)
+    lhs = compose_unitaries(f.phi, tensor_unitaries(psi, f.source.x))
+    rhs = compose_unitaries(tensor_unitaries(f.target.x, psi), g.phi)
     return unitary_distance(lhs, rhs)
 
 
@@ -457,11 +472,9 @@ def conjugate_arrow(arrow: OneArrow, u: BlockUnitary) -> OneArrow:
     """
     if not u.source.same_shape(arrow.f):
         raise ShapeError("u must start at the arrow's correspondence")
-    x = arrow.source.x
-    y = arrow.target.x
     phi = compose_unitaries(
-        compose_unitaries(tensor_unitaries(identity_unitary(y), u.adjoint()), arrow.phi),
-        tensor_unitaries(u, identity_unitary(x)),
+        compose_unitaries(tensor_unitaries(arrow.target.x, u.adjoint()), arrow.phi),
+        tensor_unitaries(u, arrow.source.x),
     )
     return OneArrow(arrow.source, arrow.target, u.target, phi)
 

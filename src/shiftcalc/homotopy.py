@@ -45,7 +45,7 @@ from .corr import (
     unitarity_defect,
 )
 from .errors import DomainError, ShapeError
-from .exact import IntMatrix, mat_mul
+from .exact import IntMatrix, mat_mul, power_equals
 from .witnesses import SEWitness
 
 #: Bytes the samples of one path may take all together.  A path makes each sample when it
@@ -269,8 +269,11 @@ def homotopy_to_identity(
 
     Works fiberwise over the interval: the fiber correspondence is constant
     X^(x)m and the intertwiner follows the geodesic from the identity
-    permutation to phi; both endpoint 2-arrows are the identity.
+    permutation to phi; both endpoint 2-arrows are the identity.  A phi that
+    does not start at X (x) X^(x)m, of dims A^(m+1), is refused before X^(x)m is built.
     """
+    if m >= 0 and not power_equals(obj.x.dims, m + 1, phi.source.dims):
+        raise ShapeError("endpoints must share source and target correspondences")
     power = power_arrow(obj, m)
     path = connect_unitaries(power.phi, phi, steps)
     ident = identity_unitary(power.f)
@@ -299,7 +302,7 @@ def homotopy_shift_equivalence_from_se(
         _refuse_oversized_path(mat_mul(w.b, mat_mul(w.s, w.r)), steps)
 
     # Raises ContractError on an unverified witness; once it verifies, both paths are
-    # refused before any structure map is made.
+    # refused before any edge basis or structure map is made.
     d = build_from_se(w, before_maps=refuse_oversized_paths)
     homotopies = []
     for obj, first, second, psi in ((d.x_obj, d.m_arrow, d.n_arrow, d.psi_x), (d.y_obj, d.n_arrow, d.m_arrow, d.psi_y)):

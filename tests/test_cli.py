@@ -714,6 +714,43 @@ def test_steps_are_refused_from_dims_before_the_sides_are_built(tmp_path):
     assert all(peak < 64 << 20 for *_, peak in results)
 
 
+def test_the_edge_bases_are_built_only_after_the_paths_are_sized(tmp_path):
+    # [[e]] ~ [[e]] through R = [[1]] and S = [[e]]: X (x) X^(x)1 has one e^2 x e^2 block, refused
+    # from the dims before the edge bases of A, B and S, 8 bytes per edge (240 MB here), are built.
+    e = mat([[10**7]])
+    witness_path = write(tmp_path / "w.json", {"a": e, "b": e, "r": mat([[1]]), "s": e, "lag": 1})
+    [(code, seconds, err, _, peak)] = run_in_two_gigabytes([["homotopy", "from-se", "--witness", witness_path]], trace=True)
+    predicted = 16 * (2048 + 640 + 16 * 10**28)
+    assert (code, err) == (65, f"shiftcalc: 16 samples would take {predicted} bytes, above the 1073741824 a path may take\n")
+    assert peak < 16 << 20 and seconds < 1.0
+
+
+def test_no_identity_factor_is_multiplied_on_the_command_line(capsys, tmp_path, monkeypatch):
+    # Golden shifts, and the golden lag-3 shift conjugated by Haar-random factors as the
+    # dense-homotopy bench builds its fixtures: every u (x) 1_F is placed, so np.kron never runs.
+    from shiftcalc.aligned import conjugate_shift
+    from shiftcalc.corr import random_block_unitary
+
+    rng = np.random.default_rng(101)
+    shift = build_from_se(bundle_witness(3))
+    dense = conjugate_shift(shift, random_block_unitary(shift.m_arrow.f, rng), random_block_unitary(shift.n_arrow.f, rng))
+    dense_path = write(tmp_path / "dense.json", shift_to_json(dense))
+    kron, calls = np.kron, []
+    monkeypatch.setattr(np, "kron", lambda a, b: calls.append((a.shape, b.shape)) or kron(a, b))
+    for lag in (1, 2, 3):
+        witness_path = write(tmp_path / f"w{lag}.json", witness_to_json(bundle_witness(lag)))
+        shift_path = str(tmp_path / f"shift{lag}.json")
+        for argv in (
+            ["aligned", "from-se", "--witness", witness_path, "--out", shift_path],
+            ["aligned", "verify", "--data", shift_path],
+            ["homotopy", "from-se", "--witness", witness_path, "--steps", "4"],
+        ):
+            assert run(capsys, argv)[0] == 0  # each verdict holds
+    code, report, _ = run(capsys, ["aligned", "verify", "--data", dense_path])
+    assert code == 0 and report["verdict"]["aligned"] is True
+    assert calls == []
+
+
 @pytest.mark.parametrize("steps", ["1", "2", "16", "300000"])
 def test_an_unverified_witness_is_refused_before_its_paths_are_sized(capsys, tmp_path, golden_witness, steps):
     # Whatever --steps is, even one the paths would refuse, the witness is checked first.

@@ -41,6 +41,7 @@ from shiftcalc import (
     unitarity_defect,
     unitary_distance,
 )
+from shiftcalc.corr import basis_fits
 from tests.conftest import arrow_from_witness, random_essential
 
 TOL = 1e-9
@@ -156,6 +157,25 @@ class TestDerivedBases:
             assert np.allclose(block, expected, rtol=0, atol=1e-12)
 
 
+    @given(factor_chains(2), st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_a_correspondence_factor_is_placed_as_its_identity_unitary(self, mats, split, right, seed):
+        # F in place of a factor stands for identity_unitary(F), which np.kron multiplies in.
+        k = min(split, len(mats) - 1)
+        rng = np.random.default_rng(seed)
+        x = fold([from_matrix(m) for m in mats[:k]], right)
+        y = fold([from_matrix(m) for m in mats[k:]], right)
+        u = BlockUnitary(x, from_matrix(x.dims), random_block_unitary(x, rng).blocks)
+        v = BlockUnitary(y, from_matrix(y.dims), random_block_unitary(y, rng).blocks)
+        for placed, multiplied in (
+            (tensor_unitaries(u, y), tensor_unitaries(u, identity_unitary(y))),
+            (tensor_unitaries(x, v), tensor_unitaries(identity_unitary(x), v)),
+        ):
+            assert placed.source == multiplied.source and placed.target == multiplied.target
+            assert placed.blocks.keys() == multiplied.blocks.keys()
+            assert all(np.array_equal(m, multiplied.blocks[ij]) for ij, m in placed.blocks.items())
+
+
 class TestFromMatrix:
     def test_single_block_of_dimension_two(self):
         c = from_matrix(from_rows([[2]]))
@@ -173,6 +193,20 @@ class TestFromMatrix:
     def test_negative_rejected(self):
         with pytest.raises(DomainError, match="^correspondence matrices must be nonnegative$"):
             from_matrix(from_rows([[-1]]))
+
+    @pytest.mark.parametrize(
+        "rows, fits",
+        [([[2**60 - 1]], True), ([[2**58, 2**59]], True), ([[2**59, 2**59]], False), ([[2**62]], False), ([[10**20, 0]], False)],
+    )
+    def test_basis_fits_is_numpys_own_index_limit(self, rows, fits):
+        # A row numpy cannot index is refused before anything is allocated; any other reaches
+        # the allocator, which cannot give exbibytes either.
+        r = from_rows(rows)
+        assert basis_fits(r) is fits
+        with pytest.raises(MemoryError if fits else (OverflowError, ValueError)):
+            np.repeat(np.arange(r.cols), r.row(0))
+        with pytest.raises(DomainError, match="^correspondence block dimensions are too large to hold a basis$"):
+            from_matrix(r)
 
 
 class TestRecords:
@@ -427,6 +461,23 @@ class TestBlockUnitaries:
             # Every block position, so a nan after a finite block is kept too.
             assert np.isnan(unitary_distance(u, v)) and np.isnan(unitary_distance(v, u))
         assert unitary_distance(u, u) == 0.0
+
+    def test_an_exactly_zero_difference_takes_no_eigensolver(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        c = from_matrix(from_rows([[16, 1], [3, 7]]))
+        u = random_block_unitary(c, rng)
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        assert unitary_distance(u, u) == 0.0 and calls == []
+        for (i, j), m in u.blocks.items():
+            # One block differs: its own distance, from one eigensolve.
+            v = u.replace_block(i, j, m + 1e-3 * random_block_unitary(c, rng).blocks[(i, j)])
+            diff = m - v.blocks[(i, j)]
+            expected = np.sqrt(max(eigvalsh(diff.conj().T @ diff)[-1], 0.0))
+            calls.clear()
+            assert unitary_distance(u, v) == expected > 0 and calls == [m.shape]
+            # A nan is not an exactly zero difference.
+            assert np.isnan(unitary_distance(u, u.replace_block(i, j, np.full_like(m, np.nan))))
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-15, 1e-9, 1.0, 1e150])
     def test_the_distance_is_the_largest_singular_value(self, scale):

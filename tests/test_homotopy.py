@@ -1,5 +1,9 @@
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -534,6 +538,34 @@ class TestHomotopyToIdentity:
         cube = mat_pow(a, m + 1)
         for (i, j), block in h.path[0][1].blocks.items():
             assert block.shape == (cube[i, j], cube[i, j])
+
+    def test_a_phi_off_the_power_is_refused_before_the_power_is_built(self):
+        # phi starts at X (x) X, of dims [[4]], not at X (x) X^(x)40: X^(x)40, one block of 2^40
+        # paths, is never built, which in a child capped at 3 GiB would raise MemoryError.
+        import shiftcalc
+
+        code = (
+            "import json, resource, time\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({3 << 30}, {3 << 30}))\n"
+            "from shiftcalc import ShapeError, from_rows, homotopy_to_identity, object_pair, power_arrow\n"
+            "obj = object_pair(from_rows([[2]]))\n"
+            "phi = power_arrow(obj, 1).phi\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    homotopy_to_identity(phi, obj, 40)\n"
+            "except ShapeError as e:\n"
+            "    print(json.dumps([str(e), time.perf_counter() - start]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(shiftcalc.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+            capture_output=True,
+            text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        message, seconds = json.loads(done.stdout)
+        assert message == "endpoints must share source and target correspondences" and seconds < 1.0
 
 
 class TestVerifyHomotopy:

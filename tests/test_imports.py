@@ -1,7 +1,8 @@
 """Unused imports, unused private names, unread public names and unread locals
 in the package, calls of the stdlib's JSON writer, the names the benchmark
 tracer rebinds, refusals that no test names, reads of the factor runs
-outside ``corr``, and reads of a module's private names outside that module.
+outside ``corr``, reads of a module's private names outside that module, and
+identity unitaries built as tensor factors.
 
 No linter is installed, so ``ast`` stands in.
 """
@@ -191,6 +192,54 @@ def test_only_jsonio_reads_its_private_names(path):
     # Each module's private names are its own business, jsonio's among them: callers pass _arrays.
     modules = {other.stem for other in PACKAGE}
     assert private_reads(path.read_text(encoding="utf-8"), path.stem, modules) == []
+
+
+def _calls(node, name: str) -> bool:
+    """Whether ``node`` calls ``name``, bare or as an attribute of whatever object."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return isinstance(func, ast.Name) and func.id == name or isinstance(func, ast.Attribute) and func.attr == name
+
+
+def identity_factors(source: str) -> list[int]:
+    """Lines of a ``tensor_unitaries`` call that passes an ``identity_unitary`` call as an
+    argument, directly or through a name that the source binds to one."""
+    tree = ast.parse(source)
+    bound = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _calls(node.value, "identity_unitary")
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if _calls(node, "tensor_unitaries")
+        and any(
+            _calls(arg, "identity_unitary") or isinstance(arg, ast.Name) and arg.id in bound
+            for arg in [*node.args, *(keyword.value for keyword in node.keywords)]
+        )
+    )
+
+
+def test_the_check_sees_an_identity_built_as_a_tensor_factor():
+    source = (
+        "step = tensor_unitaries(g.phi, identity_unitary(f.f))\n"
+        "ident = identity_unitary(x)\n"
+        "lhs = corr.tensor_unitaries(ident, psi)\n"
+        "placed = tensor_unitaries(psi, x)\n"
+        "h0 = identity_unitary(power.f)\n"
+        "w = tensor_unitaries(u2=corr.identity_unitary(y), u1=u)\n"
+        "v = tensor_unitaries(u, compose_unitaries(identity_unitary(x), u))\n"
+    )
+    assert identity_factors(source) == [1, 3, 6]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[path.name for path in PACKAGE])
+def test_an_identity_factor_is_passed_as_its_correspondence(path):
+    # tensor_unitaries places the other factor's blocks for a correspondence F, standing for
+    # 1_F; identity_unitary(F) there would be built and multiplied by np.kron.
+    assert identity_factors(path.read_text(encoding="utf-8")) == []
 
 
 def definitions(source: str) -> set[str]:
