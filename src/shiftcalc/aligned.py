@@ -18,8 +18,9 @@ formulation, which differs only by a product with identity blocks; the
 independent check is the test ``test_two_arrow_square_onto_conjugated_power_agrees``,
 through a power arrow conjugated by a Haar unitary.
 
-A shift's structure maps get their sources and targets in one place,
-``assemble_shift``; ``build_from_se`` and the bundle reader supply only the maps.
+A shift is built in one place, ``assemble_shift``, from its integer record
+(A, B, R, S, m): it is sized from those matrices before any edge basis is built.
+``build_from_se`` and the bundle reader supply the record and the maps.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Callable, Optional
 from .corr import (
     DEFAULT_TOL,
     BlockUnitary,
-    GraphCorrespondence,
     ObjectPair,
     OneArrow,
     arrow_with,
@@ -163,24 +163,27 @@ def verify_aligned(d: AlignedShiftData, tol: float = DEFAULT_TOL) -> bool:
     return report.aligned
 
 
-def assemble_shift(
-    x_obj: ObjectPair, y_obj: ObjectPair, m_corr: GraphCorrespondence, n_corr: GraphCorrespondence,
-    lag: int, make: Callable,
-) -> AlignedShiftData:
-    """The shift of lag ``lag`` from X to Y through M and N whose structure maps are
-    ``make(name, source, target)``, called for "phi_m", "phi_n", "psi_x" and "psi_y"
-    in that order: the one place a shift's maps get their endpoints.  A lag that fails
-    A^lag = R S or B^lag = S R, and maps above ``_MAPS_BYTES``, are refused before any is made."""
-    # X (x) M, Y (x) N, M (x) N and N (x) M have dims A R, B S, R S and S R.
-    a, b, r, s = x_obj.x.dims, y_obj.x.dims, m_corr.dims, n_corr.dims
-    dims = (mat_mul(a, r), mat_mul(b, s), mat_mul(r, s), mat_mul(s, r))
-    # psi_x ends at X^(x)lag, of dims A^lag, so A^lag = R S keeps that basis within the bound below.
-    for equation, power, product in (("A^lag = R S", a, dims[2]), ("B^lag = S R", b, dims[3])):
-        if not power_equals(power, lag, product):
-            raise ShapeError(f"lag {lag} does not fit the bundle: {equation} fails")
-    predicted = 24 * sum(d * d for m in dims for row in m.entries for d in row)
-    if predicted > _MAPS_BYTES:
-        raise DomainError(f"the structure maps would take {predicted} bytes, above the {_MAPS_BYTES} a shift may take")
+def assemble_shift(w: SEWitness, make: Callable, labels=(None, None)) -> AlignedShiftData:
+    """The shift of the integer record ``w`` = (A, B, R, S, m) from X to Y through the edge
+    correspondences M and N of R and S, the objects' vertices labelled by ``labels``, whose
+    structure maps are ``make(name, source, target)``, called for "phi_m", "phi_n", "psi_x" and
+    "psi_y" in that order: the one place a shift's bases and maps get built.  A lag that fails
+    A^m = R S or B^m = S R, and maps above ``_MAPS_BYTES``, are refused from ``w`` before any
+    basis is built; a record with a basis numpy cannot index skips them, for ``from_matrix`` to refuse."""
+    a, b, r, s, lag = w.a, w.b, w.r, w.s, w.lag
+    if all(map(basis_fits, (a, b, r, s))):
+        # X (x) M, Y (x) N, M (x) N and N (x) M have dims A R, B S, R S and S R.
+        dims = (mat_mul(a, r), mat_mul(b, s), mat_mul(r, s), mat_mul(s, r))
+        # psi_x ends at X^(x)lag, of dims A^lag, so A^lag = R S keeps that basis within the bound below.
+        for equation, power, product in (("A^lag = R S", a, dims[2]), ("B^lag = S R", b, dims[3])):
+            if not power_equals(power, lag, product):
+                raise ShapeError(f"lag {lag} does not fit the bundle: {equation} fails")
+        predicted = 24 * sum(d * d for m in dims for row in m.entries for d in row)
+        if predicted > _MAPS_BYTES:
+            raise DomainError(f"the structure maps would take {predicted} bytes, above the {_MAPS_BYTES} a shift may take")
+    x_obj, y_obj = object_pair(a, labels[0]), object_pair(b, labels[1])
+    m_corr = from_matrix(r, x_obj.algebra_index, y_obj.algebra_index)
+    n_corr = from_matrix(s, y_obj.algebra_index, x_obj.algebra_index)
     m_arrow = arrow_with(y_obj, x_obj, m_corr, lambda src, tgt: make("phi_m", src, tgt))
     n_arrow = arrow_with(x_obj, y_obj, n_corr, lambda src, tgt: make("phi_n", src, tgt))
     psi_x = make("psi_x", tensor(m_corr, n_corr), power_correspondence(x_obj, lag))
@@ -191,17 +194,18 @@ def assemble_shift(
 def build_from_se(
     w: SEWitness, given: Optional[Callable] = None, *, before_maps: Optional[Callable] = None
 ) -> AlignedShiftData:
-    """Concrete shift induced by a verified witness (A, B, R, S, m).
+    """Concrete shift induced by a verified witness (A, B, R, S, m), built by :func:`assemble_shift`.
 
     M and N are the edge correspondences of R and S.  Once the witness
-    verifies, and before any edge basis or map is made, ``before_maps()`` runs,
-    if given and every basis fits, so that a caller can refuse what it would
-    build from the witness's dims.  Each structure map is then
-    ``given(name, source, target)``, called as :func:`assemble_shift` calls its
-    ``make``; where ``given`` is omitted or returns None, the map is the
-    canonical identification that matches sorted path bases in order --
-    legitimate because the witness equations make the block dimensions agree
-    (e.g. X(A) (x) X(R) and X(R) (x) X(B) both have dims AR = RB).  Whether the result is *aligned* is not assumed anywhere; run
+    verifies, ``before_maps()`` runs, if given and every basis fits, so that a
+    caller can refuse what it would build from the witness's dims; the shift
+    is then sized from the same integer matrices before any edge basis is built.
+    Each structure map is ``given(name, source, target)``, called as
+    :func:`assemble_shift` calls its ``make``; where ``given`` is omitted or
+    returns None, the map is the canonical identification that matches sorted
+    path bases in order -- legitimate because the witness equations make the
+    block dimensions agree (e.g. X(A) (x) X(R) and X(R) (x) X(B) both have
+    dims AR = RB).  Whether the result is *aligned* is not assumed anywhere; run
     ``verify_aligned`` to find out.
     """
     if not verify_se(w):
@@ -209,16 +213,12 @@ def build_from_se(
     # A basis numpy cannot index is refused by from_matrix, before anything is allocated.
     if before_maps and all(map(basis_fits, (w.a, w.b, w.r, w.s))):
         before_maps()
-    x_obj = object_pair(w.a)
-    y_obj = object_pair(w.b)
-    m_corr = from_matrix(w.r, x_obj.algebra_index, y_obj.algebra_index)
-    n_corr = from_matrix(w.s, y_obj.algebra_index, x_obj.algebra_index)
 
     def make(name, src, tgt):
         u = given(name, src, tgt) if given else None
         return canonical_identification(src, tgt) if u is None else u
 
-    return assemble_shift(x_obj, y_obj, m_corr, n_corr, w.lag, make)
+    return assemble_shift(w, make)
 
 
 def trivial_shift(a) -> AlignedShiftData:

@@ -7,9 +7,10 @@ joined by a comma), each entry as an [re, im] pair; labels that give two
 blocks one key are refused, on writing and on reading.  Shift and arrow
 bundles describe their correspondences by integer matrices; the canonical
 bases are rebuilt on load, so only atomic (edge) correspondences travel
-through files.  The readers check the schema, supply the stored maps and decide
-no rule of the calculus: ``corr.arrow_with`` and ``aligned.assemble_shift`` decide
-the endpoints each map is read against, and ``assemble_shift`` whether the lag fits.
+through files.  The readers check the schema and decide no rule of the calculus:
+a shift's reader supplies its integer record and stored maps to
+``aligned.assemble_shift``, which sizes the shift, decides whether the lag fits
+and builds the bases each map is read against; ``corr.arrow_with`` does so for an arrow.
 
 The ``*_to_json`` functions return plain JSON values (nested lists).  With
 the private switch ``_arrays``, the command line gets its large bundles in the
@@ -255,11 +256,12 @@ def object_to_json(obj: ObjectPair) -> dict:
     }
 
 
-def object_from_json(doc) -> ObjectPair:
+def _object_fields(doc) -> tuple:
+    """The vertex matrix of an object document and its labels, None when absent."""
     _require(isinstance(doc, dict) and "matrix" in doc, "object document needs a 'matrix'")
     labels = doc.get("labels")
     _require(labels is None or isinstance(labels, list), "object 'labels' must be a list")
-    return object_pair(matrix_from_json(doc["matrix"]), labels)
+    return matrix_from_json(doc["matrix"]), labels
 
 
 def arrow_to_json(arrow: OneArrow) -> dict:
@@ -275,8 +277,8 @@ def arrow_to_json(arrow: OneArrow) -> dict:
 
 def arrow_from_json(doc) -> OneArrow:
     source, target, f_dims, phi = _fields(doc, "arrow", ("source", "target", "f_dims", "phi"))
-    source = object_from_json(source)
-    target = object_from_json(target)
+    source = object_pair(*_object_fields(source))
+    target = object_pair(*_object_fields(target))
     f = from_matrix(matrix_from_json(f_dims), target.algebra_index, source.algebra_index)
     return arrow_with(source, target, f, lambda src, tgt: block_unitary_from_json(phi, src, tgt))
 
@@ -301,13 +303,9 @@ def shift_from_json(doc) -> AlignedShiftData:
     fields = ("x", "y", "lag", "m_dims", "n_dims", "phi_m", "phi_n", "psi_x", "psi_y")
     x, y, lag, m_dims, n_dims, *_ = _fields(doc, "shift", fields)
     _require(_is_int(lag) and lag >= 1, "lag must be a positive integer")
-    x_obj = object_from_json(x)
-    y_obj = object_from_json(y)
-    m_corr = from_matrix(matrix_from_json(m_dims), x_obj.algebra_index, y_obj.algebra_index)
-    n_corr = from_matrix(matrix_from_json(n_dims), y_obj.algebra_index, x_obj.algebra_index)
-    return assemble_shift(
-        x_obj, y_obj, m_corr, n_corr, lag, lambda name, src, tgt: block_unitary_from_json(doc[name], src, tgt)
-    )
+    (a, x_labels), (b, y_labels) = _object_fields(x), _object_fields(y)
+    w = SEWitness(a, b, matrix_from_json(m_dims), matrix_from_json(n_dims), lag)
+    return assemble_shift(w, lambda name, src, tgt: block_unitary_from_json(doc[name], src, tgt), (x_labels, y_labels))
 
 
 def homotopy_to_json(h: ArrowHomotopy, *, _arrays=False) -> dict:

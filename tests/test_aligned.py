@@ -30,6 +30,7 @@ from shiftcalc import (
     power_correspondence,
     random_block_unitary,
     random_sse_chain,
+    reverse_se,
     reverse_shift,
     slide_past_powers,
     tensor_unitaries,
@@ -168,7 +169,7 @@ class TestConcreteShift:
         # refused unless it is X^(x)lag; one of another shape ends no map from M (x) N.
         from shiftcalc import BlockUnitary, ObjectPair, canonical_identification, from_matrix, identity
         from shiftcalc import object_pair, tensor
-        from shiftcalc.aligned import assemble_shift
+        from shiftcalc.corr import arrow_with
 
         x = object_pair(from_rows([[2]]))
         y = object_pair(from_rows([[1, 1], [1, 1]]))
@@ -209,7 +210,9 @@ class TestConcreteShift:
             unit = from_matrix(identity(len(obj.algebra_index)), obj.algebra_index, obj.algebra_index)
             for lag in range(1, 5):
                 built = power_correspondence(obj, lag)
-                d = assemble_shift(obj, obj, built, unit, lag, lambda name, src, tgt: canonical_identification(src, tgt))
+                power = power_correspondence(obj, lag)
+                psi_x, psi_y = (canonical_identification(tensor(*pair), power) for pair in ((built, unit), (unit, built)))
+                d = AlignedShiftData(obj, obj, arrow_with(obj, obj, built), arrow_with(obj, obj, unit), psi_x, psi_y, lag)
                 for c in candidates:
                     if not c.same_shape(built):
                         verdicts["other shape"] += 1
@@ -256,7 +259,6 @@ class TestConcreteShift:
         import time
 
         import shiftcalc.aligned
-        from shiftcalc import from_matrix, object_pair
         from shiftcalc.aligned import assemble_shift
 
         def refuse(name):
@@ -265,10 +267,12 @@ class TestConcreteShift:
             return call
 
         monkeypatch.setattr(shiftcalc.aligned, "power_correspondence", refuse("power_correspondence"))
-        x, y, one = object_pair(from_rows(a)), object_pair(from_rows(b)), from_matrix(from_rows([[1]]))
+        monkeypatch.setattr(shiftcalc.aligned, "object_pair", refuse("object_pair"))
+        monkeypatch.setattr(shiftcalc.aligned, "from_matrix", refuse("from_matrix"))
+        one = from_rows([[1]])
         started = time.perf_counter()
         with pytest.raises(ShapeError, match=f"^lag {lag} does not fit the bundle: {re.escape(equation)} fails$"):
-            assemble_shift(x, y, one, one, lag, refuse("make"))
+            assemble_shift(SEWitness(from_rows(a), from_rows(b), one, one, lag), refuse("make"))
         assert time.perf_counter() - started < 1.0
 
     @pytest.mark.parametrize("case", ["golden3", *range(6)])
@@ -646,6 +650,27 @@ class TestReverseCompose:
     def test_refusal_names_its_reason(self, golden_witness, call, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call(build_from_se(golden_witness))
+
+
+class TestSwap:
+    """The swap relation of shift equivalence on the numerical layer: the shift built from the
+    reversed witness is the reversed shift, map for map and bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_the_reversed_witness_builds_the_reversed_shift(self, k):
+        w = fold_chain(random_sse_chain(from_rows([[2, 1], [1, 2]]), k, seed=0))
+        d, built = build_from_se(w), build_from_se(reverse_se(w))
+        swapped = reverse_shift(d)
+        assert (built.x_obj, built.y_obj, built.lag) == (swapped.x_obj, swapped.y_obj, swapped.lag)
+        for u, v in zip(
+            (built.m_arrow.phi, built.n_arrow.phi, built.psi_x, built.psi_y),
+            (swapped.m_arrow.phi, swapped.n_arrow.phi, swapped.psi_x, swapped.psi_y),
+        ):
+            assert (u.source, u.target) == (v.source, v.target)
+            assert u.blocks.keys() == v.blocks.keys()
+            assert all(np.array_equal(u.blocks[ij], v.blocks[ij]) for ij in u.blocks)
+        rx, ry = alignment_residuals(d)
+        assert alignment_residuals(built) == (ry, rx)
 
 
 class TestSlide:

@@ -725,6 +725,33 @@ def test_the_edge_bases_are_built_only_after_the_paths_are_sized(tmp_path):
     assert peak < 16 << 20 and seconds < 1.0
 
 
+def edge_bundle(e: int) -> dict:
+    """The shift bundle of [[e]] ~ [[e]] through M = [[1]] and N = [[e]] at lag 1, whose four
+    maps hold no block: under 1 kB, with a basis of e edges in X, Y and N."""
+    obj = {"labels": [0], "matrix": mat([[e]])}
+    empty = {"schema": SCHEMA, "left_index": [0], "right_index": [0], "dims": [[1]], "blocks": {}}
+    maps = dict.fromkeys(("phi_m", "phi_n", "psi_x", "psi_y"), empty)
+    return {"schema": SCHEMA, "x": obj, "y": obj, "lag": 1, "m_dims": mat([[1]]), "n_dims": mat([[e]]), **maps}
+
+
+@pytest.mark.parametrize("command", ["aligned from-se", "aligned verify"])
+def test_a_shift_is_sized_from_its_integer_record_before_any_edge_basis(tmp_path, command):
+    # [[e]] ~ [[e]] through R = [[1]] and S = [[e]], as a witness or as a bundle: the structure maps
+    # are refused from the integer matrices, at e = 10**7 within 5 MB of e = 10**3, before the
+    # edge bases of A, B and S, 8 bytes per edge (240 MB here), are built.
+    def argv(e):
+        if command == "aligned verify":
+            return ["aligned", "verify", "--data", write(tmp_path / f"s{e}.json", edge_bundle(e))]
+        w = {"a": mat([[e]]), "b": mat([[e]]), "r": mat([[1]]), "s": mat([[e]]), "lag": 1}
+        return ["aligned", "from-se", "--witness", write(tmp_path / f"w{e}.json", w)]
+
+    small, (code, seconds, err, _, peak) = run_in_two_gigabytes([argv(10**3), argv(10**7)], trace=True)
+    predicted = 240000000000007200000000000000
+    assert (code, err) == (65, f"shiftcalc: the structure maps would take {predicted} bytes, above the 1073741824 a shift may take\n")
+    assert small[0] == 65 and "the structure maps would take" in small[2]
+    assert peak < 16 << 20 and peak < small[4] + 5_000_000 and seconds < 1.0
+
+
 def test_no_identity_factor_is_multiplied_on_the_command_line(capsys, tmp_path, monkeypatch):
     # Golden shifts, and the golden lag-3 shift conjugated by Haar-random factors as the
     # dense-homotopy bench builds its fixtures: every u (x) 1_F is placed, so np.kron never runs.
@@ -1063,12 +1090,16 @@ class TestBadInputs:
         assert f"lag {lag} does not fit the bundle" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("entry", [10**20, 2**62])
-    @pytest.mark.parametrize("command", ["aligned from-se", "homotopy from-se"])
+    @pytest.mark.parametrize("command", ["aligned from-se", "homotopy from-se", "aligned verify"])
     def test_oversized_entry_is_data_error(self, capsys, tmp_path, command, entry):
         # Too large for a basis of edges: 10**20 overflows a machine integer,
-        # 2**62 edges do not fit in an array.  The witness itself is valid.
-        w = {"a": mat([[entry]]), "b": mat([[entry]]), "r": mat([[1]]), "s": mat([[entry]]), "lag": 1}
-        argv = [*command.split(), "--witness", write(tmp_path / "w.json", w)]
+        # 2**62 edges do not fit in an array.  The witness itself is valid, and
+        # the bundle holds the same integer record.
+        if command == "aligned verify":
+            argv = [*command.split(), "--data", write(tmp_path / "s.json", edge_bundle(entry))]
+        else:
+            w = {"a": mat([[entry]]), "b": mat([[entry]]), "r": mat([[1]]), "s": mat([[entry]]), "lag": 1}
+            argv = [*command.split(), "--witness", write(tmp_path / "w.json", w)]
         code, report, err = run(capsys, argv)
         assert code == 65
         assert report is None

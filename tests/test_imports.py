@@ -1,8 +1,9 @@
 """Unused imports, unused private names, unread public names and unread locals
 in the package, calls of the stdlib's JSON writer, the names the benchmark
 tracer rebinds, refusals that no test names, reads of the factor runs
-outside ``corr``, reads of a module's private names outside that module, and
-identity unitaries built as tensor factors.
+outside ``corr``, reads of a module's private names outside that module,
+identity unitaries built as tensor factors, and a shift's bases built outside
+its one builder.
 
 No linter is installed, so ``ast`` stands in.
 """
@@ -240,6 +241,44 @@ def test_an_identity_factor_is_passed_as_its_correspondence(path):
     # tensor_unitaries places the other factor's blocks for a correspondence F, standing for
     # 1_F; identity_unitary(F) there would be built and multiplied by np.kron.
     assert identity_factors(path.read_text(encoding="utf-8")) == []
+
+
+BASIS_BUILDERS = ("object_pair", "from_matrix")
+
+
+def basis_builders(source: str) -> dict[str, list[int]]:
+    """The lines that call one of ``BASIS_BUILDERS``, bare or as an attribute of whatever object,
+    keyed by the module-level function or class they are in ("" for module level)."""
+    found = {}
+    for top in ast.parse(source).body:
+        lines = [node.lineno for node in ast.walk(top) if any(_calls(node, name) for name in BASIS_BUILDERS)]
+        if lines:
+            found.setdefault(getattr(top, "name", ""), []).extend(sorted(lines))
+    return found
+
+
+def test_the_check_sees_a_basis_built_outside_its_builder():
+    source = (
+        "from .corr import from_matrix, object_pair\n"
+        "def assemble_shift(w, make):\n"
+        "    x = object_pair(w.a)\n"
+        "    return from_matrix(w.r)\n"
+        "def reader(doc):\n"
+        "    build = lambda m: corr.from_matrix(m)\n"
+        "    return object_pair(doc)\n"
+        "ONE = from_matrix(identity(1))\n"
+        "def other(x):\n"
+        "    return object_pairs(x), from_matrix\n"
+    )
+    assert basis_builders(source) == {"assemble_shift": [3, 4], "reader": [6, 7], "": [8]}
+
+
+def test_one_builder_makes_a_shifts_bases():
+    # A shift's object pairs and edge correspondences are built by aligned.assemble_shift alone,
+    # after its guards have read the integer record; the shift reader supplies only that record.
+    package = pathlib.Path(shiftcalc.__file__).parent
+    assert set(basis_builders((package / "aligned.py").read_text(encoding="utf-8"))) == {"assemble_shift"}
+    assert "shift_from_json" not in basis_builders((package / "jsonio.py").read_text(encoding="utf-8"))
 
 
 def definitions(source: str) -> set[str]:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from shiftcalc import (
     DomainError,
     ParseError,
+    SEWitness,
     ShapeError,
     alignment_residuals,
     build_from_se,
@@ -25,7 +26,6 @@ from shiftcalc import (
     identity,
     identity_unitary,
     identity_witness,
-    object_pair,
     random_block_unitary,
 )
 from shiftcalc.aligned import assemble_shift
@@ -755,12 +755,10 @@ def colliding_shift(x_labels=("0,1", "0"), y_labels=("1", "1,1")):
     the default labels the blocks (0, 0) and (1, 1) of X (x) M share the key
     "0,1,1"."""
     a = from_rows([[1, 1], [1, 1]])
-    x, y = object_pair(a, x_labels), object_pair(a, y_labels)
-    m = from_matrix(a, x.algebra_index, y.algebra_index)
-    n = from_matrix(identity(2), y.algebra_index, x.algebra_index)
-    d = assemble_shift(x, y, m, n, 1, lambda name, src, tgt: canonical_identification(src, tgt))
+    w = SEWitness(a, a, a, identity(2), 1)
+    d = assemble_shift(w, lambda name, src, tgt: canonical_identification(src, tgt), (x_labels, y_labels))
     rng = np.random.default_rng(0)
-    return conjugate_shift(d, random_block_unitary(m, rng), random_block_unitary(n, rng))
+    return conjugate_shift(d, random_block_unitary(d.m_arrow.f, rng), random_block_unitary(d.n_arrow.f, rng))
 
 
 def colliding_bundle() -> dict:
