@@ -18,9 +18,11 @@ formulation, which differs only by a product with identity blocks; the
 independent check is the test ``test_two_arrow_square_onto_conjugated_power_agrees``,
 through a power arrow conjugated by a Haar unitary.
 
-A shift is built in one place, ``assemble_shift``, from its integer record
-(A, B, R, S, m): it is sized from those matrices before any edge basis is built.
-``build_from_se`` and the bundle reader supply the record and the maps.
+An arrow is built in one place, ``assemble_arrow``, from its integer record
+(A, B, F), and a shift in one place, ``assemble_shift``, from its record
+(A, B, R, S, m), through ``assemble_arrow`` for M and N: each is checked and
+sized from those matrices before any edge basis is built.  ``build_from_se``
+and the readers in ``jsonio`` supply the record and the maps.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .corr import (
     object_pair,
     power_arrow,
     power_correspondence,
+    require_essential,
     tensor,
     tensor_unitaries,
     two_arrow_residual,
@@ -50,11 +53,11 @@ from .corr import (
     unitary_distance,
 )
 from .errors import CompositionError, ContractError, DomainError, ShapeError
-from .exact import mat_mul, power_equals
+from .exact import is_nonnegative, mat_mul, power_equals
 from .witnesses import SEWitness, identity_witness, verify_se
 
-#: Bytes the four structure maps of one shift may take: their size is predicted from the
-#: integer dims before any map is made, and a larger shift is refused with a ``DomainError``.
+#: Bytes the four structure maps of one shift, or the phi of one arrow, may take: their size is
+#: predicted from the integer dims before any map is made, and more is refused with a ``DomainError``.
 #: Each map keeps a complex entry (16 bytes) per basis pair of a block, and a canonical
 #: identification first holds the float64 identity it is made from (8 more), so 24 bytes
 #: are counted per entry.  The golden witness's maps take 6.6 MB at lag 8.
@@ -163,13 +166,38 @@ def verify_aligned(d: AlignedShiftData, tol: float = DEFAULT_TOL) -> bool:
     return report.aligned
 
 
+def _bound_maps(dims, maps: str, owner: str) -> None:
+    """Refuse ``maps`` whose blocks have the integer ``dims`` when they would take more than ``_MAPS_BYTES``."""
+    if (predicted := 24 * sum(d * d for m in dims for row in m.entries for d in row)) > _MAPS_BYTES:
+        raise DomainError(f"{maps} would take {predicted} bytes, above the {_MAPS_BYTES} {owner} may take")
+
+
+def assemble_arrow(a, b, f, make: Optional[Callable] = None, labels=(None, None)) -> OneArrow:
+    """The arrow [F, phi] from (A, X) to (B, Y) of the record (A, B, F), vertices labelled by ``labels`` =
+    (source's, target's), phi = ``make(Y (x) F, F (x) X)`` (canonical by default): the one place an arrow's
+    bases get built, the target's first.  On a nonnegative record of matching shapes whose bases fit, an
+    object with a zero row or column, B F != F A and a phi above ``_MAPS_BYTES`` are refused from the
+    integers first; any other record goes to ``from_matrix``'s refusals, made before it builds anything."""
+    shaped = a.is_square and b.is_square and (f.rows, f.cols) == (b.rows, a.rows)
+    if shaped and all(is_nonnegative(m) and basis_fits(m) for m in (a, b, f)):
+        require_essential(a)
+        require_essential(b)
+        # Y (x) F and F (x) X have dims B F and F A, which phi needs equal.
+        if (bf := mat_mul(b, f)) != mat_mul(f, a):
+            raise ShapeError("the arrow's F does not fit its objects: B F = F A fails")
+        _bound_maps([bf], "phi", "an arrow")
+    target, source = object_pair(b, labels[1]), object_pair(a, labels[0])
+    return arrow_with(source, target, from_matrix(f, target.algebra_index, source.algebra_index), make)
+
+
 def assemble_shift(w: SEWitness, make: Callable, labels=(None, None)) -> AlignedShiftData:
-    """The shift of the integer record ``w`` = (A, B, R, S, m) from X to Y through the edge
-    correspondences M and N of R and S, the objects' vertices labelled by ``labels``, whose
-    structure maps are ``make(name, source, target)``, called for "phi_m", "phi_n", "psi_x" and
-    "psi_y" in that order: the one place a shift's bases and maps get built.  A lag that fails
-    A^m = R S or B^m = S R, and maps above ``_MAPS_BYTES``, are refused from ``w`` before any
-    basis is built; a record with a basis numpy cannot index skips them, for ``from_matrix`` to refuse."""
+    """The shift of the integer record ``w`` = (A, B, R, S, m) from X to Y through the arrows
+    [M, phi_M] of (B, A, R) and [N, phi_N] of (A, B, S), built by :func:`assemble_arrow`, the
+    objects' vertices labelled by ``labels``, whose structure maps are ``make(name, source,
+    target)``, called for "phi_m", "phi_n", "psi_x" and "psi_y" in that order: the one place a
+    shift's maps get built.  A lag that fails A^m = R S or B^m = S R, and maps above
+    ``_MAPS_BYTES``, are refused from ``w`` before any basis is built; a record with a basis
+    numpy cannot index skips them, for ``from_matrix`` to refuse."""
     a, b, r, s, lag = w.a, w.b, w.r, w.s, w.lag
     if all(map(basis_fits, (a, b, r, s))):
         # X (x) M, Y (x) N, M (x) N and N (x) M have dims A R, B S, R S and S R.
@@ -178,17 +206,12 @@ def assemble_shift(w: SEWitness, make: Callable, labels=(None, None)) -> Aligned
         for equation, power, product in (("A^lag = R S", a, dims[2]), ("B^lag = S R", b, dims[3])):
             if not power_equals(power, lag, product):
                 raise ShapeError(f"lag {lag} does not fit the bundle: {equation} fails")
-        predicted = 24 * sum(d * d for m in dims for row in m.entries for d in row)
-        if predicted > _MAPS_BYTES:
-            raise DomainError(f"the structure maps would take {predicted} bytes, above the {_MAPS_BYTES} a shift may take")
-    x_obj, y_obj = object_pair(a, labels[0]), object_pair(b, labels[1])
-    m_corr = from_matrix(r, x_obj.algebra_index, y_obj.algebra_index)
-    n_corr = from_matrix(s, y_obj.algebra_index, x_obj.algebra_index)
-    m_arrow = arrow_with(y_obj, x_obj, m_corr, lambda src, tgt: make("phi_m", src, tgt))
-    n_arrow = arrow_with(x_obj, y_obj, n_corr, lambda src, tgt: make("phi_n", src, tgt))
-    psi_x = make("psi_x", tensor(m_corr, n_corr), power_correspondence(x_obj, lag))
-    psi_y = make("psi_y", tensor(n_corr, m_corr), power_correspondence(y_obj, lag))
-    return AlignedShiftData(x_obj, y_obj, m_arrow, n_arrow, psi_x, psi_y, lag)
+        _bound_maps(dims, "the structure maps", "a shift")
+    m_arrow = assemble_arrow(b, a, r, lambda src, tgt: make("phi_m", src, tgt), labels[::-1])
+    n_arrow = assemble_arrow(a, b, s, lambda src, tgt: make("phi_n", src, tgt), labels)
+    psi_x = make("psi_x", tensor(m_arrow.f, n_arrow.f), power_correspondence(m_arrow.target, lag))
+    psi_y = make("psi_y", tensor(n_arrow.f, m_arrow.f), power_correspondence(m_arrow.source, lag))
+    return AlignedShiftData(m_arrow.target, m_arrow.source, m_arrow, n_arrow, psi_x, psi_y, lag)
 
 
 def build_from_se(

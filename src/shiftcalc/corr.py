@@ -361,8 +361,13 @@ class ObjectPair:
     def __post_init__(self):
         if self.x.left_index != self.algebra_index or self.x.right_index != self.algebra_index:
             raise ShapeError("object correspondence must be indexed by the object's vertex set")
-        if not is_essential(self.x.dims):
-            raise DomainError("object correspondence must have essential dims")
+        require_essential(self.x.dims)
+
+
+def require_essential(a: IntMatrix) -> None:
+    """Refuse a vertex matrix with a zero row or column; :class:`ObjectPair` runs this on its dims."""
+    if not is_essential(a):
+        raise DomainError("object correspondence must have essential dims")
 
 
 def object_pair(a: IntMatrix, labels: Optional[Sequence] = None) -> ObjectPair:

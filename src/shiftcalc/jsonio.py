@@ -10,7 +10,9 @@ bases are rebuilt on load, so only atomic (edge) correspondences travel
 through files.  The readers check the schema and decide no rule of the calculus:
 a shift's reader supplies its integer record and stored maps to
 ``aligned.assemble_shift``, which sizes the shift, decides whether the lag fits
-and builds the bases each map is read against; ``corr.arrow_with`` does so for an arrow.
+and builds the bases each map is read against; an arrow's reader supplies its
+record (A, B, F) and stored phi to ``aligned.assemble_arrow``, which sizes phi,
+decides whether B F = F A and builds the bases phi is read against.
 
 The ``*_to_json`` functions return plain JSON values (nested lists).  With
 the private switch ``_arrays``, the command line gets its large bundles in the
@@ -35,8 +37,8 @@ from types import GeneratorType
 
 import numpy as np
 
-from .aligned import AlignedShiftData, assemble_shift
-from .corr import BlockUnitary, GraphCorrespondence, ObjectPair, OneArrow, arrow_with, from_matrix, object_pair
+from .aligned import AlignedShiftData, assemble_arrow, assemble_shift
+from .corr import BlockUnitary, GraphCorrespondence, ObjectPair, OneArrow
 from .errors import DomainError, ParseError
 from .exact import IntMatrix, from_rows
 from .homotopy import ArrowHomotopy
@@ -277,10 +279,8 @@ def arrow_to_json(arrow: OneArrow) -> dict:
 
 def arrow_from_json(doc) -> OneArrow:
     source, target, f_dims, phi = _fields(doc, "arrow", ("source", "target", "f_dims", "phi"))
-    source = object_pair(*_object_fields(source))
-    target = object_pair(*_object_fields(target))
-    f = from_matrix(matrix_from_json(f_dims), target.algebra_index, source.algebra_index)
-    return arrow_with(source, target, f, lambda src, tgt: block_unitary_from_json(phi, src, tgt))
+    (a, a_labels), (b, b_labels), f = _object_fields(source), _object_fields(target), matrix_from_json(f_dims)
+    return assemble_arrow(a, b, f, lambda src, tgt: block_unitary_from_json(phi, src, tgt), (a_labels, b_labels))
 
 
 def shift_to_json(d: AlignedShiftData, *, _arrays=False) -> dict:

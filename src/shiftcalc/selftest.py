@@ -25,6 +25,7 @@ from .aligned import (
     AlignedShiftData,
     alignment_report,
     alignment_residuals,
+    assemble_arrow,
     build_from_se,
     compose_shifts,
     conjugate_shift,
@@ -34,13 +35,11 @@ from .aligned import (
 )
 from .corr import (
     OneArrow,
-    arrow_with,
     compose_one_arrows,
     conjugate_arrow,
     from_matrix,
     identity_arrow,
     left_unitor,
-    object_pair,
     power_arrow,
     random_block_unitary,
     right_unitor,
@@ -94,9 +93,7 @@ def arrow_from_witness(w: SEWitness, np_rng: Optional[np.random.Generator] = Non
     valid intertwiner.  With a generator supplied, the arrow is conjugated by
     a random block unitary so its intertwiner is not a permutation.
     """
-    src = object_pair(w.a)
-    tgt = object_pair(w.b)
-    arrow = arrow_with(src, tgt, from_matrix(w.s, tgt.algebra_index, src.algebra_index))
+    arrow = assemble_arrow(w.a, w.b, w.s)
     if np_rng is not None:
         arrow = conjugate_arrow(arrow, random_block_unitary(arrow.f, np_rng))
     return arrow

@@ -56,6 +56,11 @@ def golden_lag(lag: int) -> SEWitness:
     return w
 
 
+def lag_one(seed: int) -> SEWitness:
+    """The lag-1 witness of one random splitting of [[2, 1], [1, 2]]."""
+    return fold_chain(random_sse_chain(from_rows([[2, 1], [1, 2]]), 1, seed=seed))
+
+
 class TestConcreteShift:
     def test_trivial_shift_verifies(self):
         d = trivial_shift(from_rows([[1, 1], [1, 0]]))
@@ -296,6 +301,62 @@ class TestConcreteShift:
         refusal = f"the structure maps would take {predicted} bytes, above the {predicted - 1} a shift may take"
         with pytest.raises(DomainError, match=f"^{refusal}$"):
             build_from_se(w)
+
+
+class TestAssembleArrow:
+    """The one builder of an arrow from its integer record (A, B, F), guards first."""
+
+    @pytest.mark.parametrize(
+        "a, b, f, error, message",
+        [([[0, 10**7], [0, 0]], [[1]], [[0, 0]], DomainError, "object correspondence must have essential dims"),
+         ([[1]], [[0, 0], [10**7, 0]], [[1], [0]], DomainError, "object correspondence must have essential dims"),
+         ([[10**7]], [[1]], [[1]], ShapeError, "the arrow's F does not fit its objects: B F = F A fails"),
+         ([[10**7]], [[10**7]], [[1]], DomainError,
+          "phi would take 2400000000000000 bytes, above the 1073741824 an arrow may take")],
+        ids=["source-inessential", "target-inessential", "B F != F A", "heavy-phi"],
+    )
+    def test_the_builder_refuses_an_arrow_from_its_integers(self, a, b, f, error, message, monkeypatch):
+        # Each object would have a basis of 10**7 edges: the first basis built fails the test.
+        import shiftcalc.aligned
+        from shiftcalc.aligned import assemble_arrow
+
+        def refuse(name):
+            def call(*args):
+                raise AssertionError(f"{name} called")
+            return call
+
+        for name in ("object_pair", "from_matrix", "arrow_with"):
+            monkeypatch.setattr(shiftcalc.aligned, name, refuse(name))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            assemble_arrow(from_rows(a), from_rows(b), from_rows(f), refuse("make"))
+
+    @pytest.mark.parametrize(
+        "a, b, f, error, message",
+        [([[1, 1]], [[1]], [[1]], ShapeError, "index label lists must match the matrix shape"),
+         ([[1]], [[1]], [[1, 1]], ShapeError, "index label lists must match the matrix shape"),
+         ([[1]], [[1]], [[-1]], DomainError, "correspondence matrices must be nonnegative"),
+         ([[-1]], [[1]], [[1]], DomainError, "correspondence matrices must be nonnegative")],
+        ids=["non-square A", "F of the wrong shape", "negative F", "negative A"],
+    )
+    def test_a_malformed_record_is_refused_by_the_basis_builder(self, a, b, f, error, message):
+        from shiftcalc.aligned import assemble_arrow
+
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            assemble_arrow(from_rows(a), from_rows(b), from_rows(f))
+
+    def test_a_witness_gives_the_canonical_arrow_of_s(self, golden_witness):
+        from shiftcalc import canonical_identification, from_matrix, object_pair, tensor
+        from shiftcalc.aligned import assemble_arrow
+
+        w = golden_witness
+        labels = ([f"a{i}" for i in range(w.a.rows)], [f"b{i}" for i in range(w.b.rows)])
+        arrow = assemble_arrow(w.a, w.b, w.s, labels=labels)
+        source, target = object_pair(w.a, labels[0]), object_pair(w.b, labels[1])
+        assert (arrow.source, arrow.target) == (source, target)
+        assert arrow.f == from_matrix(w.s, labels[1], labels[0])
+        phi = canonical_identification(tensor(target.x, arrow.f), tensor(arrow.f, source.x))
+        assert (arrow.phi.source, arrow.phi.target) == (phi.source, phi.target)
+        assert all(np.array_equal(arrow.phi.blocks[ij], phi.blocks[ij]) for ij in phi.blocks)
 
 
 class TestAlignment:
@@ -671,6 +732,40 @@ class TestSwap:
             assert all(np.array_equal(u.blocks[ij], v.blocks[ij]) for ij in u.blocks)
         rx, ry = alignment_residuals(d)
         assert alignment_residuals(built) == (ry, rx)
+
+
+class TestLagRelation:
+    """The lag relation of shift equivalence on the numerical layer: composing an aligned shift d
+    of lag m with the trivial shift of its Y side gives an aligned shift of lag m + 1, with the
+    objects and the M and N dims of the shift built from the composed witness.  That shift's own
+    verdict is not compared: its maps are canonical, not composites, and need not be aligned."""
+
+    @pytest.mark.parametrize(
+        "w",
+        [golden_lag(2), golden_lag(3), *map(lag_one, (0, 5, 8, 9))],
+        ids=["golden lag 2", "golden lag 3", "seed 0", "seed 5", "seed 8", "seed 9"],
+    )
+    def test_a_trivial_shift_adds_one_to_the_lag(self, w):
+        # Both shifts are conjugated by Haar-random unitaries, so no map is a permutation.  psi_y
+        # slides the trivial shift's phi_M past Y^(x)m, which recurses for m >= 2; psi_x slides
+        # d's phi_N past X^(x)1.
+        rng = np.random.default_rng(37)
+
+        def haar(d):
+            return conjugate_shift(d, random_block_unitary(d.m_arrow.f, rng), random_block_unitary(d.n_arrow.f, rng))
+
+        composite = compose_shifts(haar(build_from_se(w)), haar(trivial_shift(w.b)))
+        built = build_from_se(compose_se(w, identity_witness(w.b)))
+        assert verify_aligned(composite) and composite.lag == w.lag + 1
+        assert (composite.x_obj, composite.y_obj) == (built.x_obj, built.y_obj)
+        assert (composite.m_arrow.f.dims, composite.n_arrow.f.dims) == (built.m_arrow.f.dims, built.n_arrow.f.dims)
+
+    def test_the_composed_witness_need_not_build_an_aligned_shift(self):
+        w = lag_one(8)
+        composite = compose_shifts(build_from_se(w), trivial_shift(w.b))
+        built = build_from_se(compose_se(w, identity_witness(w.b)))
+        assert alignment_residuals(composite) == (0.0, 0.0)
+        assert alignment_residuals(built) == (2.0, 2.0)
 
 
 class TestSlide:

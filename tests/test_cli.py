@@ -752,6 +752,61 @@ def test_a_shift_is_sized_from_its_integer_record_before_any_edge_basis(tmp_path
     assert peak < 16 << 20 and peak < small[4] + 5_000_000 and seconds < 1.0
 
 
+def arrow_file(tmp_path, name, source, target, f, phi_dims, blocks) -> str:
+    """An arrow file between the one-vertex objects ``source`` and ``target`` through F = ``f``,
+    whose phi declares ``phi_dims`` and holds ``blocks``."""
+    source, target = ({"labels": [0], "matrix": mat(rows)} for rows in (source, target))
+    phi = {"schema": SCHEMA, "left_index": [0], "right_index": [0], "dims": phi_dims, "blocks": blocks}
+    doc = {"schema": SCHEMA, "source": source, "target": target, "f_dims": mat(f), "phi": phi}
+    return write(tmp_path / name, doc)
+
+
+@pytest.mark.parametrize("case", ["heavy phi", "unequal dims"])
+def test_an_arrow_is_sized_from_its_integer_record_before_any_edge_basis(tmp_path, case):
+    # Source [[e]] and F = [[1]], read by `corr check-2arrow` as --f and --g.  Onto the target [[e]],
+    # phi would hold one e x e block; onto the target [[1]], B F = [[1]] is not F A = [[e]].  Both are
+    # refused from the integer matrices, at e = 10**7 within 5 MB of e = 10**3, before the edge
+    # bases of the objects, 8 bytes per edge, are built.
+    def argv(e):
+        if case == "heavy phi":
+            path = arrow_file(tmp_path, f"f{e}.json", [[e]], [[e]], [[1]], [[e]], {})
+        else:
+            path = arrow_file(tmp_path, f"f{e}.json", [[e]], [[1]], [[1]], [[1]], {"0,0": [[[1.0, 0.0]]]})
+        return ["corr", "check-2arrow", "--psi", path, "--f", path, "--g", path]
+
+    small, (code, seconds, err, _, peak) = run_in_two_gigabytes([argv(10**3), argv(10**7)], trace=True)
+    refusal = {
+        "heavy phi": "phi would take 2400000000000000 bytes, above the 1073741824 an arrow may take",
+        "unequal dims": "the arrow's F does not fit its objects: B F = F A fails",
+    }[case]
+    assert (code, err) == (65, f"shiftcalc: {refusal}\n")
+    # At e = 10**3 phi would take 24 MB, within the bound, so its missing block refuses it.
+    small_refusal = "missing block '0,0'" if case == "heavy phi" else refusal
+    assert (small[0], small[2]) == (65, f"shiftcalc: {small_refusal}\n")
+    assert peak < 16 << 20 and peak < small[4] + 5_000_000 and seconds < 1.0
+
+
+@pytest.mark.parametrize("command", ["aligned from-se", "homotopy from-se", "aligned verify"])
+def test_an_object_is_checked_for_essential_dims_before_its_basis(tmp_path, command):
+    # x = [[0, e], [0, 0]] ~ y = [[0]] through R = 0 and S = 0 at lag 2: the witness verifies and all
+    # four maps have dims 0, but x has a zero row and a zero column.  It is refused from its matrix,
+    # at e = 10**7 within 5 MB of e = 10**3, before its basis of e edges, 8 bytes apiece, is built.
+    def argv(e):
+        x, y, r, s = mat([[0, e], [0, 0]]), mat([[0]]), mat([[0], [0]]), mat([[0, 0]])
+        if command == "aligned verify":
+            maps = dict.fromkeys(("phi_m", "phi_n", "psi_x", "psi_y"), {})
+            bundle = {"schema": SCHEMA, "x": {"labels": [0, 1], "matrix": x}, "y": {"labels": [0], "matrix": y},
+                      "lag": 2, "m_dims": r, "n_dims": s, **maps}
+            return ["aligned", "verify", "--data", write(tmp_path / f"s{e}.json", bundle)]
+        witness = write(tmp_path / f"w{e}.json", {"a": x, "b": y, "r": r, "s": s, "lag": 2})
+        return [*command.split(), "--witness", witness]
+
+    small, (code, seconds, err, _, peak) = run_in_two_gigabytes([argv(10**3), argv(10**7)], trace=True)
+    refusal = "shiftcalc: object correspondence must have essential dims\n"
+    assert (code, err) == (small[0], small[2]) == (65, refusal)
+    assert peak < 16 << 20 and peak < small[4] + 5_000_000 and seconds < 1.0
+
+
 def test_no_identity_factor_is_multiplied_on_the_command_line(capsys, tmp_path, monkeypatch):
     # Golden shifts, and the golden lag-3 shift conjugated by Haar-random factors as the
     # dense-homotopy bench builds its fixtures: every u (x) 1_F is placed, so np.kron never runs.

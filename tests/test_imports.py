@@ -273,12 +273,39 @@ def test_the_check_sees_a_basis_built_outside_its_builder():
     assert basis_builders(source) == {"assemble_shift": [3, 4], "reader": [6, 7], "": [8]}
 
 
+def test_the_check_sees_an_arrow_read_that_builds_its_bases():
+    source = (
+        "def arrow_from_json(doc):\n"
+        "    source = object_pair(*_object_fields(doc['source']))\n"
+        "    target = object_pair(*_object_fields(doc['target']))\n"
+        "    f = from_matrix(matrix_from_json(doc['f_dims']), target.algebra_index, source.algebra_index)\n"
+        "    return arrow_with(source, target, f)\n"
+        "def shift_from_json(doc):\n"
+        "    return assemble_shift(witness(doc), make(doc))\n"
+    )
+    assert basis_builders(source) == {"arrow_from_json": [2, 3, 4]}
+
+
+def test_the_check_sees_a_selftest_arrow_built_by_hand():
+    source = (
+        "def arrow_from_witness(w, np_rng=None):\n"
+        "    src, tgt = object_pair(w.a), object_pair(w.b)\n"
+        "    return arrow_with(src, tgt, from_matrix(w.s, tgt.algebra_index, src.algebra_index))\n"
+        "def tensor_dims_oracle(size, tol):\n"
+        "    return tensor(from_matrix(r), from_matrix(s))\n"
+    )
+    assert basis_builders(source) == {"arrow_from_witness": [2, 2, 3], "tensor_dims_oracle": [5, 5]}
+
+
 def test_one_builder_makes_a_shifts_bases():
-    # A shift's object pairs and edge correspondences are built by aligned.assemble_shift alone,
-    # after its guards have read the integer record; the shift reader supplies only that record.
+    # An arrow's object pairs and edge correspondence are built by aligned.assemble_arrow alone,
+    # after its guards have read the integer record (A, B, F); a shift's are built through it.
+    # The shift and arrow readers and the self-test's arrows supply only records.  The self-test's
+    # tensor oracle builds the edge correspondences of rectangular factors, which no arrow describes.
     package = pathlib.Path(shiftcalc.__file__).parent
-    assert set(basis_builders((package / "aligned.py").read_text(encoding="utf-8"))) == {"assemble_shift"}
-    assert "shift_from_json" not in basis_builders((package / "jsonio.py").read_text(encoding="utf-8"))
+    builders = {name: set(basis_builders((package / f"{name}.py").read_text(encoding="utf-8"))) for name in
+                ("aligned", "jsonio", "selftest")}
+    assert builders == {"aligned": {"assemble_arrow"}, "jsonio": set(), "selftest": {"tensor_dims_oracle"}}
 
 
 def definitions(source: str) -> set[str]:
