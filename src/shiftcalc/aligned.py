@@ -18,11 +18,11 @@ formulation, which differs only by a product with identity blocks; the
 independent check is the test ``test_two_arrow_square_onto_conjugated_power_agrees``,
 through a power arrow conjugated by a Haar unitary.
 
-An arrow is built in one place, ``assemble_arrow``, from its integer record
-(A, B, F), and a shift in one place, ``assemble_shift``, from its record
-(A, B, R, S, m), through ``assemble_arrow`` for M and N: each is checked and
-sized from those matrices before any edge basis is built.  ``build_from_se``
-and the readers in ``jsonio`` supply the record and the maps.
+An arrow is built in one place, ``assemble_arrow``, from its integer record (A, B, F), and a
+shift in one place, ``assemble_shift``, from its record (A, B, R, S, m), through it for M and N:
+each is checked and sized from those matrices, and no correspondence holds a per-edge array until
+``tensor_unitaries`` reads one.  ``build_from_se`` and the readers in ``jsonio`` supply the record
+and the maps.
 """
 
 from __future__ import annotations
@@ -175,9 +175,9 @@ def _bound_maps(dims, maps: str, owner: str) -> None:
 def assemble_arrow(a, b, f, make: Optional[Callable] = None, labels=(None, None)) -> OneArrow:
     """The arrow [F, phi] from (A, X) to (B, Y) of the record (A, B, F), vertices labelled by ``labels`` =
     (source's, target's), phi = ``make(Y (x) F, F (x) X)`` (canonical by default): the one place an arrow's
-    bases get built, the target's first.  On a nonnegative record of matching shapes whose bases fit, an
-    object with a zero row or column, B F != F A and a phi above ``_MAPS_BYTES`` are refused from the
-    integers first; any other record goes to ``from_matrix``'s refusals, made before it builds anything."""
+    correspondences get built, the target's first.  On a nonnegative record of matching shapes whose bases
+    fit, an object with a zero row or column, B F != F A and a phi above ``_MAPS_BYTES`` are refused from
+    the integers first; any other record goes to ``from_matrix``'s refusals."""
     shaped = a.is_square and b.is_square and (f.rows, f.cols) == (b.rows, a.rows)
     if shaped and all(is_nonnegative(m) and basis_fits(m) for m in (a, b, f)):
         require_essential(a)
@@ -196,8 +196,8 @@ def assemble_shift(w: SEWitness, make: Callable, labels=(None, None)) -> Aligned
     objects' vertices labelled by ``labels``, whose structure maps are ``make(name, source,
     target)``, called for "phi_m", "phi_n", "psi_x" and "psi_y" in that order: the one place a
     shift's maps get built.  A lag that fails A^m = R S or B^m = S R, and maps above
-    ``_MAPS_BYTES``, are refused from ``w`` before any basis is built; a record with a basis
-    numpy cannot index skips them, for ``from_matrix`` to refuse."""
+    ``_MAPS_BYTES``, are refused from ``w`` first; a record with a basis numpy cannot
+    index skips them, for ``from_matrix`` to refuse."""
     a, b, r, s, lag = w.a, w.b, w.r, w.s, w.lag
     if all(map(basis_fits, (a, b, r, s))):
         # X (x) M, Y (x) N, M (x) N and N (x) M have dims A R, B S, R S and S R.
@@ -219,21 +219,18 @@ def build_from_se(
 ) -> AlignedShiftData:
     """Concrete shift induced by a verified witness (A, B, R, S, m), built by :func:`assemble_shift`.
 
-    M and N are the edge correspondences of R and S.  Once the witness
-    verifies, ``before_maps()`` runs, if given and every basis fits, so that a
-    caller can refuse what it would build from the witness's dims; the shift
-    is then sized from the same integer matrices before any edge basis is built.
-    Each structure map is ``given(name, source, target)``, called as
-    :func:`assemble_shift` calls its ``make``; where ``given`` is omitted or
-    returns None, the map is the canonical identification that matches sorted
-    path bases in order -- legitimate because the witness equations make the
-    block dimensions agree (e.g. X(A) (x) X(R) and X(R) (x) X(B) both have
-    dims AR = RB).  Whether the result is *aligned* is not assumed anywhere; run
-    ``verify_aligned`` to find out.
+    M and N are the edge correspondences of R and S.  Once the witness verifies, ``before_maps()`` runs,
+    if given and every basis fits, so that a caller can refuse what it would build from the witness's
+    dims; the shift is then sized from the same integer matrices.  Each structure map is
+    ``given(name, source, target)``, called as :func:`assemble_shift` calls its ``make``; where ``given``
+    is omitted or returns None, the map is the canonical identification that matches sorted path bases
+    in order -- legitimate because the witness equations make the block dimensions agree (e.g.
+    X(A) (x) X(R) and X(R) (x) X(B) both have dims AR = RB).  Whether the result is *aligned* is not
+    assumed anywhere; run ``verify_aligned`` to find out.
     """
     if not verify_se(w):
         raise ContractError("build_from_se requires a verified witness")
-    # A basis numpy cannot index is refused by from_matrix, before anything is allocated.
+    # A basis numpy cannot index is refused by from_matrix first.
     if before_maps and all(map(basis_fits, (w.a, w.b, w.r, w.s))):
         before_maps()
 

@@ -22,8 +22,9 @@ F itself, and ``tensor_unitaries`` places u's blocks without forming 1_F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property, reduce
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,21 +38,29 @@ Path = tuple
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class GraphCorrespondence:
     """The edge bimodule of an integer matrix, or a tensor product of such.
 
-    Immutable, and equal and hashed by labels, dims and factor runs.  ``dims`` records
-    the block dimensions, ``factors`` the atomic (left labels, right labels, matrix)
-    triples multiplied together, as runs (triple, count), and ``ends[i]``, derived from
-    them, the right index at which each path out of i ends, in basis order.
+    Immutable, and equal and hashed by labels, dims and factor runs.  ``dims`` records the block
+    dimensions, ``factors`` the atomic (left labels, right labels, matrix) triples multiplied together,
+    as runs (triple, count).  No constructor allocates per edge: ``ends`` is derived when first read.
     """
 
     left_index: tuple
     right_index: tuple
     dims: IntMatrix
     factors: tuple
-    ends: tuple = field(compare=False)
+
+    @cached_property
+    def ends(self) -> tuple:
+        """``ends[i]``: the right index at which each path out of i ends, in basis order, kept once read.  An
+        atom repeats column j R[i][j] times in row i; a run raises it to its count by repeated squaring."""
+        try:
+            runs = ((tuple(np.repeat(np.arange(r.cols), row) for row in r.entries), n) for (_, _, r), n in self.factors)
+            return reduce(_follow, (_power(atom, n, _follow) for atom, n in runs))
+        except MemoryError:
+            raise DomainError("correspondence block dimensions are too large to hold a basis") from None
 
     # -- structure ---------------------------------------------------------
 
@@ -117,15 +126,14 @@ def from_matrix(r: IntMatrix, v: Optional[Sequence] = None, w: Optional[Sequence
     w = tuple(w) if w is not None else tuple(range(r.cols))
     if len(v) != r.rows or len(w) != r.cols:
         raise ShapeError("index label lists must match the matrix shape")
-    try:
-        ends = tuple(np.repeat(np.arange(r.cols), r.row(i)) for i in range(r.rows))
-    except (OverflowError, ValueError, MemoryError):
-        raise DomainError("correspondence block dimensions are too large to hold a basis") from None
-    return GraphCorrespondence(v, w, r, (((v, w, r), 1),), ends)
+    if not basis_fits(r):
+        raise DomainError("correspondence block dimensions are too large to hold a basis")
+    return GraphCorrespondence(v, w, r, (((v, w, r), 1),))
 
 
 def basis_fits(r: IntMatrix) -> bool:
-    """Whether numpy can index each row's edges, 8 bytes apiece; :func:`from_matrix` refuses the rest at once."""
+    """Whether numpy can index each row's edges, 8 bytes apiece: :func:`from_matrix` refuses the rest, and
+    allocates none; a correspondence's edges are first held when ``tensor_unitaries`` reads its ends."""
     return all(sum(row) <= np.iinfo(np.intp).max // 8 for row in r.entries)
 
 
@@ -139,18 +147,26 @@ def tensor(x: GraphCorrespondence, y: GraphCorrespondence) -> GraphCorrespondenc
     """
     if x.right_index != y.left_index:
         raise ShapeError("tensor factors must share their middle index set")
-    ends = tuple(
-        np.concatenate([y.ends[u] for u in row]) if row.size else row for row in x.ends
-    )
-    return GraphCorrespondence(
-        x.left_index, y.right_index, mat_mul(x.dims, y.dims), _join(x.factors, y.factors), ends
-    )
+    return GraphCorrespondence(x.left_index, y.right_index, mat_mul(x.dims, y.dims), _join(x.factors, y.factors))
 
 
 def _join(a: tuple, b: tuple) -> tuple:
     """Factor runs ``a`` then ``b``, the two runs at the seam merged if their factors agree."""
     (last, p), (first, q) = a[-1], b[0]
     return a[:-1] + (((last, p + q),) if last == first else ((last, p), (first, q))) + b[1:]
+
+
+def _follow(x_ends: tuple, y_ends: tuple) -> tuple:
+    """The ends of X (x) Y from those of X and Y: each path of X, in order, followed by Y's out of its end."""
+    return tuple(np.concatenate([y_ends[u] for u in row]) if row.size else row for row in x_ends)
+
+
+def _power(x, m: int, times: Callable):
+    """x times itself, m >= 1 factors, by repeated squaring: O(log m) products, for associative ``times``."""
+    if m == 1:
+        return x
+    square = times(half := _power(x, m // 2, times), half)
+    return times(square, x) if m & 1 else square
 
 
 def _pair_positions(row_ends: np.ndarray, col: np.ndarray, u: int) -> np.ndarray:
@@ -414,11 +430,7 @@ def power_correspondence(obj: ObjectPair, m: int) -> GraphCorrespondence:
     if m == 0:
         n = len(obj.algebra_index)
         return from_matrix(int_identity(n), obj.algebra_index, obj.algebra_index)
-    if m == 1:
-        return obj.x
-    half = power_correspondence(obj, m // 2)
-    square = tensor(half, half)
-    return tensor(square, obj.x) if m & 1 else square
+    return _power(obj.x, m, tensor)
 
 
 def arrow_with(source: ObjectPair, target: ObjectPair, f: GraphCorrespondence, make=None) -> OneArrow:

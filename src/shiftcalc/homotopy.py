@@ -302,7 +302,7 @@ def homotopy_shift_equivalence_from_se(
         _refuse_oversized_path(mat_mul(w.b, mat_mul(w.s, w.r)), steps)
 
     # Raises ContractError on an unverified witness; once it verifies, both paths are
-    # refused before any edge basis or structure map is made.
+    # refused before any structure map is made.
     d = build_from_se(w, before_maps=refuse_oversized_paths)
     homotopies = []
     for obj, first, second, psi in ((d.x_obj, d.m_arrow, d.n_arrow, d.psi_x), (d.y_obj, d.n_arrow, d.m_arrow, d.psi_y)):

@@ -753,10 +753,11 @@ def test_a_shift_is_sized_from_its_integer_record_before_any_edge_basis(tmp_path
 
 
 def arrow_file(tmp_path, name, source, target, f, phi_dims, blocks) -> str:
-    """An arrow file between the one-vertex objects ``source`` and ``target`` through F = ``f``,
-    whose phi declares ``phi_dims`` and holds ``blocks``."""
-    source, target = ({"labels": [0], "matrix": mat(rows)} for rows in (source, target))
-    phi = {"schema": SCHEMA, "left_index": [0], "right_index": [0], "dims": phi_dims, "blocks": blocks}
+    """An arrow file between the objects ``source`` and ``target``, vertices labelled 0, 1, ...,
+    through F = ``f``, whose phi declares ``phi_dims`` and holds ``blocks``."""
+    source, target = ({"labels": list(range(len(rows))), "matrix": mat(rows)} for rows in (source, target))
+    phi = {"schema": SCHEMA, "left_index": target["labels"], "right_index": source["labels"], "dims": phi_dims,
+           "blocks": blocks}
     doc = {"schema": SCHEMA, "source": source, "target": target, "f_dims": mat(f), "phi": phi}
     return write(tmp_path / name, doc)
 
@@ -783,6 +784,31 @@ def test_an_arrow_is_sized_from_its_integer_record_before_any_edge_basis(tmp_pat
     # At e = 10**3 phi would take 24 MB, within the bound, so its missing block refuses it.
     small_refusal = "missing block '0,0'" if case == "heavy phi" else refusal
     assert (small[0], small[2]) == (65, f"shiftcalc: {small_refusal}\n")
+    assert peak < 16 << 20 and peak < small[4] + 5_000_000 and seconds < 1.0
+
+
+@pytest.mark.parametrize("case", ["missing block", "complete"])
+def test_an_arrow_builds_no_basis_of_a_vertex_its_f_never_reaches(tmp_path, case):
+    # Source diag(1, e), target [[1]] and F = [[1, 0]]: B F = F A = [[1, 0]], so phi is one 1 x 1
+    # block and every guard passes.  A correspondence holds its ends only once tensor_unitaries reads
+    # them, and nothing reads those of the source's e loops, 8 bytes apiece: at e = 10**7 the check
+    # refuses phi's missing block, or passes psi = 1, within 5 MB of e = 10**3.
+    one = {"0,0": [[[1.0, 0.0]]]}
+    psi = {"schema": SCHEMA, "left_index": [0], "right_index": [0, 1], "dims": [[1, 0]], "blocks": one}
+    psi_path = write(tmp_path / "psi.json", psi)
+
+    def argv(e):
+        blocks = {} if case == "missing block" else one
+        path = arrow_file(tmp_path, f"f{e}.json", [[1, 0], [0, e]], [[1]], [[1, 0]], [[1, 0]], blocks)
+        return ["corr", "check-2arrow", "--psi", psi_path, "--f", path, "--g", path]
+
+    small, (code, seconds, err, out, peak) = run_in_two_gigabytes([argv(10**3), argv(10**7)], trace=True)
+    if case == "missing block":
+        assert (code, err) == (small[0], small[2]) == (65, "shiftcalc: missing block '0,0'\n")
+    else:
+        verdict = json.loads(out)["verdict"]
+        assert (code, err) == (small[0], small[2]) == (0, "")
+        assert verdict == json.loads(small[3])["verdict"] and verdict["two_arrow"] is True
     assert peak < 16 << 20 and peak < small[4] + 5_000_000 and seconds < 1.0
 
 

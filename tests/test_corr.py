@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from shiftcalc import (
     BlockUnitary,
     DomainError,
+    GraphCorrespondence,
     ObjectPair,
     OneArrow,
     ShapeError,
@@ -176,6 +177,69 @@ class TestDerivedBases:
             assert all(np.array_equal(m, multiplied.blocks[ij]) for ij, m in placed.blocks.items())
 
 
+def eager_atom(m, v=None, w=None):
+    """(from_matrix(m, v, w), its ends as the constructor once stored them): a reference for the
+    derived ``ends``, each row's columns repeated by ``np.repeat``."""
+    return from_matrix(m, v, w), tuple(np.repeat(np.arange(m.cols), m.row(i)) for i in range(m.rows))
+
+
+def eager_tensor(x, y):
+    """(tensor(X, Y), its ends as ``tensor`` once stored them) for eager pairs x and y: each row of
+    X's ends, in order, replaced by Y's ends out of each of its entries."""
+    (cx, ex), (cy, ey) = x, y
+    return tensor(cx, cy), tuple(np.concatenate([ey[u] for u in row]) if row.size else row for row in ex)
+
+
+def assert_ends_are(c, expected):
+    assert len(c.ends) == len(expected)
+    for p, q in zip(c.ends, expected):
+        assert p.dtype == q.dtype and np.array_equal(p, q)
+
+
+class TestDerivedEnds:
+    """``ends`` is derived from the factor runs on first read, and agrees with the eager derivation
+    that every constructor once ran: one ``np.repeat`` per atom row, one concatenation per tensor."""
+
+    @given(factor_chains(), st.booleans(), st.booleans())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_the_derived_ends_are_the_eager_ones(self, mats, right, labelled):
+        sizes = [mats[0].rows] + [m.cols for m in mats]
+        labels = [tuple(f"{k}:{i}" for i in range(n)) if labelled else None for k, n in enumerate(sizes)]
+        eager = [eager_atom(m, v, w) for m, v, w in zip(mats, labels, labels[1:])]
+        if right:
+            c, expected = reduce(lambda acc, x: eager_tensor(x, acc), reversed(eager))
+        else:
+            c, expected = reduce(eager_tensor, eager)
+        assert "ends" not in vars(c)
+        assert_ends_are(c, expected)
+        assert vars(c)["ends"] is c.ends  # read once, kept
+
+    @given(st.integers(1, 2).flatmap(lambda n: st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                                         min_size=n, max_size=n)), st.booleans())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_a_power_derives_the_ends_of_its_left_fold(self, rows, labelled):
+        # Entries 0 or 1 plus the identity: essential, with at most 3**9 paths out of a vertex at m = 9.
+        a = from_rows([[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)])
+        labels = tuple("pq"[: a.rows]) if labelled else None
+        obj = object_pair(a, labels)
+        unit, atom = eager_atom(mat_pow(a, 0), labels, labels), eager_atom(a, labels, labels)
+        for m in range(10):
+            power = power_correspondence(obj, m)
+            left, expected = reduce(eager_tensor, [atom] * m) if m else unit
+            assert power == left and "ends" not in vars(power)
+            assert_ends_are(power, expected)
+
+    def test_ends_is_no_field_and_takes_no_part_in_equality(self):
+        fields = [f.name for f in dataclasses.fields(GraphCorrespondence)]
+        assert fields == ["left_index", "right_index", "dims", "factors"]
+        a = from_rows([[1, 2], [0, 1]])
+        read, fresh = tensor(from_matrix(a), from_matrix(a)), tensor(from_matrix(a), from_matrix(a))
+        read.ends
+        assert "ends" in vars(read) and "ends" not in vars(fresh)
+        assert read == fresh and hash(read) == hash(fresh)
+        assert "ends" not in vars(fresh) and "ends" not in vars(from_matrix(a))  # == and hash derived none
+
+
 class TestFromMatrix:
     def test_single_block_of_dimension_two(self):
         c = from_matrix(from_rows([[2]]))
@@ -200,13 +264,15 @@ class TestFromMatrix:
     )
     def test_basis_fits_is_numpys_own_index_limit(self, rows, fits):
         # A row numpy cannot index is refused before anything is allocated; any other reaches
-        # the allocator, which cannot give exbibytes either.
+        # the allocator, which cannot give exbibytes either, when its ends are first read.
         r = from_rows(rows)
         assert basis_fits(r) is fits
         with pytest.raises(MemoryError if fits else (OverflowError, ValueError)):
             np.repeat(np.arange(r.cols), r.row(0))
         with pytest.raises(DomainError, match="^correspondence block dimensions are too large to hold a basis$"):
-            from_matrix(r)
+            c = from_matrix(r)  # refused here when the row does not fit
+            assert fits  # a row that fits is built, and refused where its ends are allocated
+            c.ends
 
 
 class TestRecords:

@@ -1,9 +1,9 @@
 """Unused imports, unused private names, unread public names and unread locals
 in the package, calls of the stdlib's JSON writer, the names the benchmark
 tracer rebinds, refusals that no test names, reads of the factor runs
-outside ``corr``, reads of a module's private names outside that module,
-identity unitaries built as tensor factors, and a shift's bases built outside
-its one builder.
+outside ``corr``, reads of a correspondence's ends outside ``tensor_unitaries``,
+reads of a module's private names outside that module, identity unitaries
+built as tensor factors, and a shift's bases built outside its one builder.
 
 No linter is installed, so ``ast`` stands in.
 """
@@ -103,6 +103,54 @@ NOT_CORR = sorted(path for path in pathlib.Path(shiftcalc.__file__).parent.glob(
 def test_only_corr_reads_the_factor_runs(path):
     # How a correspondence stores its factor sequence is corr's own business.
     assert attribute_reads(path.read_text(encoding="utf-8"), "factors") == []
+
+
+def ends_reads(source: str) -> dict[str, list[int]]:
+    """The lines that read an attribute called ``ends`` other than to call it (a method of that
+    name, such as a path's ``ends()``, is another thing), keyed by the innermost function they are
+    in ("" at module level)."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = {}
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Attribute) and node.attr == "ends" and isinstance(node.ctx, ast.Load):
+            if id(node) not in called:
+                found.setdefault(owner, []).append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "")
+    return {owner: sorted(lines) for owner, lines in found.items()}
+
+
+def test_the_check_sees_an_ends_read_outside_tensor_unitaries():
+    source = (
+        "def tensor(x, y):\n"
+        "    ends = tuple(np.concatenate([y.ends[u] for u in row]) for row in x.ends)\n"
+        "    return GraphCorrespondence(x.left_index, y.right_index, ends)\n"
+        "class UnitaryPath:\n"
+        "    def ends(self):\n"
+        "        return [(self.source, self.target)]\n"
+        "    def check(self):\n"
+        "        for source, target in self.path.ends():\n"
+        "            def first(c):\n"
+        "                return c.ends[0]\n"
+        "        return len(self.x.ends)\n"
+        "c.ends = ()\n"
+        "FIRST = c.ends\n"
+    )
+    assert ends_reads(source) == {"tensor": [2, 2], "first": [10], "check": [11], "": [13]}
+
+
+def test_only_tensor_unitaries_reads_a_correspondences_ends():
+    # A correspondence derives its per-edge ends from its factor runs when they are first read, so
+    # no constructor allocates per edge; tensor_unitaries is their one reader, and the derivation,
+    # the ends property itself, reads the runs.
+    readers = {path.stem: set(ends_reads(path.read_text(encoding="utf-8"))) for path in PACKAGE}
+    assert {module: names for module, names in readers.items() if names} == {"corr": {"tensor_unitaries"}}
 
 
 ARITHMETIC = ("mat_mul", "mat_pow", "power_equals")
