@@ -19,10 +19,10 @@ independent check is the test ``test_two_arrow_square_onto_conjugated_power_agre
 through a power arrow conjugated by a Haar unitary.
 
 An arrow is built in one place, ``assemble_arrow``, from its integer record (A, B, F), and a
-shift in one place, ``assemble_shift``, from its record (A, B, R, S, m), through it for M and N:
-each is checked and sized from those matrices, and no correspondence holds a per-edge array until
-``tensor_unitaries`` reads one.  ``build_from_se`` and the readers in ``jsonio`` supply the record
-and the maps.
+shift in one place, ``assemble_shift``, from its record (A, B, R, S, m).  Each builds its objects
+and edge correspondences first, which hold no per-edge array until ``tensor_unitaries`` reads one,
+then sizes its maps from their dims, and makes each arrow by ``corr.arrow_with``, which alone
+decides B F = F A.  ``build_from_se`` and the readers in ``jsonio`` supply the record and the maps.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .corr import (
     object_pair,
     power_arrow,
     power_correspondence,
-    require_essential,
     tensor,
     tensor_unitaries,
     two_arrow_residual,
@@ -53,7 +52,7 @@ from .corr import (
     unitary_distance,
 )
 from .errors import CompositionError, ContractError, DomainError, ShapeError
-from .exact import is_nonnegative, mat_mul, power_equals
+from .exact import mat_mul, power_equals
 from .witnesses import SEWitness, identity_witness, verify_se
 
 #: Bytes the four structure maps of one shift, or the phi of one arrow, may take: their size is
@@ -175,43 +174,38 @@ def _bound_maps(dims, maps: str, owner: str) -> None:
 def assemble_arrow(a, b, f, make: Optional[Callable] = None, labels=(None, None)) -> OneArrow:
     """The arrow [F, phi] from (A, X) to (B, Y) of the record (A, B, F), vertices labelled by ``labels`` =
     (source's, target's), phi = ``make(Y (x) F, F (x) X)`` (canonical by default): the one place an arrow's
-    correspondences get built, the target's first.  On a nonnegative record of matching shapes whose bases
-    fit, an object with a zero row or column, B F != F A and a phi above ``_MAPS_BYTES`` are refused from
-    the integers first; any other record goes to ``from_matrix``'s refusals."""
-    shaped = a.is_square and b.is_square and (f.rows, f.cols) == (b.rows, a.rows)
-    if shaped and all(is_nonnegative(m) and basis_fits(m) for m in (a, b, f)):
-        require_essential(a)
-        require_essential(b)
-        # Y (x) F and F (x) X have dims B F and F A, which phi needs equal.
-        if (bf := mat_mul(b, f)) != mat_mul(f, a):
-            raise ShapeError("the arrow's F does not fit its objects: B F = F A fails")
-        _bound_maps([bf], "phi", "an arrow")
+    correspondences get built, the target's first.  Their constructors refuse a malformed, oversized or
+    inessential record and allocate nothing; a phi above ``_MAPS_BYTES`` is then refused from B F, and
+    :func:`arrow_with` refuses B F != F A, before ``make`` runs."""
     target, source = object_pair(b, labels[1]), object_pair(a, labels[0])
-    return arrow_with(source, target, from_matrix(f, target.algebra_index, source.algebra_index), make)
+    f = from_matrix(f, target.algebra_index, source.algebra_index)
+    _bound_maps([mat_mul(b, f.dims)], "phi", "an arrow")
+    return arrow_with(source, target, f, make)
 
 
 def assemble_shift(w: SEWitness, make: Callable, labels=(None, None)) -> AlignedShiftData:
     """The shift of the integer record ``w`` = (A, B, R, S, m) from X to Y through the arrows
-    [M, phi_M] of (B, A, R) and [N, phi_N] of (A, B, S), built by :func:`assemble_arrow`, the
-    objects' vertices labelled by ``labels``, whose structure maps are ``make(name, source,
-    target)``, called for "phi_m", "phi_n", "psi_x" and "psi_y" in that order: the one place a
-    shift's maps get built.  A lag that fails A^m = R S or B^m = S R, and maps above
-    ``_MAPS_BYTES``, are refused from ``w`` first; a record with a basis numpy cannot
-    index skips them, for ``from_matrix`` to refuse."""
+    [M, phi_M] from Y to X and [N, phi_N] back, the objects' vertices labelled by ``labels``, whose
+    structure maps are ``make(name, source, target)``, called for "phi_m", "phi_n", "psi_x" and
+    "psi_y" in that order: the one place a shift's bases and maps get built.  X, Y, M and N are
+    built once, as :func:`assemble_arrow` builds them, and shared by both arrows; a lag that fails
+    A^m = R S or B^m = S R, and maps above ``_MAPS_BYTES``, are then refused from ``w``'s dims,
+    and :func:`arrow_with` refuses an M or N that does not fit, before any map is made."""
     a, b, r, s, lag = w.a, w.b, w.r, w.s, w.lag
-    if all(map(basis_fits, (a, b, r, s))):
-        # X (x) M, Y (x) N, M (x) N and N (x) M have dims A R, B S, R S and S R.
-        dims = (mat_mul(a, r), mat_mul(b, s), mat_mul(r, s), mat_mul(s, r))
-        # psi_x ends at X^(x)lag, of dims A^lag, so A^lag = R S keeps that basis within the bound below.
-        for equation, power, product in (("A^lag = R S", a, dims[2]), ("B^lag = S R", b, dims[3])):
-            if not power_equals(power, lag, product):
-                raise ShapeError(f"lag {lag} does not fit the bundle: {equation} fails")
-        _bound_maps(dims, "the structure maps", "a shift")
-    m_arrow = assemble_arrow(b, a, r, lambda src, tgt: make("phi_m", src, tgt), labels[::-1])
-    n_arrow = assemble_arrow(a, b, s, lambda src, tgt: make("phi_n", src, tgt), labels)
-    psi_x = make("psi_x", tensor(m_arrow.f, n_arrow.f), power_correspondence(m_arrow.target, lag))
-    psi_y = make("psi_y", tensor(n_arrow.f, m_arrow.f), power_correspondence(m_arrow.source, lag))
-    return AlignedShiftData(m_arrow.target, m_arrow.source, m_arrow, n_arrow, psi_x, psi_y, lag)
+    x, y = object_pair(a, labels[0]), object_pair(b, labels[1])
+    m, n = from_matrix(r, x.algebra_index, y.algebra_index), from_matrix(s, y.algebra_index, x.algebra_index)
+    # X (x) M, Y (x) N, M (x) N and N (x) M have dims A R, B S, R S and S R.
+    dims = (mat_mul(a, r), mat_mul(b, s), mat_mul(r, s), mat_mul(s, r))
+    # psi_x ends at X^(x)lag, of dims A^lag, so A^lag = R S keeps that basis within the bound below.
+    for equation, power, product in (("A^lag = R S", a, dims[2]), ("B^lag = S R", b, dims[3])):
+        if not power_equals(power, lag, product):
+            raise ShapeError(f"lag {lag} does not fit the bundle: {equation} fails")
+    _bound_maps(dims, "the structure maps", "a shift")
+    m_arrow = arrow_with(y, x, m, lambda src, tgt: make("phi_m", src, tgt))
+    n_arrow = arrow_with(x, y, n, lambda src, tgt: make("phi_n", src, tgt))
+    psi_x = make("psi_x", tensor(m, n), power_correspondence(x, lag))
+    psi_y = make("psi_y", tensor(n, m), power_correspondence(y, lag))
+    return AlignedShiftData(x, y, m_arrow, n_arrow, psi_x, psi_y, lag)
 
 
 def build_from_se(
@@ -221,7 +215,7 @@ def build_from_se(
 
     M and N are the edge correspondences of R and S.  Once the witness verifies, ``before_maps()`` runs,
     if given and every basis fits, so that a caller can refuse what it would build from the witness's
-    dims; the shift is then sized from the same integer matrices.  Each structure map is
+    dims; :func:`assemble_shift` then builds each object once and sizes the maps.  Each structure map is
     ``given(name, source, target)``, called as :func:`assemble_shift` calls its ``make``; where ``given``
     is omitted or returns None, the map is the canonical identification that matches sorted path bases
     in order -- legitimate because the witness equations make the block dimensions agree (e.g.

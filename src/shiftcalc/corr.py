@@ -132,8 +132,8 @@ def from_matrix(r: IntMatrix, v: Optional[Sequence] = None, w: Optional[Sequence
 
 
 def basis_fits(r: IntMatrix) -> bool:
-    """Whether numpy can index each row's edges, 8 bytes apiece: :func:`from_matrix` refuses the rest, and
-    allocates none; a correspondence's edges are first held when ``tensor_unitaries`` reads its ends."""
+    """Whether numpy can index each row's edges, 8 bytes apiece, as :func:`from_matrix` requires.  No constructor
+    allocates them: a correspondence's edges are first held when ``tensor_unitaries`` reads its ends."""
     return all(sum(row) <= np.iinfo(np.intp).max // 8 for row in r.entries)
 
 
@@ -369,7 +369,7 @@ def random_block_unitary(src: GraphCorrespondence, rng: np.random.Generator) -> 
 @dataclass(frozen=True)
 class ObjectPair:
     """An object of the calculus: a vertex set V with an essential V-by-V
-    correspondence over it."""
+    correspondence over it.  Construction holds the one check of essential dims."""
 
     algebra_index: tuple
     x: GraphCorrespondence
@@ -377,13 +377,8 @@ class ObjectPair:
     def __post_init__(self):
         if self.x.left_index != self.algebra_index or self.x.right_index != self.algebra_index:
             raise ShapeError("object correspondence must be indexed by the object's vertex set")
-        require_essential(self.x.dims)
-
-
-def require_essential(a: IntMatrix) -> None:
-    """Refuse a vertex matrix with a zero row or column; :class:`ObjectPair` runs this on its dims."""
-    if not is_essential(a):
-        raise DomainError("object correspondence must have essential dims")
+        if not is_essential(self.x.dims):
+            raise DomainError("object correspondence must have essential dims")
 
 
 def object_pair(a: IntMatrix, labels: Optional[Sequence] = None) -> ObjectPair:
@@ -435,10 +430,12 @@ def power_correspondence(obj: ObjectPair, m: int) -> GraphCorrespondence:
 
 def arrow_with(source: ObjectPair, target: ObjectPair, f: GraphCorrespondence, make=None) -> OneArrow:
     """The arrow [F, phi] from ``source`` to ``target`` with phi = make(Y (x) F, F (x) X):
-    the one place an intertwiner gets its endpoints.  ``make`` defaults to
-    :func:`canonical_identification`."""
-    make = make or canonical_identification
-    return OneArrow(source, target, f, make(tensor(target.x, f), tensor(f, source.x)))
+    the one place an intertwiner gets its endpoints, and the one check, before ``make``,
+    that they have equal dims B F = F A.  ``make`` defaults to :func:`canonical_identification`."""
+    yf, fx = tensor(target.x, f), tensor(f, source.x)
+    if yf.dims != fx.dims:
+        raise ShapeError("the arrow's F does not fit its objects: B F = F A fails")
+    return OneArrow(source, target, f, (make or canonical_identification)(yf, fx))
 
 
 def power_arrow(obj: ObjectPair, m: int) -> OneArrow:

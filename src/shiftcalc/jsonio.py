@@ -9,10 +9,10 @@ bundles describe their correspondences by integer matrices; the canonical
 bases are rebuilt on load, so only atomic (edge) correspondences travel
 through files.  The readers check the schema and decide no rule of the calculus:
 a shift's reader supplies its integer record and stored maps to
-``aligned.assemble_shift``, which sizes the shift, decides whether the lag fits
-and builds the bases each map is read against; an arrow's reader supplies its
-record (A, B, F) and stored phi to ``aligned.assemble_arrow``, which sizes phi,
-decides whether B F = F A and builds the bases phi is read against.
+``aligned.assemble_shift``, which builds the bases each map is read against,
+decides whether the lag fits and sizes the shift; an arrow's reader supplies its
+record (A, B, F) and stored phi to ``aligned.assemble_arrow``, which builds the
+bases phi is read against and sizes phi.  ``corr.arrow_with`` decides B F = F A.
 
 The ``*_to_json`` functions return plain JSON values (nested lists).  With
 the private switch ``_arrays``, the command line gets its large bundles in the

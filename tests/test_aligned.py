@@ -259,12 +259,15 @@ class TestConcreteShift:
         ids=["A-lag2", "A-lag40", "A-lag64", "B-lag2"],
     )
     def test_the_builder_refuses_a_lag_that_does_not_fit(self, a, b, lag, equation, monkeypatch):
-        # X^(x)40 would need 2**40 basis vectors: the lag is refused before any power or map is made.
-        # The first power or map fails the test, so code that builds first fails here instead of allocating.
+        # X^(x)40 would need 2**40 basis vectors: the lag is refused before any power or map is made,
+        # and before any edge is held.  The objects and M, N come first, since they allocate nothing.
+        # The first power, map or read of ends fails the test, so code that builds first fails here
+        # instead of allocating.
         import time
 
         import shiftcalc.aligned
         from shiftcalc.aligned import assemble_shift
+        from shiftcalc.corr import GraphCorrespondence
 
         def refuse(name):
             def call(*args):
@@ -272,13 +275,22 @@ class TestConcreteShift:
             return call
 
         monkeypatch.setattr(shiftcalc.aligned, "power_correspondence", refuse("power_correspondence"))
-        monkeypatch.setattr(shiftcalc.aligned, "object_pair", refuse("object_pair"))
-        monkeypatch.setattr(shiftcalc.aligned, "from_matrix", refuse("from_matrix"))
+        monkeypatch.setattr(GraphCorrespondence, "ends", property(refuse("ends")))
         one = from_rows([[1]])
         started = time.perf_counter()
         with pytest.raises(ShapeError, match=f"^lag {lag} does not fit the bundle: {re.escape(equation)} fails$"):
             assemble_shift(SEWitness(from_rows(a), from_rows(b), one, one, lag), refuse("make"))
         assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("read", ["build_from_se", "shift_from_json"])
+    def test_a_shift_holds_one_object_per_side(self, read):
+        from shiftcalc.jsonio import shift_from_json, shift_to_json
+
+        d = build_from_se(golden_lag(2))
+        if read == "shift_from_json":
+            d = shift_from_json(shift_to_json(d))
+        assert d.m_arrow.target is d.x_obj is d.n_arrow.source
+        assert d.m_arrow.source is d.y_obj is d.n_arrow.target
 
     @pytest.mark.parametrize("case", ["golden3", *range(6)])
     def test_the_maps_are_sized_by_what_they_hold(self, case, monkeypatch):
@@ -304,7 +316,7 @@ class TestConcreteShift:
 
 
 class TestAssembleArrow:
-    """The one builder of an arrow from its integer record (A, B, F), guards first."""
+    """The one builder of an arrow from its integer record (A, B, F): bases first, then its rules from their dims."""
 
     @pytest.mark.parametrize(
         "a, b, f, error, message",
@@ -316,17 +328,17 @@ class TestAssembleArrow:
         ids=["source-inessential", "target-inessential", "B F != F A", "heavy-phi"],
     )
     def test_the_builder_refuses_an_arrow_from_its_integers(self, a, b, f, error, message, monkeypatch):
-        # Each object would have a basis of 10**7 edges: the first basis built fails the test.
-        import shiftcalc.aligned
+        # Each object would have a basis of 10**7 edges: the bases are built, and hold no edge, but the
+        # first read of their ends or the first map made fails the test.
         from shiftcalc.aligned import assemble_arrow
+        from shiftcalc.corr import GraphCorrespondence
 
         def refuse(name):
             def call(*args):
                 raise AssertionError(f"{name} called")
             return call
 
-        for name in ("object_pair", "from_matrix", "arrow_with"):
-            monkeypatch.setattr(shiftcalc.aligned, name, refuse(name))
+        monkeypatch.setattr(GraphCorrespondence, "ends", property(refuse("ends")))
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             assemble_arrow(from_rows(a), from_rows(b), from_rows(f), refuse("make"))
 

@@ -710,6 +710,16 @@ class TestArrows:
         assert left.f == right.f  # identity associator: same correspondence
         assert unitary_distance(left.phi, right.phi) < 4 * TOL
 
+    def test_an_f_that_does_not_fit_is_refused_before_phi_is_made(self):
+        # Y (x) F has dims B F = [[2]] and F (x) X has F A = [[1]]: no phi can join them.
+        from shiftcalc.corr import arrow_with
+
+        def refuse(*args):
+            raise AssertionError("make called")
+
+        with pytest.raises(ShapeError, match=re.escape("the arrow's F does not fit its objects: B F = F A fails")):
+            arrow_with(object_pair(from_rows([[1]])), object_pair(from_rows([[2]])), ONE, make=refuse)
+
     def test_arrow_composition_mismatch(self, golden_witness):
         arrow = arrow_from_witness(golden_witness)
         with pytest.raises(ShapeError, match="^arrows are not composable: middle objects differ$"):

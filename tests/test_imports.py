@@ -1,9 +1,10 @@
 """Unused imports, unused private names, unread public names and unread locals
 in the package, calls of the stdlib's JSON writer, the names the benchmark
-tracer rebinds, refusals that no test names, reads of the factor runs
-outside ``corr``, reads of a correspondence's ends outside ``tensor_unitaries``,
-reads of a module's private names outside that module, identity unitaries
-built as tensor factors, and a shift's bases built outside its one builder.
+tracer rebinds, refusals that no test names or that two places raise, reads of
+the factor runs outside ``corr``, reads of a correspondence's ends outside
+``tensor_unitaries``, reads of a module's private names outside that module,
+identity unitaries built as tensor factors, and a shift's bases built outside
+its one builder.
 
 No linter is installed, so ``ast`` stands in.
 """
@@ -11,6 +12,7 @@ No linter is installed, so ``ast`` stands in.
 import ast
 import importlib
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -346,14 +348,16 @@ def test_the_check_sees_a_selftest_arrow_built_by_hand():
 
 
 def test_one_builder_makes_a_shifts_bases():
-    # An arrow's object pairs and edge correspondence are built by aligned.assemble_arrow alone,
-    # after its guards have read the integer record (A, B, F); a shift's are built through it.
-    # The shift and arrow readers and the self-test's arrows supply only records.  The self-test's
-    # tensor oracle builds the edge correspondences of rectangular factors, which no arrow describes.
+    # An arrow's object pairs and edge correspondence are built by aligned.assemble_arrow alone, and a
+    # shift's by aligned.assemble_shift alone, each object once: one builder per record.  The shift and
+    # arrow readers and the self-test's arrows supply only records.  The self-test's tensor oracle
+    # builds the edge correspondences of rectangular factors, which no arrow describes.
     package = pathlib.Path(shiftcalc.__file__).parent
     builders = {name: set(basis_builders((package / f"{name}.py").read_text(encoding="utf-8"))) for name in
                 ("aligned", "jsonio", "selftest")}
-    assert builders == {"aligned": {"assemble_arrow"}, "jsonio": set(), "selftest": {"tensor_dims_oracle"}}
+    assert builders == {
+        "aligned": {"assemble_arrow", "assemble_shift"}, "jsonio": set(), "selftest": {"tensor_dims_oracle"},
+    }
 
 
 def definitions(source: str) -> set[str]:
@@ -524,17 +528,52 @@ def test_the_check_sees_an_unpinned_refusal():
     assert unpinned_refusals({"a": refusals(source)}, tests) == ["a: x must be a pair"]
 
 
+def package_refusals() -> dict[str, list[str]]:
+    """The refusal messages of each package module, constructors' and operations' alike."""
+    return {path.stem: refusals(path.read_text(encoding="utf-8"), everywhere=True) for path in PACKAGE}
+
+
 def test_every_constructor_refusal_is_pinned():
     """Every refusal of the package, constructors' and operations' alike."""
-    root = pathlib.Path(__file__).parent.parent
-    messages = {
-        path.stem: refusals(path.read_text(encoding="utf-8"), everywhere=True)
-        for path in sorted((root / "src" / "shiftcalc").glob("*.py"))
-    }
+    messages = package_refusals()
     # This module's own self-test does not count as pinning a message.
-    tests = [path.read_text(encoding="utf-8") for path in sorted((root / "tests").glob("*.py")) if path.name != "test_imports.py"]
+    tests = [path.read_text(encoding="utf-8") for path in sorted(pathlib.Path(__file__).parent.glob("*.py"))
+             if path.name != "test_imports.py"]
     assert [module for module, found in messages.items() if found] == list(REFUSING)
     assert unpinned_refusals(messages, tests) == []
+
+
+def repeated_refusals(messages: dict[str, list[str]]) -> dict[str, int]:
+    """Each refusal message raised more than once across ``messages``' modules, with its count."""
+    counts = Counter(message for found in messages.values() for message in found)
+    return {message: count for message, count in counts.items() if count > 1}
+
+
+#: The refusals raised in two places, each with its reason.
+TWICE = {
+    # from_matrix refuses a row numpy cannot index; the first read of ends turns the allocator's
+    # MemoryError on a row that fits into the same refusal.
+    "correspondence block dimensions are too large to hold a basis": 2,
+    # connect_unitaries refuses endpoints of two shapes; homotopy_to_identity refuses a phi that does not
+    # start at X (x) X^(x)m from A^(m+1), before it builds X^(x)m to hand on.
+    "endpoints must share source and target correspondences": 2,
+    # SEWitness refuses a record's lag, and search_se a lag it is asked to search.
+    "lag must be a positive integer": 2,
+}
+
+
+def test_the_check_sees_a_refusal_raised_twice():
+    messages = {
+        "a": refusals("def f(x):\n    raise ValueError('x must be positive')\nraise KeyError(f'no key {k}')\n", True),
+        "b": refusals("class B:\n    def __init__(self):\n        raise ValueError('x must be positive')\n", True),
+        "c": refusals("raise TypeError(f'no key {k}')\nraise TypeError('x must be positive.')\n", True),
+    }
+    assert repeated_refusals(messages) == {"x must be positive": 2, "no key ": 2}
+
+
+def test_each_refusal_is_raised_once():
+    # One copy of each check: a rule refused in two places can drift apart in one of them.
+    assert repeated_refusals(package_refusals()) == TWICE
 
 
 def unread_locals(source: str) -> list[str]:
