@@ -90,16 +90,12 @@ class AlignedShiftData:
             raise ShapeError("n_arrow must point from the X object to the Y object")
         if self.psi_x.source != tensor(self.m_arrow.f, self.n_arrow.f):
             raise ShapeError("psi_x must start at M (x) N with the canonical basis")
-        if not self._ends_at_power(self.psi_x, self.x_obj):
+        if self.psi_x.target != power_correspondence(self.x_obj, self.lag):
             raise ShapeError("psi_x must end at the lag-th tensor power of X")
         if self.psi_y.source != tensor(self.n_arrow.f, self.m_arrow.f):
             raise ShapeError("psi_y must start at N (x) M with the canonical basis")
-        if not self._ends_at_power(self.psi_y, self.y_obj):
+        if self.psi_y.target != power_correspondence(self.y_obj, self.lag):
             raise ShapeError("psi_y must end at the lag-th tensor power of Y")
-
-    def _ends_at_power(self, psi: BlockUnitary, obj: ObjectPair) -> bool:
-        # A^lag is checked against psi's target dims first, so no power larger than the target is built.
-        return power_equals(obj.x.dims, self.lag, psi.target.dims) and psi.target == power_correspondence(obj, self.lag)
 
 
 def verify_concrete_shift(d: AlignedShiftData, tol: float = DEFAULT_TOL) -> bool:
@@ -194,17 +190,17 @@ def assemble_shift(w: SEWitness, make: Callable, labels=(None, None)) -> Aligned
     a, b, r, s, lag = w.a, w.b, w.r, w.s, w.lag
     x, y = object_pair(a, labels[0]), object_pair(b, labels[1])
     m, n = from_matrix(r, x.algebra_index, y.algebra_index), from_matrix(s, y.algebra_index, x.algebra_index)
-    # X (x) M, Y (x) N, M (x) N and N (x) M have dims A R, B S, R S and S R.
-    dims = (mat_mul(a, r), mat_mul(b, s), mat_mul(r, s), mat_mul(s, r))
+    mn, nm = tensor(m, n), tensor(n, m)
     # psi_x ends at X^(x)lag, of dims A^lag, so A^lag = R S keeps that basis within the bound below.
-    for equation, power, product in (("A^lag = R S", a, dims[2]), ("B^lag = S R", b, dims[3])):
+    for equation, power, product in (("A^lag = R S", a, mn.dims), ("B^lag = S R", b, nm.dims)):
         if not power_equals(power, lag, product):
             raise ShapeError(f"lag {lag} does not fit the bundle: {equation} fails")
-    _bound_maps(dims, "the structure maps", "a shift")
+    # X (x) M and Y (x) N have dims A R and B S.
+    _bound_maps((mat_mul(a, r), mat_mul(b, s), mn.dims, nm.dims), "the structure maps", "a shift")
     m_arrow = arrow_with(y, x, m, lambda src, tgt: make("phi_m", src, tgt))
     n_arrow = arrow_with(x, y, n, lambda src, tgt: make("phi_n", src, tgt))
-    psi_x = make("psi_x", tensor(m, n), power_correspondence(x, lag))
-    psi_y = make("psi_y", tensor(n, m), power_correspondence(y, lag))
+    psi_x = make("psi_x", mn, power_correspondence(x, lag))
+    psi_y = make("psi_y", nm, power_correspondence(y, lag))
     return AlignedShiftData(x, y, m_arrow, n_arrow, psi_x, psi_y, lag)
 
 

@@ -9,13 +9,15 @@ per block.
 
 Tensor products are taken over composable edge paths.  Basis vectors of any
 iterated tensor product are flat edge paths, ordered inside each block by the
-path's (node, alpha) itinerary.  That order is derived from the sequence of
-atomic factors, never stored, and never depends on the bracketing, so every
-associativity isomorphism is the identity permutation and equality compares
-factor sequences.  All the coherence bookkeeping in this module rests on
-that one convention.  Only this module reads a sequence.  It keeps it as runs
-(factor, count), a new run starting only where the factor changes, so any
-bracketing gives one spelling, and X^(x)m of an edge correspondence is one run.
+path's (node, alpha) itinerary.  That order, like the block dimensions, is
+derived from the sequence of atomic factors, never stored, and never depends
+on the bracketing, so every associativity isomorphism is the identity
+permutation and equality compares factor sequences.  All the coherence
+bookkeeping in this module rests on that one convention.  Only this module
+reads a sequence.  It keeps it as runs (factor, count), a new run starting
+only where the factor changes, so any bracketing gives one spelling, and
+X^(x)m of an edge correspondence is one run.  A tensor product only joins
+runs: it does no arithmetic.
 Where the calculus tensors a map with an identity, u (x) 1_F, the caller passes
 F itself, and ``tensor_unitaries`` places u's blocks without forming 1_F.
 """
@@ -42,15 +44,20 @@ DEFAULT_TOL = 1e-9
 class GraphCorrespondence:
     """The edge bimodule of an integer matrix, or a tensor product of such.
 
-    Immutable, and equal and hashed by labels, dims and factor runs.  ``dims`` records the block
-    dimensions, ``factors`` the atomic (left labels, right labels, matrix) triples multiplied together,
-    as runs (triple, count).  No constructor allocates per edge: ``ends`` is derived when first read.
+    Immutable, and equal and hashed by labels and factor runs.  ``factors`` records the atomic
+    (left labels, right labels, matrix) triples multiplied together, as runs (triple, count).  No
+    constructor does arithmetic or allocates per edge: ``dims`` and ``ends`` are derived when first read.
     """
 
     left_index: tuple
     right_index: tuple
-    dims: IntMatrix
     factors: tuple
+
+    @cached_property
+    def dims(self) -> IntMatrix:
+        """The block dimensions, kept once read: the product of the factor runs, each matrix raised to its
+        count by repeated squaring."""
+        return reduce(mat_mul, (_power(r, n, mat_mul) for (_, _, r), n in self.factors))
 
     @cached_property
     def ends(self) -> tuple:
@@ -128,7 +135,7 @@ def from_matrix(r: IntMatrix, v: Optional[Sequence] = None, w: Optional[Sequence
         raise ShapeError("index label lists must match the matrix shape")
     if not basis_fits(r):
         raise DomainError("correspondence block dimensions are too large to hold a basis")
-    return GraphCorrespondence(v, w, r, (((v, w, r), 1),))
+    return GraphCorrespondence(v, w, (((v, w, r), 1),))
 
 
 def basis_fits(r: IntMatrix) -> bool:
@@ -143,11 +150,11 @@ def tensor(x: GraphCorrespondence, y: GraphCorrespondence) -> GraphCorrespondenc
     Block (v, w) is spanned by the composable path pairs, flattened and
     ordered by their (node, alpha) itinerary: each path of X out of v, in
     order, followed by its continuations in Y.  Its dimension is the (v, w)
-    entry of the product of the two dims matrices.
+    entry of the product of the two dims matrices, derived when first read.
     """
     if x.right_index != y.left_index:
         raise ShapeError("tensor factors must share their middle index set")
-    return GraphCorrespondence(x.left_index, y.right_index, mat_mul(x.dims, y.dims), _join(x.factors, y.factors))
+    return GraphCorrespondence(x.left_index, y.right_index, _join(x.factors, y.factors))
 
 
 def _join(a: tuple, b: tuple) -> tuple:
@@ -418,8 +425,8 @@ def identity_arrow(obj: ObjectPair) -> OneArrow:
 
 def power_correspondence(obj: ObjectPair, m: int) -> GraphCorrespondence:
     """The m-fold tensor power of the object correspondence, the identity matrix's for m = 0,
-    by repeated squaring in O(log m) tensors.  For essential A each has dims at most A^m,
-    which the caller sizes: the command line checks A^m = R S, and bounds R S, first."""
+    by repeated squaring in O(log m) tensors, which join factor runs and do no arithmetic at any m.
+    Its dims, A^m, are derived when first read: the command line checks A^m = R S, and bounds R S, first."""
     if m < 0:
         raise DomainError("tensor powers need a nonnegative exponent")
     if m == 0:

@@ -40,12 +40,13 @@ from .corr import (
     conjugate_arrow,
     identity_unitary,
     power_arrow,
+    power_correspondence,
     tensor,
     two_arrow_residual,
     unitarity_defect,
 )
 from .errors import DomainError, ShapeError
-from .exact import IntMatrix, mat_mul, power_equals
+from .exact import IntMatrix, mat_mul
 from .witnesses import SEWitness
 
 #: Bytes the samples of one path may take all together.  A path makes each sample when it
@@ -216,11 +217,10 @@ class ArrowHomotopy:
         ts = self.path.times
         if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0 or any(a >= b for a, b in zip(ts, ts[1:])):
             raise ShapeError("a path needs two or more samples at times increasing strictly from 0 to 1")
-        start, end = tensor(self.f_arrow.target.x, self.fiber), tensor(self.fiber, self.f_arrow.source.x)
         for source, target in self.path.ends():
-            if source != start:
+            if source != tensor(self.f_arrow.target.x, self.fiber):
                 raise ShapeError("path unitaries must start at Y (x) fiber")
-            if target != end:
+            if target != tensor(self.fiber, self.f_arrow.source.x):
                 raise ShapeError("path unitaries must end at fiber (x) X")
         if not (self.h0.source.same_shape(self.fiber) and self.h0.target.same_shape(self.f_arrow.f)):
             raise ShapeError("h0 must map the fiber onto the first arrow's correspondence")
@@ -270,9 +270,9 @@ def homotopy_to_identity(
     Works fiberwise over the interval: the fiber correspondence is constant
     X^(x)m and the intertwiner follows the geodesic from the identity
     permutation to phi; both endpoint 2-arrows are the identity.  A phi that
-    does not start at X (x) X^(x)m, of dims A^(m+1), is refused before X^(x)m is built.
+    does not start at X (x) X^(x)m is refused before the arrow [X^(x)m, 1] is built.
     """
-    if m >= 0 and not power_equals(obj.x.dims, m + 1, phi.source.dims):
+    if phi.source != tensor(obj.x, power_correspondence(obj, m)):
         raise ShapeError("endpoints must share source and target correspondences")
     power = power_arrow(obj, m)
     path = connect_unitaries(power.phi, phi, steps)

@@ -196,19 +196,26 @@ class TestConcreteShift:
             power_correspondence(object_pair(from_rows([[2]]), ["a"]), 2),
             power_correspondence(object_pair(from_rows([[1, 1], [1, 1]]), [1, 0]), 2),
         ]
-        # Same labels and dims as a power, but one run one factor longer or shorter,
-        # or one factor moved between two runs of the same factor.
+        # Same labels as a power, but one run one factor longer or shorter, or one factor moved
+        # between two runs of the same factor; kept where the runs still multiply, as the runs
+        # of every correspondence a constructor makes do.
+        def multiplies(runs):
+            atoms = [atom for atom, count in runs for _ in range(count)]
+            return all(left[1] == right[0] for left, right in zip(atoms, atoms[1:]))
+
         for power in powers:
             runs = power.factors
+            variants = []
             for i, (atom, count) in enumerate(runs):
                 for delta in (-1, 1):
                     if count + delta:
-                        candidates.append(replace(power, factors=runs[:i] + ((atom, count + delta),) + runs[i + 1:]))
+                        variants.append(runs[:i] + ((atom, count + delta),) + runs[i + 1:])
                 for j in range(i + 1, len(runs)):
                     if runs[j][0] == atom and count > 1:
                         moved = list(runs)
                         moved[i], moved[j] = (atom, count - 1), (atom, runs[j][1] + 1)
-                        candidates.append(replace(power, factors=tuple(moved)))
+                        variants.append(tuple(moved))
+            candidates += [replace(power, factors=v) for v in variants if multiplies(v)]
         assert power_correspondence(objects[3], 2) == power_correspondence(y, 4)
         verdicts = {"accepted": 0, "refused": 0, "other shape": 0}
         for obj in objects:
@@ -234,23 +241,34 @@ class TestConcreteShift:
                         replace(d, psi_x=psi_x)
                     with pytest.raises(ShapeError, match="^psi_y must end at the lag-th tensor power of Y$"):
                         replace(d, psi_y=psi_y)
-        assert verdicts == {"accepted": 24, "refused": 129, "other shape": 1967}
+        # A variant that spells another power's runs is that power, so it is accepted at that lag.
+        assert verdicts == {"accepted": 42, "refused": 18, "other shape": 1660}
 
-    def test_the_power_check_builds_no_power_larger_than_its_target(self, monkeypatch):
-        # X^(x)40 would need 2**40 basis vectors; A^40 is compared with the targets' dims first.
+    def test_the_power_check_does_no_arithmetic(self, monkeypatch):
+        # psi's endpoints are compared as records, labels and factor runs: X^(x)40, of 2**40 basis
+        # vectors, and X^(x)(2**62) are refused as X^(x)3 is accepted, with no integer product.
         import shiftcalc.aligned
+        import shiftcalc.corr
+        import shiftcalc.exact
         from shiftcalc import canonical_identification, from_matrix, object_pair, tensor
         from shiftcalc.corr import arrow_with
 
-        def refuse(*args):
-            raise AssertionError("power_correspondence called")
+        x, unit = object_pair(from_rows([[2]])), from_matrix(from_rows([[1]]))
+        cube = power_correspondence(x, 3)
+        m_arrow, n_arrow = arrow_with(x, x, cube), arrow_with(x, x, unit)
+        psi_x = canonical_identification(tensor(cube, unit), cube)
+        psi_y = canonical_identification(tensor(unit, cube), cube)
 
-        x, one = object_pair(from_rows([[2]])), from_matrix(from_rows([[1]]))
-        arrow = arrow_with(x, x, one)
-        psi = canonical_identification(tensor(one, one), tensor(one, one))
-        monkeypatch.setattr(shiftcalc.aligned, "power_correspondence", refuse)
-        with pytest.raises(ShapeError, match="^psi_x must end at the lag-th tensor power of X$"):
-            AlignedShiftData(x, x, arrow, arrow, psi, psi, 40)
+        def refuse(*args, **kwargs):
+            raise AssertionError("integer arithmetic")
+
+        for module, name in ((shiftcalc.exact, "mat_mul"), (shiftcalc.exact, "mat_pow"),
+                             (shiftcalc.corr, "mat_mul"), (shiftcalc.aligned, "mat_mul")):
+            monkeypatch.setattr(module, name, refuse)
+        d = AlignedShiftData(x, x, m_arrow, n_arrow, psi_x, psi_y, 3)
+        for lag in (40, 2**62):
+            with pytest.raises(ShapeError, match="^psi_x must end at the lag-th tensor power of X$"):
+                replace(d, lag=lag)
 
     @pytest.mark.parametrize(
         "a, b, lag, equation",

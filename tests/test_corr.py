@@ -178,16 +178,17 @@ class TestDerivedBases:
 
 
 def eager_atom(m, v=None, w=None):
-    """(from_matrix(m, v, w), its ends as the constructor once stored them): a reference for the
-    derived ``ends``, each row's columns repeated by ``np.repeat``."""
-    return from_matrix(m, v, w), tuple(np.repeat(np.arange(m.cols), m.row(i)) for i in range(m.rows))
+    """(from_matrix(m, v, w), its ends and dims as the constructor once stored them): a reference for
+    the derived ``ends``, each row's columns repeated by ``np.repeat``, and ``dims``, m itself."""
+    return from_matrix(m, v, w), tuple(np.repeat(np.arange(m.cols), m.row(i)) for i in range(m.rows)), m
 
 
 def eager_tensor(x, y):
-    """(tensor(X, Y), its ends as ``tensor`` once stored them) for eager pairs x and y: each row of
-    X's ends, in order, replaced by Y's ends out of each of its entries."""
-    (cx, ex), (cy, ey) = x, y
-    return tensor(cx, cy), tuple(np.concatenate([ey[u] for u in row]) if row.size else row for row in ex)
+    """(tensor(X, Y), its ends and dims as ``tensor`` once stored them) for eager triples x and y: each
+    row of X's ends, in order, replaced by Y's ends out of each of its entries, and one ``mat_mul``."""
+    (cx, ex, dx), (cy, ey, dy) = x, y
+    ends = tuple(np.concatenate([ey[u] for u in row]) if row.size else row for row in ex)
+    return tensor(cx, cy), ends, mat_mul(dx, dy)
 
 
 def assert_ends_are(c, expected):
@@ -197,8 +198,9 @@ def assert_ends_are(c, expected):
 
 
 class TestDerivedEnds:
-    """``ends`` is derived from the factor runs on first read, and agrees with the eager derivation
-    that every constructor once ran: one ``np.repeat`` per atom row, one concatenation per tensor."""
+    """``ends`` and ``dims`` are derived from the factor runs on first read, and agree with the eager
+    derivations that every constructor once ran: one ``np.repeat`` per atom row, one concatenation
+    and one ``mat_mul`` per tensor."""
 
     @given(factor_chains(), st.booleans(), st.booleans())
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -207,12 +209,13 @@ class TestDerivedEnds:
         labels = [tuple(f"{k}:{i}" for i in range(n)) if labelled else None for k, n in enumerate(sizes)]
         eager = [eager_atom(m, v, w) for m, v, w in zip(mats, labels, labels[1:])]
         if right:
-            c, expected = reduce(lambda acc, x: eager_tensor(x, acc), reversed(eager))
+            c, expected, dims = reduce(lambda acc, x: eager_tensor(x, acc), reversed(eager))
         else:
-            c, expected = reduce(eager_tensor, eager)
-        assert "ends" not in vars(c)
+            c, expected, dims = reduce(eager_tensor, eager)
+        assert "ends" not in vars(c) and "dims" not in vars(c)
         assert_ends_are(c, expected)
         assert vars(c)["ends"] is c.ends  # read once, kept
+        assert c.dims == dims and vars(c)["dims"] is c.dims
 
     @given(st.integers(1, 2).flatmap(lambda n: st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
                                                          min_size=n, max_size=n)), st.booleans())
@@ -225,19 +228,22 @@ class TestDerivedEnds:
         unit, atom = eager_atom(mat_pow(a, 0), labels, labels), eager_atom(a, labels, labels)
         for m in range(10):
             power = power_correspondence(obj, m)
-            left, expected = reduce(eager_tensor, [atom] * m) if m else unit
+            left, expected, dims = reduce(eager_tensor, [atom] * m) if m else unit
             assert power == left and "ends" not in vars(power)
             assert_ends_are(power, expected)
+            assert power.dims == dims
 
     def test_ends_is_no_field_and_takes_no_part_in_equality(self):
         fields = [f.name for f in dataclasses.fields(GraphCorrespondence)]
-        assert fields == ["left_index", "right_index", "dims", "factors"]
+        assert fields == ["left_index", "right_index", "factors"]
         a = from_rows([[1, 2], [0, 1]])
         read, fresh = tensor(from_matrix(a), from_matrix(a)), tensor(from_matrix(a), from_matrix(a))
-        read.ends
-        assert "ends" in vars(read) and "ends" not in vars(fresh)
+        assert "dims" not in vars(read)  # tensor derived none
+        read.ends, read.dims
+        assert {"ends", "dims"} <= vars(read).keys() and not {"ends", "dims"} & vars(fresh).keys()
         assert read == fresh and hash(read) == hash(fresh)
-        assert "ends" not in vars(fresh) and "ends" not in vars(from_matrix(a))  # == and hash derived none
+        for c in (fresh, from_matrix(a)):  # == and hash derived none
+            assert not {"ends", "dims"} & vars(c).keys()
 
 
 class TestFromMatrix:

@@ -532,12 +532,13 @@ class TestHomotopyToIdentity:
     def test_block_shapes_match_power_dims(self):
         a = from_rows([[1, 1], [1, 0]])
         obj = object_pair(a)
-        m = 2
-        phi = power_arrow(obj, m).phi
-        h = homotopy_to_identity(phi, obj, m, steps=3)
-        cube = mat_pow(a, m + 1)
-        for (i, j), block in h.path[0][1].blocks.items():
-            assert block.shape == (cube[i, j], cube[i, j])
+        # At m = 0, phi starts at X (x) I, whose runs are not those of X^(x)1.
+        for m in (0, 2):
+            phi = power_arrow(obj, m).phi
+            h = homotopy_to_identity(phi, obj, m, steps=3)
+            cube = mat_pow(a, m + 1)
+            for (i, j), block in h.path[0][1].blocks.items():
+                assert block.shape == (cube[i, j], cube[i, j])
 
     def test_a_phi_off_the_power_is_refused_before_the_power_is_built(self):
         # phi starts at X (x) X, of dims [[4]], not at X (x) X^(x)40: X^(x)40, one block of 2^40

@@ -3,8 +3,9 @@ in the package, calls of the stdlib's JSON writer, the names the benchmark
 tracer rebinds, refusals that no test names or that two places raise, reads of
 the factor runs outside ``corr``, reads of a correspondence's ends outside
 ``tensor_unitaries``, reads of a module's private names outside that module,
-identity unitaries built as tensor factors, and a shift's bases built outside
-its one builder.
+identity unitaries built as tensor factors, a shift's bases built outside
+its one builder, and integer arithmetic in ``corr`` outside the derivation of
+a correspondence's dims.
 
 No linter is installed, so ``ast`` stands in.
 """
@@ -158,16 +159,36 @@ def test_only_tensor_unitaries_reads_a_correspondences_ends():
 ARITHMETIC = ("mat_mul", "mat_pow", "power_equals")
 
 
+def arithmetic_owners(source: str) -> dict[str, list[int]]:
+    """The lines that name one of ``ARITHMETIC`` other than in an import, keyed by the dotted name of
+    the classes and functions they are in ("" at module level)."""
+    found = {}
+
+    def visit(node, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        elif isinstance(node, ast.ImportFrom):
+            return
+        elif isinstance(node, ast.Name) and node.id in ARITHMETIC or isinstance(node, ast.Attribute) and node.attr in ARITHMETIC:
+            found.setdefault(owner, []).append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return {owner: sorted(lines) for owner, lines in found.items()}
+
+
 def arithmetic_uses(source: str) -> list[int]:
     """Lines that import one of ``exact``'s ``ARITHMETIC`` functions, or name one, bare or as
     an attribute of whatever object."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "exact":
-            lines += [node.lineno for alias in node.names if alias.name in ARITHMETIC]
-        elif isinstance(node, ast.Name) and node.id in ARITHMETIC or isinstance(node, ast.Attribute) and node.attr in ARITHMETIC:
-            lines.append(node.lineno)
-    return sorted(lines)
+    lines = [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "exact"
+        for alias in node.names
+        if alias.name in ARITHMETIC
+    ]
+    return sorted(lines + [line for found in arithmetic_owners(source).values() for line in found])
 
 
 def test_the_check_sees_a_reader_that_checks_a_power():
@@ -188,6 +209,31 @@ def test_jsonio_does_no_arithmetic():
     # The readers check the schema: aligned.assemble_shift decides whether a lag fits the bundle.
     source = (pathlib.Path(shiftcalc.__file__).parent / "jsonio.py").read_text(encoding="utf-8")
     assert arithmetic_uses(source) == []
+
+
+def test_the_check_sees_arithmetic_outside_the_dims_property():
+    source = (
+        "from .exact import IntMatrix, mat_mul\n"
+        "class GraphCorrespondence:\n"
+        "    def dims(self):\n"
+        "        return reduce(mat_mul, self.runs)\n"
+        "def tensor(x, y):\n"
+        "    return GraphCorrespondence(x.left_index, y.right_index, exact.mat_mul(x.dims, y.dims))\n"
+        "class OneArrow:\n"
+        "    def __post_init__(self):\n"
+        "        check = lambda a, m, p: power_equals(a, m, p)\n"
+        "UNIT = mat_pow(IntMatrix(), 0)\n"
+    )
+    assert arithmetic_owners(source) == {
+        "GraphCorrespondence.dims": [4], "tensor": [6], "OneArrow.__post_init__": [9], "": [10],
+    }
+
+
+def test_only_the_dims_property_does_arithmetic_in_corr():
+    # A correspondence is its labels and factor runs: tensor products and every endpoint check compare
+    # records, and the block dimensions are multiplied out only when first read.
+    source = (pathlib.Path(shiftcalc.__file__).parent / "corr.py").read_text(encoding="utf-8")
+    assert set(arithmetic_owners(source)) == {"GraphCorrespondence.dims"}
 
 
 PACKAGE = sorted(pathlib.Path(shiftcalc.__file__).parent.glob("*.py"))
@@ -555,7 +601,7 @@ TWICE = {
     # MemoryError on a row that fits into the same refusal.
     "correspondence block dimensions are too large to hold a basis": 2,
     # connect_unitaries refuses endpoints of two shapes; homotopy_to_identity refuses a phi that does not
-    # start at X (x) X^(x)m from A^(m+1), before it builds X^(x)m to hand on.
+    # start at X (x) X^(x)m, comparing records, before it builds the arrow [X^(x)m, 1] to hand on.
     "endpoints must share source and target correspondences": 2,
     # SEWitness refuses a record's lag, and search_se a lag it is asked to search.
     "lag must be a positive integer": 2,
