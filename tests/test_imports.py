@@ -1,33 +1,33 @@
-"""Unused imports, unused private names, unread public names and unread locals
-in the package, calls of the stdlib's JSON writer, the names the benchmark
-tracer rebinds, refusals that no test names or that two places raise, reads of
-the factor runs outside ``corr``, reads of a correspondence's ends outside
-``tensor_unitaries``, reads of a module's private names outside that module,
-identity unitaries built as tensor factors, a shift's bases built outside
-its one builder, and integer arithmetic in ``corr`` outside the derivation of
-a correspondence's dims.
+"""Rules that the package's source keeps, read with ``ast`` because no linter is installed.
 
-No linter is installed, so ``ast`` stands in.
+The ownership rules are the rows of ``OWNERS``: in each module that a row reads, only the owners it
+lists use its names, and one walker, ``uses``, finds each use.  The other rules have other shapes:
+unused imports and unread locals, unused private and unread public names, calls of the stdlib's JSON
+writer, the names the benchmark tracer rebinds, and refusals that no test names or that two places raise.
 """
 
 import ast
+import functools
 import importlib
 import pathlib
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
 import shiftcalc
 
-MODULES = sorted(
-    path for path in pathlib.Path(shiftcalc.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+PACKAGE = sorted(pathlib.Path(shiftcalc.__file__).parent.glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
+
+#: Each package module's tree, parsed once for all the rules that read it; no rule changes a tree.
+parse = functools.lru_cache(maxsize=len(PACKAGE))(ast.parse)
 
 
 def unused_imports(source: str) -> list[str]:
     """Names a module imports and never mentions again; ``__future__`` imports
     are directives, not names."""
-    tree = ast.parse(source)
+    tree = parse(source)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -53,7 +53,7 @@ def test_module_uses_every_import(path):
 def stdlib_json_writes(source: str) -> list[int]:
     """Lines that call ``json.dump`` or ``json.dumps`` (under any name the module
     gives ``json``), or import either from ``json``."""
-    tree = ast.parse(source)
+    tree = parse(source)
     modules = {
         alias.asname or alias.name
         for node in ast.walk(tree)
@@ -85,43 +85,103 @@ def test_dump_json_is_the_one_writer(path):
     assert stdlib_json_writes(path.read_text(encoding="utf-8")) == []
 
 
-def attribute_reads(source: str, name: str) -> list[int]:
-    """Lines that read an attribute called ``name``, of whatever object."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and node.attr == name and isinstance(node.ctx, ast.Load)
+def _module(node: ast.ImportFrom) -> str:
+    """The last part of the name of the module an import reads from."""
+    return (node.module or "").rpartition(".")[2]
+
+
+def _named(node, names: set[str]) -> bool:
+    """Whether ``node`` is one of ``names``, bare or as an attribute of whatever object."""
+    return isinstance(node, ast.Name) and node.id in names or isinstance(node, ast.Attribute) and node.attr in names
+
+
+def _calls(node, names: set[str]) -> bool:
+    """Whether ``node`` calls one of ``names``, bare or as an attribute of whatever object."""
+    return isinstance(node, ast.Call) and _named(node.func, names)
+
+
+def _read(tree, names, own):
+    """An attribute read other than to call it: a method of that name, such as a path's ``ends()``, is
+    another thing."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return lambda node: (
+        isinstance(node, ast.Attribute) and node.attr in names and isinstance(node.ctx, ast.Load)
+        and id(node) not in called
     )
 
 
-def test_the_check_sees_an_attribute_read():
-    source = "n = len(c.factors)\nc.factors = ()\nfactors = 2\nx.y.factors.count(1)\nc.factors_of(2)\n"
-    assert attribute_reads(source, "factors") == [1, 4]
+def _exact(tree, names, own):
+    """A name, or an import of it from ``exact``."""
+    return lambda node: _named(node, names) or (
+        isinstance(node, ast.ImportFrom) and _module(node) == "exact" and sum(a.name in names for a in node.names)
+    )
 
 
-NOT_CORR = sorted(path for path in pathlib.Path(shiftcalc.__file__).parent.glob("*.py") if path.name != "corr.py")
+def _factor(tree, names, own):
+    """A ``tensor_unitaries`` call with an argument that calls one of the names, directly or through a name
+    that the source binds to such a call."""
+    bound = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _calls(node.value, names)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    return lambda node: _calls(node, {"tensor_unitaries"}) and any(
+        _calls(arg, names) or isinstance(arg, ast.Name) and arg.id in bound
+        for arg in [*node.args, *(keyword.value for keyword in node.keywords)]
+    )
 
 
-@pytest.mark.parametrize("path", NOT_CORR, ids=[path.name for path in NOT_CORR])
-def test_only_corr_reads_the_factor_runs(path):
-    # How a correspondence stores its factor sequence is corr's own business.
-    assert attribute_reads(path.read_text(encoding="utf-8"), "factors") == []
+def _private(tree, names, own):
+    """A private name of one of the modules ``names`` other than ``own``: an import of it, or an attribute
+    of such a module under any name the source gives it or reached as ``package.module``."""
+    others = names - {own}
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and _module(node) not in others
+        for alias in node.names
+        if alias.name.rpartition(".")[2] in others
+    }
+
+    def count(node):
+        if isinstance(node, ast.ImportFrom) and _module(node) in others:
+            return sum(alias.name.startswith("_") for alias in node.names)
+        return (
+            isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__")
+            and (isinstance(node.value, ast.Name) and node.value.id in aliases
+                 or isinstance(node.value, ast.Attribute) and node.value.attr in others)
+        )
+
+    return count
 
 
-def ends_reads(source: str) -> dict[str, list[int]]:
-    """The lines that read an attribute called ``ends`` other than to call it (a method of that
-    name, such as a path's ``ends()``, is another thing), keyed by the innermost function they are
-    in ("" at module level)."""
-    tree = ast.parse(source)
-    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+#: The kinds of use that ``uses`` sees.  Each maps the parsed module, the names and the module's own name
+#: to a function that counts the uses in one node.
+KINDS = {
+    "read": _read,
+    "name": lambda tree, names, own: lambda node: _named(node, names),  # other than in an import
+    "exact": _exact,
+    "call": lambda tree, names, own: lambda node: _calls(node, names),
+    "factor": _factor,
+    "private": _private,
+}
+
+
+def uses(source: str, names, kind: str, own: str = "") -> dict[str, list[int]]:
+    """The lines of each use of ``names`` of the given kind in ``source``, the module ``own``, keyed by the
+    dotted path of the classes and functions they are in ("" at module level)."""
+    tree = parse(source)
+    count = KINDS[kind](tree, set(names), own)
     found = {}
 
     def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        elif isinstance(node, ast.Attribute) and node.attr == "ends" and isinstance(node.ctx, ast.Load):
-            if id(node) not in called:
-                found.setdefault(owner, []).append(node.lineno)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        hits = count(node)
+        if hits:
+            found.setdefault(owner, []).extend([node.lineno] * hits)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
@@ -129,8 +189,101 @@ def ends_reads(source: str) -> dict[str, list[int]]:
     return {owner: sorted(lines) for owner, lines in found.items()}
 
 
-def test_the_check_sees_an_ends_read_outside_tensor_unitaries():
-    source = (
+class Rule(NamedTuple):
+    """In each of ``modules``, only ``owners`` use ``names`` in the way ``kind`` says."""
+
+    id: str
+    modules: tuple[str, ...]
+    names: tuple[str, ...]
+    kind: str
+    owners: dict[str, set[str]]  # every owner of each module; a module not named here has none
+
+
+EVERY = tuple(path.stem for path in PACKAGE)
+ARITHMETIC = ("mat_mul", "mat_pow", "power_equals")
+
+#: The ownership rules, each with its reason.
+OWNERS = (
+    # How a correspondence stores its factor sequence is corr's own business.
+    Rule("factors", tuple(name for name in EVERY if name != "corr"), ("factors",), "read", {}),
+    # A correspondence derives its per-edge ends from its factor runs when they are first read, so no
+    # constructor allocates per edge; tensor_unitaries is their one reader, and the derivation, the ends
+    # property itself, reads the runs.
+    Rule("ends", EVERY, ("ends",), "read", {"corr": {"tensor_unitaries"}}),
+    # A correspondence is its labels and factor runs: tensor products and every endpoint check compare
+    # records, and the block dimensions are multiplied out only when first read.
+    Rule("corr-arithmetic", ("corr",), ARITHMETIC, "name", {"corr": {"GraphCorrespondence.dims"}}),
+    # The readers check the schema: aligned.assemble_shift decides whether a lag fits the bundle.
+    Rule("jsonio-arithmetic", ("jsonio",), ARITHMETIC, "exact", {}),
+    # Each module's private names are its own business, jsonio's among them: callers pass _arrays.
+    Rule("private", EVERY, EVERY, "private", {}),
+    # tensor_unitaries places the other factor's blocks for a correspondence F, standing for 1_F;
+    # identity_unitary(F) there would be built and multiplied by np.kron.
+    Rule("identity-factors", EVERY, ("identity_unitary",), "factor", {}),
+    # An arrow's object pairs and edge correspondence are built by aligned.assemble_arrow alone, and a
+    # shift's by aligned.assemble_shift alone, each object once: one builder per record.  The shift and
+    # arrow readers and the self-test's arrows supply only records.  The self-test's tensor oracle builds
+    # the edge correspondences of rectangular factors, which no arrow describes.
+    Rule("bases", ("aligned", "jsonio", "selftest"), ("object_pair", "from_matrix"), "call",
+         {"aligned": {"assemble_arrow", "assemble_shift"}, "selftest": {"tensor_dims_oracle"}}),
+    # The residuals that verdicts print come from unitarity_defect and unitary_distance, and the logs of
+    # homotopies from _schur_eig.  Printed residuals are bit-stable across BLAS thread counts only on the
+    # eigvalsh path (unitary_distance's docstring); closed-form residuals would edit this row.
+    Rule("eigensolvers", EVERY, ("eigvalsh", "eigh", "eig", "svd", "schur"), "call",
+         {"corr": {"unitarity_defect", "unitary_distance"}, "homotopy": {"_schur_eig"}}),
+)
+
+
+@pytest.mark.parametrize(
+    ("rule", "module"),
+    [(rule, module) for rule in OWNERS for module in rule.modules],
+    ids=[f"{rule.id}-{module}.py" for rule in OWNERS for module in rule.modules],
+)
+def test_only_the_owners_use_the_names(rule, module):
+    found = uses(PACKAGE[0].with_name(f"{module}.py").read_text(encoding="utf-8"), rule.names, rule.kind, module)
+    assert set(found) == rule.owners.get(module, set()), found
+
+
+def test_each_row_reads_modules_that_exist():
+    # A renamed module must fail the table, not pass it unscanned.
+    for rule in OWNERS:
+        assert rule.modules and set(rule.modules) <= set(EVERY), rule.id
+        assert set(rule.owners) <= set(rule.modules), rule.id
+
+
+class Case(NamedTuple):
+    source: str
+    names: tuple[str, ...]
+    kind: str
+    expected: dict[str, list[int]]
+    own: str = ""
+
+
+PRIVATE_SOURCE = (
+    "from . import jsonio\n"
+    "jsonio.dump_json(x, f)\n"
+    "leaf = jsonio._complex_matrix_array\n"
+    "from .jsonio import SCHEMA, _require\n"
+    "import shiftcalc.jsonio as j\n"
+    "j._float_block(rows)\n"
+    "import shiftcalc.jsonio\n"
+    "shiftcalc.jsonio._join([], 0)\n"
+    "other._private(1)\n"
+    "jsonio.__name__\n"
+    "from .exact import _crt, mat_mul\n"
+    "from . import exact as e\n"
+    "e._moduli(3, 10)\n"
+    "from .corr import _join\n"
+)
+BASES = ("object_pair", "from_matrix")
+
+#: What ``uses`` finds in hand-written sources, by case: at least one case of each kind.
+CASES = {
+    "an-attribute-read": Case(
+        "n = len(c.factors)\nc.factors = ()\nfactors = 2\nx.y.factors.count(1)\nc.factors_of(2)\n",
+        ("factors",), "read", {"": [1, 4]},
+    ),
+    "an-ends-read-outside-tensor-unitaries": Case(
         "def tensor(x, y):\n"
         "    ends = tuple(np.concatenate([y.ends[u] for u in row]) for row in x.ends)\n"
         "    return GraphCorrespondence(x.left_index, y.right_index, ends)\n"
@@ -143,56 +296,10 @@ def test_the_check_sees_an_ends_read_outside_tensor_unitaries():
         "                return c.ends[0]\n"
         "        return len(self.x.ends)\n"
         "c.ends = ()\n"
-        "FIRST = c.ends\n"
-    )
-    assert ends_reads(source) == {"tensor": [2, 2], "first": [10], "check": [11], "": [13]}
-
-
-def test_only_tensor_unitaries_reads_a_correspondences_ends():
-    # A correspondence derives its per-edge ends from its factor runs when they are first read, so
-    # no constructor allocates per edge; tensor_unitaries is their one reader, and the derivation,
-    # the ends property itself, reads the runs.
-    readers = {path.stem: set(ends_reads(path.read_text(encoding="utf-8"))) for path in PACKAGE}
-    assert {module: names for module, names in readers.items() if names} == {"corr": {"tensor_unitaries"}}
-
-
-ARITHMETIC = ("mat_mul", "mat_pow", "power_equals")
-
-
-def arithmetic_owners(source: str) -> dict[str, list[int]]:
-    """The lines that name one of ``ARITHMETIC`` other than in an import, keyed by the dotted name of
-    the classes and functions they are in ("" at module level)."""
-    found = {}
-
-    def visit(node, owner):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = f"{owner}.{node.name}" if owner else node.name
-        elif isinstance(node, ast.ImportFrom):
-            return
-        elif isinstance(node, ast.Name) and node.id in ARITHMETIC or isinstance(node, ast.Attribute) and node.attr in ARITHMETIC:
-            found.setdefault(owner, []).append(node.lineno)
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source), "")
-    return {owner: sorted(lines) for owner, lines in found.items()}
-
-
-def arithmetic_uses(source: str) -> list[int]:
-    """Lines that import one of ``exact``'s ``ARITHMETIC`` functions, or name one, bare or as
-    an attribute of whatever object."""
-    lines = [
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "exact"
-        for alias in node.names
-        if alias.name in ARITHMETIC
-    ]
-    return sorted(lines + [line for found in arithmetic_owners(source).values() for line in found])
-
-
-def test_the_check_sees_a_reader_that_checks_a_power():
-    source = (
+        "FIRST = c.ends\n",
+        ("ends",), "read", {"tensor": [2, 2], "UnitaryPath.check.first": [10], "UnitaryPath.check": [11], "": [13]},
+    ),
+    "a-reader-that-checks-a-power": Case(
         "from .exact import from_rows, power_equals\n"
         "def reader(doc):\n"
         "    a = from_rows(doc['a'])\n"
@@ -200,19 +307,10 @@ def test_the_check_sees_a_reader_that_checks_a_power():
         "from . import exact as e\n"
         "e.mat_mul(a, a)\n"
         "from shiftcalc.exact import mat_pow as p\n"
-        "mat_powers = e.identity(2)\n"
-    )
-    assert arithmetic_uses(source) == [1, 4, 6, 7]
-
-
-def test_jsonio_does_no_arithmetic():
-    # The readers check the schema: aligned.assemble_shift decides whether a lag fits the bundle.
-    source = (pathlib.Path(shiftcalc.__file__).parent / "jsonio.py").read_text(encoding="utf-8")
-    assert arithmetic_uses(source) == []
-
-
-def test_the_check_sees_arithmetic_outside_the_dims_property():
-    source = (
+        "mat_powers = e.identity(2)\n",
+        ARITHMETIC, "exact", {"": [1, 6, 7], "reader": [4]},
+    ),
+    "arithmetic-outside-the-dims-property": Case(
         "from .exact import IntMatrix, mat_mul\n"
         "class GraphCorrespondence:\n"
         "    def dims(self):\n"
@@ -222,139 +320,27 @@ def test_the_check_sees_arithmetic_outside_the_dims_property():
         "class OneArrow:\n"
         "    def __post_init__(self):\n"
         "        check = lambda a, m, p: power_equals(a, m, p)\n"
-        "UNIT = mat_pow(IntMatrix(), 0)\n"
-    )
-    assert arithmetic_owners(source) == {
-        "GraphCorrespondence.dims": [4], "tensor": [6], "OneArrow.__post_init__": [9], "": [10],
-    }
-
-
-def test_only_the_dims_property_does_arithmetic_in_corr():
-    # A correspondence is its labels and factor runs: tensor products and every endpoint check compare
-    # records, and the block dimensions are multiplied out only when first read.
-    source = (pathlib.Path(shiftcalc.__file__).parent / "corr.py").read_text(encoding="utf-8")
-    assert set(arithmetic_owners(source)) == {"GraphCorrespondence.dims"}
-
-
-PACKAGE = sorted(pathlib.Path(shiftcalc.__file__).parent.glob("*.py"))
-
-
-def private_reads(source: str, own: str, modules: set[str]) -> list[int]:
-    """Lines that read a private name of a package module other than ``own``: an attribute of
-    such a module (under any name the source gives it, or reached as ``package.module``), or an
-    import from it.  ``modules`` holds the package's module names."""
-    others = modules - {own}
-    tree = ast.parse(source)
-    names = set()
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] in others:
-            lines += [node.lineno for alias in node.names if alias.name.startswith("_")]
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names |= {alias.asname or alias.name for alias in node.names if alias.name.rpartition(".")[2] in others}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__"):
-            owner = node.value
-            if isinstance(owner, ast.Name) and owner.id in names or isinstance(owner, ast.Attribute) and owner.attr in others:
-                lines.append(node.lineno)
-    return sorted(lines)
-
-
-def test_the_check_sees_a_private_jsonio_read():
-    source = (
-        "from . import jsonio\n"
-        "jsonio.dump_json(x, f)\n"
-        "leaf = jsonio._complex_matrix_array\n"
-        "from .jsonio import SCHEMA, _require\n"
-        "import shiftcalc.jsonio as j\n"
-        "j._float_block(rows)\n"
-        "import shiftcalc.jsonio\n"
-        "shiftcalc.jsonio._join([], 0)\n"
-        "other._private(1)\n"
-        "jsonio.__name__\n"
-        "from .exact import _crt, mat_mul\n"
-        "from . import exact as e\n"
-        "e._moduli(3, 10)\n"
-        "from .corr import _join\n"
-    )
-    modules = {"corr", "exact", "jsonio"}
-    assert private_reads(source, "cli", modules) == [3, 4, 6, 8, 11, 13, 14]
+        "UNIT = mat_pow(IntMatrix(), 0)\n",
+        ARITHMETIC, "name", {"GraphCorrespondence.dims": [4], "tensor": [6], "OneArrow.__post_init__": [9], "": [10]},
+    ),
+    "a-private-jsonio-read": Case(PRIVATE_SOURCE, ("corr", "exact", "jsonio"), "private",
+                                  {"": [3, 4, 6, 8, 11, 13, 14]}, "cli"),
     # A module's own private names are its own business.
-    assert private_reads(source, "jsonio", modules) == [11, 13, 14]
-    assert private_reads(source, "exact", modules) == [3, 4, 6, 8, 14]
-
-
-@pytest.mark.parametrize("path", PACKAGE, ids=[path.name for path in PACKAGE])
-def test_only_jsonio_reads_its_private_names(path):
-    # Each module's private names are its own business, jsonio's among them: callers pass _arrays.
-    modules = {other.stem for other in PACKAGE}
-    assert private_reads(path.read_text(encoding="utf-8"), path.stem, modules) == []
-
-
-def _calls(node, name: str) -> bool:
-    """Whether ``node`` calls ``name``, bare or as an attribute of whatever object."""
-    func = node.func if isinstance(node, ast.Call) else None
-    return isinstance(func, ast.Name) and func.id == name or isinstance(func, ast.Attribute) and func.attr == name
-
-
-def identity_factors(source: str) -> list[int]:
-    """Lines of a ``tensor_unitaries`` call that passes an ``identity_unitary`` call as an
-    argument, directly or through a name that the source binds to one."""
-    tree = ast.parse(source)
-    bound = {
-        target.id
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Assign) and _calls(node.value, "identity_unitary")
-        for target in node.targets
-        if isinstance(target, ast.Name)
-    }
-    return sorted(
-        node.lineno
-        for node in ast.walk(tree)
-        if _calls(node, "tensor_unitaries")
-        and any(
-            _calls(arg, "identity_unitary") or isinstance(arg, ast.Name) and arg.id in bound
-            for arg in [*node.args, *(keyword.value for keyword in node.keywords)]
-        )
-    )
-
-
-def test_the_check_sees_an_identity_built_as_a_tensor_factor():
-    source = (
+    "a-private-read-in-jsonio": Case(PRIVATE_SOURCE, ("corr", "exact", "jsonio"), "private",
+                                     {"": [11, 13, 14]}, "jsonio"),
+    "a-private-read-in-exact": Case(PRIVATE_SOURCE, ("corr", "exact", "jsonio"), "private",
+                                    {"": [3, 4, 6, 8, 14]}, "exact"),
+    "an-identity-built-as-a-tensor-factor": Case(
         "step = tensor_unitaries(g.phi, identity_unitary(f.f))\n"
         "ident = identity_unitary(x)\n"
         "lhs = corr.tensor_unitaries(ident, psi)\n"
         "placed = tensor_unitaries(psi, x)\n"
         "h0 = identity_unitary(power.f)\n"
         "w = tensor_unitaries(u2=corr.identity_unitary(y), u1=u)\n"
-        "v = tensor_unitaries(u, compose_unitaries(identity_unitary(x), u))\n"
-    )
-    assert identity_factors(source) == [1, 3, 6]
-
-
-@pytest.mark.parametrize("path", PACKAGE, ids=[path.name for path in PACKAGE])
-def test_an_identity_factor_is_passed_as_its_correspondence(path):
-    # tensor_unitaries places the other factor's blocks for a correspondence F, standing for
-    # 1_F; identity_unitary(F) there would be built and multiplied by np.kron.
-    assert identity_factors(path.read_text(encoding="utf-8")) == []
-
-
-BASIS_BUILDERS = ("object_pair", "from_matrix")
-
-
-def basis_builders(source: str) -> dict[str, list[int]]:
-    """The lines that call one of ``BASIS_BUILDERS``, bare or as an attribute of whatever object,
-    keyed by the module-level function or class they are in ("" for module level)."""
-    found = {}
-    for top in ast.parse(source).body:
-        lines = [node.lineno for node in ast.walk(top) if any(_calls(node, name) for name in BASIS_BUILDERS)]
-        if lines:
-            found.setdefault(getattr(top, "name", ""), []).extend(sorted(lines))
-    return found
-
-
-def test_the_check_sees_a_basis_built_outside_its_builder():
-    source = (
+        "v = tensor_unitaries(u, compose_unitaries(identity_unitary(x), u))\n",
+        ("identity_unitary",), "factor", {"": [1, 3, 6]},
+    ),
+    "a-basis-built-outside-its-builder": Case(
         "from .corr import from_matrix, object_pair\n"
         "def assemble_shift(w, make):\n"
         "    x = object_pair(w.a)\n"
@@ -364,52 +350,57 @@ def test_the_check_sees_a_basis_built_outside_its_builder():
         "    return object_pair(doc)\n"
         "ONE = from_matrix(identity(1))\n"
         "def other(x):\n"
-        "    return object_pairs(x), from_matrix\n"
-    )
-    assert basis_builders(source) == {"assemble_shift": [3, 4], "reader": [6, 7], "": [8]}
-
-
-def test_the_check_sees_an_arrow_read_that_builds_its_bases():
-    source = (
+        "    return object_pairs(x), from_matrix\n",
+        BASES, "call", {"assemble_shift": [3, 4], "reader": [6, 7], "": [8]},
+    ),
+    "an-arrow-read-that-builds-its-bases": Case(
         "def arrow_from_json(doc):\n"
         "    source = object_pair(*_object_fields(doc['source']))\n"
         "    target = object_pair(*_object_fields(doc['target']))\n"
         "    f = from_matrix(matrix_from_json(doc['f_dims']), target.algebra_index, source.algebra_index)\n"
         "    return arrow_with(source, target, f)\n"
         "def shift_from_json(doc):\n"
-        "    return assemble_shift(witness(doc), make(doc))\n"
-    )
-    assert basis_builders(source) == {"arrow_from_json": [2, 3, 4]}
-
-
-def test_the_check_sees_a_selftest_arrow_built_by_hand():
-    source = (
+        "    return assemble_shift(witness(doc), make(doc))\n",
+        BASES, "call", {"arrow_from_json": [2, 3, 4]},
+    ),
+    "a-selftest-arrow-built-by-hand": Case(
         "def arrow_from_witness(w, np_rng=None):\n"
         "    src, tgt = object_pair(w.a), object_pair(w.b)\n"
         "    return arrow_with(src, tgt, from_matrix(w.s, tgt.algebra_index, src.algebra_index))\n"
         "def tensor_dims_oracle(size, tol):\n"
-        "    return tensor(from_matrix(r), from_matrix(s))\n"
-    )
-    assert basis_builders(source) == {"arrow_from_witness": [2, 2, 3], "tensor_dims_oracle": [5, 5]}
+        "    return tensor(from_matrix(r), from_matrix(s))\n",
+        BASES, "call", {"arrow_from_witness": [2, 2, 3], "tensor_dims_oracle": [5, 5]},
+    ),
+    "an-eigensolver-outside-the-residuals": Case(
+        "def unitary_distance(u, v):\n"
+        "    return np.sqrt(np.linalg.eigvalsh(gram)[-1])\n"
+        "def _schur_eig(w):\n"
+        "    t, z = scipy.linalg.schur(w, output='complex')\n"
+        "def homotopy_failure(h):\n"
+        "    worst = max(np.linalg.svd(u, compute_uv=False)[0] for u in h)\n"
+        "    solve, eigs = np.linalg.eigh, eig(h.u)\n",
+        ("eigvalsh", "eigh", "eig", "svd", "schur"), "call",
+        {"unitary_distance": [2], "_schur_eig": [4], "homotopy_failure": [6, 7]},
+    ),
+}
 
 
-def test_one_builder_makes_a_shifts_bases():
-    # An arrow's object pairs and edge correspondence are built by aligned.assemble_arrow alone, and a
-    # shift's by aligned.assemble_shift alone, each object once: one builder per record.  The shift and
-    # arrow readers and the self-test's arrows supply only records.  The self-test's tensor oracle
-    # builds the edge correspondences of rectangular factors, which no arrow describes.
-    package = pathlib.Path(shiftcalc.__file__).parent
-    builders = {name: set(basis_builders((package / f"{name}.py").read_text(encoding="utf-8"))) for name in
-                ("aligned", "jsonio", "selftest")}
-    assert builders == {
-        "aligned": {"assemble_arrow", "assemble_shift"}, "jsonio": set(), "selftest": {"tensor_dims_oracle"},
-    }
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_the_check_sees(case):
+    assert uses(case.source, case.names, case.kind, case.own) == case.expected
+
+
+def test_each_kind_has_a_case():
+    # A kind that no case shows is unchecked, whether or not a row uses it.
+    seen = {case.kind for case in CASES.values()}
+    assert seen == set(KINDS)
+    assert {rule.kind for rule in OWNERS} <= seen
 
 
 def definitions(source: str) -> set[str]:
     """Names of the module-level functions, classes and constants."""
     names = set()
-    for node in ast.parse(source).body:
+    for node in parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -427,7 +418,7 @@ def private_definitions(source: str) -> set[str]:
 def used_names(source: str) -> set[str]:
     """Names a module reads, as a variable, an attribute or an import."""
     used = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -464,7 +455,7 @@ def traced_names() -> list[str]:
     """Every ``module.function`` in the benchmark tracer's ``LAYERS`` table,
     read from its source: the tracer rebinds each one by ``getattr``."""
     source = (pathlib.Path(__file__).parent.parent / "bench" / "spans.py").read_text(encoding="utf-8")
-    for node in ast.parse(source).body:
+    for node in parse(source).body:
         if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]:
             layers = ast.literal_eval(node.value)
             return [f"{module}.{fn}" for module, fns in layers.items() for fn in fns]
@@ -520,7 +511,7 @@ def refusals(source: str, everywhere: bool = False) -> list[str]:
     """The message of each ``raise`` in a class's ``__init__`` or ``__post_init__``,
     or with ``everywhere`` in the whole module, in source order: a string literal
     as written, an f-string by its longest constant part."""
-    tree = ast.parse(source)
+    tree = parse(source)
     scopes = [tree] if everywhere else [
         method
         for cls in tree.body
@@ -626,7 +617,7 @@ def unread_locals(source: str) -> list[str]:
     """``function.name`` for each local a function assigns and never reads, counting
     reads in the functions nested in it; ``_`` is a placeholder, not a local."""
     found = set()
-    for function in ast.walk(ast.parse(source)):
+    for function in ast.walk(parse(source)):
         if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         stored, read = set(), set()
