@@ -52,7 +52,7 @@ from .corr import (
     unitary_distance,
 )
 from .errors import CompositionError, ContractError, DomainError, ShapeError
-from .exact import mat_mul, power_equals
+from .exact import mat_mul, power, power_equals
 from .witnesses import SEWitness, identity_witness, verify_se
 
 #: Bytes the four structure maps of one shift, or the phi of one arrow, may take: their size is
@@ -247,9 +247,10 @@ def reverse_shift(d: AlignedShiftData) -> AlignedShiftData:
 
 def slide_past_powers(arrow: OneArrow, n: int) -> BlockUnitary:
     """The iterated intertwiner Y^(x)n (x) F -> F (x) X^(x)n, the canonical 2-arrow between
-    [Y^(x)n, 1] (x) [F, phi_F] and [F, phi_F] (x) [X^(x)n, 1]: the canonical identification
-    for n = 0, phi_F for n = 1, and for n = h + k >= 2 with h = n // 2 the composite
-    (1_(Y^(x)h) (x) slide_k) then (slide_h (x) 1_(X^(x)k)), so the recursion is log2(n) deep.
+    [Y^(x)n, 1] (x) [F, phi_F] and [F, phi_F] (x) [X^(x)n, 1]: the canonical identification for n = 0,
+    and for n >= 1 the power of (1, phi_F) by :func:`exact.power` under the associative product
+    (h, slide_h) (k, slide_k) = (h + k, (1_(Y^(x)h) (x) slide_k) then (slide_h (x) 1_(X^(x)k))): O(log n)
+    compositions, bracketed ((slide_(2^a) slide_(2^b)) slide_(2^c)) ... for the set bits a < b < c ... of n.
     """
     if n < 0:
         raise DomainError("slide exponent must be nonnegative")
@@ -257,13 +258,13 @@ def slide_past_powers(arrow: OneArrow, n: int) -> BlockUnitary:
         zero_y = power_correspondence(arrow.target, 0)
         zero_x = power_correspondence(arrow.source, 0)
         return canonical_identification(tensor(zero_y, arrow.f), tensor(arrow.f, zero_x))
-    if n == 1:
-        return arrow.phi
-    h, k = n // 2, n - n // 2
-    return compose_unitaries(
-        tensor_unitaries(power_correspondence(arrow.target, h), slide_past_powers(arrow, k)),
-        tensor_unitaries(slide_past_powers(arrow, h), power_correspondence(arrow.source, k)),
-    )
+
+    def times(first, second):
+        (h, slide_h), (k, slide_k) = first, second
+        return h + k, compose_unitaries(tensor_unitaries(power_correspondence(arrow.target, h), slide_k),
+                                        tensor_unitaries(slide_h, power_correspondence(arrow.source, k)))
+
+    return power((1, arrow.phi), n, times)[1]
 
 
 def compose_shifts(

@@ -25,13 +25,13 @@ F itself, and ``tensor_unitaries`` places u's blocks without forming 1_F.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import Callable, Optional, Sequence
+from functools import cached_property, lru_cache, reduce
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .exact import IntMatrix, is_essential, is_nonnegative, mat_mul
+from .exact import IntMatrix, is_essential, is_nonnegative, mat_mul, power
 from .exact import identity as int_identity
 
 #: A basis vector: a path of edges (source label, alpha, target label).
@@ -44,9 +44,10 @@ DEFAULT_TOL = 1e-9
 class GraphCorrespondence:
     """The edge bimodule of an integer matrix, or a tensor product of such.
 
-    Immutable, and equal and hashed by labels and factor runs.  ``factors`` records the atomic
-    (left labels, right labels, matrix) triples multiplied together, as runs (triple, count).  No
-    constructor does arithmetic or allocates per edge: ``dims`` and ``ends`` are derived when first read.
+    Immutable, and equal by labels and factor runs, and hashable when its labels are: labels read
+    from JSON may be arrays.  ``factors`` records the atomic (left labels, right labels, matrix)
+    triples multiplied together, as runs (triple, count).  No constructor does arithmetic or
+    allocates per edge: ``dims`` and ``ends`` are derived when first read.
     """
 
     left_index: tuple
@@ -56,16 +57,16 @@ class GraphCorrespondence:
     @cached_property
     def dims(self) -> IntMatrix:
         """The block dimensions, kept once read: the product of the factor runs, each matrix raised to its
-        count by repeated squaring."""
-        return reduce(mat_mul, (_power(r, n, mat_mul) for (_, _, r), n in self.factors))
+        count by :func:`exact.power`, memoised by the runs' matrices and counts (:func:`_dims`)."""
+        return _dims(tuple((r, n) for (_, _, r), n in self.factors))
 
     @cached_property
     def ends(self) -> tuple:
         """``ends[i]``: the right index at which each path out of i ends, in basis order, kept once read.  An
-        atom repeats column j R[i][j] times in row i; a run raises it to its count by repeated squaring."""
+        atom repeats column j R[i][j] times in row i; a run raises it to its count by :func:`exact.power`."""
         try:
             runs = ((tuple(np.repeat(np.arange(r.cols), row) for row in r.entries), n) for (_, _, r), n in self.factors)
-            return reduce(_follow, (_power(atom, n, _follow) for atom, n in runs))
+            return reduce(_follow, (power(atom, n, _follow) for atom, n in runs))
         except MemoryError:
             raise DomainError("correspondence block dimensions are too large to hold a basis") from None
 
@@ -138,6 +139,19 @@ def from_matrix(r: IntMatrix, v: Optional[Sequence] = None, w: Optional[Sequence
     return GraphCorrespondence(v, w, (((v, w, r), 1),))
 
 
+def _unit(labels: tuple) -> GraphCorrespondence:
+    """The unit correspondence over ``labels``: the edge correspondence of the identity matrix."""
+    return from_matrix(int_identity(len(labels)), labels, labels)
+
+
+#: Dims by runs ((matrix, count), ...): a composite formed again, as ``alignment_report`` forms M (x) N (x) X,
+#: takes no product.  Keyed by matrices and counts, never labels, which JSON may give as unhashable arrays;
+#: at most 256 entries are kept, each a dims table and the atomic matrices of its key.
+@lru_cache(maxsize=256)
+def _dims(runs: tuple) -> IntMatrix:
+    return reduce(mat_mul, (power(r, n, mat_mul) for r, n in runs))
+
+
 def basis_fits(r: IntMatrix) -> bool:
     """Whether numpy can index each row's edges, 8 bytes apiece, as :func:`from_matrix` requires.  No constructor
     allocates them: a correspondence's edges are first held when ``tensor_unitaries`` reads its ends."""
@@ -166,14 +180,6 @@ def _join(a: tuple, b: tuple) -> tuple:
 def _follow(x_ends: tuple, y_ends: tuple) -> tuple:
     """The ends of X (x) Y from those of X and Y: each path of X, in order, followed by Y's out of its end."""
     return tuple(np.concatenate([y_ends[u] for u in row]) if row.size else row for row in x_ends)
-
-
-def _power(x, m: int, times: Callable):
-    """x times itself, m >= 1 factors, by repeated squaring: O(log m) products, for associative ``times``."""
-    if m == 1:
-        return x
-    square = times(half := _power(x, m // 2, times), half)
-    return times(square, x) if m & 1 else square
 
 
 def _pair_positions(row_ends: np.ndarray, col: np.ndarray, u: int) -> np.ndarray:
@@ -425,14 +431,11 @@ def identity_arrow(obj: ObjectPair) -> OneArrow:
 
 def power_correspondence(obj: ObjectPair, m: int) -> GraphCorrespondence:
     """The m-fold tensor power of the object correspondence, the identity matrix's for m = 0,
-    by repeated squaring in O(log m) tensors, which join factor runs and do no arithmetic at any m.
+    raised by :func:`exact.power` in O(log m) tensors, which join factor runs and do no arithmetic at any m.
     Its dims, A^m, are derived when first read: the command line checks A^m = R S, and bounds R S, first."""
     if m < 0:
         raise DomainError("tensor powers need a nonnegative exponent")
-    if m == 0:
-        n = len(obj.algebra_index)
-        return from_matrix(int_identity(n), obj.algebra_index, obj.algebra_index)
-    return _power(obj.x, m, tensor)
+    return power(obj.x, m, tensor) if m else _unit(obj.algebra_index)
 
 
 def arrow_with(source: ObjectPair, target: ObjectPair, f: GraphCorrespondence, make=None) -> OneArrow:
@@ -502,13 +505,9 @@ def conjugate_arrow(arrow: OneArrow, u: BlockUnitary) -> OneArrow:
 
 def left_unitor(c: GraphCorrespondence) -> BlockUnitary:
     """I (x) F -> F, the canonical unit identification (identity blocks)."""
-    n = len(c.left_index)
-    unit = from_matrix(int_identity(n), c.left_index, c.left_index)
-    return canonical_identification(tensor(unit, c), c)
+    return canonical_identification(tensor(_unit(c.left_index), c), c)
 
 
 def right_unitor(c: GraphCorrespondence) -> BlockUnitary:
     """F (x) I -> F, the canonical unit identification (identity blocks)."""
-    n = len(c.right_index)
-    unit = from_matrix(int_identity(n), c.right_index, c.right_index)
-    return canonical_identification(tensor(c, unit), c)
+    return canonical_identification(tensor(c, _unit(c.right_index)), c)

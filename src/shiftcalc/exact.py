@@ -4,7 +4,8 @@ Every result is an exact integer.  Matrices live in Python integers, which
 cannot overflow.  One computation runs on residues instead, exactly: the
 characteristic polynomial together with the adjugate product adj(I - A) B
 (see :func:`char_poly_and_adjugate`).  The module supplies the engine for the
-rest of the package -- matrix products, powers and the capped power check
+rest of the package -- matrix products, :func:`power`, the one repeated-squaring
+routine for every power of the package, and the capped power check
 ``power_equals`` for witness verification, the invariant factors of the Smith
 normal form, over Z or modulo an integer, for cokernel invariants (the
 diagonal only; the unimodular transforms are never built), the
@@ -21,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -128,13 +129,18 @@ def mat_pow(a: IntMatrix, m: int, cap: int | None = None) -> IntMatrix:
     def clip(x: IntMatrix) -> IntMatrix:
         return x if cap is None else from_rows([[min(v, cap + 1) for v in row] for row in x.entries])
 
-    result = identity(a.rows)
-    base = clip(a)
+    return power(clip(a), m, lambda x, y: clip(mat_mul(x, y))) if m else identity(a.rows)
+
+
+def power(x, m: int, times: Callable):
+    """``x`` times itself, m >= 1 factors, for an associative ``times``, by square-and-multiply from the low
+    bit: floor(log2 m) squarings and popcount(m) - 1 other products, in a loop, so m may have any size."""
+    result = None
     while m:
         if m & 1:
-            result = clip(mat_mul(result, base))
-        base = clip(mat_mul(base, base)) if m > 1 else base
-        m >>= 1
+            result = x if result is None else times(result, x)
+        if m := m >> 1:
+            x = times(x, x)
     return result
 
 

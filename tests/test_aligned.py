@@ -777,8 +777,8 @@ class TestLagRelation:
     )
     def test_a_trivial_shift_adds_one_to_the_lag(self, w):
         # Both shifts are conjugated by Haar-random unitaries, so no map is a permutation.  psi_y
-        # slides the trivial shift's phi_M past Y^(x)m, which recurses for m >= 2; psi_x slides
-        # d's phi_N past X^(x)1.
+        # slides the trivial shift's phi_M past Y^(x)m, which composes slides for m >= 2; psi_x
+        # slides d's phi_N past X^(x)1.
         rng = np.random.default_rng(37)
 
         def haar(d):
@@ -815,12 +815,20 @@ class TestSlide:
         for n in (2, 3):
             assert unitarity_defect(slide_past_powers(d.n_arrow, n)) < TOL
 
-    def test_a_long_slide_recurses_log_deep(self):
-        # 1x1 blocks at every power: a recursion one factor at a time would pass Python's
-        # recursion limit (1000 frames by default) before n = 2000.
+    @pytest.mark.parametrize("n", [64, 2000])
+    def test_a_long_slide_takes_log_many_compositions(self, n, monkeypatch):
+        # 1x1 blocks at every power.  A slide is a power under exact.power, so it composes at most
+        # 2 floor(log2 n) times: one factor at a time would compose n - 1 times, and a recursion one
+        # factor deep per step would pass Python's recursion limit (1000 frames by default).
+        import shiftcalc.aligned
+
+        calls = []
+        compose = shiftcalc.aligned.compose_unitaries
+        monkeypatch.setattr(shiftcalc.aligned, "compose_unitaries", lambda u, v: calls.append(1) or compose(u, v))
         arrow = trivial_shift(from_rows([[1]])).m_arrow
-        s = slide_past_powers(arrow, 2000)
+        s = slide_past_powers(arrow, n)
         assert [m.tolist() for m in s.blocks.values()] == [[[1]]]
+        assert len(calls) <= 2 * (n.bit_length() - 1)
 
     def test_slide_is_two_arrow_between_power_composites(self, golden_witness):
         from shiftcalc import compose_one_arrows, power_arrow, two_arrow_residual

@@ -320,6 +320,23 @@ class TestAlignedAndHomotopy:
             assert code == 1
             assert report["verdict"]["concrete"] is False
 
+    def test_a_bundle_with_array_labels_verifies(self, capsys, tmp_path, golden_witness):
+        # JSON labels may be arrays, which cannot be hashed: nothing may key a cache by them.  Y's labels
+        # 0 and 1 become [0] and [1], in the objects, the maps' indices and the block keys alike.
+        doc = shift_to_json(build_from_se(golden_witness))
+        doc["y"]["labels"] = [[0], [1]]
+        for name, sides in (("phi_m", (False, True)), ("phi_n", (True, False)), ("psi_y", (True, True))):
+            u = doc[name]
+            for field, on_y in zip(("left_index", "right_index"), sides):
+                u[field] = [[0], [1]] if on_y else u[field]
+            u["blocks"] = {
+                ",".join(f"[{v}]" if on_y else v for v, on_y in zip(key.split(","), sides)): block
+                for key, block in u["blocks"].items()
+            }
+        code, report, err = run(capsys, ["aligned", "verify", "--data", write(tmp_path / "shift.json", doc)])
+        assert (code, err) == (0, "")
+        assert report["verdict"] == {"aligned": True, "concrete": True, "residuals": {"x": 0.0, "y": 0.0}}
+
     def test_shift_bundle_roundtrip_preserves_alignment(self, golden_witness):
         shift = build_from_se(golden_witness)
         text = io.StringIO()

@@ -36,13 +36,16 @@ from shiftcalc import (
     random_block_unitary,
     random_sse_chain,
     right_unitor,
+    slide_past_powers,
     tensor,
     tensor_unitaries,
     two_arrow_residual,
     unitarity_defect,
     unitary_distance,
 )
-from shiftcalc.corr import basis_fits
+from shiftcalc import exact
+from shiftcalc.corr import _follow, basis_fits
+from shiftcalc.selftest import GOLDEN_WITNESS
 from tests.conftest import arrow_from_witness, random_essential
 
 TOL = 1e-9
@@ -655,15 +658,29 @@ class TestArrows:
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_powers_by_squaring_match_the_left_fold(self, m):
+        # exact.power raises every power of the package; for each of its products it must agree with
+        # the left fold x (x) x (x) ... (x) x: exactly for integer matrices and ends, as equal records
+        # for tensor products, and within rounding for slides, whose bracketing moves their last bits.
         rng = random.Random(500 + m)
         for _ in range(4):
             obj = object_pair(random_essential(rng, 3, 1))
+            a = obj.x.dims
+            assert exact.power(a, m, mat_mul) == mat_pow(a, m) == reduce(mat_mul, [a] * m)
             power, left = power_correspondence(obj, m), reduce(tensor, [obj.x] * m)
-            assert power == left
+            assert power == left == exact.power(obj.x, m, tensor)
             assert (power.left_index, power.right_index) == (left.left_index, left.right_index)
-            assert len(power.ends) == len(left.ends)
-            for p, q in zip(power.ends, left.ends):
-                assert p.dtype == q.dtype and np.array_equal(p, q)
+            for ends in (power.ends, exact.power(obj.x.ends, m, _follow)):
+                folded = reduce(_follow, [obj.x.ends] * m)
+                assert len(ends) == len(folded)
+                for p, q in zip(ends, folded):
+                    assert p.dtype == q.dtype and np.array_equal(p, q)
+        arrow = arrow_from_witness(GOLDEN_WITNESS)
+        arrow = conjugate_arrow(arrow, random_block_unitary(arrow.f, np.random.default_rng(313)))
+        slide = arrow.phi
+        for k in range(1, m):  # (k, slide_k) . (1, phi_F), one factor at a time
+            slide = compose_unitaries(tensor_unitaries(power_correspondence(arrow.target, k), arrow.phi),
+                                      tensor_unitaries(slide, arrow.source.x))
+        assert unitary_distance(slide_past_powers(arrow, m), slide) < TOL
 
     def test_a_tensor_power_of_one_factor_is_one_run(self):
         # X([[1]])^(x)m holds m atomic factors, however small its blocks: as one run,

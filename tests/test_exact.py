@@ -177,6 +177,21 @@ class TestMatPow:
         clipped = [[min(x, cap + 1) for x in row] for row in mat_pow(a, m).entries]
         assert mat_pow(a, m, cap=cap) == from_rows(clipped)
 
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_a_power_takes_log_many_products(self, cap, monkeypatch):
+        # Square-and-multiply from the low bit: floor(log2 m) squarings and popcount(m) - 1 other products,
+        # each a call of the module's mat_mul, and no product with the identity.
+        calls = []
+        monkeypatch.setattr(exact, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+        fib, folded = from_rows([[1, 1], [1, 0]]), identity(2)
+        for m in range(1, 65):
+            folded = mat_mul(folded, fib)  # the unpatched product: the left fold, uncounted
+            calls.clear()
+            result = mat_pow(fib, m, cap)
+            assert len(calls) == m.bit_length() - 1 + bin(m).count("1") - 1
+            assert result == (folded if cap is None else from_rows([[min(x, cap + 1) for x in row]
+                                                                    for row in folded.entries]))
+
     def test_capped_power_of_a_huge_exponent(self):
         swap = from_rows([[0, 1], [1, 0]])
         assert mat_pow(swap, 10**400, cap=1) == identity(2)

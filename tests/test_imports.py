@@ -211,8 +211,10 @@ OWNERS = (
     # property itself, reads the runs.
     Rule("ends", EVERY, ("ends",), "read", {"corr": {"tensor_unitaries"}}),
     # A correspondence is its labels and factor runs: tensor products and every endpoint check compare
-    # records, and the block dimensions are multiplied out only when first read.
-    Rule("corr-arithmetic", ("corr",), ARITHMETIC, "name", {"corr": {"GraphCorrespondence.dims"}}),
+    # records, and the block dimensions are multiplied out only when first read.  _dims, which the dims
+    # property calls, multiplies them out, memoised by the runs' matrices and counts, so that a composite
+    # formed again takes no product.
+    Rule("corr-arithmetic", ("corr",), ARITHMETIC, "name", {"corr": {"_dims"}}),
     # The readers check the schema: aligned.assemble_shift decides whether a lag fits the bundle.
     Rule("jsonio-arithmetic", ("jsonio",), ARITHMETIC, "exact", {}),
     # Each module's private names are its own business, jsonio's among them: callers pass _arrays.
